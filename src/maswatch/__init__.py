@@ -17,13 +17,11 @@ from .attacks import (
     validate_stealth,
 )
 from .detectors import (
-    EdgeSampleStore,
     EdgeVerdict,
     EnvelopeConfig,
     FactorMode,
     KlDetectorConfig,
     KlEstimator,
-    channel_detector,
     edge_residual,
     envelope,
     envelope_factor,
@@ -37,7 +35,6 @@ from .dynamics import (
     AgentModel,
     ControllerParams,
     StateBounds,
-    SystemState,
     companion_gains,
     companion_model,
     compute_control,
@@ -74,7 +71,6 @@ from .hybrid import (
     Classification,
     FlagBoard,
     FlagPair,
-    broadcast_flags,
     classify,
     local_detect,
     run_protocol_step,
@@ -85,7 +81,6 @@ from .watermark import (
     WatermarkDraw,
     WatermarkParams,
     apply_watermark,
-    draw_watermark,
     identity_draw,
     remove_watermark,
 )

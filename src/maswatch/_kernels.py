@@ -1,16 +1,13 @@
-"""Trial-simulation kernels.
+"""Trial-simulation step kernel.
 
-Two implementations of the same step loop: an explicit-loop version
-compiled with numba when available, and a vectorized numpy version.
-Both consume pregenerated random material and attack schedules as
-plain arrays and fill preallocated output slabs, so a chunk of trials
-is a single kernel call and results do not depend on how trials are
-chunked across workers.
-
-Within one backend the arithmetic order is fixed (edge-major
+One vectorized numpy implementation of the step loop. It consumes
+pregenerated random material and attack schedules as plain arrays and
+fills preallocated output slabs, so a chunk of trials is a single
+kernel call and results do not depend on how trials are chunked
+across workers. The arithmetic order is fixed (edge-major
 accumulation of consensus terms), so repeated runs are bitwise
-reproducible. Across backends the two paths may differ by float
-rounding in dot products, nothing more.
+reproducible. tests/test_kernels.py steps the same simulation message
+by message through the public per-message API and compares.
 
 Array shapes, with T trials, K steps, N agents, E edges, n state dims:
 
@@ -28,121 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-try:
-    import numba as nb
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
 BYZ_NONE = 0
 BYZ_CONST = 1
 BYZ_RAMP = 2
 BYZ_FROZEN = 3
 BYZ_RANDOM = 4
-
-
-def _simulate_loop(
-    x0,
-    A,
-    Bv,
-    K1,
-    K2,
-    ak,
-    edge_src,
-    edge_dst,
-    edge_w,
-    W,
-    M1,
-    M2,
-    F1,
-    F2,
-    chan_mask,
-    Xi1,
-    Lam1,
-    Xi2,
-    Lam2,
-    byz_mask,
-    byz_kind,
-    byz_coeff,
-    byz_rand,
-    states,
-    ys1,
-    ys2,
-):
-    T = W.shape[0]
-    K = W.shape[1]
-    E = W.shape[2]
-    n = W.shape[3]
-    N = x0.shape[0]
-    u = np.zeros(N)
-    frozen = np.zeros((E, n))
-    frozen_set = np.zeros(E, np.uint8)
-    for t in range(T):
-        for i in range(N):
-            for l in range(n):
-                states[t, 0, i, l] = x0[i, l]
-        for e in range(E):
-            frozen_set[e] = 0
-        for k in range(1, K + 1):
-            for e in range(E):
-                j = edge_src[e]
-                if byz_mask[k - 1, e] == 1:
-                    if byz_kind[k - 1, e] == BYZ_FROZEN and frozen_set[e] == 0:
-                        for l in range(n):
-                            frozen[e, l] = states[t, k - 1, j, l]
-                        frozen_set[e] = 1
-                else:
-                    frozen_set[e] = 0
-                for l in range(n):
-                    p = states[t, k - 1, j, l]
-                    if byz_mask[k - 1, e] == 1:
-                        kind = byz_kind[k - 1, e]
-                        if kind == BYZ_CONST:
-                            p = p + byz_coeff[k - 1, e, l]
-                        elif kind == BYZ_RAMP:
-                            p = p + byz_coeff[k - 1, e, l] * k
-                        elif kind == BYZ_FROZEN:
-                            p = frozen[e, l]
-                        elif kind == BYZ_RANDOM:
-                            p = p + byz_rand[t, k - 1, e, l]
-                    y = p + W[t, k - 1, e, l]
-                    m1 = M1[t, k - 1, e, l]
-                    f1 = F1[t, k - 1, e, l]
-                    m2 = M2[t, k - 1, e, l]
-                    f2 = F2[t, k - 1, e, l]
-                    b1 = y / m1 + f1
-                    b2 = y / m2 + f2
-                    if chan_mask[k - 1, e] == 1:
-                        b1 = Xi1[k - 1, e, l] * b1 + Lam1[k - 1, e, l]
-                        b2 = Xi2[k - 1, e, l] * b2 + Lam2[k - 1, e, l]
-                    ys1[t, k - 1, e, l] = m1 * (b1 - f1)
-                    ys2[t, k - 1, e, l] = m2 * (b2 - f2)
-            for i in range(N):
-                s = 0.0
-                for l in range(n):
-                    s += K1[l] * states[t, k - 1, i, l]
-                u[i] = s
-            for e in range(E):
-                i = edge_dst[e]
-                if i == 0:
-                    continue
-                s = 0.0
-                for l in range(n):
-                    s += K2[l] * (ys1[t, k - 1, e, l] - states[t, k - 1, i, l])
-                u[i] += ak[k] * edge_w[e] * s
-            for i in range(N):
-                for r in range(n):
-                    acc = 0.0
-                    for c in range(n):
-                        acc += A[r, c] * states[t, k - 1, i, c]
-                    states[t, k, i, r] = acc + Bv[r] * u[i]
-
-
-if HAS_NUMBA:
-    _simulate_loop_jit = nb.njit(cache=True, nogil=True)(_simulate_loop)
-else:  # pragma: no cover
-    _simulate_loop_jit = None
 
 
 def _simulate_numpy(

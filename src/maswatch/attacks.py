@@ -200,9 +200,14 @@ def byzantine_emit(
     k: int,
     true_state: np.ndarray,
     frozen_state: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    draw: np.ndarray | None = None,
 ) -> np.ndarray:
-    """State the Byzantine agent feeds into one outgoing message at step k."""
+    """State the Byzantine agent feeds into one outgoing message at step k.
+
+    draw is the step's standard-normal row for the edge, row k-1 of its
+    STREAM_BYZANTINE stream; every step has one, whether or not the
+    behavior is active.
+    """
     x = np.asarray(true_state, dtype=float)
     if not bz.active(k):
         return x
@@ -214,9 +219,9 @@ def byzantine_emit(
         if frozen_state is None:
             raise ValueError("frozen_state kind needs the captured state")
         return np.asarray(frozen_state, dtype=float)
-    if rng is None:
-        raise ValueError("per_neighbor_random kind needs a generator")
-    return x + bz.scale * rng.standard_normal(x.shape[0])
+    if draw is None:
+        raise ValueError("per_neighbor_random kind needs the step's draw")
+    return x + bz.scale * np.asarray(draw, dtype=float)
 
 
 def active_attacks(

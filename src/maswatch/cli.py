@@ -5,13 +5,14 @@
     maswatch check-graph --scenario platoon.json --L 1 --P 1
     maswatch sweep --scenario platoon.json --grid 0.5,1,2,5 --probe-step 4
 
-Exit code 0 on success, 2 on scenario validation failure. The worker
-count and kernel backend come from MASWATCH_WORKERS / MASWATCH_BACKEND.
+Exit code 0 on success, 2 on scenario validation failure or an
+out-of-range option. The worker count comes from MASWATCH_WORKERS.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -55,7 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(message: str) -> int:
+    print(f"maswatch: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        return _usage_error(f"--trials must be at least 1, got {args.trials}")
+    if args.seed is not None and args.seed < 0:
+        return _usage_error(f"--seed must be nonnegative, got {args.seed}")
     s = load_scenario(args.scenario, variant=args.variant)
     if args.trials is not None:
         s = replace(s, trials=args.trials)
@@ -72,6 +82,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check_graph(args) -> int:
+    if args.L < 0 or args.P < 0:
+        return _usage_error(f"--L and --P must be nonnegative, got {args.L} and {args.P}")
     s = load_scenario(args.scenario)
     t = s.topology
     budget = LocalAttackBudget(args.L, args.P)
@@ -92,15 +104,19 @@ def _cmd_check_graph(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    s = load_scenario(args.scenario, variant=args.variant)
+    if args.probe_step < 1:
+        return _usage_error(f"--probe-step must be at least 1, got {args.probe_step}")
     try:
         grid = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError:
-        print(f"invalid grid {args.grid!r}", file=sys.stderr)
-        return 2
+        return _usage_error(f"invalid grid {args.grid!r}")
     if not grid:
-        print("empty grid", file=sys.stderr)
-        return 2
+        return _usage_error("empty grid")
+    if not all(0 < v < math.inf for v in grid):
+        return _usage_error(f"grid scales must be positive and finite, got {args.grid!r}")
+    s = load_scenario(args.scenario, variant=args.variant)
+    if args.probe_step > s.horizon:
+        return _usage_error(f"--probe-step {args.probe_step} is beyond the horizon {s.horizon}")
     rows = transient_sweep(s, grid, probe_step=args.probe_step)
     print("scale,watermark_kl,ablation_kl,probe_step")
     for row in rows:

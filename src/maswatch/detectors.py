@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +43,14 @@ from .dynamics import StateBounds
 # Additive smoothing and bin count for the histogram estimator.
 HIST_BINS = 64
 HIST_SMOOTHING = 1e-6
-# Variance floor applied by estimate_kl so that exactly-degenerate
-# sample sets (identical copies, zero-noise runs) yield KL 0 instead
-# of a division error.
+# Variance floors applied by estimate_kl so that degenerate sample sets
+# (identical copies, zero-noise runs) yield a KL near 0 instead of a
+# division error. The floor is relative to the means, because on a
+# zero-noise run the watermark round trip leaves the two copies about
+# 1e-13 apart, which an absolute floor alone turns into a KL of order
+# 1e3; VAR_FLOOR keeps it positive when both means are zero.
 VAR_FLOOR = 1e-30
+VAR_FLOOR_REL = 1e-9
 
 
 class KlEstimator(enum.Enum):
@@ -149,8 +153,9 @@ def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray, cfg: KlDetectorCon
 
     gaussian_fit matches per-component moments; histogram discretizes
     both sets over a shared 64-bin support with additive smoothing.
-    Components are summed. Sample variances are floored at a tiny
-    constant so that bitwise-identical sets report exactly zero.
+    Components are summed. Sample variances are floored at
+    (VAR_FLOOR_REL * max(|mu_a|, |mu_b|))^2, and at least VAR_FLOOR, so
+    that sets equal up to round-off report a KL near zero.
     """
     a = np.atleast_2d(np.asarray(samples_a, dtype=float))
     b = np.atleast_2d(np.asarray(samples_b, dtype=float))
@@ -162,51 +167,15 @@ def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray, cfg: KlDetectorCon
         return float(sum(_histogram_kl(a[:, l], b[:, l]) for l in range(a.shape[1])))
     mu_a = a.mean(axis=0)
     mu_b = b.mean(axis=0)
-    var_a = np.maximum(a.var(axis=0), VAR_FLOOR)
-    var_b = np.maximum(b.var(axis=0), VAR_FLOOR)
+    floor = np.maximum((VAR_FLOOR_REL * np.maximum(np.abs(mu_a), np.abs(mu_b))) ** 2, VAR_FLOOR)
+    var_a = np.maximum(a.var(axis=0), floor)
+    var_b = np.maximum(b.var(axis=0), floor)
     return gaussian_kl(mu_a, var_a, mu_b, var_b)
 
 
 def kl_verdict(kl: float, cfg: KlDetectorConfig, edge: tuple[int, int], k: int) -> EdgeVerdict:
     decision = "attacked" if kl > cfg.theta else "secure"
     return EdgeVerdict(edge=edge, step=k, detector="kl", statistic=float(kl), decision=decision)
-
-
-@dataclass
-class EdgeSampleStore:
-    """Recovered message-set pairs for one (edge, step), across trials."""
-
-    pairs_a: list = field(default_factory=list)
-    pairs_b: list = field(default_factory=list)
-
-    def push(self, ystar1: np.ndarray, ystar2: np.ndarray) -> None:
-        self.pairs_a.append(np.asarray(ystar1, dtype=float))
-        self.pairs_b.append(np.asarray(ystar2, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.pairs_a)
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.stack(self.pairs_a), np.stack(self.pairs_b)
-
-
-def channel_detector(
-    pair: tuple[np.ndarray, np.ndarray],
-    store: EdgeSampleStore,
-    cfg: KlDetectorConfig,
-    edge: tuple[int, int],
-    k: int,
-) -> EdgeVerdict:
-    """Push one recovered pair and judge the edge at step k.
-
-    Below min_samples the detector is warming up: the verdict is
-    secure with statistic zero.
-    """
-    store.push(*pair)
-    if len(store) < cfg.min_samples:
-        return EdgeVerdict(edge=edge, step=k, detector="kl", statistic=0.0, decision="secure")
-    a, b = store.stacked()
-    return kl_verdict(estimate_kl(a, b, cfg), cfg, edge, k)
 
 
 def envelope(k: int, cfg: EnvelopeConfig) -> float:

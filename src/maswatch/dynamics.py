@@ -77,17 +77,6 @@ class ControllerParams:
             raise ValueError("noise_var must be nonnegative")
 
 
-@dataclass
-class SystemState:
-    """States of all agents at one step: states[i] is agent i's (n,) vector."""
-
-    k: int
-    states: np.ndarray  # (n_agents, n)
-
-    def copy(self) -> "SystemState":
-        return SystemState(self.k, self.states.copy())
-
-
 @dataclass(frozen=True)
 class StateBounds:
     """Componentwise state range over a nominal run, eps1 <= x_l(k) <= eps2.
@@ -206,13 +195,17 @@ def compute_control(
     return u + noise_gain(k, p) * acc
 
 
-def step_system(s: SystemState, controls: np.ndarray, model: AgentModel) -> SystemState:
-    """Advance every agent one step under its scalar control."""
+def step_system(states: np.ndarray, controls: np.ndarray, model: AgentModel) -> np.ndarray:
+    """Advance every agent one step under its scalar control.
+
+    states is (n_agents, n) with row i agent i's state; returns the
+    next (n_agents, n) array.
+    """
+    states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float).reshape(-1)
-    if controls.shape[0] != s.states.shape[0]:
+    if controls.shape[0] != states.shape[0]:
         raise ValueError("one control per agent required")
-    nxt = s.states @ model.A.T + np.outer(controls, model.B)
-    return SystemState(s.k + 1, nxt)
+    return states @ model.A.T + np.outer(controls, model.B)
 
 
 def transient_metric(trajectories: np.ndarray, k: int) -> float:

@@ -1,19 +1,17 @@
 """Monte Carlo simulation driver.
 
-Builds the dense attack and watermark arrays the kernels consume,
+Builds the dense attack and watermark arrays the step kernel consumes,
 splits trials across workers, and returns the raw slabs (states and
 recovered message pairs) that the detector pipeline pools.
 
 Every random stream is derived counter-style from
 (master_seed, trial, edge, stream tag), so results are a pure function
-of the scenario and seed: chunking trials across workers, or swapping
-the numba kernel for the numpy one, cannot change which numbers are
-drawn.
+of the scenario and seed: chunking trials across workers cannot change
+which numbers are drawn. Each stream yields one row per step, whether
+or not the step uses it.
 
-Environment knobs:
-    MASWATCH_BACKEND = numba | numpy   kernel selection (default: numba
-                                       when importable, else numpy)
-    MASWATCH_WORKERS = <int>           worker thread count (default 1)
+Environment knob:
+    MASWATCH_WORKERS = <int>   worker thread count (default 1)
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .watermark import (
     watermark_blocks,
 )
 
-BACKEND_ENV = "MASWATCH_BACKEND"
 WORKERS_ENV = "MASWATCH_WORKERS"
 
 _BYZ_CODE = {
@@ -46,16 +43,6 @@ _BYZ_CODE = {
     "frozen_state": _kernels.BYZ_FROZEN,
     "per_neighbor_random": _kernels.BYZ_RANDOM,
 }
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Pick the kernel implementation: explicit arg, env var, then auto."""
-    choice = backend or os.environ.get(BACKEND_ENV) or ("numba" if _kernels.HAS_NUMBA else "numpy")
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}, expected 'numba' or 'numpy'")
-    if choice == "numba" and not _kernels.HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return choice
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -182,7 +169,6 @@ def simulate(
     master_seed: int,
     init_states: np.ndarray,
     identity_watermark: bool = False,
-    backend: str | None = None,
     workers: int | None = None,
 ) -> SimData:
     """Run the full Monte Carlo batch and return the raw slabs."""
@@ -201,7 +187,6 @@ def simulate(
         raise ValueError(
             f"attack scenario exceeds the local budget at agent {agent}, step {step}"
         )
-    backend = resolve_backend(backend)
     workers = resolve_workers(workers)
     n = model.n
     N = t.n_agents
@@ -229,7 +214,6 @@ def simulate(
     edge_src = np.array([j for j, _ in t.edges], dtype=np.int64)
     edge_dst = np.array([i for _, i in t.edges], dtype=np.int64)
     edge_w = np.array(t.weights)
-    kernel = _kernels._simulate_loop_jit if backend == "numba" else _kernels._simulate_numpy
 
     def run_chunk(trial_ids: np.ndarray) -> None:
         W, M1, M2, F1, F2, byz_rand = _pregenerate(
@@ -245,7 +229,7 @@ def simulate(
             rand_scale,
         )
         lo, hi = int(trial_ids[0]), int(trial_ids[-1]) + 1
-        kernel(
+        _kernels._simulate_numpy(
             init_states,
             model.A,
             model.B,

@@ -77,15 +77,6 @@ def local_detect(
     return FlagPair(0, 0)
 
 
-def broadcast_flags(board: FlagBoard, t: Topology) -> dict[int, dict[tuple[int, int], FlagPair]]:
-    """Deliver each agent's flags about its in-neighbors to its out-neighbors."""
-    delivered: dict[int, dict[tuple[int, int], FlagPair]] = {a: {} for a in range(t.n_agents)}
-    for (i, j), pair in board.flags.items():
-        for r in t.out_neighbors(i):
-            delivered[r][(i, j)] = pair
-    return delivered
-
-
 def select_trusted(i: int, j: int, board: FlagBoard, t: Topology) -> int | None:
     """Trusted relay for arbitrating i's flagged edge from j.
 

@@ -92,8 +92,9 @@ def watermark_blocks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Watermark material for steps 1..steps as (steps, n) arrays.
 
-    Row k-1 of each array is the step-k draw; the layout is the
-    counter contract draw_watermark indexes into.
+    Row k-1 of each array is the step-k draw, and it does not depend
+    on how many steps are drawn, so sender and receiver reconstruct
+    the same material from the edge's stream without transmitting it.
     """
     z = rng.standard_normal((steps, 4 * n))
     m1 = params.lambda1 + (np.sqrt(params.sigma2_m1) * z[:, 0:n]) ** 2
@@ -103,28 +104,8 @@ def watermark_blocks(
     return m1, m2, f1, f2
 
 
-def draw_watermark(
-    edge: tuple[int, int],
-    k: int,
-    params: WatermarkParams,
-    master_seed: int,
-    n: int = 3,
-    trial: int = 0,
-) -> WatermarkDraw:
-    """Deterministic watermark draw for (edge, step, trial, seed).
-
-    Same arguments always give the same draw, which is what lets the
-    receiver reconstruct the sender's material without transmission.
-    """
-    if k < 1:
-        raise ValueError("watermarks are drawn for steps k >= 1")
-    rng = edge_stream(master_seed, trial, edge, STREAM_WATERMARK)
-    m1, m2, f1, f2 = watermark_blocks(rng, k, n, params)
-    return WatermarkDraw(m1=m1[k - 1], m2=m2[k - 1], f1=f1[k - 1], f2=f2[k - 1])
-
-
 def identity_draw(n: int) -> WatermarkDraw:
-    """Pass-through material (m = 1, F = 0) for debugging pipelines.
+    """Pass-through material (m = 1, F = 0): the identity-watermark path.
 
     Deliberately violates the m > lambda_r invariant of real draws;
     apply/remove become the identity.

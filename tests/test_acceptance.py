@@ -44,7 +44,7 @@ def _line(n: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def clean_data():
     s = platoon_preset()
-    run_monte_carlo(replace(s, trials=2, horizon=3))  # warm the kernel backend
+    run_monte_carlo(replace(s, trials=2, horizon=3))  # warm the step kernel
     t0 = time.perf_counter()
     report = run_monte_carlo(s)
     return report, time.perf_counter() - t0
@@ -70,17 +70,25 @@ def hybrid_report():
 
 def test_criterion_1_clean_run_soundness(clean_data):
     report, seconds = clean_data
+    s = platoon_preset()
+    noiseless = run_monte_carlo(replace(s, controller=replace(s.controller, noise_var=0.0)))
     kl_alarms = int(report.kl_attacked.sum())
     env_alarms = int(report.env_attacked.sum())
-    ok = kl_alarms == 0 and env_alarms == 0 and seconds < 60.0
+    kl_alarms_0 = int(noiseless.kl_attacked.sum())
+    env_alarms_0 = int(noiseless.env_attacked.sum())
+    ok = kl_alarms == env_alarms == kl_alarms_0 == env_alarms_0 == 0 and seconds < 60.0
     _line(
         1,
         ok,
         f"clean run: {kl_alarms} channel alarms, {env_alarms} envelope alarms "
-        f"over {report.kl_attacked.size} edge-steps, runtime {seconds:.2f}s",
+        f"over {report.kl_attacked.size} edge-steps, runtime {seconds:.2f}s; "
+        f"at noise_var 0: {kl_alarms_0} channel alarms (max KL {noiseless.kl_stats.max():.2g}), "
+        f"{env_alarms_0} envelope alarms",
     )
     assert kl_alarms == 0
     assert env_alarms == 0
+    assert kl_alarms_0 == 0
+    assert env_alarms_0 == 0
     assert seconds < 60.0
 
 

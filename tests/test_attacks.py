@@ -138,10 +138,9 @@ def test_byzantine_emit_kinds():
         byzantine_emit(frozen, 3, x)
 
     rand = ByzantineBehavior(5, (1, None), "per_neighbor_random", scale=2.0)
-    rng = np.random.default_rng(0)
-    out = byzantine_emit(rand, 1, x, rng=rng)
-    assert out.shape == x.shape and not np.array_equal(out, x)
-    with pytest.raises(ValueError, match="needs a generator"):
+    z = np.array([0.5, -1.0, 0.0])
+    assert np.array_equal(byzantine_emit(rand, 1, x, draw=z), [2.0, 0.0, 3.0])
+    with pytest.raises(ValueError, match="step's draw"):
         byzantine_emit(rand, 1, x)
 
 

@@ -72,3 +72,18 @@ def test_sweep(scenario_file, capsys):
 def test_sweep_rejects_malformed_grid(scenario_file, capsys):
     assert main(["sweep", "--scenario", str(scenario_file), "--grid", "a,b"]) == 2
     assert main(["sweep", "--scenario", str(scenario_file), "--grid", ","]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--trials", "0", "--out", "unused"],
+        ["sweep", "--probe-step", "0", "--grid", "1"],
+        ["sweep", "--grid", "-1"],
+        ["check-graph", "--L", "-1", "--P", "1"],
+    ],
+    ids=["run_trials", "sweep_probe_step", "sweep_grid", "check_graph_L"],
+)
+def test_out_of_range_override_exits_2(scenario_file, capsys, args):
+    assert main([args[0], "--scenario", str(scenario_file), *args[1:]]) == 2
+    assert capsys.readouterr().err.startswith("maswatch: ")

@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from maswatch.detectors import (
-    EdgeSampleStore,
     EnvelopeConfig,
     FactorMode,
     KlDetectorConfig,
     KlEstimator,
-    channel_detector,
     edge_residual,
     envelope,
     envelope_factor,
@@ -142,23 +140,6 @@ def test_kl_verdict_boundary_stays_secure():
     assert kl_verdict(4.6100001, cfg, (5, 2), 10).attacked
     v = kl_verdict(0.0, cfg, (5, 2), 10)
     assert v.detector == "kl" and v.edge == (5, 2) and v.step == 10
-
-
-def test_channel_detector_warmup():
-    cfg = _cfg(min_samples=3)
-    store = EdgeSampleStore()
-    rng = np.random.default_rng(6)
-    pair = (rng.normal(size=3), rng.normal(size=3) + 50.0)
-    v1 = channel_detector(pair, store, cfg, (0, 1), 1)
-    v2 = channel_detector(pair, store, cfg, (0, 1), 2)
-    assert not v1.attacked and not v2.attacked
-    assert v1.statistic == 0.0
-    v3 = channel_detector(pair, store, cfg, (0, 1), 3)
-    assert len(store) == 3
-    assert v3.attacked  # the two sides differ by a huge offset
-
-
-# --- envelope ---------------------------------------------------------------
 
 
 def test_envelope_hand_values():

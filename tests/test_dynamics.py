@@ -11,7 +11,6 @@ from maswatch.dynamics import (
     AgentModel,
     ControllerParams,
     StateBounds,
-    SystemState,
     companion_gains,
     companion_model,
     compute_control,
@@ -138,20 +137,13 @@ def test_compute_control_missing_message():
 
 def test_step_system():
     m = platoon_model()
-    s = SystemState(k=0, states=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 6.0]]))
+    s = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 6.0]])
     nxt = step_system(s, np.array([0.0, 1.0]), m)
-    assert nxt.k == 1
-    assert np.allclose(nxt.states[0], [1.0, 1.0, 0.0])
-    assert np.allclose(nxt.states[1], [1.0, 6.0, 2.0])
+    assert nxt.shape == (2, 3)
+    assert np.allclose(nxt[0], [1.0, 1.0, 0.0])
+    assert np.allclose(nxt[1], [1.0, 6.0, 2.0])
     with pytest.raises(ValueError, match="one control per agent"):
         step_system(s, np.array([1.0]), m)
-
-
-def test_system_state_copy_is_independent():
-    s = SystemState(k=0, states=np.zeros((2, 3)))
-    c = s.copy()
-    c.states[0, 0] = 9.0
-    assert s.states[0, 0] == 0.0
 
 
 def _trajectory():

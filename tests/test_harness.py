@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import copy
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -18,7 +18,6 @@ from maswatch.harness import (
     export_report,
     load_scenario,
     platoon_preset,
-    platoon_preset_dict,
     run_monte_carlo,
     scenario_from_dict,
     transient_sweep,
@@ -28,11 +27,16 @@ from maswatch.hybrid import Classification
 from _scenarios import small_doc
 
 
+def preset_doc() -> dict:
+    """A fresh copy of the packaged platoon scenario document."""
+    return json.loads((resources.files("maswatch") / "presets" / "platoon.json").read_text())
+
+
 # --- validation -------------------------------------------------------------
 
 
 def test_missing_theta_names_field_path():
-    doc = copy.deepcopy(platoon_preset_dict())
+    doc = preset_doc()
     del doc["detectors"]["kl"]["theta"]
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
@@ -95,14 +99,46 @@ def test_budget_violation_names_agent_and_step():
 
 def test_unknown_variant_lists_available():
     with pytest.raises(ScenarioError, match="available"):
-        scenario_from_dict(platoon_preset_dict(), variant="nosuch")
+        scenario_from_dict(preset_doc(), variant="nosuch")
 
 
 def test_variant_may_only_override_attacks():
-    doc = copy.deepcopy(platoon_preset_dict())
+    doc = preset_doc()
     doc["variants"]["clean"]["run"] = {"horizon": 5}
     with pytest.raises(ScenarioError, match="only 'attacks'"):
         scenario_from_dict(doc, variant="clean")
+
+
+def _channel_attack(**fields):
+    attack = {
+        "edge": [0, 1],
+        "window": [1, None],
+        "xi1": {"kind": "const", "coeffs": [1.0, 1.0]},
+        "lam1": {"kind": "const", "coeffs": [0.0, 0.0]},
+        "xi2": {"kind": "const", "coeffs": [1.0, 1.0]},
+        "lam2": {"kind": "const", "coeffs": [0.0, 0.0]},
+    }
+    return {**attack, **fields}
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda d: d["attacks"].update(channel=[_channel_attack(window=[[1], None])]), "attacks.channel[0].window"),
+        (lambda d: d["topology"].update(edges=[["a", 2], [0, 1]]), "topology.edges[0]"),
+        (lambda d: d["attacks"].update(budget=[1, 1]), "attacks.budget"),
+        (lambda d: d["detectors"]["kl"].update(theta=math.nan), "detectors.kl.theta"),
+        (lambda d: d["controller"].update(noise_var=math.inf), "controller.noise_var"),
+        (lambda d: d["run"].update(trials=True), "run.trials"),
+    ],
+    ids=["window", "edge", "budget", "theta_nan", "noise_var_inf", "trials_bool"],
+)
+def test_bad_input_raises_scenario_error_with_path(edit, path):
+    doc = small_doc()
+    edit(doc)
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(json.loads(json.dumps(doc)))
+    assert err.value.path == path
 
 
 def test_load_scenario_file_errors(tmp_path):
@@ -158,25 +194,6 @@ def test_platoon_variants_windows():
     assert hyb.attacks.byzantine[0].window == (4, 8)
 
 
-def test_packaged_preset_matches_builder():
-    with resources.as_file(resources.files("maswatch.presets") / "platoon.json") as p:
-        for variant in (None, "clean", "channel", "byzantine", "hybrid"):
-            a = load_scenario(p, variant=variant)
-            b = platoon_preset(variant)
-            assert a.topology == b.topology
-            assert a.attacks == b.attacks
-            assert a.kl == b.kl and a.envelope == b.envelope
-            assert a.watermark == b.watermark
-            assert np.array_equal(a.init_states, b.init_states)
-            assert (a.horizon, a.trials, a.master_seed) == (b.horizon, b.trials, b.master_seed)
-
-
-def test_packaged_preset_file_is_round_trippable():
-    with resources.as_file(resources.files("maswatch.presets") / "platoon.json") as p:
-        doc = json.loads(p.read_text())
-    assert doc == platoon_preset_dict()
-
-
 # --- monte carlo ------------------------------------------------------------
 
 
@@ -212,6 +229,18 @@ def test_summary_metrics(small_report):
     assert all(
         c is Classification.NORMAL for row in small_report.classifications for c in row
     )
+
+
+def test_kl_detector_is_silent_below_min_samples():
+    tamper = {"xi1": {"kind": "const", "coeffs": [0.5, 0.5]}, "lam1": {"kind": "const", "coeffs": [5.0, 5.0]}}
+    stats = {}
+    for trials in (2, 6):  # min_samples is 3
+        doc = small_doc(trials=trials)
+        doc["attacks"]["channel"] = [_channel_attack(**tamper)]
+        r = run_monte_carlo(scenario_from_dict(doc))
+        stats[trials] = (r.kl_stats, r.kl_attacked)
+    assert not stats[2][0].any() and not stats[2][1].any()
+    assert stats[6][1][0].all()
 
 
 # --- sweep ------------------------------------------------------------------

@@ -14,7 +14,6 @@ from maswatch.hybrid import (
     Classification,
     FlagBoard,
     FlagPair,
-    broadcast_flags,
     classify,
     local_detect,
     run_protocol_step,
@@ -80,20 +79,6 @@ def test_flag_board_initial():
     assert board.get(2, 5) == INITIAL_FLAG
     # unknown pairs also read as uninitialized
     assert board.get(6, 3) == INITIAL_FLAG
-
-
-def test_broadcast_reaches_out_neighbors_only():
-    t = _topology()
-    board = FlagBoard(step=3, flags={(2, 5): FlagPair(1, 2)})
-    delivered = broadcast_flags(board, t)
-    # agent 2 has no out-neighbors in this topology
-    assert all(not inbox for a, inbox in delivered.items())
-
-    board = FlagBoard(step=3, flags={(5, 0): FlagPair(0, 0)})
-    delivered = broadcast_flags(board, t)
-    for a in (1, 2, 3, 4):
-        assert delivered[a] == {(5, 0): FlagPair(0, 0)}
-    assert delivered[6] == {}
 
 
 def _clean_board(t, step=4):

@@ -1,39 +1,145 @@
-"""Numba and numpy kernels must tell the same story.
+"""The step kernel against a message-by-message oracle.
 
-The two backends share one counter-style random stream contract, so
-slabs agree to floating-point reassociation error and worker chunking
-cannot change results at all.
+simulate runs every trial through one vectorized numpy kernel. The
+oracle below steps the same simulation one message at a time through
+the public per-message API (rows of watermark_blocks or identity_draw,
+apply_watermark and remove_watermark, tamper_channel, byzantine_emit,
+compute_control, step_system), reading the same counter-style streams,
+and must agree with simulate to float64 round-off. Worker chunking must
+not change results at all.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from maswatch import _kernels
-from maswatch.engine import resolve_backend, resolve_workers, simulate
+from maswatch.attacks import byzantine_emit, tamper_channel
+from maswatch.dynamics import compute_control, step_system
+from maswatch.engine import resolve_workers, simulate
 from maswatch.harness import platoon_preset, scenario_from_dict
+from maswatch.watermark import (
+    STREAM_BYZANTINE,
+    STREAM_NOISE,
+    STREAM_WATERMARK,
+    WatermarkDraw,
+    apply_watermark,
+    edge_stream,
+    identity_draw,
+    remove_watermark,
+    watermark_blocks,
+)
 
 from _scenarios import small_doc
 
+# Largest relative difference allowed between simulate and the oracle,
+# fixed beforehand for float64: the two sum the consensus terms and the
+# dot products in different orders.
+RTOL = 1e-12
 
-def _simulate(variant, backend, workers=1, horizon=12, trials=10):
-    s = platoon_preset(variant)
+
+def _simulate(s, workers=None):
     return simulate(
         s.topology, s.model, s.controller, s.watermark, s.attacks,
-        horizon, trials, s.master_seed, s.init_states,
-        backend=backend, workers=workers,
+        s.horizon, s.trials, s.master_seed, s.init_states,
+        identity_watermark=s.watermark_identity, workers=workers,
     )
 
 
-def test_resolve_backend(monkeypatch):
-    assert resolve_backend("numpy") == "numpy"
-    monkeypatch.setenv("MASWATCH_BACKEND", "numpy")
-    assert resolve_backend() == "numpy"
-    monkeypatch.delenv("MASWATCH_BACKEND")
-    assert resolve_backend() in ("numba", "numpy")
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("fortran")
+def _oracle(s):
+    """simulate's (states, ystar1, ystar2), one message at a time."""
+    t, K, n = s.topology, s.horizon, s.model.n
+    states = np.zeros((s.trials, K + 1, t.n_agents, n))
+    ys1 = np.zeros((s.trials, K, t.n_edges, n))
+    ys2 = np.zeros((s.trials, K, t.n_edges, n))
+    sig = np.sqrt(s.controller.noise_var)
+    for trial in range(s.trials):
+        noise, marks, byz_draws = {}, {}, {}
+        for edge in t.edges:
+            def stream(tag):
+                return edge_stream(s.master_seed, trial, edge, tag)
+
+            noise[edge] = np.zeros((K, n))
+            if s.controller.noise_var > 0:
+                noise[edge] = sig * stream(STREAM_NOISE).standard_normal((K, n))
+            if not s.watermark_identity:
+                marks[edge] = watermark_blocks(stream(STREAM_WATERMARK), K, n, s.watermark)
+            byz_draws[edge] = stream(STREAM_BYZANTINE).standard_normal((K, n))
+        frozen = {}
+        x = s.init_states.copy()
+        states[trial, 0] = x
+        for k in range(1, K + 1):
+            received = {i: {} for i in range(t.n_agents)}
+            for e, edge in enumerate(t.edges):
+                j, i = edge
+                plain = x[j]
+                active = [bz for bz in s.attacks.byzantine if bz.agent == j and bz.active(k)]
+                if not active:
+                    frozen.pop(edge, None)
+                for bz in active:
+                    if bz.kind == "frozen_state":
+                        frozen.setdefault(edge, x[j].copy())
+                    plain = byzantine_emit(bz, k, x[j], frozen.get(edge), byz_draws[edge][k - 1])
+                if s.watermark_identity:
+                    draw = identity_draw(n)
+                else:
+                    draw = WatermarkDraw(*(block[k - 1] for block in marks[edge]))
+                ms = apply_watermark(plain + noise[edge][k - 1], draw)
+                for a in s.attacks.channel:
+                    if a.edge == edge:
+                        ms = tamper_channel(ms, a, k)
+                ys1[trial, k - 1, e], ys2[trial, k - 1, e] = remove_watermark(ms, draw)
+                received[i][j] = ys1[trial, k - 1, e]
+            u = [compute_control(i, x[i], received[i], k, t, s.controller) for i in range(t.n_agents)]
+            x = step_system(x, np.array(u), s.model)
+            states[trial, k] = x
+    return states, ys1, ys2
+
+
+def _platoon(variant, identity=False):
+    s = platoon_preset(variant)
+    return replace(s, horizon=30, trials=4, watermark_identity=identity)
+
+
+def _small_with_byzantine(kind):
+    """Agent 1 lies on edge (1, 2) in steps 3..6 while edge (0, 2) is
+    tampered from step 2 with sin, ramp and const schedules."""
+    doc = small_doc(horizon=12, trials=4)
+    doc["attacks"]["channel"] = [
+        {
+            "edge": [0, 2],
+            "window": [2, None],
+            "xi1": {"kind": "sin", "coeffs": [1.0, 0.5]},
+            "lam1": {"kind": "ramp", "coeffs": [0.2, -0.1]},
+            "xi2": {"kind": "const", "coeffs": [0.8, 1.1]},
+            "lam2": {"kind": "sin", "coeffs": [0.0, 0.7]},
+        }
+    ]
+    doc["attacks"]["byzantine"] = [
+        {"agent": 1, "window": [3, 7], "kind": kind, "offset": [3.0, -1.0], "scale": 2.5}
+    ]
+    return scenario_from_dict(doc)
+
+
+ORACLE_CASES = {
+    **{f"platoon-{v}": (lambda v=v: _platoon(v)) for v in (None, "clean", "channel", "byzantine", "hybrid")},
+    "platoon-channel-identity": lambda: _platoon("channel", identity=True),
+    **{
+        f"small-{kind}": (lambda kind=kind: _small_with_byzantine(kind))
+        for kind in ("constant_offset", "divergent_ramp", "frozen_state", "per_neighbor_random")
+    },
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_simulate_matches_per_message_oracle(case):
+    s = ORACLE_CASES[case]()
+    sim = _simulate(s)
+    for name, got, want in zip(("states", "ystar1", "ystar2"), (sim.states, sim.ystar1, sim.ystar2), _oracle(s)):
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= RTOL, (name, err)
 
 
 def test_resolve_workers(monkeypatch):
@@ -47,36 +153,18 @@ def test_resolve_workers(monkeypatch):
 
 
 def test_worker_chunking_is_invisible():
-    a = _simulate("channel", backend="numpy", workers=1)
-    b = _simulate("channel", backend="numpy", workers=4)
+    s = replace(platoon_preset("channel"), horizon=12, trials=10)
+    a = _simulate(s, workers=1)
+    b = _simulate(s, workers=4)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.ystar1, b.ystar1)
     assert np.array_equal(a.ystar2, b.ystar2)
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not importable")
-def test_backends_agree():
-    for variant in (None, "channel", "byzantine", "hybrid"):
-        a = _simulate(variant, backend="numpy", trials=6)
-        b = _simulate(variant, backend="numba", trials=6)
-        assert np.max(np.abs(a.states - b.states)) < 1e-9
-        assert np.max(np.abs(a.ystar1 - b.ystar1)) < 1e-9
-        assert np.max(np.abs(a.ystar2 - b.ystar2)) < 1e-9
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not importable")
-def test_numba_worker_chunking_is_invisible():
-    a = _simulate("byzantine", backend="numba", workers=1, trials=8)
-    b = _simulate("byzantine", backend="numba", workers=3, trials=8)
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.ystar1, b.ystar1)
-
-
 def test_trial_slabs_are_independent_of_trial_count():
     """Adding trials must not change the numbers of earlier trials."""
     s = scenario_from_dict(small_doc(horizon=6, trials=4))
-    args = (s.topology, s.model, s.controller, s.watermark, s.attacks)
-    small = simulate(*args, 6, 4, s.master_seed, s.init_states, backend="numpy")
-    big = simulate(*args, 6, 9, s.master_seed, s.init_states, backend="numpy")
+    small = _simulate(s)
+    big = _simulate(replace(s, trials=9))
     assert np.array_equal(small.states, big.states[:4])
     assert np.array_equal(small.ystar1, big.ystar1[:4])

@@ -12,7 +12,6 @@ from maswatch.watermark import (
     WatermarkDraw,
     WatermarkParams,
     apply_watermark,
-    draw_watermark,
     edge_stream,
     identity_draw,
     remove_watermark,
@@ -46,22 +45,23 @@ def test_edge_stream_is_keyed_by_every_argument():
         assert not np.array_equal(base, other.standard_normal(4))
 
 
+def _draw(edge, k, master_seed, steps=None):
+    """Step-k material of one edge in trial 0: row k-1 of its watermark blocks."""
+    rng = edge_stream(master_seed, 0, edge, STREAM_WATERMARK)
+    blocks = watermark_blocks(rng, k if steps is None else steps, 3, PARAMS)
+    return WatermarkDraw(*(b[k - 1] for b in blocks))
+
+
 def test_draw_is_deterministic_and_horizon_stable():
-    d1 = draw_watermark((5, 2), 3, PARAMS, master_seed=7)
-    d2 = draw_watermark((5, 2), 3, PARAMS, master_seed=7)
+    d1 = _draw((5, 2), 3, master_seed=7)
+    d2 = _draw((5, 2), 3, master_seed=7)
     assert np.array_equal(d1.m1, d2.m1) and np.array_equal(d1.f2, d2.f2)
     # the step-k draw must not depend on how far the block was generated
-    rng = edge_stream(7, 0, (5, 2), STREAM_WATERMARK)
-    m1, m2, f1, f2 = watermark_blocks(rng, 10, 3, PARAMS)
-    assert np.array_equal(d1.m1, m1[2])
-    assert np.array_equal(d1.m2, m2[2])
-    assert np.array_equal(d1.f1, f1[2])
-    assert np.array_equal(d1.f2, f2[2])
-
-
-def test_draw_rejects_step_zero():
-    with pytest.raises(ValueError, match="k >= 1"):
-        draw_watermark((0, 1), 0, PARAMS, master_seed=7)
+    d10 = _draw((5, 2), 3, master_seed=7, steps=10)
+    assert np.array_equal(d1.m1, d10.m1)
+    assert np.array_equal(d1.m2, d10.m2)
+    assert np.array_equal(d1.f1, d10.f1)
+    assert np.array_equal(d1.f2, d10.f2)
 
 
 def test_removal_multipliers_exceed_lambda():
@@ -99,8 +99,9 @@ def test_roundtrip_bulk():
 
 def test_roundtrip_through_dataclasses():
     rng = np.random.default_rng(17)
+    blocks = watermark_blocks(edge_stream(31, 3, (4, 2), STREAM_WATERMARK), 100, 3, PARAMS)
     for k in range(1, 101):
-        draw = draw_watermark((4, 2), k, PARAMS, master_seed=31, trial=3)
+        draw = WatermarkDraw(*(b[k - 1] for b in blocks))
         plain = rng.uniform(-50.0, 50.0, size=3)
         y1, y2 = remove_watermark(apply_watermark(plain, draw), draw)
         assert np.max(np.abs(y1 - plain)) < 1e-9
@@ -118,7 +119,7 @@ def test_identity_draw_passthrough():
 
 
 def test_copies_differ_on_the_wire():
-    draw = draw_watermark((0, 1), 1, PARAMS, master_seed=7)
+    draw = _draw((0, 1), 1, master_seed=7)
     ms = apply_watermark(np.array([5.0, 5.0, 5.0]), draw)
     assert not np.allclose(ms.y1, ms.y2)
     assert isinstance(ms, MessageSet)
