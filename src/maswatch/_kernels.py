@@ -13,7 +13,10 @@ Array shapes, with T trials, K steps, N agents, E edges, n state dims:
 
     x0 (N, n)            A (n, n)   Bv, K1, K2 (n,)   ak (K+1,)
     edge_src, edge_dst (E,) int64   edge_w (E,)
-    W, M1, M2, F1, F2, byz_rand (T, K, E, n)
+    W, M1, M2, F1, F2, byz_rand (T, K, E, n), each step's (E, n)
+                         block contiguous; M1..F2 may be strided views of
+                         one (T, K, 4, E, n) slab, and unused material a
+                         read-only broadcast of 0 or 1
     chan_mask (K, E) u1   Xi1, Lam1, Xi2, Lam2 (K, E, n)
     byz_mask (K, E) u1    byz_kind (K, E) i1   byz_coeff (K, E, n)
     states (T, K+1, N, n) out       ys1, ys2 (T, K, E, n) out

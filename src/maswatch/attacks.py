@@ -231,6 +231,14 @@ def active_attacks(
     return [a for a in s.channel if a.active(k)], [b for b in s.byzantine if b.active(k)]
 
 
+def _first_overlap(a, b, horizon: int) -> int | None:
+    """First step in 1..horizon at which both windows are active."""
+    (sa, ea), (sb, eb) = a.window, b.window
+    first = max(sa, sb)
+    stop = min([horizon + 1] + [e for e in (ea, eb) if e is not None])
+    return first if first < stop else None
+
+
 def validate_attacks(
     s: AttackScenario, t: Topology, horizon: int
 ) -> tuple[int, int] | None:
@@ -238,10 +246,16 @@ def validate_attacks(
 
     Raises on malformed scenarios (unknown edge or agent, two channel
     attacks sharing an edge and a step, two behaviors sharing an agent
-    and a step). Then checks the per-agent
-    budget at every step: an agent may face at most L Byzantine
-    in-neighbors and at most P attacked incoming channels. Returns the
-    first offending (agent, step), or None when the budget holds.
+    and a step). Then checks the per-agent budget: an agent may face at
+    most L Byzantine in-neighbors and at most P attacked incoming
+    channels. Returns the first offending (agent, step), or None when
+    the budget holds.
+
+    The cost does not grow with the horizon. Overlaps come from the
+    windows in closed form. The budget is checked at step 1 and at
+    each window start: between those steps the active set only loses
+    attacks, so no count can rise and the first offending step is
+    always one of them.
     """
     for a in s.channel:
         if a.edge not in t.edges:
@@ -251,23 +265,16 @@ def validate_attacks(
             raise ValueError(f"byzantine behavior targets unknown agent {bz.agent}")
     for idx, a in enumerate(s.channel):
         for b in s.channel[idx + 1 :]:
-            if a.edge != b.edge:
-                continue
-            for k in range(1, horizon + 1):
-                if a.active(k) and b.active(k):
-                    raise ValueError(
-                        f"two channel attacks overlap on edge {a.edge} at step {k}"
-                    )
+            k = _first_overlap(a, b, horizon) if a.edge == b.edge else None
+            if k is not None:
+                raise ValueError(f"two channel attacks overlap on edge {a.edge} at step {k}")
     for idx, a in enumerate(s.byzantine):
         for b in s.byzantine[idx + 1 :]:
-            if a.agent != b.agent:
-                continue
-            for k in range(1, horizon + 1):
-                if a.active(k) and b.active(k):
-                    raise ValueError(
-                        f"two byzantine behaviors overlap on agent {a.agent} at step {k}"
-                    )
-    for k in range(1, horizon + 1):
+            k = _first_overlap(a, b, horizon) if a.agent == b.agent else None
+            if k is not None:
+                raise ValueError(f"two byzantine behaviors overlap on agent {a.agent} at step {k}")
+    starts = {1} | {x.window[0] for x in (*s.channel, *s.byzantine)}
+    for k in sorted(k for k in starts if k <= horizon):
         chan_k, byz_k = active_attacks(s, k)
         byz_agents = {b.agent for b in byz_k}
         for i in range(t.n_agents):

@@ -10,6 +10,25 @@ of the scenario and seed: chunking trials across workers cannot change
 which numbers are drawn. Each stream yields one row per step, whether
 or not the step uses it.
 
+Random material of a chunk of T trials, K steps, E edges, n dims:
+
+    keys     stream_keys hashes the PCG64 seed words of all T x E
+             streams of one tag in a single vectorised pass
+    draws    one edge_stream per (trial, edge, tag) fills a per-trial
+             (E, K, ..., n) buffer; one transposed copy per trial moves
+             it into a step-contiguous slab
+    slabs    noise W (T, K, E, n); watermark z (T, K, 4, E, n), turned
+             into M1, M2, F1, F2 = z[:, :, r] by one in-place
+             watermark_blocks call; byz_rand (T, K, E, n) only when a
+             per_neighbor_random edge exists. Unused material is a
+             broadcast 0 or 1, never a slab.
+
+Bit-compatibility invariant: stream (trial, j, i, tag) draws exactly the
+numbers of default_rng(SeedSequence([master_seed, trial, j, i, tag])),
+and a step's row does not depend on K. tests/test_watermark.py checks
+the keys against SeedSequence, and the oracle in tests/test_kernels.py
+seeds its streams through SeedSequence itself.
+
 Environment knob:
     MASWATCH_WORKERS = <int>   worker thread count (default 1)
 """
@@ -32,6 +51,7 @@ from .watermark import (
     STREAM_WATERMARK,
     WatermarkParams,
     edge_stream,
+    stream_keys,
     watermark_blocks,
 )
 
@@ -118,6 +138,23 @@ def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int)
     return chan_mask, xi1, lam1, xi2, lam2, byz_mask, byz_kind, byz_coeff, rand_edges, rand_scale
 
 
+def _draw_streams(slab, master_seed, trial_ids, edges, tag, rows=slice(None)) -> None:
+    """Write the standard-normal draws of each (trial, edge) stream into slab.
+
+    slab is step-contiguous, (T, K, ..., E, n) with the edge axis at -2.
+    Each stream draws its (K, ..., n) block into a per-trial buffer with
+    one edge_stream call, and one transposed copy per trial moves the
+    buffer to slab[t][..., rows, :], rows being the edge slots of edges.
+    """
+    keys = stream_keys(master_seed, trial_ids, edges, tag)
+    buf = np.empty((len(edges),) + slab.shape[1:-2] + slab.shape[-1:])
+    step_major = np.moveaxis(buf, 0, -2)
+    for ti in range(len(trial_ids)):
+        for r in range(len(edges)):
+            edge_stream(keys[ti, r]).standard_normal(out=buf[r])
+        slab[ti][..., rows, :] = step_major
+
+
 def _pregenerate(
     trial_ids: np.ndarray,
     t: Topology,
@@ -130,31 +167,34 @@ def _pregenerate(
     rand_edges: np.ndarray,
     rand_scale: np.ndarray,
 ):
-    Tc = trial_ids.shape[0]
-    E = t.n_edges
-    shape = (Tc, horizon, E, n)
-    W = np.zeros(shape)
-    M1 = np.ones(shape)
-    M2 = np.ones(shape)
-    F1 = np.zeros(shape)
-    F2 = np.zeros(shape)
-    byz_rand = np.zeros(shape)
-    sig = np.sqrt(noise_var)
-    for ti, trial in enumerate(trial_ids):
-        for e, edge in enumerate(t.edges):
-            if noise_var > 0:
-                rng = edge_stream(master_seed, int(trial), edge, STREAM_NOISE)
-                W[ti, :, e, :] = sig * rng.standard_normal((horizon, n))
-            if not identity_watermark:
-                rng = edge_stream(master_seed, int(trial), edge, STREAM_WATERMARK)
-                m1, m2, f1, f2 = watermark_blocks(rng, horizon, n, wm)
-                M1[ti, :, e, :] = m1
-                M2[ti, :, e, :] = m2
-                F1[ti, :, e, :] = f1
-                F2[ti, :, e, :] = f2
-            if rand_edges[e]:
-                rng = edge_stream(master_seed, int(trial), edge, STREAM_BYZANTINE)
-                byz_rand[ti, :, e, :] = rand_scale[e] * rng.standard_normal((horizon, n))
+    """The chunk's random material as (T, K, E, n) arrays W, M1, M2, F1, F2, byz_rand.
+
+    M1..F2 are the views z[:, :, r] of one (T, K, 4, E, n) slab that
+    watermark_blocks transforms in place. Material a run does not use
+    (noise at zero variance, watermarks on the identity path, byz_rand
+    without a per_neighbor_random edge) is a read-only broadcast of 0
+    or 1, not a slab.
+    """
+    shape = (trial_ids.shape[0], horizon, t.n_edges, n)
+    zeros = np.broadcast_to(0.0, shape)
+    W = zeros
+    if noise_var > 0:
+        W = np.empty(shape)
+        _draw_streams(W, master_seed, trial_ids, t.edges, STREAM_NOISE)
+        W *= np.sqrt(noise_var)
+    if identity_watermark:
+        ones = np.broadcast_to(1.0, shape)
+        M1, M2, F1, F2 = ones, ones, zeros, zeros
+    else:
+        z = np.empty(shape[:2] + (4,) + shape[2:])
+        _draw_streams(z, master_seed, trial_ids, t.edges, STREAM_WATERMARK)
+        M1, M2, F1, F2 = watermark_blocks(z, wm)
+    byz_rand = zeros
+    if rand_edges.any():
+        rows = np.flatnonzero(rand_edges)
+        byz_rand = np.zeros(shape)
+        _draw_streams(byz_rand, master_seed, trial_ids, [t.edges[e] for e in rows], STREAM_BYZANTINE, rows)
+        byz_rand *= rand_scale[:, None]
     return W, M1, M2, F1, F2, byz_rand
 
 

@@ -24,7 +24,7 @@ from maswatch.harness import (
     transient_sweep,
 )
 from maswatch.hybrid import Classification
-from maswatch.watermark import WatermarkParams, watermark_blocks, edge_stream, STREAM_WATERMARK
+from maswatch.watermark import WatermarkParams, watermark_blocks, edge_stream, stream_keys, STREAM_WATERMARK
 
 from conftest import record_criterion
 from test_detectors import kl_by_quadrature
@@ -316,8 +316,8 @@ def test_criterion_7_oracle_suites():
 
     # watermark round trip on 1e4 random messages
     wp = WatermarkParams(2.0, 5.0, 7.2, 4.3, 2.0, 3.5)
-    stream = edge_stream(7, 0, (5, 2), STREAM_WATERMARK)
-    m1, m2, f1, f2 = watermark_blocks(stream, 10_000, 3, wp)
+    stream = edge_stream(stream_keys(7, [0], [(5, 2)], STREAM_WATERMARK)[0, 0])
+    m1, m2, f1, f2 = (b[:, 0] for b in watermark_blocks(stream.standard_normal((10_000, 4, 1, 3)), wp))
     plains = rng.uniform(-200.0, 1230.0, size=(10_000, 3))
     back1 = m1 * (plains / m1 + f1 - f1)
     back2 = m2 * (plains / m2 + f2 - f2)

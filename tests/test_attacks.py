@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maswatch.attacks import (
     AttackScenario,
@@ -21,7 +24,10 @@ from maswatch.attacks import (
 )
 from maswatch.dynamics import StateBounds
 from maswatch.graph import LocalAttackBudget, build_topology
+from maswatch.harness import scenario_from_dict
 from maswatch.watermark import MessageSet
+
+from _scenarios import small_doc
 
 
 def _sin(*coeffs):
@@ -205,3 +211,74 @@ def test_validate_attacks_budget():
     byz2 = ByzantineBehavior(1, (25, None), "frozen_state")
     over2 = AttackScenario(byzantine=(byz, byz2), budget=budget)
     assert validate_attacks(over2, t, 60) == (2, 25)
+
+
+def _brute_force_validate(s, t, horizon):
+    """validate_attacks' contract checked at every step 1..horizon."""
+    for pairs, key, what in ((s.channel, "edge", "channel attacks"), (s.byzantine, "agent", "byzantine behaviors")):
+        for idx, a in enumerate(pairs):
+            for b in pairs[idx + 1 :]:
+                if getattr(a, key) != getattr(b, key):
+                    continue
+                for k in range(1, horizon + 1):
+                    if a.active(k) and b.active(k):
+                        return f"two {what} overlap on {key} {getattr(a, key)} at step {k}"
+    for k in range(1, horizon + 1):
+        chan_k, byz_k = active_attacks(s, k)
+        byz_agents = {b.agent for b in byz_k}
+        for i in range(t.n_agents):
+            if sum(1 for j in t.in_neighbors(i) if j in byz_agents) > s.budget.max_byzantine_neighbors:
+                return (i, k)
+            if sum(1 for a in chan_k if a.edge[1] == i) > s.budget.max_attacked_channels:
+                return (i, k)
+    return None
+
+
+_windows = st.tuples(st.integers(1, 14), st.one_of(st.none(), st.integers(1, 10))).map(
+    lambda w: (w[0], None if w[1] is None else w[0] + w[1])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    chan=st.lists(st.tuples(st.sampled_from(_topology().edges), _windows), max_size=4),
+    byz=st.lists(st.tuples(st.integers(0, 6), _windows), max_size=4),
+    L=st.integers(0, 2),
+    P=st.integers(0, 2),
+    horizon=st.integers(0, 16),
+)
+def test_validate_attacks_matches_per_step_scan(chan, byz, L, P, horizon):
+    t = _topology()
+    s = AttackScenario(
+        channel=tuple(
+            ChannelAttack(e, w, _const(1.0), _const(0.0), _const(1.0), _const(0.0)) for e, w in chan
+        ),
+        byzantine=tuple(ByzantineBehavior(a, w, "frozen_state") for a, w in byz),
+        budget=LocalAttackBudget(L, P),
+    )
+    want = _brute_force_validate(s, t, horizon)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            validate_attacks(s, t, horizon)
+        assert str(err.value) == want
+    else:
+        assert validate_attacks(s, t, horizon) == want
+
+
+def test_validation_cost_does_not_grow_with_the_horizon():
+    doc = small_doc(horizon=10**12, trials=2)
+    doc["attacks"] = {
+        "budget": {"L": 1, "P": 1},
+        "channel": [
+            {"edge": [0, 2], "window": [3, None], **{f: {"kind": "const", "coeffs": [1.0, 1.0]} for f in ("xi1", "xi2")},
+             **{f: {"kind": "const", "coeffs": [0.0, 0.0]} for f in ("lam1", "lam2")}},
+        ],
+        "byzantine": [{"agent": 1, "window": [5, 10**9], "kind": "frozen_state"}],
+    }
+    t0 = time.perf_counter()
+    s = scenario_from_dict(doc)
+    assert time.perf_counter() - t0 < 1.0
+    assert s.horizon == 10**12
+    t0 = time.perf_counter()
+    assert validate_attacks(s.attacks, s.topology, 10**30) is None
+    assert time.perf_counter() - t0 < 1.0

@@ -5,12 +5,14 @@ oracle below steps the same simulation one message at a time through
 the public per-message API (rows of watermark_blocks or identity_draw,
 apply_watermark and remove_watermark, tamper_channel, byzantine_emit,
 compute_control, step_system), reading the same counter-style streams,
-and must agree with simulate to float64 round-off. Worker chunking must
-not change results at all.
+and must agree with simulate to float64 round-off. The oracle seeds each
+stream with numpy's own SeedSequence, so it also checks the engine's
+vectorised stream_keys. Worker chunking must not change results at all.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +28,6 @@ from maswatch.watermark import (
     STREAM_WATERMARK,
     WatermarkDraw,
     apply_watermark,
-    edge_stream,
     identity_draw,
     remove_watermark,
     watermark_blocks,
@@ -59,13 +60,14 @@ def _oracle(s):
         noise, marks, byz_draws = {}, {}, {}
         for edge in t.edges:
             def stream(tag):
-                return edge_stream(s.master_seed, trial, edge, tag)
+                return np.random.default_rng(np.random.SeedSequence([s.master_seed, trial, *edge, tag]))
 
             noise[edge] = np.zeros((K, n))
             if s.controller.noise_var > 0:
                 noise[edge] = sig * stream(STREAM_NOISE).standard_normal((K, n))
             if not s.watermark_identity:
-                marks[edge] = watermark_blocks(stream(STREAM_WATERMARK), K, n, s.watermark)
+                z = stream(STREAM_WATERMARK).standard_normal((K, 4, 1, n))
+                marks[edge] = [block[:, 0] for block in watermark_blocks(z, s.watermark)]
             byz_draws[edge] = stream(STREAM_BYZANTINE).standard_normal((K, n))
         frozen = {}
         x = s.init_states.copy()
@@ -168,3 +170,40 @@ def test_trial_slabs_are_independent_of_trial_count():
     big = _simulate(replace(s, trials=9))
     assert np.array_equal(small.states, big.states[:4])
     assert np.array_equal(small.ystar1, big.ystar1[:4])
+
+
+def _random_material_case(identity=False, noise_var=1.0, random_byzantine=False):
+    doc = small_doc(horizon=120, trials=100)
+    doc["watermark"]["identity"] = identity
+    doc["controller"]["noise_var"] = noise_var
+    kind = "per_neighbor_random" if random_byzantine else "constant_offset"
+    doc["attacks"]["byzantine"] = [{"agent": 1, "window": [3, 7], "kind": kind, "offset": [3.0, -1.0], "scale": 2.5}]
+    return scenario_from_dict(doc)
+
+
+# Number of (trials, steps, edges, n) random-material slabs each case
+# needs: noise W, the four watermark components, byz_rand.
+SLAB_CASES = {
+    "watermarked": ({}, 5),
+    "watermarked-random-byzantine": ({"random_byzantine": True}, 6),
+    "identity": ({"identity": True}, 1),
+    "identity-noiseless": ({"identity": True, "noise_var": 0.0}, 0),
+}
+
+
+@pytest.mark.parametrize("case", SLAB_CASES)
+def test_simulate_allocates_only_the_slabs_it_uses(case):
+    kwargs, slabs = SLAB_CASES[case]
+    s = _random_material_case(**kwargs)
+    T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
+    slab = T * K * E * n * 8
+    outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 2 * slab
+    tracemalloc.start()
+    try:
+        _simulate(s, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Schedules, stream keys, per-trial draw buffers and the kernel's
+    # per-step temporaries stay far below half a slab at this shape.
+    assert outputs + (slabs - 0.5) * slab <= peak <= outputs + (slabs + 0.5) * slab, peak
