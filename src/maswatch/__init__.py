@@ -10,6 +10,7 @@ from .attacks import (
     ChannelAttack,
     Schedule,
     active_attacks,
+    activity,
     byzantine_emit,
     stealth_admissible_set,
     tamper_channel,
@@ -17,11 +18,8 @@ from .attacks import (
     validate_stealth,
 )
 from .detectors import (
-    EdgeVerdict,
     EnvelopeConfig,
-    FactorMode,
     KlDetectorConfig,
-    KlEstimator,
     edge_residual,
     envelope,
     envelope_factor,

@@ -17,8 +17,8 @@ Array shapes, with T trials, K steps, N agents, E edges, n state dims:
                          block contiguous; M1..F2 may be strided views of
                          one (T, K, 4, E, n) slab, and unused material a
                          read-only broadcast of 0 or 1
-    chan_mask (K, E) u1   Xi1, Lam1, Xi2, Lam2 (K, E, n)
-    byz_mask (K, E) u1    byz_kind (K, E) i1   byz_coeff (K, E, n)
+    chan_mask (K, E) bool   Xi1, Lam1, Xi2, Lam2 (K, E, n)
+    byz_mask (K, E) bool    byz_kind (K, E) i1   byz_coeff (K, E, n)
     states (T, K+1, N, n) out       ys1, ys2 (T, K, E, n) out
 
 The leader is agent 0 and never consumes neighbor messages.
@@ -74,7 +74,7 @@ def _simulate_numpy(
         x = states[:, k - 1]
         plain = x[:, edge_src, :].copy()
         if any_byz:
-            bm = byz_mask[k - 1].astype(bool)
+            bm = byz_mask[k - 1]
             kinds = byz_kind[k - 1]
             cap = bm & (kinds == BYZ_FROZEN) & ~frozen_set
             if cap.any():
@@ -95,7 +95,7 @@ def _simulate_numpy(
         f2 = F2[:, k - 1]
         b1 = y / m1 + f1
         b2 = y / m2 + f2
-        cm = chan_mask[k - 1].astype(bool)
+        cm = chan_mask[k - 1]
         if cm.any():
             b1[:, cm] = Xi1[k - 1, cm] * b1[:, cm] + Lam1[k - 1, cm]
             b2[:, cm] = Xi2[k - 1, cm] * b2[:, cm] + Lam2[k - 1, cm]

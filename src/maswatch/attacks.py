@@ -16,6 +16,10 @@ multiplier must stay in [-1, 1] and the offset inside the interval
 determined by the signs of the bounds. The validator only warns the
 caller; injection proceeds regardless so that detector experiments
 can use non-stealthy attacks too.
+
+activity() is the one source of attack ground truth: (K, E) masks of
+the steps at which each edge's channel is tampered with and its sender
+is Byzantine. The simulation engine and the run summary both read it.
 """
 
 from __future__ import annotations
@@ -55,13 +59,25 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
-    def eval(self, k: int) -> np.ndarray:
+    def eval(self, k) -> np.ndarray:
+        """c * g(k): (n,) for one step, (S, n) for an array of S steps."""
         c = np.array(self.coeffs)
+        steps = np.asarray(k, dtype=float)
         if self.kind == "sin":
-            return c * math.sin(k)
-        if self.kind == "ramp":
-            return c * float(k)
-        return c
+            # math.sin per step rather than np.sin: numpy's vectorised sin
+            # may round differently in the last bit on some platforms.
+            g = np.array([math.sin(step) for step in steps.ravel()]).reshape(steps.shape)
+        elif self.kind == "ramp":
+            g = steps
+        else:
+            g = np.ones(steps.shape)
+        return g[..., None] * c
+
+
+def window_rows(window, horizon: int) -> slice:
+    """Rows (index k-1) of the steps 1..horizon inside [start, stop)."""
+    start, stop = window
+    return slice(start - 1, horizon if stop is None else min(stop - 1, horizon))
 
 
 def _window_ok(window):
@@ -229,6 +245,22 @@ def active_attacks(
 ) -> tuple[list[ChannelAttack], list[ByzantineBehavior]]:
     """Attacks in effect at step k."""
     return [a for a in s.channel if a.active(k)], [b for b in s.byzantine if b.active(k)]
+
+
+def activity(s: AttackScenario, t: Topology, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ground truth over steps 1..horizon (row k-1) and edges.
+
+    Returns two (K, E) bool masks: the channel of edge (j, i) is
+    tampered with, and its sender j is Byzantine.
+    """
+    chan = np.zeros((horizon, t.n_edges), dtype=bool)
+    byz = np.zeros_like(chan)
+    for a in s.channel:
+        chan[window_rows(a.window, horizon), t.edge_index(*a.edge)] = True
+    for bz in s.byzantine:
+        for i in t.out_neighbors(bz.agent):
+            byz[window_rows(bz.window, horizon), t.edge_index(bz.agent, i)] = True
+    return chan, byz
 
 
 def _first_overlap(a, b, horizon: int) -> int | None:

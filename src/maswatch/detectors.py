@@ -28,11 +28,14 @@ componentwise state range: for vectors with components in
     ||G|| + ||O|| <= sqrt((rho_1^2 + rho_2^2) / rho_1^2) * ||G + O||
 
 which bounds how much a one-step residual can legitimately grow.
+
+Both verdicts work on whole arrays: kl_verdict turns a (E, K) block of
+KL values into the alarm mask, envelope_verdict turns residuals and
+their references into the ratio of residual to threshold, elementwise.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -40,9 +43,6 @@ import numpy as np
 
 from .dynamics import StateBounds
 
-# Additive smoothing and bin count for the histogram estimator.
-HIST_BINS = 64
-HIST_SMOOTHING = 1e-6
 # Variance floors applied by estimate_kl so that degenerate sample sets
 # (identical copies, zero-noise runs) yield a KL near 0 instead of a
 # division error. The floor is relative to the means, because on a
@@ -53,22 +53,9 @@ VAR_FLOOR = 1e-30
 VAR_FLOOR_REL = 1e-9
 
 
-class KlEstimator(enum.Enum):
-    GAUSSIAN_FIT = "gaussian_fit"
-    HISTOGRAM = "histogram"
-
-
-class FactorMode(enum.Enum):
-    """Which side of the norm-splitting inequality scales the envelope."""
-
-    ALGORITHM2 = "algorithm2"
-    PROPOSITION3 = "proposition3"
-
-
 @dataclass(frozen=True)
 class KlDetectorConfig:
     theta: float = 4.61
-    estimator: KlEstimator = KlEstimator.GAUSSIAN_FIT
     min_samples: int = 30
 
     def __post_init__(self):
@@ -84,7 +71,6 @@ class EnvelopeConfig:
     phi: float = 0.16
     lambda_min: float = 1.0
     delta: float = 6.0
-    factor_mode: FactorMode = FactorMode.ALGORITHM2
 
     def __post_init__(self):
         if self.M_r <= 0 or self.delta < 0:
@@ -93,26 +79,6 @@ class EnvelopeConfig:
             raise ValueError("phi must lie in (0, 1)")
         if self.lambda_min <= 0:
             raise ValueError("lambda_min must be positive")
-
-
-@dataclass(frozen=True)
-class EdgeVerdict:
-    """One detector decision about one edge at one step.
-
-    statistic is the KL value or the residual ratio; decision is
-    "attacked" exactly when the statistic exceeds its threshold
-    (boundary values stay secure).
-    """
-
-    edge: tuple[int, int]
-    step: int
-    detector: str
-    statistic: float
-    decision: str
-
-    @property
-    def attacked(self) -> bool:
-        return self.decision == "attacked"
 
 
 def gaussian_kl(mu_a, var_a, mu_b, var_b) -> float:
@@ -134,26 +100,11 @@ def gaussian_kl(mu_a, var_a, mu_b, var_b) -> float:
     return float(terms.sum())
 
 
-def _histogram_kl(a: np.ndarray, b: np.ndarray) -> float:
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
-    if hi <= lo:
-        return 0.0
-    pa, _ = np.histogram(a, bins=HIST_BINS, range=(lo, hi))
-    pb, _ = np.histogram(b, bins=HIST_BINS, range=(lo, hi))
-    p = pa + HIST_SMOOTHING
-    q = pb + HIST_SMOOTHING
-    p = p / p.sum()
-    q = q / q.sum()
-    return float(np.sum(p * np.log(p / q)))
-
-
 def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray, cfg: KlDetectorConfig) -> float:
     """Empirical KL between two sample sets of shape (samples, n).
 
-    gaussian_fit matches per-component moments; histogram discretizes
-    both sets over a shared 64-bin support with additive smoothing.
-    Components are summed. Sample variances are floored at
+    Fits a Gaussian to each component by its moments and sums the
+    per-component divergences. Sample variances are floored at
     (VAR_FLOOR_REL * max(|mu_a|, |mu_b|))^2, and at least VAR_FLOOR, so
     that sets equal up to round-off report a KL near zero.
     """
@@ -163,8 +114,6 @@ def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray, cfg: KlDetectorCon
         raise ValueError("sample sets must have matching shapes")
     if a.shape[0] < 2:
         raise ValueError("need at least two samples per set")
-    if cfg.estimator is KlEstimator.HISTOGRAM:
-        return float(sum(_histogram_kl(a[:, l], b[:, l]) for l in range(a.shape[1])))
     mu_a = a.mean(axis=0)
     mu_b = b.mean(axis=0)
     floor = np.maximum((VAR_FLOOR_REL * np.maximum(np.abs(mu_a), np.abs(mu_b))) ** 2, VAR_FLOOR)
@@ -173,9 +122,9 @@ def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray, cfg: KlDetectorCon
     return gaussian_kl(mu_a, var_a, mu_b, var_b)
 
 
-def kl_verdict(kl: float, cfg: KlDetectorConfig, edge: tuple[int, int], k: int) -> EdgeVerdict:
-    decision = "attacked" if kl > cfg.theta else "secure"
-    return EdgeVerdict(edge=edge, step=k, detector="kl", statistic=float(kl), decision=decision)
+def kl_verdict(kl, cfg: KlDetectorConfig) -> np.ndarray:
+    """Alarm mask kl > theta, elementwise; boundary values stay secure."""
+    return np.asarray(kl) > cfg.theta
 
 
 def envelope(k: int, cfg: EnvelopeConfig) -> float:
@@ -185,58 +134,49 @@ def envelope(k: int, cfg: EnvelopeConfig) -> float:
     return cfg.M_r * math.exp(-cfg.lambda_min * float(k) ** (1.0 - cfg.phi))
 
 
-def edge_residual(y_samples: np.ndarray, x_samples: np.ndarray) -> float:
-    """Trial-averaged residual mean ||y - x|| for one edge and step."""
+def edge_residual(y_samples: np.ndarray, x_samples: np.ndarray) -> np.ndarray:
+    """Trial-averaged residual mean ||y - x||.
+
+    Blocks are (T, ..., n): trials first, state components last. The
+    result has the shape of the axes in between, a scalar for (T, n).
+    """
     y = np.atleast_2d(np.asarray(y_samples, dtype=float))
     x = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if y.shape != x.shape:
         raise ValueError("y and x sample blocks must have matching shapes")
-    return float(np.linalg.norm(y - x, axis=1).mean())
+    return np.linalg.norm(y - x, axis=-1).mean(axis=0)
 
 
-def envelope_factor(bounds: StateBounds, mode: FactorMode) -> float:
-    """Norm-splitting factor applied to the envelope threshold."""
+def envelope_factor(bounds: StateBounds) -> float:
+    """Norm-splitting factor sqrt((eps1^2 + eps2^2) / eps2^2) applied to
+    the envelope threshold."""
     if bounds.eps2 == 0:
         raise ValueError("eps2 = 0 leaves the residual growth factor undefined")
-    ratio = (bounds.eps1 ** 2 + bounds.eps2 ** 2) / bounds.eps2 ** 2
-    if mode is FactorMode.ALGORITHM2:
-        return math.sqrt(ratio)
-    return math.sqrt(1.0 / ratio)
+    return math.sqrt((bounds.eps1 ** 2 + bounds.eps2 ** 2) / bounds.eps2 ** 2)
 
 
-def envelope_verdict(
-    d_k: float,
-    d_ref: float,
-    k: int,
-    cfg: EnvelopeConfig,
-    bounds: StateBounds,
-    edge: tuple[int, int],
-    msg_index: int = 1,
-) -> EdgeVerdict:
-    """Envelope decision for one copy of one edge at step k.
+def envelope_verdict(d_k, d_ref, k, cfg: EnvelopeConfig, bounds: StateBounds) -> np.ndarray:
+    """Ratio of residual to threshold, elementwise over broadcast arrays.
 
-    d_ref is the last residual the detector still trusts (the previous
-    step on a healthy edge). The edge is secure while
+    d_ref is the residual the detector still trusts and k the step of
+    d_k (an array of steps broadcasts like d_k's last axis). The
+    threshold is
 
-        d_k <= factor * d_ref * (tau(k) + delta)
+        factor * d_ref * (tau(k) + delta)
 
-    and the reported statistic is the ratio of the two sides.
+    and the edge is attacked exactly when the ratio exceeds 1 (boundary
+    values stay secure). A zero threshold gives 0 for a zero residual
+    and inf otherwise.
     """
-    if d_k < 0 or d_ref < 0:
+    d_k = np.asarray(d_k, dtype=float)
+    d_ref = np.asarray(d_ref, dtype=float)
+    if np.any(d_k < 0) or np.any(d_ref < 0):
         raise ValueError("residuals are nonnegative")
-    threshold = envelope_factor(bounds, cfg.factor_mode) * d_ref * (envelope(k, cfg) + cfg.delta)
-    if threshold == 0.0:
-        ratio = 0.0 if d_k == 0.0 else math.inf
-    else:
-        ratio = d_k / threshold
-    decision = "attacked" if ratio > 1.0 else "secure"
-    return EdgeVerdict(
-        edge=edge,
-        step=k,
-        detector=f"envelope{msg_index}",
-        statistic=float(ratio),
-        decision=decision,
-    )
+    steps = np.asarray(k)
+    tau = np.array([envelope(int(step), cfg) for step in steps.ravel()]).reshape(steps.shape)
+    threshold = envelope_factor(bounds) * d_ref * (tau + cfg.delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d_k == 0.0, 0.0, d_k / threshold)
 
 
 def lemma1_bound(gamma: np.ndarray, omega: np.ndarray, rho1: float, rho2: float) -> bool:

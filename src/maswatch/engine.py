@@ -1,7 +1,8 @@
 """Monte Carlo simulation driver.
 
-Builds the dense attack and watermark arrays the step kernel consumes,
-splits trials across workers, and returns the raw slabs (states and
+Builds the dense attack and watermark arrays the step kernel consumes
+(the attack masks come from attacks.activity, the schedules are filled
+from the window slices), splits trials across workers, and returns the raw slabs (states and
 recovered message pairs) that the detector pipeline pools.
 
 Every random stream is derived counter-style from
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .attacks import AttackScenario, validate_attacks
+from .attacks import AttackScenario, activity, validate_attacks, window_rows
 from .dynamics import AgentModel, ControllerParams, noise_gain
 from .graph import Topology
 from .watermark import (
@@ -99,43 +100,37 @@ class SimData:
 
 
 def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int):
-    """Densify attack schedules over (step, edge)."""
+    """Attack arrays over (step, edge), filled from the window slices.
+
+    Returns the kernel's chan_mask, Xi1, Lam1, Xi2, Lam2, byz_mask,
+    byz_kind and byz_coeff in its argument order, then the per-edge
+    rand_edges and rand_scale of per_neighbor_random behaviors.
+    """
+    chan_mask, byz_mask = activity(attacks, t, horizon)
     E = t.n_edges
-    chan_mask = np.zeros((horizon, E), dtype=np.uint8)
-    xi1 = np.ones((horizon, E, n))
-    lam1 = np.zeros((horizon, E, n))
-    xi2 = np.ones((horizon, E, n))
-    lam2 = np.zeros((horizon, E, n))
+    tamper = np.zeros((4, horizon, E, n))  # Xi1, Lam1, Xi2, Lam2
+    tamper[0::2] = 1.0
     for a in attacks.channel:
         e = t.edge_index(*a.edge)
-        for k in range(1, horizon + 1):
-            if not a.active(k):
-                continue
-            chan_mask[k - 1, e] = 1
-            xi1[k - 1, e] = a.xi1.eval(k)
-            lam1[k - 1, e] = a.lam1.eval(k)
-            xi2[k - 1, e] = a.xi2.eval(k)
-            lam2[k - 1, e] = a.lam2.eval(k)
-    byz_mask = np.zeros((horizon, E), dtype=np.uint8)
+        rows = window_rows(a.window, horizon)
+        steps = np.arange(rows.start + 1, rows.stop + 1)
+        for r, sched in enumerate((a.xi1, a.lam1, a.xi2, a.lam2)):
+            tamper[r, rows, e] = sched.eval(steps)
     byz_kind = np.zeros((horizon, E), dtype=np.int8)
     byz_coeff = np.zeros((horizon, E, n))
     rand_edges = np.zeros(E, dtype=bool)
     rand_scale = np.zeros(E)
     for bz in attacks.byzantine:
-        code = _BYZ_CODE[bz.kind]
+        rows = window_rows(bz.window, horizon)
         for i in t.out_neighbors(bz.agent):
             e = t.edge_index(bz.agent, i)
-            for k in range(1, horizon + 1):
-                if not bz.active(k):
-                    continue
-                byz_mask[k - 1, e] = 1
-                byz_kind[k - 1, e] = code
-                if bz.offset:
-                    byz_coeff[k - 1, e] = np.array(bz.offset)
+            byz_kind[rows, e] = _BYZ_CODE[bz.kind]
+            if bz.offset:
+                byz_coeff[rows, e] = bz.offset
             if bz.kind == "per_neighbor_random":
                 rand_edges[e] = True
                 rand_scale[e] = bz.scale
-    return chan_mask, xi1, lam1, xi2, lam2, byz_mask, byz_kind, byz_coeff, rand_edges, rand_scale
+    return chan_mask, *tamper, byz_mask, byz_kind, byz_coeff, rand_edges, rand_scale
 
 
 def _draw_streams(slab, master_seed, trial_ids, edges, tag, rows=slice(None)) -> None:
@@ -238,18 +233,7 @@ def simulate(
     if K == 0:
         states[:, 0] = init_states
         return SimData(states=states, ystar1=ys1, ystar2=ys2, topology=t)
-    (
-        chan_mask,
-        xi1,
-        lam1,
-        xi2,
-        lam2,
-        byz_mask,
-        byz_kind,
-        byz_coeff,
-        rand_edges,
-        rand_scale,
-    ) = _schedule_arrays(t, attacks, K, n)
+    *schedules, rand_edges, rand_scale = _schedule_arrays(t, attacks, K, n)
     ak = np.array([noise_gain(k, ctrl) for k in range(K + 1)])
     edge_src = np.array([j for j, _ in t.edges], dtype=np.int64)
     edge_dst = np.array([i for _, i in t.edges], dtype=np.int64)
@@ -284,14 +268,7 @@ def simulate(
             M2,
             F1,
             F2,
-            chan_mask,
-            xi1,
-            lam1,
-            xi2,
-            lam2,
-            byz_mask,
-            byz_kind,
-            byz_coeff,
+            *schedules,
             byz_rand,
             states[lo:hi],
             ys1[lo:hi],

@@ -5,10 +5,12 @@ A scenario JSON has sections topology / model / controller / watermark
 entries swap in alternative attack sections. Validation failures name
 the offending field by path (for example "detectors.kl.theta").
 
-run_monte_carlo simulates the batch, pools both detectors across
-trials, runs the flag protocol every step and collects the traces that
-export_report writes as CSV. All exported numbers are pure functions
-of (scenario, master_seed), independent of worker count.
+run_monte_carlo simulates the batch and passes whole (edge, step)
+arrays between stages: pooled KL statistics and their alarms, envelope
+ratios against each edge's frozen reference, then one flag-protocol
+round per step, scored against attacks.activity. export_report writes
+the traces as CSV. All exported numbers are pure functions of
+(scenario, master_seed), independent of worker count.
 """
 
 from __future__ import annotations
@@ -25,15 +27,14 @@ from .attacks import (
     ByzantineBehavior,
     ChannelAttack,
     Schedule,
+    activity,
     validate_attacks,
+    window_rows,
 )
 from .detectors import (
     EnvelopeConfig,
-    FactorMode,
     KlDetectorConfig,
-    KlEstimator,
-    EdgeVerdict,
-    envelope_factor,
+    edge_residual,
     envelope_verdict,
     estimate_kl,
     gaussian_kl,
@@ -288,24 +289,20 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
 
     sec, p = _section(doc, "detectors")
     klsec, klp = _section(sec, "kl", p)
-    est_name = klsec.get("estimator", "gaussian_fit")
-    try:
-        estimator = KlEstimator(est_name)
-    except ValueError:
-        raise ScenarioError(f"{klp}.estimator", f"unknown estimator {est_name!r}") from None
+    envsec, envp = _section(sec, "envelope", p)
+    # Retired settings: a document may still name their one remaining value.
+    for rsec, rpath, key, only in (
+        (klsec, klp, "estimator", "gaussian_fit"),
+        (envsec, envp, "factor_mode", "algorithm2"),
+    ):
+        if rsec.get(key, only) != only:
+            raise ScenarioError(f"{rpath}.{key}", f"only {only!r} is supported, got {rsec[key]!r}")
     kl_cfg = _build(
         klp,
         KlDetectorConfig,
         theta=_num(klsec, "theta", klp),
-        estimator=estimator,
         min_samples=_get(klsec, "min_samples", klp, int, default=30),
     )
-    envsec, envp = _section(sec, "envelope", p)
-    mode_name = envsec.get("factor_mode", "algorithm2")
-    try:
-        mode = FactorMode(mode_name)
-    except ValueError:
-        raise ScenarioError(f"{envp}.factor_mode", f"unknown factor mode {mode_name!r}") from None
     env_cfg = _build(
         envp,
         EnvelopeConfig,
@@ -313,7 +310,6 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         phi=_num(envsec, "phi", envp, 0.16),
         lambda_min=_num(envsec, "lambda_min", envp, 1.0),
         delta=_num(envsec, "delta", envp, 6.0),
-        factor_mode=mode,
     )
     bounds = None
     if sec.get("bounds") is not None:
@@ -439,18 +435,31 @@ def platoon_preset(variant: str | None = None) -> Scenario:
 
 
 def _simulate_scenario(s: Scenario, workers=None, identity=None) -> SimData:
-    return simulate(
-        s.topology,
-        s.model,
-        s.controller,
-        s.watermark,
-        s.attacks,
-        s.horizon,
-        s.trials,
-        s.master_seed,
-        s.init_states,
-        identity_watermark=s.watermark_identity if identity is None else identity,
-        workers=workers,
+    """simulate(s); a batch too large to allocate is a ScenarioError on run."""
+    t = s.topology
+    # Bytes of the output slabs. numpy refuses an array of more than
+    # intp-max bytes with a ValueError, and one the machine cannot
+    # provide with a MemoryError.
+    nbytes = 8 * s.trials * s.model.n * ((s.horizon + 1) * t.n_agents + 2 * s.horizon * t.n_edges)
+    try:
+        if nbytes <= np.iinfo(np.intp).max:
+            return simulate(
+                s.topology,
+                s.model,
+                s.controller,
+                s.watermark,
+                s.attacks,
+                s.horizon,
+                s.trials,
+                s.master_seed,
+                s.init_states,
+                identity_watermark=s.watermark_identity if identity is None else identity,
+                workers=workers,
+            )
+    except MemoryError:
+        pass
+    raise ScenarioError(
+        "run", f"{s.trials} trials x {s.horizon} steps need {nbytes} bytes of output slabs, more than can be allocated"
     )
 
 
@@ -463,98 +472,44 @@ def _nominal_bounds(s: Scenario, workers) -> tuple[StateBounds, SimData | None]:
     return compute_state_bounds(sim.states), sim if not s.attacks.channel and not s.attacks.byzantine else None
 
 
-def _ground_truth(s: Scenario, edge, k) -> Classification:
-    j, _ = edge
-    chan = any(a.edge == edge and a.active(k) for a in s.attacks.channel)
-    byz = any(b.agent == j and b.active(k) for b in s.attacks.byzantine)
-    if chan and byz:
-        return Classification.HYBRID
-    if chan:
-        return Classification.CHANNEL_ONLY
-    if byz:
-        return Classification.BYZANTINE_ONLY
-    return Classification.NORMAL
-
-
 def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
     """Simulate, detect, arbitrate; returns the full report."""
     bounds, reuse = _nominal_bounds(s, workers)
     sim = reuse if reuse is not None else _simulate_scenario(s, workers=workers)
     t = s.topology
     E, K = t.n_edges, s.horizon
-    edge_dst = np.array([i for _, i in t.edges])
+    edge_dst = np.array([i for _, i in t.edges], dtype=np.int64)
+
+    # Residuals of both copies against the receiver state at send time.
+    own = sim.states[:, :-1][:, :, edge_dst]  # (T, K, E, n)
+    residuals = np.stack([edge_residual(slab, own).T for slab in (sim.ystar1, sim.ystar2)])
 
     kl_stats = np.zeros((E, K))
-    kl_attacked = np.zeros((E, K), dtype=bool)
-    residuals = np.zeros((2, E, K))
-    env_stats = np.zeros((2, E, K))
-    env_attacked = np.zeros((2, E, K), dtype=bool)
-    env_tested = np.zeros((E, K), dtype=bool)
+    if s.trials >= s.kl.min_samples:
+        for k in range(1, K + 1):
+            for e in range(E):
+                kl_stats[e, k - 1] = estimate_kl(sim.ystar1[:, k - 1, e], sim.ystar2[:, k - 1, e], s.kl)
+    kl_attacked = kl_verdict(kl_stats, s.kl)
 
-    factor = envelope_factor(bounds, s.envelope.factor_mode)
-    warmed = s.trials >= s.kl.min_samples
-    # Residuals of both copies against the receiver state at send time.
-    own = sim.states[:, :-1, :, :][:, :, edge_dst, :]  # (T, K, E, n)
-    for r, slab in enumerate((sim.ystar1, sim.ystar2)):
-        residuals[r] = np.linalg.norm(slab - own, axis=3).mean(axis=0).T
+    # Each edge's envelope reference is its residual at the first step
+    # the channel detector believes clean, and the envelope tests every
+    # later step. Refreshing the reference later would let a single
+    # missed attack step poison the baseline.
+    clean_so_far = np.logical_or.accumulate(~kl_attacked, axis=1)
+    env_tested = np.zeros_like(clean_so_far)
+    env_tested[:, 1:] = clean_so_far[:, :-1]
+    first_clean = clean_so_far & ~env_tested  # at most one step per edge
+    d_ref = np.where(first_clean, residuals, 0.0).sum(axis=2, keepdims=True)
+    ratio = envelope_verdict(residuals, d_ref, np.arange(1, K + 1), s.envelope, bounds)
+    env_stats = np.where(env_tested, ratio, 0.0)
+    env_attacked = env_stats > 1.0
 
-    ref = np.full((2, E), np.nan)  # reference residual per copy and edge
+    env_any = env_attacked.any(axis=0)
     flags = np.zeros((K, E, 2), dtype=np.int64)
     classifications: list[list[Classification]] = []
     for k in range(1, K + 1):
-        chan_verdicts = {}
-        env_verdicts = {}
-        for e, edge in enumerate(t.edges):
-            if warmed:
-                kl_stats[e, k - 1] = estimate_kl(
-                    sim.ystar1[:, k - 1, e, :], sim.ystar2[:, k - 1, e, :], s.kl
-                )
-                v = kl_verdict(kl_stats[e, k - 1], s.kl, edge, k)
-            else:
-                v = EdgeVerdict(edge=edge, step=k, detector="kl", statistic=0.0, decision="secure")
-            kl_attacked[e, k - 1] = v.attacked
-            chan_verdicts[edge] = v
-
-            pair = None
-            if not math.isnan(ref[0, e]):
-                pair = tuple(
-                    envelope_verdict(
-                        residuals[r, e, k - 1],
-                        float(ref[r, e]),
-                        k,
-                        s.envelope,
-                        bounds,
-                        edge,
-                        msg_index=r + 1,
-                    )
-                    for r in range(2)
-                )
-                env_tested[e, k - 1] = True
-                for r in range(2):
-                    env_stats[r, e, k - 1] = pair[r].statistic
-                    env_attacked[r, e, k - 1] = pair[r].attacked
-            env_verdicts[edge] = pair
-
-            # The reference is frozen at the first step the channel
-            # detector believes clean.  Refreshing it later would let a
-            # single missed attack step poison the baseline.
-            if math.isnan(ref[0, e]) and not v.attacked:
-                ref[0, e] = residuals[0, e, k - 1]
-                ref[1, e] = residuals[1, e, k - 1]
-
-        board, labels = run_protocol_step(
-            k,
-            chan_verdicts,
-            {e: p for e, p in env_verdicts.items() if p is not None},
-            t,
-        )
-        row = []
-        for e, (j, i) in enumerate(t.edges):
-            pair = board.get(i, j)
-            flags[k - 1, e, 0] = pair.phi1
-            flags[k - 1, e, 1] = pair.phi2
-            row.append(labels[(j, i)])
-        classifications.append(row)
+        flags[k - 1], labels = run_protocol_step(k, kl_attacked[:, k - 1], env_any[:, k - 1], t)
+        classifications.append(labels)
 
     eta = eta_curve(sim.states)
     summary = _summarize(s, eta, kl_attacked, env_attacked, classifications)
@@ -574,15 +529,19 @@ def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
     )
 
 
+# Expected label of an edge from (channel tampered, sender Byzantine).
+_TRUTH = {
+    (False, False): Classification.NORMAL,
+    (True, False): Classification.CHANNEL_ONLY,
+    (False, True): Classification.BYZANTINE_ONLY,
+    (True, True): Classification.HYBRID,
+}
+
+
 def _summarize(s: Scenario, eta, kl_attacked, env_attacked, classifications) -> dict:
     t = s.topology
     K = kl_attacked.shape[1]
-    chan_truth = np.zeros_like(kl_attacked)
-    byz_truth = np.zeros_like(kl_attacked)
-    for e, (j, i) in enumerate(t.edges):
-        for k in range(1, K + 1):
-            chan_truth[e, k - 1] = any(a.edge == (j, i) and a.active(k) for a in s.attacks.channel)
-            byz_truth[e, k - 1] = any(b.agent == j and b.active(k) for b in s.attacks.byzantine)
+    chan_truth, byz_truth = (m.T for m in activity(s.attacks, t, K))
     env_any = env_attacked.any(axis=0)
     clean = ~chan_truth & ~byz_truth
     n_clean = float(clean.sum())
@@ -600,28 +559,22 @@ def _summarize(s: Scenario, eta, kl_attacked, env_attacked, classifications) -> 
     }
     settle = settling_step(eta, s.varsigma)
     summary["settling_step"] = float(settle) if settle is not None else -1.0
+
+    def time_to_detect(window, e) -> float:
+        """Steps from the window start to the first correct label inside
+        the window, or -1 when the window passes without one."""
+        rows = window_rows(window, K)
+        for r in range(rows.start, rows.stop):
+            if classifications[r][e] is _TRUTH[bool(chan_truth[e, r]), bool(byz_truth[e, r])]:
+                return float(r - rows.start)
+        return -1.0
+
     for a in s.attacks.channel:
-        e = t.edge_index(*a.edge)
-        summary[f"ttd_channel_{a.edge[0]}_{a.edge[1]}"] = _time_to_detect(
-            s, a.edge, e, a.window, classifications
-        )
+        summary[f"ttd_channel_{a.edge[0]}_{a.edge[1]}"] = time_to_detect(a.window, t.edge_index(*a.edge))
     for bz in s.attacks.byzantine:
         for i in t.out_neighbors(bz.agent):
-            edge = (bz.agent, i)
-            e = t.edge_index(*edge)
-            summary[f"ttd_byzantine_{bz.agent}_{i}"] = _time_to_detect(
-                s, edge, e, bz.window, classifications
-            )
+            summary[f"ttd_byzantine_{bz.agent}_{i}"] = time_to_detect(bz.window, t.edge_index(bz.agent, i))
     return summary
-
-
-def _time_to_detect(s: Scenario, edge, e, window, classifications) -> float:
-    start = window[0]
-    K = len(classifications)
-    for k in range(start, K + 1):
-        if classifications[k - 1][e] == _ground_truth(s, edge, k):
-            return float(k - start)
-    return -1.0
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ jhat of i that also hears j, whose own edge to i is fully clean
 (phi_jhat,j has phi1 = 0). jhat's second bit about j then tells i
 whether j is also Byzantine (hybrid) or only the channel is under
 attack. Flag transport itself is assumed reliable and untampered.
+
+run_protocol_step takes one step's detector alarms as (E,) boolean
+vectors in the topology's edge order and returns the (E, 2) flag
+array and the classifications in that order.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .detectors import EdgeVerdict
+import numpy as np
+
 from .graph import Topology
 
 
@@ -51,28 +56,21 @@ class FlagBoard:
     step: int
     flags: dict[tuple[int, int], FlagPair] = field(default_factory=dict)
 
-    @classmethod
-    def initial(cls, t: Topology) -> "FlagBoard":
-        return cls(step=0, flags={(i, j): INITIAL_FLAG for (j, i) in t.edges})
-
     def get(self, i: int, j: int) -> FlagPair:
         return self.flags.get((i, j), INITIAL_FLAG)
 
 
-def local_detect(
-    channel: EdgeVerdict,
-    envelope_pair: tuple[EdgeVerdict, EdgeVerdict] | None,
-) -> FlagPair:
-    """Flag pair from one step's detector output on one edge.
+def local_detect(channel_attacked: bool, envelope_attacked: bool) -> FlagPair:
+    """Flag pair from one step's detector alarms on one edge.
 
     A channel alarm hides the residual information (the recovered
     values are meaningless), hence the unknown second bit. Before the
-    residual detector has a reference (first step), the envelope side
+    residual detector has a reference, its side raises no alarm and
     counts as clean.
     """
-    if channel.attacked:
+    if channel_attacked:
         return FlagPair(1, 2)
-    if envelope_pair is not None and any(v.attacked for v in envelope_pair):
+    if envelope_attacked:
         return FlagPair(0, 1)
     return FlagPair(0, 0)
 
@@ -120,23 +118,21 @@ def classify(own: FlagPair, trusted: FlagPair | None) -> Classification:
 
 def run_protocol_step(
     k: int,
-    channel_verdicts: dict[tuple[int, int], EdgeVerdict],
-    envelope_verdicts: dict[tuple[int, int], tuple[EdgeVerdict, EdgeVerdict]],
+    channel_attacked,
+    envelope_attacked,
     t: Topology,
-) -> tuple[FlagBoard, dict[tuple[int, int], Classification]]:
+) -> tuple[np.ndarray, list[Classification]]:
     """One synchronous round: detect, broadcast, arbitrate.
 
-    channel_verdicts and envelope_verdicts are keyed by edge (j, i);
-    an edge missing from envelope_verdicts counts as not yet testable.
-    Returns the fresh flag board (keyed (i, j)) and the classification
-    of every edge.
+    channel_attacked and envelope_attacked are (E,) booleans in edge
+    order: the KL alarm and the alarm of either envelope copy. Returns
+    the (E, 2) flag pairs phi_ij of every edge (j, i) and the edge
+    classifications, both in edge order.
     """
     board = FlagBoard(step=k)
-    for j, i in t.edges:
-        board.flags[(i, j)] = local_detect(
-            channel_verdicts[(j, i)], envelope_verdicts.get((j, i))
-        )
-    labels: dict[tuple[int, int], Classification] = {}
+    for (j, i), chan, env in zip(t.edges, channel_attacked, envelope_attacked, strict=True):
+        board.flags[(i, j)] = local_detect(bool(chan), bool(env))
+    labels = []
     for j, i in t.edges:
         own = board.get(i, j)
         relayed = None
@@ -144,5 +140,6 @@ def run_protocol_step(
             jhat = select_trusted(i, j, board, t)
             if jhat is not None:
                 relayed = board.get(jhat, j)
-        labels[(j, i)] = classify(own, relayed)
-    return board, labels
+        labels.append(classify(own, relayed))
+    flags = np.array([board.get(i, j) for j, i in t.edges], dtype=np.int64).reshape(-1, 2)
+    return flags, labels

@@ -16,6 +16,7 @@ from maswatch.attacks import (
     ChannelAttack,
     Schedule,
     active_attacks,
+    activity,
     byzantine_emit,
     stealth_admissible_set,
     tamper_channel,
@@ -55,6 +56,13 @@ def test_schedule_kinds():
     assert np.allclose(_sin(2.0).eval(k), 2.0 * math.sin(7))
     assert np.allclose(Schedule("ramp", (0.5,)).eval(k), 3.5)
     assert np.allclose(_const(1.0, -1.0).eval(k), [1.0, -1.0])
+    # an array of steps gives one row per step, each equal to the scalar call
+    steps = np.arange(1, 30)
+    for sched in (_sin(2.0, -0.5), Schedule("ramp", (0.5, 3.0)), _const(1.0, -1.0)):
+        rows = sched.eval(steps)
+        assert rows.shape == (29, 2)
+        assert all(np.array_equal(rows[r], sched.eval(int(k))) for r, k in enumerate(steps))
+    assert _sin(1.0).eval(np.arange(1, 1)).shape == (0, 1)
     with pytest.raises(ValueError, match="unknown schedule kind"):
         Schedule("cos", (1.0,))
 
@@ -263,6 +271,29 @@ def test_validate_attacks_matches_per_step_scan(chan, byz, L, P, horizon):
         assert str(err.value) == want
     else:
         assert validate_attacks(s, t, horizon) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    chan=st.lists(st.tuples(st.sampled_from(_topology().edges), _windows), max_size=4),
+    byz=st.lists(st.tuples(st.integers(0, 6), _windows), max_size=4),
+    horizon=st.integers(0, 16),
+)
+def test_activity_matches_per_step_scan(chan, byz, horizon):
+    t = _topology()
+    s = AttackScenario(
+        channel=tuple(
+            ChannelAttack(e, w, _const(1.0), _const(0.0), _const(1.0), _const(0.0)) for e, w in chan
+        ),
+        byzantine=tuple(ByzantineBehavior(a, w, "frozen_state") for a, w in byz),
+    )
+    chan_mask, byz_mask = activity(s, t, horizon)
+    assert chan_mask.shape == byz_mask.shape == (horizon, t.n_edges)
+    for k in range(1, horizon + 1):
+        chan_k, byz_k = active_attacks(s, k)
+        for e, (j, i) in enumerate(t.edges):
+            assert chan_mask[k - 1, e] == any(a.edge == (j, i) for a in chan_k)
+            assert byz_mask[k - 1, e] == any(b.agent == j for b in byz_k)
 
 
 def test_validation_cost_does_not_grow_with_the_horizon():

@@ -87,3 +87,20 @@ def test_sweep_rejects_malformed_grid(scenario_file, capsys):
 def test_out_of_range_override_exits_2(scenario_file, capsys, args):
     assert main([args[0], "--scenario", str(scenario_file), *args[1:]]) == 2
     assert capsys.readouterr().err.startswith("maswatch: ")
+
+
+@pytest.mark.parametrize("horizon", [10**12, 10**18], ids=["beyond_memory", "beyond_address_space"])
+@pytest.mark.parametrize(
+    "args",
+    [["run", "--out", "unused"], ["sweep", "--grid", "1"]],
+    ids=["run", "sweep"],
+)
+def test_huge_horizon_is_a_scenario_error(tmp_path, capsys, args, horizon):
+    # numpy refuses either allocation at once, so nothing is allocated
+    doc = small_doc(horizon=horizon)
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    assert main([args[0], "--scenario", str(p), *args[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario validation failed: run: ")
+    assert f"6 trials x {horizon} steps" in err

@@ -17,9 +17,7 @@ from scipy.integrate import quad
 
 from maswatch.detectors import (
     EnvelopeConfig,
-    FactorMode,
     KlDetectorConfig,
-    KlEstimator,
     edge_residual,
     envelope,
     envelope_factor,
@@ -116,17 +114,6 @@ def test_estimate_kl_validation():
         estimate_kl(np.zeros((1, 2)), np.zeros((1, 2)), cfg)
 
 
-def test_histogram_estimator_agrees_in_sign():
-    rng = np.random.default_rng(5)
-    a = rng.normal(0.0, 1.0, size=(400, 1))
-    b = rng.normal(3.0, 1.0, size=(400, 1))
-    hist = estimate_kl(a, b, _cfg(estimator=KlEstimator.HISTOGRAM))
-    gauss = estimate_kl(a, b, _cfg())
-    assert hist > 1.0 and gauss > 1.0
-    # identical sets collapse to zero under both estimators
-    assert estimate_kl(a, a.copy(), _cfg(estimator=KlEstimator.HISTOGRAM)) == 0.0
-
-
 def test_kl_config_validation():
     with pytest.raises(ValueError):
         KlDetectorConfig(theta=0.0)
@@ -136,10 +123,11 @@ def test_kl_config_validation():
 
 def test_kl_verdict_boundary_stays_secure():
     cfg = _cfg(theta=4.61)
-    assert not kl_verdict(4.61, cfg, (5, 2), 10).attacked
-    assert kl_verdict(4.6100001, cfg, (5, 2), 10).attacked
-    v = kl_verdict(0.0, cfg, (5, 2), 10)
-    assert v.detector == "kl" and v.edge == (5, 2) and v.step == 10
+    assert not kl_verdict(4.61, cfg)
+    assert kl_verdict(4.6100001, cfg)
+    mask = kl_verdict(np.array([[0.0, 4.61], [4.6100001, 50.0]]), cfg)
+    assert mask.dtype == bool
+    assert mask.tolist() == [[False, False], [True, True]]
 
 
 def test_envelope_hand_values():
@@ -165,31 +153,43 @@ def test_edge_residual():
     y = np.array([[1.0, 0.0], [0.0, 2.0]])
     x = np.zeros((2, 2))
     assert edge_residual(y, x) == pytest.approx(1.5)
+    # (T, K, E, n) blocks reduce to (K, E), each entry its own (T, n) residual
+    rng = np.random.default_rng(6)
+    yb, xb = rng.normal(size=(2, 5, 4, 3, 2))
+    block = edge_residual(yb, xb)
+    assert block.shape == (4, 3)
+    assert block[2, 1] == edge_residual(yb[:, 2, 1], xb[:, 2, 1])
     with pytest.raises(ValueError, match="matching shapes"):
         edge_residual(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
-def test_envelope_factor_modes():
+def test_envelope_factor():
     b = StateBounds(-200.0, 1230.0)
     ratio = (200.0 ** 2 + 1230.0 ** 2) / 1230.0 ** 2
-    assert envelope_factor(b, FactorMode.ALGORITHM2) == pytest.approx(math.sqrt(ratio))
-    assert envelope_factor(b, FactorMode.PROPOSITION3) == pytest.approx(1.0 / math.sqrt(ratio))
+    assert envelope_factor(b) == pytest.approx(math.sqrt(ratio))
     with pytest.raises(ValueError, match="eps2"):
-        envelope_factor(StateBounds(-1.0, 0.0), FactorMode.ALGORITHM2)
+        envelope_factor(StateBounds(-1.0, 0.0))
 
 
 def test_envelope_verdict_math():
     cfg = EnvelopeConfig()
     b = StateBounds(-200.0, 1230.0)
-    factor = envelope_factor(b, cfg.factor_mode)
+    factor = envelope_factor(b)
     d_ref = 30.0
     threshold = factor * d_ref * (envelope(5, cfg) + cfg.delta)
-    v = envelope_verdict(0.5 * threshold, d_ref, 5, cfg, b, (5, 2))
-    assert not v.attacked and v.statistic == pytest.approx(0.5)
-    v = envelope_verdict(2.0 * threshold, d_ref, 5, cfg, b, (5, 2), msg_index=2)
-    assert v.attacked and v.detector == "envelope2"
+    assert envelope_verdict(0.5 * threshold, d_ref, 5, cfg, b) == pytest.approx(0.5)
+    assert envelope_verdict(2.0 * threshold, d_ref, 5, cfg, b) > 1.0
     # boundary ratio 1 is still secure
-    assert not envelope_verdict(threshold, d_ref, 5, cfg, b, (5, 2)).attacked
+    assert envelope_verdict(threshold, d_ref, 5, cfg, b) == 1.0
+    # arrays broadcast, the steps along the last axis, each with its own tau(k)
+    steps = np.arange(1, 6)
+    d_k = np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.0, 9.0, 9.0, 9.0]])
+    d_refs = np.array([[2.0], [3.0]])
+    ratios = envelope_verdict(d_k, d_refs, steps, cfg, b)
+    assert ratios.shape == (2, 5)
+    for r in range(2):
+        for c, k in enumerate(steps):
+            assert ratios[r, c] == envelope_verdict(d_k[r, c], d_refs[r, 0], int(k), cfg, b)
 
 
 def test_envelope_verdict_worked_example():
@@ -198,18 +198,20 @@ def test_envelope_verdict_worked_example():
     b = StateBounds(-5.0, 5.0)
     threshold = math.sqrt(2.0) * 10.0 * 7.0
     assert threshold == pytest.approx(98.99, abs=0.01)
-    assert envelope_verdict(99.0, 10.0, 1, cfg, b, (1, 2)).attacked
-    assert not envelope_verdict(98.0, 10.0, 1, cfg, b, (1, 2)).attacked
+    assert envelope_verdict(99.0, 10.0, 1, cfg, b) > 1.0
+    assert envelope_verdict(98.0, 10.0, 1, cfg, b) <= 1.0
 
 
 def test_envelope_verdict_degenerate_reference():
     cfg = EnvelopeConfig()
     b = StateBounds(-1.0, 1.0)
-    assert not envelope_verdict(0.0, 0.0, 3, cfg, b, (0, 1)).attacked
-    v = envelope_verdict(1.0, 0.0, 3, cfg, b, (0, 1))
-    assert v.attacked and math.isinf(v.statistic)
+    assert envelope_verdict(0.0, 0.0, 3, cfg, b) == 0.0
+    assert math.isinf(envelope_verdict(1.0, 0.0, 3, cfg, b))
+    with np.errstate(all="raise"):
+        ratios = envelope_verdict(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]), 3, cfg, b)
+    assert ratios[0] == 0.0 and math.isinf(ratios[1]) and 0.0 < ratios[2] < 1.0
     with pytest.raises(ValueError, match="nonnegative"):
-        envelope_verdict(-1.0, 1.0, 3, cfg, b, (0, 1))
+        envelope_verdict(-1.0, 1.0, 3, cfg, b)
 
 
 # --- lemma 1 ----------------------------------------------------------------

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maswatch.attacks import AttackScenario
-from maswatch.detectors import FactorMode, KlEstimator
+from maswatch.detectors import envelope_verdict
 from maswatch.dynamics import StateBounds
 from maswatch.harness import (
     RunReport,
+    Scenario,
     ScenarioError,
     export_report,
     load_scenario,
@@ -130,8 +135,10 @@ def _channel_attack(**fields):
         (lambda d: d["detectors"]["kl"].update(theta=math.nan), "detectors.kl.theta"),
         (lambda d: d["controller"].update(noise_var=math.inf), "controller.noise_var"),
         (lambda d: d["run"].update(trials=True), "run.trials"),
+        (lambda d: d["detectors"]["kl"].update(estimator="histogram"), "detectors.kl.estimator"),
+        (lambda d: d["detectors"]["envelope"].update(factor_mode="proposition3"), "detectors.envelope.factor_mode"),
     ],
-    ids=["window", "edge", "budget", "theta_nan", "noise_var_inf", "trials_bool"],
+    ids=["window", "edge", "budget", "theta_nan", "noise_var_inf", "trials_bool", "estimator", "factor_mode"],
 )
 def test_bad_input_raises_scenario_error_with_path(edit, path):
     doc = small_doc()
@@ -139,6 +146,91 @@ def test_bad_input_raises_scenario_error_with_path(edit, path):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(json.loads(json.dumps(doc)))
     assert err.value.path == path
+
+
+# Values a mutation may write: usually one of the JSON type it replaces
+# (NaN and inf included, and the names the loader dispatches on), else
+# any small JSON value. Integers stay small because an agent count
+# beyond addressable memory is refused by numpy, not by the loader, and
+# may exhaust memory first.
+_names = st.sampled_from(["sin", "ramp", "const", "companion", "frozen_state", "per_neighbor_random", "histogram"])
+_numbers = st.booleans() | st.integers(-3, 40) | st.floats()
+_json_leaf = st.none() | _numbers | st.text(max_size=3) | _names
+_json_value = st.recursive(
+    _json_leaf, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6
+)
+
+
+def _replacement(value):
+    if isinstance(value, str):
+        same = st.text(max_size=3) | _names
+    elif isinstance(value, (bool, int, float)):
+        same = _numbers
+    elif isinstance(value, list):
+        same = st.lists(_json_leaf, max_size=4)
+    else:
+        same = st.dictionaries(st.text(max_size=3), _json_leaf, max_size=3)
+    return same | _json_value
+
+
+def _nodes(node, prefix=()):
+    """(container path, key) of every value below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix, key
+        yield from _nodes(child, prefix + (key,))
+
+
+def _attacked_small_doc() -> dict:
+    doc = small_doc()
+    doc["attacks"]["channel"] = [_channel_attack(window=[2, 5])]
+    doc["attacks"]["byzantine"] = [{"agent": 1, "window": [3, None], "kind": "constant_offset", "offset": [1.0, 0.0]}]
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from([(_attacked_small_doc, None), (preset_doc, None), (preset_doc, "hybrid")]),
+    data=st.data(),
+)
+def test_scenario_from_dict_returns_scenario_or_scenario_error(base, data):
+    make, variant = base
+    doc = make()
+    for _ in range(data.draw(st.integers(1, 3))):
+        prefix, key = data.draw(st.sampled_from(list(_nodes(doc))))
+        parent = functools.reduce(operator.getitem, prefix, doc)
+        if data.draw(st.integers(0, 3)):
+            parent[key] = data.draw(_replacement(parent[key]))
+        else:
+            del parent[key]
+    try:
+        assert isinstance(scenario_from_dict(doc, variant=variant), Scenario)
+    except ScenarioError:
+        pass
+
+
+# Faults written to each field in turn: deletion, then wrong types,
+# signs and sizes, NaN and inf.
+_DELETE = "<delete>"
+_FAULTS = (_DELETE, None, True, -1, 0, 2, 0.5, -0.5, math.nan, math.inf, "x", "sin", [], [0], [[1, 0]], {})
+
+
+@pytest.mark.parametrize("make, variant", [(_attacked_small_doc, None), (preset_doc, "hybrid")], ids=["small", "preset"])
+def test_every_single_field_fault_gives_scenario_or_scenario_error(make, variant):
+    for prefix, key in _nodes(make()):
+        for fault in _FAULTS:
+            doc = make()
+            parent = functools.reduce(operator.getitem, prefix, doc)
+            if fault is _DELETE:
+                del parent[key]
+            else:
+                parent[key] = fault
+            try:
+                assert isinstance(scenario_from_dict(doc, variant=variant), Scenario)
+            except ScenarioError:
+                pass
+            except Exception as err:  # noqa: BLE001 - report which field let it through
+                pytest.fail(f"{'.'.join(map(str, prefix + (key,)))} <- {fault!r}: {err!r}")
 
 
 def test_load_scenario_file_errors(tmp_path):
@@ -163,11 +255,9 @@ def test_platoon_preset_parameters():
     assert s.topology.n_edges == 11
     assert s.model.A[2, 2] == pytest.approx(1.0 - 1.0 / 1.2)
     assert s.kl.theta == 4.61
-    assert s.kl.estimator is KlEstimator.GAUSSIAN_FIT
     assert s.envelope.M_r == 100.0
     assert s.envelope.phi == 0.16
     assert s.envelope.delta == 6.0
-    assert s.envelope.factor_mode is FactorMode.ALGORITHM2
     assert s.watermark.lambda1 == 2.0 and s.watermark.lambda2 == 5.0
     assert s.watermark.sigma2_m1 == 7.2 and s.watermark.sigma2_m2 == 4.3
     assert s.watermark.sigma2_f1 == 2.0 and s.watermark.sigma2_f2 == 3.5
@@ -241,6 +331,63 @@ def test_kl_detector_is_silent_below_min_samples():
         stats[trials] = (r.kl_stats, r.kl_attacked)
     assert not stats[2][0].any() and not stats[2][1].any()
     assert stats[6][1][0].all()
+
+
+@pytest.mark.parametrize("horizon, edges", [(0, None), (8, [])], ids=["no_steps", "no_edges"])
+def test_run_monte_carlo_with_an_empty_axis(tmp_path, horizon, edges):
+    doc = small_doc(horizon=horizon)
+    if edges is not None:
+        doc["topology"]["edges"] = edges
+    r = run_monte_carlo(scenario_from_dict(doc))
+    E, K = len(doc["topology"]["edges"]), horizon
+    assert r.kl_stats.shape == (E, K) and r.kl_attacked.shape == (E, K)
+    assert r.residuals.shape == (2, E, K) and r.env_stats.shape == (2, E, K)
+    assert r.env_tested.shape == (E, K)
+    assert r.flags.shape == (K, E, 2) and len(r.classifications) == K
+    for p in export_report(r, tmp_path):
+        if p.name in ("kl_trace.csv", "residual_trace.csv", "envelope_trace.csv", "flags.csv"):
+            assert len(p.read_text().splitlines()) == 1
+
+
+def _tampered_run(window):
+    doc = small_doc()
+    tamper = {"xi1": {"kind": "const", "coeffs": [0.5, 0.5]}, "lam1": {"kind": "const", "coeffs": [5.0, 5.0]}}
+    doc["attacks"]["channel"] = [_channel_attack(window=window, **tamper)]
+    return run_monte_carlo(scenario_from_dict(doc))
+
+
+def test_envelope_reference_freezes_at_the_first_clean_step():
+    r = _tampered_run([1, 4])  # edge (0, 1), index 0, tampered on steps 1-3
+    assert r.kl_attacked[0].tolist() == [True] * 3 + [False] * 5
+    assert r.env_tested[0].tolist() == [False] * 4 + [True] * 4
+    # the step-by-step rule: freeze at the first step without a KL alarm,
+    # test every later step against that reference
+    s = r.scenario
+    for e in range(s.topology.n_edges):
+        ref = None
+        for k in range(1, s.horizon + 1):
+            assert r.env_tested[e, k - 1] == (ref is not None)
+            for c in range(2):
+                want = 0.0 if ref is None else envelope_verdict(r.residuals[c, e, k - 1], ref[c], k, s.envelope, r.bounds_used)
+                assert r.env_stats[c, e, k - 1] == want
+            if ref is None and not r.kl_attacked[e, k - 1]:
+                ref = r.residuals[:, e, k - 1]
+
+    always = _tampered_run([1, None])
+    assert always.kl_attacked[0].all()
+    assert not always.env_tested[0].any()
+    assert not always.env_stats[:, 0].any()
+    assert (always.flags[:, 0] == (1, 2)).all()
+
+
+def test_time_to_detect_stays_inside_the_window():
+    doc = small_doc()
+    identity = {"xi1": {"kind": "const", "coeffs": [1.0, 1.0]}, "xi2": {"kind": "const", "coeffs": [1.0, 1.0]}}
+    doc["attacks"]["channel"] = [_channel_attack(window=[3, 5], **identity)]
+    summary = run_monte_carlo(scenario_from_dict(doc)).summary
+    assert summary["kl_detection_rate"] == 0.0
+    # the first normal step after the window is not a detection
+    assert summary["ttd_channel_0_1"] == -1.0
 
 
 # --- sweep ------------------------------------------------------------------

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import itertools
 
-import pytest
+import numpy as np
 
-from maswatch.detectors import EdgeVerdict
 from maswatch.graph import build_topology
 from maswatch.hybrid import (
     FLAG_VALUES,
@@ -30,27 +29,21 @@ def _topology():
     return build_topology(7, PLATOON_EDGES)
 
 
-def _verdict(edge, attacked, detector="kl", k=5):
-    return EdgeVerdict(
-        edge=edge,
-        step=k,
-        detector=detector,
-        statistic=10.0 if attacked else 0.0,
-        decision="attacked" if attacked else "secure",
-    )
+def _mask(t, attacked):
+    """(E,) alarm vector in edge order, True on the edges attacked() picks."""
+    return np.array([attacked(e) for e in t.edges])
+
+
+def _labels(t, labels):
+    return dict(zip(t.edges, labels))
 
 
 def test_local_detect():
-    clean = _verdict((5, 2), False)
-    alarm = _verdict((5, 2), True)
-    env_ok = (_verdict((5, 2), False, "envelope1"), _verdict((5, 2), False, "envelope2"))
-    env_bad = (_verdict((5, 2), False, "envelope1"), _verdict((5, 2), True, "envelope2"))
-    assert local_detect(clean, env_ok) == FlagPair(0, 0)
-    assert local_detect(clean, env_bad) == FlagPair(0, 1)
+    assert local_detect(False, False) == FlagPair(0, 0)
+    assert local_detect(False, True) == FlagPair(0, 1)
     # a channel alarm hides whatever the residual would have said
-    assert local_detect(alarm, env_bad) == FlagPair(1, 2)
-    assert local_detect(alarm, env_ok) == FlagPair(1, 2)
-    assert local_detect(clean, None) == FlagPair(0, 0)
+    assert local_detect(True, True) == FlagPair(1, 2)
+    assert local_detect(True, False) == FlagPair(1, 2)
 
 
 def test_classify_table():
@@ -73,11 +66,11 @@ def test_classify_total_over_flag_domain():
 
 
 def test_flag_board_initial():
-    board = FlagBoard.initial(_topology())
-    assert board.step == 0
-    assert len(board.flags) == len(PLATOON_EDGES)
+    board = FlagBoard(step=0)
     assert board.get(2, 5) == INITIAL_FLAG
-    # unknown pairs also read as uninitialized
+    board.flags[(2, 5)] = FlagPair(0, 0)
+    assert board.get(2, 5) == FlagPair(0, 0)
+    # pairs never set, edges or not, read as uninitialized
     assert board.get(6, 3) == INITIAL_FLAG
 
 
@@ -110,42 +103,40 @@ def test_select_trusted_requires_two_hop():
 
 def test_run_protocol_step_channel_only():
     t = _topology()
-    chan = {e: _verdict(e, e == (5, 2)) for e in t.edges}
-    env = {e: (_verdict(e, False, "envelope1"), _verdict(e, False, "envelope2")) for e in t.edges}
-    board, labels = run_protocol_step(7, chan, env, t)
-    assert board.flags[(2, 5)] == FlagPair(1, 2)
-    assert labels[(5, 2)] is Classification.CHANNEL_ONLY
-    assert labels[(1, 2)] is Classification.NORMAL
-    assert set(labels) == set(t.edges)
+    chan = _mask(t, lambda e: e == (5, 2))
+    flags, labels = run_protocol_step(7, chan, _mask(t, lambda e: False), t)
+    assert flags.shape == (len(t.edges), 2)
+    assert tuple(flags[t.edge_index(5, 2)]) == (1, 2)
+    assert tuple(flags[t.edge_index(1, 2)]) == (0, 0)
+    by_edge = _labels(t, labels)
+    assert by_edge[(5, 2)] is Classification.CHANNEL_ONLY
+    assert by_edge[(1, 2)] is Classification.NORMAL
+    assert len(labels) == len(t.edges)
 
 
 def test_run_protocol_step_hybrid():
     t = _topology()
-    chan = {e: _verdict(e, e == (5, 2)) for e in t.edges}
-    env = {
-        e: (
-            _verdict(e, False, "envelope1"),
-            _verdict(e, e[0] == 5 and e != (5, 2), "envelope2"),
-        )
-        for e in t.edges
-    }
-    board, labels = run_protocol_step(5, chan, env, t)
+    chan = _mask(t, lambda e: e == (5, 2))
     # relays 1, 3, 4 all see agent 5's residual break the envelope
-    assert board.flags[(1, 5)] == FlagPair(0, 1)
-    assert labels[(5, 2)] is Classification.HYBRID
-    assert labels[(5, 1)] is Classification.BYZANTINE_ONLY
+    env = _mask(t, lambda e: e[0] == 5 and e != (5, 2))
+    flags, labels = run_protocol_step(5, chan, env, t)
+    assert tuple(flags[t.edge_index(5, 1)]) == (0, 1)
+    by_edge = _labels(t, labels)
+    assert by_edge[(5, 2)] is Classification.HYBRID
+    assert by_edge[(5, 1)] is Classification.BYZANTINE_ONLY
 
 
 def test_run_protocol_step_undecidable_without_relay():
     t = _topology()
-    chan = {e: _verdict(e, e == (0, 6)) for e in t.edges}
-    env = {e: (_verdict(e, False, "envelope1"), _verdict(e, False, "envelope2")) for e in t.edges}
-    _, labels = run_protocol_step(4, chan, env, t)
-    assert labels[(0, 6)] is Classification.UNDECIDABLE
+    chan = _mask(t, lambda e: e == (0, 6))
+    _, labels = run_protocol_step(4, chan, _mask(t, lambda e: False), t)
+    assert _labels(t, labels)[(0, 6)] is Classification.UNDECIDABLE
 
 
 def test_run_protocol_step_missing_envelope_counts_clean():
+    # an edge without an envelope reference raises no envelope alarm
     t = _topology()
-    chan = {e: _verdict(e, False) for e in t.edges}
-    _, labels = run_protocol_step(1, chan, {}, t)
-    assert all(v is Classification.NORMAL for v in labels.values())
+    none = _mask(t, lambda e: False)
+    flags, labels = run_protocol_step(1, none, none, t)
+    assert not flags.any()
+    assert all(v is Classification.NORMAL for v in labels)
