@@ -12,10 +12,8 @@ from .attacks import (
     active_attacks,
     activity,
     byzantine_emit,
-    stealth_admissible_set,
     tamper_channel,
     validate_attacks,
-    validate_stealth,
 )
 from .detectors import (
     EnvelopeConfig,
@@ -33,7 +31,6 @@ from .dynamics import (
     AgentModel,
     ControllerParams,
     StateBounds,
-    companion_gains,
     companion_model,
     compute_control,
     compute_state_bounds,
@@ -79,6 +76,5 @@ from .watermark import (
     WatermarkDraw,
     WatermarkParams,
     apply_watermark,
-    identity_draw,
     remove_watermark,
 )

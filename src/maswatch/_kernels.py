@@ -15,8 +15,8 @@ Array shapes, with T trials, K steps, N agents, E edges, n state dims:
     edge_src, edge_dst (E,) int64   edge_w (E,)
     W, M1, M2, F1, F2, byz_rand (T, K, E, n), each step's (E, n)
                          block contiguous; M1..F2 may be strided views of
-                         one (T, K, 4, E, n) slab, and unused material a
-                         read-only broadcast of 0 or 1
+                         one (T, K, 4, E, n) slab, and unused material
+                         (W, byz_rand) a read-only broadcast of 0
     chan_mask (K, E) bool   Xi1, Lam1, Xi2, Lam2 (K, E, n)
     byz_mask (K, E) bool    byz_kind (K, E) i1   byz_coeff (K, E, n)
     states (T, K+1, N, n) out       ys1, ys2 (T, K, E, n) out
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-BYZ_NONE = 0
+# byz_kind codes; 0 marks a step and edge without a Byzantine behavior.
 BYZ_CONST = 1
 BYZ_RAMP = 2
 BYZ_FROZEN = 3

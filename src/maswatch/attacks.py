@@ -8,14 +8,7 @@ its step window:
 with schedules Xi, Lam drawn from small named templates. A Byzantine
 agent instead lies at the source: it watermarks honestly but feeds a
 corrupted state into its outgoing messages, so the watermark
-round-trip stays exact and only the residual detector can see it.
-
-Stealthiness against a plain consensus monitor constrains the
-schedules through the nominal state range [eps1, eps2]: the
-multiplier must stay in [-1, 1] and the offset inside the interval
-determined by the signs of the bounds. The validator only warns the
-caller; injection proceeds regardless so that detector experiments
-can use non-stealthy attacks too.
+round-trip stays clean and only the residual detector can see it.
 
 activity() is the one source of attack ground truth: (K, E) masks of
 the steps at which each edge's channel is tampered with and its sender
@@ -29,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import StateBounds
 from .graph import LocalAttackBudget, Topology
 from .watermark import MessageSet
 
@@ -156,52 +148,6 @@ class AttackScenario:
         object.__setattr__(self, "byzantine", tuple(self.byzantine))
 
 
-def stealth_admissible_set(b: StateBounds) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Admissible (Xi, Lam) component ranges for the bounds b.
-
-    The multiplier range is always [-1, 1]. The offset range keeps the
-    tampered value inside the nominal state envelope:
-      eps1 > 0       -> [0, eps1 + eps2]
-      eps2 < 0       -> [eps1 + eps2, 0]
-      eps1 <= 0 <= eps2 -> [eps1, eps2]
-    """
-    xi = (-1.0, 1.0)
-    if b.eps1 > 0:
-        lam = (0.0, b.eps1 + b.eps2)
-    elif b.eps2 < 0:
-        lam = (b.eps1 + b.eps2, 0.0)
-    else:
-        lam = (b.eps1, b.eps2)
-    return xi, lam
-
-
-def validate_stealth(
-    a: ChannelAttack, b: StateBounds, horizon: int
-) -> tuple[bool, list[tuple[int, str, float]]]:
-    """Check every in-window step of a against the admissible set.
-
-    Returns (ok, violations) where each violation is (step, field,
-    value). The caller decides whether to warn or reject; a detector
-    experiment may well want a non-stealthy attack.
-    """
-    (xi_lo, xi_hi), (lam_lo, lam_hi) = stealth_admissible_set(b)
-    start, stop = a.window
-    stop = horizon + 1 if stop is None else min(stop, horizon + 1)
-    bad = []
-    for k in range(start, stop):
-        for name, sched, lo, hi in (
-            ("xi1", a.xi1, xi_lo, xi_hi),
-            ("xi2", a.xi2, xi_lo, xi_hi),
-            ("lam1", a.lam1, lam_lo, lam_hi),
-            ("lam2", a.lam2, lam_lo, lam_hi),
-        ):
-            vals = sched.eval(k)
-            for v in np.atleast_1d(vals):
-                if not lo <= v <= hi:
-                    bad.append((k, name, float(v)))
-    return (not bad, bad)
-
-
 def tamper_channel(ms: MessageSet, a: ChannelAttack, k: int) -> MessageSet:
     """Apply the attack to one message set; identity outside the window."""
     if not a.active(k):
@@ -283,11 +229,13 @@ def validate_attacks(
     channels. Returns the first offending (agent, step), or None when
     the budget holds.
 
-    The cost does not grow with the horizon. Overlaps come from the
-    windows in closed form. The budget is checked at step 1 and at
-    each window start: between those steps the active set only loses
-    attacks, so no count can rise and the first offending step is
-    always one of them.
+    The cost grows with neither the horizon nor the agent count.
+    Overlaps come from the windows in closed form. The budget is
+    checked at step 1 and at each window start: between those steps the
+    active set only loses attacks, so no count can rise and the first
+    offending step is always one of them. At each such step only the
+    receivers of attacked edges and the out-neighbors of Byzantine
+    agents can exceed a budget; every other agent counts zero.
     """
     for a in s.channel:
         if a.edge not in t.edges:
@@ -309,7 +257,8 @@ def validate_attacks(
     for k in sorted(k for k in starts if k <= horizon):
         chan_k, byz_k = active_attacks(s, k)
         byz_agents = {b.agent for b in byz_k}
-        for i in range(t.n_agents):
+        exposed = {a.edge[1] for a in chan_k} | {i for j in byz_agents for i in t.out_neighbors(j)}
+        for i in sorted(exposed):
             n_byz = sum(1 for j in t.in_neighbors(i) if j in byz_agents)
             if n_byz > s.budget.max_byzantine_neighbors:
                 return (i, k)

@@ -20,7 +20,6 @@ square-summable while the gain itself is not summable.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +80,8 @@ class ControllerParams:
 class StateBounds:
     """Componentwise state range over a nominal run, eps1 <= x_l(k) <= eps2.
 
-    This is the knowledge granted to the attacker when reasoning about
-    stealthiness, and it feeds the residual detector's norm inequality.
+    It sets the norm-splitting factor of the residual detector's
+    threshold (detectors.envelope_factor).
     """
 
     eps1: float
@@ -120,45 +119,6 @@ def platoon_model(delta: float = 1.2, T: float = 1.0) -> AgentModel:
         raise ValueError("delta and T must be positive")
     a = np.eye(3) + T * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0 / delta]])
     return AgentModel(a, np.array([0.0, 0.0, 1.0]))
-
-
-def companion_gains(rho, b) -> tuple[np.ndarray, np.ndarray]:
-    """Gain pair for the companion model.
-
-    K1 cancels the open-loop row and re-inserts the target coefficients
-    so A + B K1 keeps a single eigenvalue at one (the consensus
-    direction) with the rest placed by the b polynomial:
-
-        K1 = [-rho_1 + b_1, -rho_2 + b_2 - b_1, ..., -rho_n - b_{n-1} + 1]
-        K2 = [b_1, ..., b_{n-1}, 1]
-
-    The roots of s^{n-1} + b_{n-1} s^{n-2} + ... + b_1 must lie inside
-    the unit circle; a violation is reported as a warning and the gains
-    are still returned.
-    """
-    rho = np.asarray(rho, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    n = rho.shape[0]
-    if b.shape[0] != n - 1:
-        raise ValueError(f"need {n - 1} b-coefficients for order {n}")
-    k1 = np.empty(n)
-    k1[0] = -rho[0] + (b[0] if n > 1 else 1.0)
-    for r in range(1, n - 1):
-        k1[r] = -rho[r] + b[r] - b[r - 1]
-    if n > 1:
-        k1[n - 1] = -rho[n - 1] - b[n - 2] + 1.0
-    k2 = np.concatenate([b, [1.0]])
-    if n > 1:
-        # roots of s^{n-1} + b_{n-1} s^{n-2} + ... + b_1
-        poly = np.concatenate([[1.0], b[::-1]])
-        roots = np.roots(poly)
-        if np.any(np.abs(roots) >= 1.0):
-            warnings.warn(
-                "b polynomial has roots on or outside the unit circle; "
-                "the follower error dynamics will not contract",
-                stacklevel=2,
-            )
-    return k1, k2
 
 
 def noise_gain(k: int, p: ControllerParams) -> float:

@@ -21,8 +21,9 @@ Random material of a chunk of T trials, K steps, E edges, n dims:
     slabs    noise W (T, K, E, n); watermark z (T, K, 4, E, n), turned
              into M1, M2, F1, F2 = z[:, :, r] by one in-place
              watermark_blocks call; byz_rand (T, K, E, n) only when a
-             per_neighbor_random edge exists. Unused material is a
-             broadcast 0 or 1, never a slab.
+             per_neighbor_random edge exists. Unused material (noise
+             at zero variance, byz_rand without such an edge) is a
+             broadcast 0, never a slab.
 
 Bit-compatibility invariant: stream (trial, j, i, tag) draws exactly the
 numbers of default_rng(SeedSequence([master_seed, trial, j, i, tag])),
@@ -88,15 +89,6 @@ class SimData:
     states: np.ndarray
     ystar1: np.ndarray
     ystar2: np.ndarray
-    topology: Topology
-
-    @property
-    def trials(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[1] - 1
 
 
 def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int):
@@ -158,7 +150,6 @@ def _pregenerate(
     master_seed: int,
     noise_var: float,
     wm: WatermarkParams,
-    identity_watermark: bool,
     rand_edges: np.ndarray,
     rand_scale: np.ndarray,
 ):
@@ -166,9 +157,8 @@ def _pregenerate(
 
     M1..F2 are the views z[:, :, r] of one (T, K, 4, E, n) slab that
     watermark_blocks transforms in place. Material a run does not use
-    (noise at zero variance, watermarks on the identity path, byz_rand
-    without a per_neighbor_random edge) is a read-only broadcast of 0
-    or 1, not a slab.
+    (noise at zero variance, byz_rand without a per_neighbor_random
+    edge) is a read-only broadcast of 0, not a slab.
     """
     shape = (trial_ids.shape[0], horizon, t.n_edges, n)
     zeros = np.broadcast_to(0.0, shape)
@@ -177,13 +167,9 @@ def _pregenerate(
         W = np.empty(shape)
         _draw_streams(W, master_seed, trial_ids, t.edges, STREAM_NOISE)
         W *= np.sqrt(noise_var)
-    if identity_watermark:
-        ones = np.broadcast_to(1.0, shape)
-        M1, M2, F1, F2 = ones, ones, zeros, zeros
-    else:
-        z = np.empty(shape[:2] + (4,) + shape[2:])
-        _draw_streams(z, master_seed, trial_ids, t.edges, STREAM_WATERMARK)
-        M1, M2, F1, F2 = watermark_blocks(z, wm)
+    z = np.empty(shape[:2] + (4,) + shape[2:])
+    _draw_streams(z, master_seed, trial_ids, t.edges, STREAM_WATERMARK)
+    M1, M2, F1, F2 = watermark_blocks(z, wm)
     byz_rand = zeros
     if rand_edges.any():
         rows = np.flatnonzero(rand_edges)
@@ -203,7 +189,6 @@ def simulate(
     trials: int,
     master_seed: int,
     init_states: np.ndarray,
-    identity_watermark: bool = False,
     workers: int | None = None,
 ) -> SimData:
     """Run the full Monte Carlo batch and return the raw slabs."""
@@ -232,7 +217,7 @@ def simulate(
     ys2 = np.zeros((trials, K, E, n))
     if K == 0:
         states[:, 0] = init_states
-        return SimData(states=states, ystar1=ys1, ystar2=ys2, topology=t)
+        return SimData(states=states, ystar1=ys1, ystar2=ys2)
     *schedules, rand_edges, rand_scale = _schedule_arrays(t, attacks, K, n)
     ak = np.array([noise_gain(k, ctrl) for k in range(K + 1)])
     edge_src = np.array([j for j, _ in t.edges], dtype=np.int64)
@@ -248,7 +233,6 @@ def simulate(
             master_seed,
             ctrl.noise_var,
             wm,
-            identity_watermark,
             rand_edges,
             rand_scale,
         )
@@ -281,4 +265,4 @@ def simulate(
     else:
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             list(pool.map(run_chunk, chunks))
-    return SimData(states=states, ystar1=ys1, ystar2=ys2, topology=t)
+    return SimData(states=states, ystar1=ys1, ystar2=ys2)

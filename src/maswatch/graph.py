@@ -50,10 +50,6 @@ class Topology:
     _out: dict[int, tuple[int, ...]] = field(repr=False, compare=False, default_factory=dict)
 
     @property
-    def n_followers(self) -> int:
-        return self.n_agents - 1
-
-    @property
     def n_edges(self) -> int:
         return len(self.edges)
 
@@ -62,9 +58,6 @@ class Topology:
 
     def out_neighbors(self, j: int) -> tuple[int, ...]:
         return self._out.get(j, ())
-
-    def has_edge(self, j: int, i: int) -> bool:
-        return (j, i) in set(self.edges)
 
     def edge_index(self, j: int, i: int) -> int:
         return self.edges.index((j, i))

@@ -71,7 +71,6 @@ class Scenario:
     model: AgentModel
     controller: ControllerParams
     watermark: WatermarkParams
-    watermark_identity: bool
     kl: KlDetectorConfig
     envelope: EnvelopeConfig
     bounds: StateBounds | None
@@ -282,21 +281,22 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         noise_var=_num(sec, "noise_var", p, 0.0),
     )
 
-    sec, p = _section(doc, "watermark")
+    wmsec, wmp = _section(doc, "watermark")
     keys = ("lambda1", "lambda2", "sigma2_m1", "sigma2_m2", "sigma2_f1", "sigma2_f2")
-    wm = _build(p, WatermarkParams, **{key: _num(sec, key, p) for key in keys})
-    wm_identity = _get(sec, "identity", p, bool, default=False)
+    wm = _build(wmp, WatermarkParams, **{key: _num(wmsec, key, wmp) for key in keys})
 
     sec, p = _section(doc, "detectors")
     klsec, klp = _section(sec, "kl", p)
     envsec, envp = _section(sec, "envelope", p)
     # Retired settings: a document may still name their one remaining value.
     for rsec, rpath, key, only in (
+        (wmsec, wmp, "identity", False),
         (klsec, klp, "estimator", "gaussian_fit"),
         (envsec, envp, "factor_mode", "algorithm2"),
     ):
-        if rsec.get(key, only) != only:
-            raise ScenarioError(f"{rpath}.{key}", f"only {only!r} is supported, got {rsec[key]!r}")
+        value = rsec.get(key, only)
+        if type(value) is not type(only) or value != only:
+            raise ScenarioError(f"{rpath}.{key}", f"only {only!r} is supported, got {value!r}")
     kl_cfg = _build(
         klp,
         KlDetectorConfig,
@@ -343,9 +343,12 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
     else:
         leader_ref = _vector(_get(init, "leader", ip, list), f"{ip}.leader", n)
         spacing = _num(init, "spacing", ip)
-        init_states = np.tile(np.array(leader_ref), (n_agents, 1))
-        for i in range(1, n_agents):
-            init_states[i, 0] += spacing * i
+        try:
+            init_states = np.tile(np.array(leader_ref), (n_agents, 1))
+            init_states[1:, 0] += spacing * np.arange(1, n_agents)
+        except (ValueError, MemoryError):
+            # numpy refuses an (n_agents, n) array beyond addressable memory.
+            raise ScenarioError("topology.n_agents", f"{n_agents} agents x {n} state components cannot be allocated") from None
 
     try:
         offender = validate_attacks(attacks, topology, horizon)
@@ -363,7 +366,6 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         model=model,
         controller=controller,
         watermark=wm,
-        watermark_identity=wm_identity,
         kl=kl_cfg,
         envelope=env_cfg,
         bounds=bounds,
@@ -434,7 +436,7 @@ def platoon_preset(variant: str | None = None) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_scenario(s: Scenario, workers=None, identity=None) -> SimData:
+def _simulate_scenario(s: Scenario, workers=None) -> SimData:
     """simulate(s); a batch too large to allocate is a ScenarioError on run."""
     t = s.topology
     # Bytes of the output slabs. numpy refuses an array of more than
@@ -453,7 +455,6 @@ def _simulate_scenario(s: Scenario, workers=None, identity=None) -> SimData:
                 s.trials,
                 s.master_seed,
                 s.init_states,
-                identity_watermark=s.watermark_identity if identity is None else identity,
                 workers=workers,
             )
     except MemoryError:
@@ -597,15 +598,19 @@ def transient_sweep(
     """Transient false-alarm probe across initial error scales.
 
     For each scale the follower offsets from the leader are multiplied
-    by the scale and the attack-free system simulated. Two statistics
-    are evaluated at the probe step, each maximized over edges:
+    by the scale and the attack-free system simulated once. Two
+    statistics are evaluated on that trajectory at the probe step, each
+    maximized over edges:
 
       watermark_kl: the channel detector's KL between recovered copies
-      ablation_kl:  a single-copy, no-watermark consensus detector,
-                    the KL between the fitted residual (y - x_i)
-                    distribution and the nominal N(0, sigma_1^2 I)
+      ablation_kl:  the consensus-residual detector, which reads one
+                    copy and ignores the watermark: the KL between the
+                    fitted residual (ystar1 - x_i) distribution and the
+                    nominal N(0, sigma_1^2 I)
 
-    The watermark statistic is transient-blind by construction; the
+    On a clean channel the recovered copy equals plaintext plus noise up
+    to round-off, so the residual is the one an unwatermarked run would
+    see. The watermark statistic is transient-blind by construction; the
     ablation statistic grows with the initial disagreement.
     """
     if probe_step < 1:
@@ -619,7 +624,6 @@ def transient_sweep(
         if probe_step > scen.horizon:
             raise ValueError(f"probe step {probe_step} beyond horizon {scen.horizon}")
         sim = _simulate_scenario(scen, workers=workers)
-        ablation_sim = _simulate_scenario(scen, workers=workers, identity=True)
         edge_dst = [i for _, i in s.topology.edges]
         wm_kl = 0.0
         ab_kl = 0.0
@@ -632,10 +636,7 @@ def transient_sweep(
                     s.kl,
                 ),
             )
-            resid = (
-                ablation_sim.ystar1[:, probe_step - 1, e, :]
-                - ablation_sim.states[:, probe_step - 1, edge_dst[e], :]
-            )
+            resid = sim.ystar1[:, probe_step - 1, e, :] - sim.states[:, probe_step - 1, edge_dst[e], :]
             mu = resid.mean(axis=0)
             var = np.maximum(resid.var(axis=0), 1e-30)
             nominal_var = max(s.controller.noise_var, 1e-30)

@@ -38,8 +38,6 @@ class FlagPair(NamedTuple):
 
 INITIAL_FLAG = FlagPair(2, 2)
 
-FLAG_VALUES = (0, 1, 2)
-
 
 class Classification(enum.Enum):
     NORMAL = "normal"

@@ -12,8 +12,10 @@ and the receiver undoes it with
 
 where the stored diagonal is m_r = lambda_r + M_r^2 with
 M_r ~ N(0, sigma_Mr^2) drawn fresh per component and step, and
-F_r ~ N(0, sigma_Fr^2). Round-trip is exact on a clean channel. A
-channel attack ybar -> Xi * ybar + Lam leaks through removal as
+F_r ~ N(0, sigma_Fr^2). On a clean channel the round trip returns the
+plaintext up to float64 round-off, so a recovered copy also carries
+the consensus residual an unwatermarked message would. A channel
+attack ybar -> Xi * ybar + Lam leaks through removal as
 
     ystar_r = Xi ytilde + m_r * ((Xi - 1) F_r + Lam)
 
@@ -78,10 +80,6 @@ class WatermarkDraw:
     m2: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.m1.shape[0]
 
 
 @dataclass(frozen=True)
@@ -227,17 +225,6 @@ def watermark_blocks(z: np.ndarray, params: WatermarkParams) -> tuple[np.ndarray
     return m1, m2, f1, f2
 
 
-def identity_draw(n: int) -> WatermarkDraw:
-    """Pass-through material (m = 1, F = 0): the identity-watermark path.
-
-    Deliberately violates the m > lambda_r invariant of real draws;
-    apply/remove become the identity.
-    """
-    one = np.ones(n)
-    zero = np.zeros(n)
-    return WatermarkDraw(m1=one, m2=one, f1=zero, f2=zero)
-
-
 def apply_watermark(plain: np.ndarray, draw: WatermarkDraw) -> MessageSet:
     """Mask one plaintext vector into its two transmitted copies."""
     plain = np.asarray(plain, dtype=float)
@@ -247,7 +234,7 @@ def apply_watermark(plain: np.ndarray, draw: WatermarkDraw) -> MessageSet:
 
 
 def remove_watermark(ms: MessageSet, draw: WatermarkDraw) -> tuple[np.ndarray, np.ndarray]:
-    """Undo both masks; exact round-trip when the channel was clean."""
+    """Undo both masks; the plaintext up to round-off when the channel was clean."""
     y1 = draw.m1 * (np.asarray(ms.y1, dtype=float) - draw.f1)
     y2 = draw.m2 * (np.asarray(ms.y2, dtype=float) - draw.f2)
     return y1, y2

@@ -1,4 +1,4 @@
-"""Agent models, gain synthesis and the tracking metric."""
+"""Agent models, the consensus controller and the tracking metric."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from maswatch.dynamics import (
     AgentModel,
     ControllerParams,
     StateBounds,
-    companion_gains,
     companion_model,
     compute_control,
     compute_state_bounds,
@@ -53,33 +52,6 @@ def test_platoon_model_values():
     assert np.array_equal(m.B, [0, 0, 1])
     with pytest.raises(ValueError):
         platoon_model(delta=0.0)
-
-
-def test_companion_gains_second_order():
-    k1, k2 = companion_gains([0.0, 0.0], [0.5])
-    assert np.allclose(k1, [0.5, 0.5])
-    assert np.allclose(k2, [0.5, 1.0])
-    # closed loop keeps the consensus eigenvalue at 1, places the rest by b
-    m = companion_model([0.0, 0.0])
-    eigs = np.sort(np.linalg.eigvals(m.A + np.outer(m.B, k1)).real)
-    assert np.allclose(eigs, [-0.5, 1.0])
-
-
-def test_companion_gains_first_order():
-    k1, k2 = companion_gains([0.7], [])
-    assert np.allclose(k1, [0.3])
-    assert np.allclose(k2, [1.0])
-    assert 0.7 + k1[0] == pytest.approx(1.0)
-
-
-def test_companion_gains_warn_on_unstable_b():
-    with pytest.warns(UserWarning, match="unit circle"):
-        companion_gains([0.0, 0.0], [1.5])
-
-
-def test_companion_gains_rejects_wrong_b_length():
-    with pytest.raises(ValueError, match="b-coefficients"):
-        companion_gains([0.0, 0.0, 0.0], [0.5])
 
 
 def _params(**kw):

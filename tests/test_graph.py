@@ -46,13 +46,10 @@ def brute_two_hop(edges: set, n: int, j: int, i: int) -> int:
 def test_build_topology_neighbors_and_weights():
     t = build_topology(4, [(0, 1), (1, 2, 2.5), (0, 2), (2, 3)])
     assert t.n_agents == 4
-    assert t.n_followers == 3
     assert t.n_edges == 4
     assert t.in_neighbors(2) == (1, 0)
     assert t.out_neighbors(0) == (1, 2)
     assert t.in_neighbors(0) == ()
-    assert t.has_edge(1, 2)
-    assert not t.has_edge(2, 1)
     assert t.weight(1, 2) == 2.5
     assert t.weight(0, 1) == 1.0
     assert t.edge_index(2, 3) == 3

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maswatch import harness
 from maswatch.attacks import AttackScenario
 from maswatch.detectors import envelope_verdict
 from maswatch.dynamics import StateBounds
+from maswatch.engine import simulate
 from maswatch.harness import (
     RunReport,
     Scenario,
@@ -137,8 +139,13 @@ def _channel_attack(**fields):
         (lambda d: d["run"].update(trials=True), "run.trials"),
         (lambda d: d["detectors"]["kl"].update(estimator="histogram"), "detectors.kl.estimator"),
         (lambda d: d["detectors"]["envelope"].update(factor_mode="proposition3"), "detectors.envelope.factor_mode"),
+        (lambda d: d["watermark"].update(identity=True), "watermark.identity"),
+        (lambda d: d["topology"].update(n_agents=2**62), "topology.n_agents"),
     ],
-    ids=["window", "edge", "budget", "theta_nan", "noise_var_inf", "trials_bool", "estimator", "factor_mode"],
+    ids=[
+        "window", "edge", "budget", "theta_nan", "noise_var_inf", "trials_bool", "estimator", "factor_mode",
+        "identity", "n_agents_huge",
+    ],
 )
 def test_bad_input_raises_scenario_error_with_path(edit, path):
     doc = small_doc()
@@ -148,11 +155,19 @@ def test_bad_input_raises_scenario_error_with_path(edit, path):
     assert err.value.path == path
 
 
+def test_retired_settings_still_load_at_their_remaining_value():
+    doc = small_doc()
+    doc["watermark"]["identity"] = False
+    doc["detectors"]["kl"]["estimator"] = "gaussian_fit"
+    doc["detectors"]["envelope"]["factor_mode"] = "algorithm2"
+    assert isinstance(scenario_from_dict(doc), Scenario)
+
+
 # Values a mutation may write: usually one of the JSON type it replaces
 # (NaN and inf included, and the names the loader dispatches on), else
-# any small JSON value. Integers stay small because an agent count
-# beyond addressable memory is refused by numpy, not by the loader, and
-# may exhaust memory first.
+# any small JSON value. Integers stay small because an agent count that
+# numpy would try to allocate may exhaust memory before it fails; the
+# single-field faults below cover a count numpy refuses outright.
 _names = st.sampled_from(["sin", "ramp", "const", "companion", "frozen_state", "per_neighbor_random", "histogram"])
 _numbers = st.booleans() | st.integers(-3, 40) | st.floats()
 _json_leaf = st.none() | _numbers | st.text(max_size=3) | _names
@@ -210,9 +225,10 @@ def test_scenario_from_dict_returns_scenario_or_scenario_error(base, data):
 
 
 # Faults written to each field in turn: deletion, then wrong types,
-# signs and sizes, NaN and inf.
+# signs and sizes, NaN and inf. 2**62 agents is an (n_agents, n) array
+# numpy refuses at once, without trying to allocate it.
 _DELETE = "<delete>"
-_FAULTS = (_DELETE, None, True, -1, 0, 2, 0.5, -0.5, math.nan, math.inf, "x", "sin", [], [0], [[1, 0]], {})
+_FAULTS = (_DELETE, None, True, -1, 0, 2, 0.5, -0.5, math.nan, math.inf, "x", "sin", [], [0], [[1, 0]], {}, 2**62)
 
 
 @pytest.mark.parametrize("make, variant", [(_attacked_small_doc, None), (preset_doc, "hybrid")], ids=["small", "preset"])
@@ -400,6 +416,18 @@ def test_transient_sweep_single_value():
     row = rows[0]
     assert row["scale"] == 1.0 and row["probe_step"] == 4
     assert row["watermark_kl"] >= 0.0 and row["ablation_kl"] >= 0.0
+
+
+def test_transient_sweep_simulates_each_scale_once(monkeypatch):
+    calls = []
+
+    def counting_simulate(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate", counting_simulate)
+    rows = transient_sweep(scenario_from_dict(small_doc()), [0.5, 1.0, 2.0], probe_step=4)
+    assert len(rows) == 3 and len(calls) == 3
 
 
 def test_transient_sweep_rejects_bad_grid():

@@ -2,12 +2,12 @@
 
 simulate runs every trial through one vectorized numpy kernel. The
 oracle below steps the same simulation one message at a time through
-the public per-message API (rows of watermark_blocks or identity_draw,
-apply_watermark and remove_watermark, tamper_channel, byzantine_emit,
-compute_control, step_system), reading the same counter-style streams,
-and must agree with simulate to float64 round-off. The oracle seeds each
-stream with numpy's own SeedSequence, so it also checks the engine's
-vectorised stream_keys. Worker chunking must not change results at all.
+the public per-message API (rows of watermark_blocks, apply_watermark
+and remove_watermark, tamper_channel, byzantine_emit, compute_control,
+step_system), reading the same counter-style streams, and must agree
+with simulate to float64 round-off. The oracle seeds each stream with
+numpy's own SeedSequence, so it also checks the engine's vectorised
+stream_keys. Worker chunking must not change results at all.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from maswatch.watermark import (
     STREAM_WATERMARK,
     WatermarkDraw,
     apply_watermark,
-    identity_draw,
     remove_watermark,
     watermark_blocks,
 )
@@ -44,8 +43,7 @@ RTOL = 1e-12
 def _simulate(s, workers=None):
     return simulate(
         s.topology, s.model, s.controller, s.watermark, s.attacks,
-        s.horizon, s.trials, s.master_seed, s.init_states,
-        identity_watermark=s.watermark_identity, workers=workers,
+        s.horizon, s.trials, s.master_seed, s.init_states, workers=workers,
     )
 
 
@@ -65,9 +63,8 @@ def _oracle(s):
             noise[edge] = np.zeros((K, n))
             if s.controller.noise_var > 0:
                 noise[edge] = sig * stream(STREAM_NOISE).standard_normal((K, n))
-            if not s.watermark_identity:
-                z = stream(STREAM_WATERMARK).standard_normal((K, 4, 1, n))
-                marks[edge] = [block[:, 0] for block in watermark_blocks(z, s.watermark)]
+            z = stream(STREAM_WATERMARK).standard_normal((K, 4, 1, n))
+            marks[edge] = [block[:, 0] for block in watermark_blocks(z, s.watermark)]
             byz_draws[edge] = stream(STREAM_BYZANTINE).standard_normal((K, n))
         frozen = {}
         x = s.init_states.copy()
@@ -84,10 +81,7 @@ def _oracle(s):
                     if bz.kind == "frozen_state":
                         frozen.setdefault(edge, x[j].copy())
                     plain = byzantine_emit(bz, k, x[j], frozen.get(edge), byz_draws[edge][k - 1])
-                if s.watermark_identity:
-                    draw = identity_draw(n)
-                else:
-                    draw = WatermarkDraw(*(block[k - 1] for block in marks[edge]))
+                draw = WatermarkDraw(*(block[k - 1] for block in marks[edge]))
                 ms = apply_watermark(plain + noise[edge][k - 1], draw)
                 for a in s.attacks.channel:
                     if a.edge == edge:
@@ -100,9 +94,8 @@ def _oracle(s):
     return states, ys1, ys2
 
 
-def _platoon(variant, identity=False):
-    s = platoon_preset(variant)
-    return replace(s, horizon=30, trials=4, watermark_identity=identity)
+def _platoon(variant):
+    return replace(platoon_preset(variant), horizon=30, trials=4)
 
 
 def _small_with_byzantine(kind):
@@ -127,7 +120,6 @@ def _small_with_byzantine(kind):
 
 ORACLE_CASES = {
     **{f"platoon-{v}": (lambda v=v: _platoon(v)) for v in (None, "clean", "channel", "byzantine", "hybrid")},
-    "platoon-channel-identity": lambda: _platoon("channel", identity=True),
     **{
         f"small-{kind}": (lambda kind=kind: _small_with_byzantine(kind))
         for kind in ("constant_offset", "divergent_ramp", "frozen_state", "per_neighbor_random")
@@ -172,9 +164,8 @@ def test_trial_slabs_are_independent_of_trial_count():
     assert np.array_equal(small.ystar1, big.ystar1[:4])
 
 
-def _random_material_case(identity=False, noise_var=1.0, random_byzantine=False):
+def _random_material_case(noise_var=1.0, random_byzantine=False):
     doc = small_doc(horizon=120, trials=100)
-    doc["watermark"]["identity"] = identity
     doc["controller"]["noise_var"] = noise_var
     kind = "per_neighbor_random" if random_byzantine else "constant_offset"
     doc["attacks"]["byzantine"] = [{"agent": 1, "window": [3, 7], "kind": kind, "offset": [3.0, -1.0], "scale": 2.5}]
@@ -186,8 +177,7 @@ def _random_material_case(identity=False, noise_var=1.0, random_byzantine=False)
 SLAB_CASES = {
     "watermarked": ({}, 5),
     "watermarked-random-byzantine": ({"random_byzantine": True}, 6),
-    "identity": ({"identity": True}, 1),
-    "identity-noiseless": ({"identity": True, "noise_var": 0.0}, 0),
+    "watermarked-noiseless": ({"noise_var": 0.0}, 4),
 }
 
 

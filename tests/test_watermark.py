@@ -16,7 +16,6 @@ from maswatch.watermark import (
     WatermarkParams,
     apply_watermark,
     edge_stream,
-    identity_draw,
     remove_watermark,
     stream_keys,
     watermark_blocks,
@@ -159,16 +158,6 @@ def test_roundtrip_through_dataclasses():
         y1, y2 = remove_watermark(apply_watermark(plain, draw), draw)
         assert np.max(np.abs(y1 - plain)) < 1e-9
         assert np.max(np.abs(y2 - plain)) < 1e-9
-
-
-def test_identity_draw_passthrough():
-    draw = identity_draw(3)
-    plain = np.array([1.0, -2.0, 3.0])
-    ms = apply_watermark(plain, draw)
-    assert np.array_equal(ms.y1, plain) and np.array_equal(ms.y2, plain)
-    y1, y2 = remove_watermark(ms, draw)
-    assert np.array_equal(y1, plain) and np.array_equal(y2, plain)
-    assert draw.n == 3
 
 
 def test_copies_differ_on_the_wire():
