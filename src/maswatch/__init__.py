@@ -51,6 +51,7 @@ from .graph import (
     grounded_laplacian_min_eigenvalue,
     has_spanning_tree,
     laplacian,
+    two_hop_relays,
 )
 from .harness import (
     RunReport,
@@ -64,10 +65,8 @@ from .harness import (
 )
 from .hybrid import (
     Classification,
-    FlagBoard,
     FlagPair,
     classify,
-    local_detect,
     run_protocol_step,
     select_trusted,
 )

@@ -6,7 +6,9 @@
     maswatch sweep --scenario platoon.json --grid 0.5,1,2,5 --probe-step 4
 
 Exit code 0 on success, 2 on scenario validation failure or an
-out-of-range option. The worker count comes from MASWATCH_WORKERS.
+out-of-range option. run and sweep take their worker count from
+MASWATCH_WORKERS; a value that is not an integer of at least 1 is
+also exit 2.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import sys
 from dataclasses import replace
 
+from .engine import resolve_workers
 from .graph import (
     LocalAttackBudget,
     check_hybrid_detectability,
@@ -52,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scenario", required=True)
     sweep.add_argument("--grid", required=True, help="comma-separated initial error scales")
     sweep.add_argument("--probe-step", type=int, default=4)
-    sweep.add_argument("--variant", default=None)
     return parser
 
 
@@ -71,7 +73,7 @@ def _cmd_run(args) -> int:
         s = replace(s, trials=args.trials)
     if args.seed is not None:
         s = replace(s, master_seed=args.seed)
-    report = run_monte_carlo(s)
+    report = run_monte_carlo(s, workers=args.workers)
     paths = export_report(report, args.out)
     print(f"scenario {s.name}: {s.trials} trials, horizon {s.horizon}")
     for name, value in report.summary.items():
@@ -114,10 +116,10 @@ def _cmd_sweep(args) -> int:
         return _usage_error("empty grid")
     if not all(0 < v < math.inf for v in grid):
         return _usage_error(f"grid scales must be positive and finite, got {args.grid!r}")
-    s = load_scenario(args.scenario, variant=args.variant)
+    s = load_scenario(args.scenario)
     if args.probe_step > s.horizon:
         return _usage_error(f"--probe-step {args.probe_step} is beyond the horizon {s.horizon}")
-    rows = transient_sweep(s, grid, probe_step=args.probe_step)
+    rows = transient_sweep(s, grid, probe_step=args.probe_step, workers=args.workers)
     print("scale,watermark_kl,ablation_kl,probe_step")
     for row in rows:
         print(f"{row['scale']!r},{row['watermark_kl']!r},{row['ablation_kl']!r},{row['probe_step']}")
@@ -127,6 +129,11 @@ def _cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "check-graph": _cmd_check_graph, "sweep": _cmd_sweep}
+    if args.command in ("run", "sweep"):
+        try:
+            args.workers = resolve_workers()
+        except ValueError as err:
+            return _usage_error(str(err))
     try:
         return handlers[args.command](args)
     except ScenarioError as err:

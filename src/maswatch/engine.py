@@ -68,10 +68,17 @@ _BYZ_CODE = {
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    w = workers if workers is not None else int(os.environ.get(WORKERS_ENV, "1"))
-    if w < 1:
-        raise ValueError("worker count must be at least 1")
-    return w
+    """workers, else the integer in MASWATCH_WORKERS, else 1; at least 1."""
+    name = "worker count"
+    if workers is None:
+        name, raw = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ValueError(f"{name} must be at least 1, got {workers}")
+    return workers
 
 
 @dataclass

@@ -14,7 +14,7 @@ decay envelope used by the residual detector.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +41,11 @@ class Topology:
     edges holds (j, i) pairs in insertion order; weights[e] is the gain
     a_ij of the e-th edge. Edge order is the canonical message order
     used everywhere downstream (simulation slabs, CSV exports).
+
+    relay_si and relay_js are (E, C) edge indices over the relays s of
+    each edge (j, i), in two_hop_relays order: row e holds the index of
+    (s, i) and of (j, s) for every relay of edge e, padded with -1 to
+    the widest row (C is at least 1).
     """
 
     n_agents: int
@@ -48,6 +53,8 @@ class Topology:
     weights: tuple[float, ...]
     _in: dict[int, tuple[int, ...]] = field(repr=False, compare=False, default_factory=dict)
     _out: dict[int, tuple[int, ...]] = field(repr=False, compare=False, default_factory=dict)
+    relay_si: np.ndarray | None = field(repr=False, compare=False, default=None)
+    relay_js: np.ndarray | None = field(repr=False, compare=False, default=None)
 
     @property
     def n_edges(self) -> int:
@@ -100,13 +107,23 @@ def build_topology(n_agents: int, edge_list) -> Topology:
     for j, i in edges:
         incoming.setdefault(i, []).append(j)
         outgoing.setdefault(j, []).append(i)
-    return Topology(
+    t = Topology(
         n_agents=n_agents,
         edges=tuple(edges),
         weights=tuple(weights),
         _in={i: tuple(v) for i, v in incoming.items()},
         _out={j: tuple(v) for j, v in outgoing.items()},
     )
+    index = {e: k for k, e in enumerate(edges)}
+    relays = [two_hop_relays(t, j, i) for j, i in edges]
+    width = max(1, max(map(len, relays), default=0))
+    relay_si = np.full((len(edges), width), -1, dtype=np.intp)
+    relay_js = relay_si.copy()
+    for e, ((j, i), mids) in enumerate(zip(edges, relays)):
+        relay_si[e, : len(mids)] = [index[s, i] for s in mids]
+        relay_js[e, : len(mids)] = [index[j, s] for s in mids]
+    relay_si.flags.writeable = relay_js.flags.writeable = False
+    return replace(t, relay_si=relay_si, relay_js=relay_js)
 
 
 def laplacian(t: Topology, followers_only: bool = False) -> np.ndarray:
@@ -164,14 +181,19 @@ def has_spanning_tree(t: Topology, root: int = LEADER) -> bool:
     return len(seen) == t.n_agents
 
 
-def count_directed_two_hop_paths(t: Topology, j: int, i: int) -> int:
-    """Number of distinct s with edges (j, s) and (s, i), s not in {i, j}."""
+def two_hop_relays(t: Topology, j: int, i: int) -> tuple[int, ...]:
+    """Sorted agents s not in {i, j} with edges (j, s) and (s, i).
+
+    These are the relays that can arbitrate the edge (j, i).
+    """
     if not (0 <= j < t.n_agents and 0 <= i < t.n_agents):
         raise ValueError(f"unknown agent in pair ({j}, {i})")
-    mids = set(t.out_neighbors(j)) & set(t.in_neighbors(i))
-    mids.discard(i)
-    mids.discard(j)
-    return len(mids)
+    return tuple(sorted(set(t.out_neighbors(j)) & set(t.in_neighbors(i)) - {i, j}))
+
+
+def count_directed_two_hop_paths(t: Topology, j: int, i: int) -> int:
+    """Number of directed two-hop paths j -> s -> i, s not in {i, j}."""
+    return len(two_hop_relays(t, j, i))
 
 
 def check_hybrid_detectability(

@@ -8,9 +8,12 @@ the offending field by path (for example "detectors.kl.theta").
 run_monte_carlo simulates the batch and passes whole (edge, step)
 arrays between stages: pooled KL statistics and their alarms, envelope
 ratios against each edge's frozen reference, then one flag-protocol
-round per step, scored against attacks.activity. export_report writes
-the traces as CSV. All exported numbers are pure functions of
-(scenario, master_seed), independent of worker count.
+round per step into a (K, E) flag and label array, scored against
+attacks.activity in one comparison. export_report writes the traces as
+CSV, each file built from whole columns (np.repeat / np.tile /
+tolist), so a float is written as its shortest round-trip repr. All
+exported numbers are pure functions of (scenario, master_seed),
+independent of worker count.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class RunReport:
     env_attacked: np.ndarray  # (2, E, K) bool
     env_tested: np.ndarray  # (E, K) bool
     flags: np.ndarray  # (K, E, 2) int
-    classifications: list  # (K, E) Classification
+    classifications: np.ndarray  # (K, E) Classification objects
     summary: dict
 
     @property
@@ -507,10 +510,9 @@ def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
 
     env_any = env_attacked.any(axis=0)
     flags = np.zeros((K, E, 2), dtype=np.int64)
-    classifications: list[list[Classification]] = []
+    classifications = np.empty((K, E), dtype=object)
     for k in range(1, K + 1):
-        flags[k - 1], labels = run_protocol_step(k, kl_attacked[:, k - 1], env_any[:, k - 1], t)
-        classifications.append(labels)
+        flags[k - 1], classifications[k - 1] = run_protocol_step(k, kl_attacked[:, k - 1], env_any[:, k - 1], t)
 
     eta = eta_curve(sim.states)
     summary = _summarize(s, eta, kl_attacked, env_attacked, classifications)
@@ -528,15 +530,6 @@ def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
         classifications=classifications,
         summary=summary,
     )
-
-
-# Expected label of an edge from (channel tampered, sender Byzantine).
-_TRUTH = {
-    (False, False): Classification.NORMAL,
-    (True, False): Classification.CHANNEL_ONLY,
-    (False, True): Classification.BYZANTINE_ONLY,
-    (True, True): Classification.HYBRID,
-}
 
 
 def _summarize(s: Scenario, eta, kl_attacked, env_attacked, classifications) -> dict:
@@ -561,14 +554,18 @@ def _summarize(s: Scenario, eta, kl_attacked, env_attacked, classifications) -> 
     settle = settling_step(eta, s.varsigma)
     summary["settling_step"] = float(settle) if settle is not None else -1.0
 
+    expected = np.select(
+        [chan_truth & byz_truth, chan_truth, byz_truth],
+        [Classification.HYBRID, Classification.CHANNEL_ONLY, Classification.BYZANTINE_ONLY],
+        Classification.NORMAL,
+    )
+    correct = classifications.T == expected  # (E, K)
+
     def time_to_detect(window, e) -> float:
         """Steps from the window start to the first correct label inside
         the window, or -1 when the window passes without one."""
-        rows = window_rows(window, K)
-        for r in range(rows.start, rows.stop):
-            if classifications[r][e] is _TRUTH[bool(chan_truth[e, r]), bool(byz_truth[e, r])]:
-                return float(r - rows.start)
-        return -1.0
+        hits = np.flatnonzero(correct[e, window_rows(window, K)])
+        return float(hits[0]) if hits.size else -1.0
 
     for a in s.attacks.channel:
         summary[f"ttd_channel_{a.edge[0]}_{a.edge[1]}"] = time_to_detect(a.window, t.edge_index(*a.edge))
@@ -659,99 +656,52 @@ def transient_sweep(
 # CSV export
 # ---------------------------------------------------------------------------
 
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+EXPORT_NAMES = ("kl_trace.csv", "residual_trace.csv", "envelope_trace.csv", "flags.csv", "eta.csv", "summary.csv")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """One CSV line per row of the equal-length columns. Each column goes
+    through tolist, and str of a Python float is its shortest round-trip
+    repr."""
+    rows = zip(*(map(str, np.asarray(c).tolist()) for c in columns))
+    path.write_text("\n".join([",".join(header), *map(",".join, rows)]) + "\n")
 
 
 def export_report(r: RunReport, out_dir) -> list[Path]:
     """Write the six CSV artifacts; returns their paths.
 
-    Files keep their headers even for a zero-step run.
+    Rows run over steps, then edges in topology order, then message
+    copies. Files keep their headers even for a zero-step run.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t = r.scenario.topology
-    K = r.horizon
-    paths = []
+    K, E = r.horizon, t.n_edges
+    paths = [out / name for name in EXPORT_NAMES]
+    detector = ["k", "edge_j", "edge_i", "detector", "statistic", "decision"]
 
-    rows = []
-    for k in range(1, K + 1):
-        for e, (j, i) in enumerate(t.edges):
-            rows.append(
-                (
-                    k,
-                    j,
-                    i,
-                    "kl",
-                    float(r.kl_stats[e, k - 1]),
-                    "attacked" if r.kl_attacked[e, k - 1] else "secure",
-                )
-            )
-    p = out / "kl_trace.csv"
-    _write_csv(p, ["k", "edge_j", "edge_i", "detector", "statistic", "decision"], rows)
-    paths.append(p)
+    def verdict(attacked):
+        return np.where(attacked, "attacked", "secure")
 
-    rows = []
-    for k in range(1, K + 1):
-        for e, (j, i) in enumerate(t.edges):
-            for rr in range(2):
-                rows.append((k, j, i, rr + 1, float(r.residuals[rr, e, k - 1])))
-    p = out / "residual_trace.csv"
-    _write_csv(p, ["k", "edge_j", "edge_i", "msg", "d"], rows)
-    paths.append(p)
+    k = np.repeat(np.arange(1, K + 1), E)
+    src = np.tile([j for j, _ in t.edges], K)
+    dst = np.tile([i for _, i in t.edges], K)
+    kl = [r.kl_stats.T.ravel(), verdict(r.kl_attacked.T.ravel())]
+    _write_csv(paths[0], detector, [k, src, dst, ["kl"] * (K * E), *kl])
 
-    rows = []
-    for k in range(1, K + 1):
-        for e, (j, i) in enumerate(t.edges):
-            if not r.env_tested[e, k - 1]:
-                continue
-            for rr in range(2):
-                rows.append(
-                    (
-                        k,
-                        j,
-                        i,
-                        f"envelope{rr + 1}",
-                        float(r.env_stats[rr, e, k - 1]),
-                        "attacked" if r.env_attacked[rr, e, k - 1] else "secure",
-                    )
-                )
-    p = out / "envelope_trace.csv"
-    _write_csv(p, ["k", "edge_j", "edge_i", "detector", "statistic", "decision"], rows)
-    paths.append(p)
+    # Two rows per (step, edge), one per message copy, in (K, E, 2) order.
+    k2, src2, dst2 = (np.repeat(c, 2) for c in (k, src, dst))
+    copy = np.tile([1, 2], K * E)
+    _write_csv(paths[1], ["k", "edge_j", "edge_i", "msg", "d"], [k2, src2, dst2, copy, r.residuals.T.ravel()])
+    tested = np.repeat(r.env_tested.T.ravel(), 2)
+    names = np.char.add("envelope", copy.astype(str))
+    env = [r.env_stats.T.ravel(), verdict(r.env_attacked.T.ravel())]
+    _write_csv(paths[2], detector, [c[tested] for c in (k2, src2, dst2, names, *env)])
 
-    rows = []
-    for k in range(1, K + 1):
-        for e, (j, i) in enumerate(t.edges):
-            rows.append(
-                (
-                    k,
-                    i,
-                    j,
-                    int(r.flags[k - 1, e, 0]),
-                    int(r.flags[k - 1, e, 1]),
-                    r.classifications[k - 1][e].value,
-                )
-            )
-    p = out / "flags.csv"
-    _write_csv(p, ["k", "i", "j", "phi1", "phi2", "classification"], rows)
-    paths.append(p)
-
-    p = out / "eta.csv"
-    _write_csv(p, ["k", "eta"], [(k, float(r.eta[k])) for k in range(r.eta.shape[0])])
-    paths.append(p)
-
-    p = out / "summary.csv"
-    _write_csv(p, ["metric", "value"], [(name, float(v)) for name, v in r.summary.items()])
-    paths.append(p)
+    # flags.csv names the observer i before the sender j.
+    labels = [c.value for c in np.ravel(r.classifications)]
+    phi1, phi2 = r.flags.reshape(-1, 2).T
+    _write_csv(paths[3], ["k", "i", "j", "phi1", "phi2", "classification"], [k, dst, src, phi1, phi2, labels])
+    _write_csv(paths[4], ["k", "eta"], [np.arange(r.eta.size), r.eta])
+    _write_csv(paths[5], ["metric", "value"], [list(r.summary), [float(v) for v in r.summary.values()]])
     return paths

@@ -6,37 +6,39 @@ in-neighbor j, recomputed each step from its two local detectors:
     (0, 0)  channel clean, residual inside the envelope
     (0, 1)  channel clean, residual outside: j's data itself is bad
     (1, 2)  channel attack on (j, i): j's honesty is unobservable
-    (2, 2)  initial value, nothing evaluated yet
 
-A (1, 2) edge is arbitrated through a trusted relay: an in-neighbor
-jhat of i that also hears j, whose own edge to i is fully clean
-(phi_i,jhat = (0, 0)) and whose channel from j is clean
-(phi_jhat,j has phi1 = 0). jhat's second bit about j then tells i
-whether j is also Byzantine (hybrid) or only the channel is under
-attack. Flag transport itself is assumed reliable and untampered.
+A channel alarm hides the residual (the recovered values are
+meaningless), hence the unknown second bit. Before the residual
+detector has a reference, its side raises no alarm and counts as clean.
 
-run_protocol_step takes one step's detector alarms as (E,) boolean
-vectors in the topology's edge order and returns the (E, 2) flag
-array and the classifications in that order.
+A (1, 2) edge is arbitrated through a trusted relay: an agent jhat on
+a two-hop path j -> jhat -> i (graph.two_hop_relays) whose own edge to
+i is fully clean (phi_i,jhat = (0, 0)) and whose channel from j is
+clean (phi_jhat,j has phi1 = 0). The first such relay in sorted order
+wins, and its second bit about j tells i whether j is also Byzantine
+(hybrid) or only the channel is under attack. Flag transport itself is
+assumed reliable and untampered.
+
+run_protocol_step does one step for every edge at once. The flags are
+an (E, 2) table in the topology's edge order, flags[e] = phi_ij of edge
+e = (j, i), and the relay lookups index it through the topology's
+padded relay_si / relay_js tables. select_trusted and classify are the
+per-edge reference of the same rules.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Topology
+from .graph import Topology, two_hop_relays
 
 
 class FlagPair(NamedTuple):
     phi1: int
     phi2: int
-
-
-INITIAL_FLAG = FlagPair(2, 2)
 
 
 class Classification(enum.Enum):
@@ -47,47 +49,32 @@ class Classification(enum.Enum):
     UNDECIDABLE = "undecidable"
 
 
-@dataclass
-class FlagBoard:
-    """All flag pairs at one step; keys are (observer, observed)."""
+# Flag pair by own code: 0 clean, 1 envelope alarm, 2 channel alarm.
+_FLAGS = np.array([(0, 0), (0, 1), (1, 2)], dtype=np.int64)
 
-    step: int
-    flags: dict[tuple[int, int], FlagPair] = field(default_factory=dict)
-
-    def get(self, i: int, j: int) -> FlagPair:
-        return self.flags.get((i, j), INITIAL_FLAG)
-
-
-def local_detect(channel_attacked: bool, envelope_attacked: bool) -> FlagPair:
-    """Flag pair from one step's detector alarms on one edge.
-
-    A channel alarm hides the residual information (the recovered
-    values are meaningless), hence the unknown second bit. Before the
-    residual detector has a reference, its side raises no alarm and
-    counts as clean.
-    """
-    if channel_attacked:
-        return FlagPair(1, 2)
-    if envelope_attacked:
-        return FlagPair(0, 1)
-    return FlagPair(0, 0)
+# Label by (own code, relay code); relay code 0 means no trusted relay,
+# 1 a relay with j inside its envelope and 2 one with j outside.
+_LABELS = np.array(
+    [
+        [Classification.NORMAL] * 3,
+        [Classification.BYZANTINE_ONLY] * 3,
+        [Classification.UNDECIDABLE, Classification.CHANNEL_ONLY, Classification.HYBRID],
+    ],
+    dtype=object,
+)
 
 
-def select_trusted(i: int, j: int, board: FlagBoard, t: Topology) -> int | None:
+def select_trusted(i: int, j: int, flags: np.ndarray, t: Topology) -> int | None:
     """Trusted relay for arbitrating i's flagged edge from j.
 
-    Candidates are in-neighbors jhat of i, distinct from j, that also
-    receive from j, with phi_i,jhat = (0, 0) and a clean channel bit in
-    phi_jhat,j. The smallest index wins, deterministically.
+    flags is the (E, 2) flag table of one step in edge order. The first
+    two-hop relay jhat with phi_i,jhat = (0, 0) and a clean channel bit
+    in phi_jhat,j wins, deterministically.
     """
-    for jhat in sorted(t.in_neighbors(i)):
-        if jhat == j:
+    for jhat in two_hop_relays(t, j, i):
+        if tuple(flags[t.edge_index(jhat, i)]) != (0, 0):
             continue
-        if j not in t.in_neighbors(jhat):
-            continue
-        if board.get(i, jhat) != FlagPair(0, 0):
-            continue
-        if board.get(jhat, j).phi1 != 0:
+        if flags[t.edge_index(j, jhat), 0] != 0:
             continue
         return jhat
     return None
@@ -119,25 +106,21 @@ def run_protocol_step(
     channel_attacked,
     envelope_attacked,
     t: Topology,
-) -> tuple[np.ndarray, list[Classification]]:
-    """One synchronous round: detect, broadcast, arbitrate.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One synchronous round at step k: detect, broadcast, arbitrate.
 
     channel_attacked and envelope_attacked are (E,) booleans in edge
     order: the KL alarm and the alarm of either envelope copy. Returns
-    the (E, 2) flag pairs phi_ij of every edge (j, i) and the edge
-    classifications, both in edge order.
+    the (E, 2) int64 flag pairs phi_ij of every edge (j, i) and the
+    (E,) object array of its classifications, both in edge order.
     """
-    board = FlagBoard(step=k)
-    for (j, i), chan, env in zip(t.edges, channel_attacked, envelope_attacked, strict=True):
-        board.flags[(i, j)] = local_detect(bool(chan), bool(env))
-    labels = []
-    for j, i in t.edges:
-        own = board.get(i, j)
-        relayed = None
-        if own == FlagPair(1, 2):
-            jhat = select_trusted(i, j, board, t)
-            if jhat is not None:
-                relayed = board.get(jhat, j)
-        labels.append(classify(own, relayed))
-    flags = np.array([board.get(i, j) for j, i in t.edges], dtype=np.int64).reshape(-1, 2)
-    return flags, labels
+    chan = np.asarray(channel_attacked, dtype=bool)
+    env = np.asarray(envelope_attacked, dtype=bool)
+    own = np.where(chan, 2, env)
+    # A trailing False answers the -1 padding of the relay tables.
+    clean = np.append(own == 0, False)
+    chan_clean = np.append(~chan, False)
+    ok = clean[t.relay_si] & chan_clean[t.relay_js]
+    relay_js = t.relay_js[np.arange(t.n_edges), ok.argmax(axis=1)]
+    relay = np.where(ok.any(axis=1), 1 + env[relay_js], 0)
+    return _FLAGS[own], _LABELS[own, relay]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from maswatch.detectors import KlDetectorConfig, estimate_kl, gaussian_kl, lemma1_bound
-from maswatch.graph import build_topology, count_directed_two_hop_paths
+from maswatch.graph import build_topology, count_directed_two_hop_paths, two_hop_relays
 from maswatch.harness import (
     export_report,
     platoon_preset,
@@ -254,9 +254,12 @@ def test_criterion_6_divergence_monotonicity():
 
 
 def _brute_two_hop(edge_set, n, j, i):
-    return sum(
-        1 for s in range(n) if s not in (i, j) and (j, s) in edge_set and (s, i) in edge_set
-    )
+    return tuple(s for s in range(n) if s not in (i, j) and (j, s) in edge_set and (s, i) in edge_set)
+
+
+def _two_hop_wrong(t, edge_set, n, j, i) -> bool:
+    relays = _brute_two_hop(edge_set, n, j, i)
+    return two_hop_relays(t, j, i) != relays or count_directed_two_hop_paths(t, j, i) != len(relays)
 
 
 def test_criterion_7_oracle_suites():
@@ -270,7 +273,7 @@ def test_criterion_7_oracle_suites():
         closed = gaussian_kl(mu_a, var_a, mu_b, var_b)
         worst_kl = max(worst_kl, abs(closed - kl_by_quadrature(mu_a, var_a, mu_b, var_b)))
 
-    # two-hop counts: exhaustive digraph families up to 4 nodes, then
+    # two-hop relay sets and counts: exhaustive digraph families up to 4 nodes, then
     # random graphs at 5, 6 and 12 nodes (the full 6-node family is
     # 2^30 graphs, far outside a test budget)
     two_hop_checked = 0
@@ -285,7 +288,7 @@ def test_criterion_7_oracle_suites():
             edge_set = set(chosen)
             for j, i in pairs:
                 two_hop_checked += 1
-                if count_directed_two_hop_paths(t, j, i) != _brute_two_hop(edge_set, n, j, i):
+                if _two_hop_wrong(t, edge_set, n, j, i):
                     two_hop_bad += 1
     for n, reps in ((5, 400), (6, 400), (12, 100)):
         for _ in range(reps):
@@ -298,7 +301,7 @@ def test_criterion_7_oracle_suites():
             edge_set = set(chosen)
             for j, i in pairs:
                 two_hop_checked += 1
-                if count_directed_two_hop_paths(t, j, i) != _brute_two_hop(edge_set, n, j, i):
+                if _two_hop_wrong(t, edge_set, n, j, i):
                     two_hop_bad += 1
 
     # norm-splitting inequality on 1e5 random pairs (vectorized), plus
@@ -335,7 +338,7 @@ def test_criterion_7_oracle_suites():
     _line(
         7,
         ok,
-        f"KL vs quadrature worst {worst_kl:.2e}; two-hop {two_hop_checked} counts, "
+        f"KL vs quadrature worst {worst_kl:.2e}; two-hop {two_hop_checked} relay sets, "
         f"{two_hop_bad} wrong; norm-splitting failures {lemma_failures}/100000; "
         f"roundtrip worst {roundtrip_err:.2e}",
     )

@@ -89,6 +89,30 @@ def test_out_of_range_override_exits_2(scenario_file, capsys, args):
     assert capsys.readouterr().err.startswith("maswatch: ")
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("0", "must be at least 1, got 0"), ("abc", "must be an integer, got 'abc'")],
+    ids=["zero", "not_an_integer"],
+)
+@pytest.mark.parametrize(
+    "args",
+    [["run", "--out", "unused"], ["sweep", "--grid", "1"]],
+    ids=["run", "sweep"],
+)
+def test_bad_worker_count_exits_2(scenario_file, monkeypatch, capsys, args, value, message):
+    monkeypatch.setenv("MASWATCH_WORKERS", value)
+    assert main([args[0], "--scenario", str(scenario_file), *args[1:]]) == 2
+    assert capsys.readouterr().err == f"maswatch: MASWATCH_WORKERS {message}\n"
+
+
+def test_sweep_has_no_variant_option(scenario_file, capsys):
+    # transient_sweep drops the attacks, so a variant would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", str(scenario_file), "--grid", "1", "--variant", "hybrid"])
+    assert exc.value.code == 2
+    assert "--variant" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("horizon", [10**12, 10**18], ids=["beyond_memory", "beyond_address_space"])
 @pytest.mark.parametrize(
     "args",

@@ -22,6 +22,7 @@ from maswatch.graph import (
     grounded_laplacian_min_eigenvalue,
     has_spanning_tree,
     laplacian,
+    two_hop_relays,
 )
 
 PLATOON_EDGES = [
@@ -137,8 +138,20 @@ def test_two_hop_hand_example():
     assert count_directed_two_hop_paths(t, 5, 2) == 3
     assert count_directed_two_hop_paths(t, 0, 2) == 2
     assert count_directed_two_hop_paths(t, 0, 6) == 0
+    assert two_hop_relays(t, 5, 2) == (1, 3, 4)
+    assert two_hop_relays(t, 0, 2) == (1, 5)
+    assert two_hop_relays(t, 0, 6) == ()
     with pytest.raises(ValueError, match="unknown agent"):
         count_directed_two_hop_paths(t, 0, 9)
+    # the relay tables hold the edge indices of (s, 2) and (5, s)
+    e = t.edges.index
+    assert t.relay_si.shape == (t.n_edges, 3)
+    assert list(t.relay_si[e((5, 2))]) == [e((1, 2)), e((3, 2)), e((4, 2))]
+    assert list(t.relay_js[e((5, 2))]) == [e((5, 1)), e((5, 3)), e((5, 4))]
+    assert list(t.relay_si[e((0, 2))]) == [e((1, 2)), e((5, 2)), -1]
+    assert list(t.relay_js[e((0, 6))]) == [-1, -1, -1]
+    # a graph without any two-hop path still has one padding column
+    assert build_topology(2, [(0, 1)]).relay_si.tolist() == [[-1]]
 
 
 def test_two_hop_exhaustive_three_nodes():

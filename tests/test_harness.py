@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import math
 import operator
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -315,7 +317,7 @@ def test_run_monte_carlo_shapes(small_report):
     assert r.residuals.shape == (2, E, K)
     assert r.env_stats.shape == (2, E, K)
     assert r.flags.shape == (K, E, 2)
-    assert len(r.classifications) == K and len(r.classifications[0]) == E
+    assert r.classifications.shape == (K, E)
     assert r.eta.shape == (K + 1,)
     assert r.horizon == K
 
@@ -359,7 +361,7 @@ def test_run_monte_carlo_with_an_empty_axis(tmp_path, horizon, edges):
     assert r.kl_stats.shape == (E, K) and r.kl_attacked.shape == (E, K)
     assert r.residuals.shape == (2, E, K) and r.env_stats.shape == (2, E, K)
     assert r.env_tested.shape == (E, K)
-    assert r.flags.shape == (K, E, 2) and len(r.classifications) == K
+    assert r.flags.shape == (K, E, 2) and r.classifications.shape == (K, E)
     for p in export_report(r, tmp_path):
         if p.name in ("kl_trace.csv", "residual_trace.csv", "envelope_trace.csv", "flags.csv"):
             assert len(p.read_text().splitlines()) == 1
@@ -485,7 +487,7 @@ def test_export_report_zero_steps_keeps_headers(small_report, tmp_path):
         env_attacked=np.zeros((2, E, 0), dtype=bool),
         env_tested=np.zeros((E, 0), dtype=bool),
         flags=np.zeros((0, E, 2), dtype=int),
-        classifications=[],
+        classifications=np.empty((0, E), dtype=object),
         summary={"false_alarm_rate": 0.0},
     )
     paths = export_report(empty, tmp_path / "empty")
@@ -495,3 +497,61 @@ def test_export_report_zero_steps_keeps_headers(small_report, tmp_path):
             assert lines == ["k,edge_j,edge_i,detector,statistic,decision"]
         if p.name == "eta.csv":
             assert lines[0] == "k,eta"
+
+
+def _csv_rows(path, *parsers):
+    """Header and data rows of a CSV file, each field through its parser."""
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    assert all(len(row) == len(parsers) for row in rows)
+    return header, [tuple(parse(v) for parse, v in zip(parsers, row)) for row in rows]
+
+
+def _same(a, b) -> bool:
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("horizon", [None, 0], ids=["hybrid", "zero_steps"])
+def test_export_round_trips_the_report(tmp_path, horizon):
+    s = platoon_preset("hybrid")
+    if horizon is not None:
+        s = replace(s, horizon=horizon)
+    r = run_monte_carlo(s)
+    export_report(r, tmp_path)
+    K, edges = r.horizon, s.topology.edges
+    at = [(k, e, j, i) for k in range(1, K + 1) for e, (j, i) in enumerate(edges)]
+    verdict = {True: "attacked", False: "secure"}
+    if K:
+        assert r.kl_attacked.any() and r.env_attacked.any() and not r.env_tested.all()
+
+    header, rows = _csv_rows(tmp_path / "kl_trace.csv", int, int, int, str, float, str)
+    assert header == ["k", "edge_j", "edge_i", "detector", "statistic", "decision"]
+    assert rows == [(k, j, i, "kl", r.kl_stats[e, k - 1], verdict[r.kl_attacked[e, k - 1]]) for k, e, j, i in at]
+
+    header, rows = _csv_rows(tmp_path / "residual_trace.csv", int, int, int, int, float)
+    assert header == ["k", "edge_j", "edge_i", "msg", "d"]
+    assert rows == [(k, j, i, c + 1, r.residuals[c, e, k - 1]) for k, e, j, i in at for c in range(2)]
+
+    header, rows = _csv_rows(tmp_path / "envelope_trace.csv", int, int, int, str, float, str)
+    assert header == ["k", "edge_j", "edge_i", "detector", "statistic", "decision"]
+    assert rows == [
+        (k, j, i, f"envelope{c + 1}", r.env_stats[c, e, k - 1], verdict[r.env_attacked[c, e, k - 1]])
+        for k, e, j, i in at
+        if r.env_tested[e, k - 1]
+        for c in range(2)
+    ]
+
+    # flags.csv names the observer i first, then the sender j
+    header, rows = _csv_rows(tmp_path / "flags.csv", int, int, int, int, int, Classification)
+    assert header == ["k", "i", "j", "phi1", "phi2", "classification"]
+    assert rows == [(k, i, j, *r.flags[k - 1, e], r.classifications[k - 1, e]) for k, e, j, i in at]
+
+    header, rows = _csv_rows(tmp_path / "eta.csv", int, float)
+    assert header == ["k", "eta"]
+    assert len(rows) == K + 1
+    assert all(k == want_k and _same(v, r.eta[k]) for (k, v), want_k in zip(rows, range(K + 1)))
+
+    header, rows = _csv_rows(tmp_path / "summary.csv", str, float)
+    assert header == ["metric", "value"]
+    assert [name for name, _ in rows] == list(r.summary)
+    assert all(_same(v, r.summary[name]) for name, v in rows)

@@ -1,19 +1,19 @@
-"""Flag protocol: local detection, trusted relays, classification."""
+"""Flag protocol: trusted relays, classification, and the array step
+against the per-edge reference."""
 
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maswatch.graph import build_topology
+from maswatch.graph import build_topology, two_hop_relays
 from maswatch.hybrid import (
-    INITIAL_FLAG,
     Classification,
-    FlagBoard,
     FlagPair,
     classify,
-    local_detect,
     run_protocol_step,
     select_trusted,
 )
@@ -37,14 +37,6 @@ def _labels(t, labels):
     return dict(zip(t.edges, labels))
 
 
-def test_local_detect():
-    assert local_detect(False, False) == FlagPair(0, 0)
-    assert local_detect(False, True) == FlagPair(0, 1)
-    # a channel alarm hides whatever the residual would have said
-    assert local_detect(True, True) == FlagPair(1, 2)
-    assert local_detect(True, False) == FlagPair(1, 2)
-
-
 def test_classify_table():
     assert classify(FlagPair(0, 0), None) is Classification.NORMAL
     assert classify(FlagPair(0, 1), None) is Classification.BYZANTINE_ONLY
@@ -64,40 +56,31 @@ def test_classify_total_over_flag_domain():
                 assert out is Classification.UNDECIDABLE
 
 
-def test_flag_board_initial():
-    board = FlagBoard(step=0)
-    assert board.get(2, 5) == INITIAL_FLAG
-    board.flags[(2, 5)] = FlagPair(0, 0)
-    assert board.get(2, 5) == FlagPair(0, 0)
-    # pairs never set, edges or not, read as uninitialized
-    assert board.get(6, 3) == INITIAL_FLAG
-
-
-def _clean_board(t, step=4):
-    return FlagBoard(step=step, flags={(i, j): FlagPair(0, 0) for (j, i) in t.edges})
+def _set(t, flags, j, i, pair):
+    flags[t.edge_index(j, i)] = pair
 
 
 def test_select_trusted_prefers_lowest_index():
     t = _topology()
-    board = _clean_board(t)
+    flags = np.zeros((t.n_edges, 2), dtype=np.int64)
     # arbitrating (5, 2): candidates 1, 3, 4 all hear agent 5
-    assert select_trusted(2, 5, board, t) == 1
-    board.flags[(2, 1)] = FlagPair(0, 1)
-    assert select_trusted(2, 5, board, t) == 3
-    board.flags[(3, 5)] = FlagPair(1, 2)
-    assert select_trusted(2, 5, board, t) == 4
-    board.flags[(2, 4)] = FlagPair(2, 2)
-    board.flags[(4, 5)] = FlagPair(0, 0)
-    assert select_trusted(2, 5, board, t) is None
+    assert select_trusted(2, 5, flags, t) == 1
+    _set(t, flags, 1, 2, (0, 1))
+    assert select_trusted(2, 5, flags, t) == 3
+    _set(t, flags, 5, 3, (1, 2))
+    assert select_trusted(2, 5, flags, t) == 4
+    _set(t, flags, 4, 2, (2, 2))
+    _set(t, flags, 5, 4, (0, 0))
+    assert select_trusted(2, 5, flags, t) is None
 
 
 def test_select_trusted_requires_two_hop():
     t = _topology()
-    board = _clean_board(t)
+    flags = np.zeros((t.n_edges, 2), dtype=np.int64)
     # nobody else hears the leader's edge into 6
-    assert select_trusted(6, 0, board, t) is None
+    assert select_trusted(6, 0, flags, t) is None
     # 5 relays the leader for agent 1
-    assert select_trusted(1, 0, board, t) == 5
+    assert select_trusted(1, 0, flags, t) == 5
 
 
 def test_run_protocol_step_channel_only():
@@ -139,3 +122,71 @@ def test_run_protocol_step_missing_envelope_counts_clean():
     flags, labels = run_protocol_step(1, none, none, t)
     assert not flags.any()
     assert all(v is Classification.NORMAL for v in labels)
+
+
+# --- the array step against the per-edge reference ----------------------------
+
+
+def _reference_step(chan, env, t):
+    """Flags and labels edge by edge through select_trusted and classify."""
+    flags = np.array(
+        [(1, 2) if c else (0, 1) if v else (0, 0) for c, v in zip(chan, env)], dtype=np.int64
+    ).reshape(-1, 2)
+    labels = []
+    for e, (j, i) in enumerate(t.edges):
+        own = FlagPair(*flags[e])
+        relayed = None
+        if own == FlagPair(1, 2):
+            jhat = select_trusted(i, j, flags, t)
+            if jhat is not None:
+                relayed = FlagPair(*flags[t.edge_index(j, jhat)])
+        labels.append(classify(own, relayed))
+    return flags, labels
+
+
+def _assert_matches_reference(chan, env, t):
+    flags, labels = run_protocol_step(1, chan, env, t)
+    want_flags, want_labels = _reference_step(chan, env, t)
+    assert flags.dtype == np.int64 and flags.shape == (t.n_edges, 2)
+    assert np.array_equal(flags, want_flags)
+    assert list(labels) == want_labels
+
+
+def test_protocol_step_matches_reference_on_platoon_masks():
+    t = _topology()
+    rng = np.random.default_rng(20260821)
+    seen = set()
+    for _ in range(1500):
+        p_chan, p_env = rng.uniform(0.0, 0.6, size=2)
+        chan = rng.random(t.n_edges) < p_chan
+        env = rng.random(t.n_edges) < p_env
+        _assert_matches_reference(chan, env, t)
+        seen.update(run_protocol_step(1, chan, env, t)[1])
+    assert seen == set(Classification)
+
+
+@st.composite
+def _topology_and_masks(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(j, i) for j in range(n) for i in range(n) if j != i]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    masks = st.lists(st.booleans(), min_size=len(edges), max_size=len(edges))
+    return n, edges, draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_topology_and_masks())
+def test_protocol_step_matches_reference_on_random_topologies(case):
+    n, edges, steps = case
+    t = build_topology(n, edges)
+    edge_set = set(edges)
+    for e, (j, i) in enumerate(edges):
+        relays = two_hop_relays(t, j, i)
+        brute = {s for s in range(n) if s not in (i, j) and (j, s) in edge_set and (s, i) in edge_set}
+        assert relays == tuple(sorted(brute))
+        width = len(relays)
+        assert list(t.relay_si[e, :width]) == [t.edge_index(s, i) for s in relays]
+        assert list(t.relay_js[e, :width]) == [t.edge_index(j, s) for s in relays]
+        assert (t.relay_si[e, width:] == -1).all() and (t.relay_js[e, width:] == -1).all()
+    for chan, env in steps:
+        _assert_matches_reference(np.array(chan, dtype=bool), np.array(env, dtype=bool), t)
