@@ -81,12 +81,14 @@ class EnvelopeConfig:
             raise ValueError("lambda_min must be positive")
 
 
-def gaussian_kl(mu_a, var_a, mu_b, var_b) -> float:
+def gaussian_kl(mu_a, var_a, mu_b, var_b) -> float | np.ndarray:
     """KL divergence between diagonal Gaussians, summed over components.
 
         sum_l [ log(s_b/s_a) + (s_a^2 + (m_a - m_b)^2) / (2 s_b^2) - 1/2 ]
 
-    Zero or negative variances are rejected.
+    Components run along the last axis; the leading axes are kept, and a
+    single Gaussian pair gives a Python float. Zero or negative variances
+    are rejected.
     """
     mu_a = np.atleast_1d(np.asarray(mu_a, dtype=float))
     mu_b = np.atleast_1d(np.asarray(mu_b, dtype=float))
@@ -97,16 +99,20 @@ def gaussian_kl(mu_a, var_a, mu_b, var_b) -> float:
     if np.any(var_a <= 0) or np.any(var_b <= 0):
         raise ValueError("variances must be positive")
     terms = 0.5 * np.log(var_b / var_a) + (var_a + (mu_a - mu_b) ** 2) / (2.0 * var_b) - 0.5
-    return float(terms.sum())
+    kl = terms.sum(axis=-1)
+    return float(kl) if kl.ndim == 0 else kl
 
 
-def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray, cfg: KlDetectorConfig) -> float:
-    """Empirical KL between two sample sets of shape (samples, n).
+def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray, cfg: KlDetectorConfig) -> float | np.ndarray:
+    """Empirical KL between two sample blocks of shape (T, ..., n).
 
-    Fits a Gaussian to each component by its moments and sums the
-    per-component divergences. Sample variances are floored at
-    (VAR_FLOOR_REL * max(|mu_a|, |mu_b|))^2, and at least VAR_FLOOR, so
-    that sets equal up to round-off report a KL near zero.
+    Blocks run over trials first and state components last, like
+    edge_residual's. Fits a Gaussian to each component by its moments
+    over the T samples and sums the per-component divergences, so the
+    result has the shape of the axes in between: a Python float for a
+    (T, n) pair, a (K, E) array for (T, K, E, n) slabs. Sample variances
+    are floored at (VAR_FLOOR_REL * max(|mu_a|, |mu_b|))^2, and at least
+    VAR_FLOOR, so that sets equal up to round-off report a KL near zero.
     """
     a = np.atleast_2d(np.asarray(samples_a, dtype=float))
     b = np.atleast_2d(np.asarray(samples_b, dtype=float))

@@ -1,8 +1,9 @@
 """Monte Carlo simulation driver.
 
-Builds the dense attack and watermark arrays the step kernel consumes
-(the attack masks come from attacks.activity, the schedules are filled
-from the window slices), splits trials across workers, and returns the raw slabs (states and
+simulate takes a harness.Scenario. It builds the dense attack and
+watermark arrays the step kernel consumes (the attack masks come from
+attacks.activity, the schedules are filled from the window slices),
+splits trials across workers, and returns the raw slabs (states and
 recovered message pairs) that the detector pipeline pools.
 
 Every random stream is derived counter-style from
@@ -40,12 +41,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
 from .attacks import AttackScenario, activity, validate_attacks, window_rows
-from .dynamics import AgentModel, ControllerParams, noise_gain
+from .dynamics import noise_gain
 from .graph import Topology
 from .watermark import (
     STREAM_BYZANTINE,
@@ -56,6 +58,9 @@ from .watermark import (
     stream_keys,
     watermark_blocks,
 )
+
+if TYPE_CHECKING:
+    from .harness import Scenario
 
 WORKERS_ENV = "MASWATCH_WORKERS"
 
@@ -186,24 +191,21 @@ def _pregenerate(
     return W, M1, M2, F1, F2, byz_rand
 
 
-def simulate(
-    t: Topology,
-    model: AgentModel,
-    ctrl: ControllerParams,
-    wm: WatermarkParams,
-    attacks: AttackScenario,
-    horizon: int,
-    trials: int,
-    master_seed: int,
-    init_states: np.ndarray,
-    workers: int | None = None,
-) -> SimData:
-    """Run the full Monte Carlo batch and return the raw slabs."""
+def simulate(s: Scenario, workers: int | None = None) -> SimData:
+    """Run the scenario's Monte Carlo batch and return the raw slabs.
+
+    Reads topology, model, controller, watermark, attacks, horizon,
+    trials, master_seed and init_states from s; any object with those
+    fields will do. Trials are split into min(workers, trials) chunks
+    that run on parallel threads; the chunking never changes a number.
+    """
+    t, model, ctrl, attacks = s.topology, s.model, s.controller, s.attacks
+    horizon, trials = s.horizon, s.trials
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if trials < 1:
         raise ValueError("need at least one trial")
-    init_states = np.asarray(init_states, dtype=float)
+    init_states = np.asarray(s.init_states, dtype=float)
     if init_states.shape != (t.n_agents, model.n):
         raise ValueError(
             f"init_states must be ({t.n_agents}, {model.n}), got {init_states.shape}"
@@ -237,9 +239,9 @@ def simulate(
             t,
             K,
             n,
-            master_seed,
+            s.master_seed,
             ctrl.noise_var,
-            wm,
+            s.watermark,
             rand_edges,
             rand_scale,
         )
@@ -266,7 +268,7 @@ def simulate(
             ys2[lo:hi],
         )
 
-    chunks = [c for c in np.array_split(np.arange(trials), workers) if c.size]
+    chunks = np.array_split(np.arange(trials), min(workers, trials))
     if len(chunks) == 1:
         run_chunk(chunks[0])
     else:

@@ -448,18 +448,7 @@ def _simulate_scenario(s: Scenario, workers=None) -> SimData:
     nbytes = 8 * s.trials * s.model.n * ((s.horizon + 1) * t.n_agents + 2 * s.horizon * t.n_edges)
     try:
         if nbytes <= np.iinfo(np.intp).max:
-            return simulate(
-                s.topology,
-                s.model,
-                s.controller,
-                s.watermark,
-                s.attacks,
-                s.horizon,
-                s.trials,
-                s.master_seed,
-                s.init_states,
-                workers=workers,
-            )
+            return simulate(s, workers=workers)
     except MemoryError:
         pass
     raise ScenarioError(
@@ -595,9 +584,11 @@ def transient_sweep(
     """Transient false-alarm probe across initial error scales.
 
     For each scale the follower offsets from the leader are multiplied
-    by the scale and the attack-free system simulated once. Two
+    by the scale and the attack-free system simulated once, up to the
+    probe step only: a step's numbers do not depend on the horizon. Two
     statistics are evaluated on that trajectory at the probe step, each
-    maximized over edges:
+    read for all edges at once and maximized over them (0.0 without
+    edges):
 
       watermark_kl: the channel detector's KL between recovered copies
       ablation_kl:  the consensus-residual detector, which reads one
@@ -608,44 +599,31 @@ def transient_sweep(
     On a clean channel the recovered copy equals plaintext plus noise up
     to round-off, so the residual is the one an unwatermarked run would
     see. The watermark statistic is transient-blind by construction; the
-    ablation statistic grows with the initial disagreement.
+    ablation statistic grows with the initial disagreement. Every scale
+    must be positive and finite.
     """
     if probe_step < 1:
         raise ValueError("probe_step must be at least 1")
+    if probe_step > s.horizon:
+        raise ValueError(f"probe step {probe_step} beyond horizon {s.horizon}")
+    clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget), horizon=probe_step)
+    edge_dst = np.array([i for _, i in s.topology.edges], dtype=np.int64)
+    nominal_var = max(s.controller.noise_var, 1e-30)
     rows = []
-    clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget))
     for scale in initial_error_grid:
-        if scale <= 0:
-            raise ValueError("initial error scales must be positive")
-        scen = replace(clean, init_states=_scaled_initials(s, float(scale)))
-        if probe_step > scen.horizon:
-            raise ValueError(f"probe step {probe_step} beyond horizon {scen.horizon}")
-        sim = _simulate_scenario(scen, workers=workers)
-        edge_dst = [i for _, i in s.topology.edges]
-        wm_kl = 0.0
-        ab_kl = 0.0
-        for e in range(s.topology.n_edges):
-            wm_kl = max(
-                wm_kl,
-                estimate_kl(
-                    sim.ystar1[:, probe_step - 1, e, :],
-                    sim.ystar2[:, probe_step - 1, e, :],
-                    s.kl,
-                ),
-            )
-            resid = sim.ystar1[:, probe_step - 1, e, :] - sim.states[:, probe_step - 1, edge_dst[e], :]
-            mu = resid.mean(axis=0)
-            var = np.maximum(resid.var(axis=0), 1e-30)
-            nominal_var = max(s.controller.noise_var, 1e-30)
-            ab_kl = max(
-                ab_kl,
-                gaussian_kl(mu, var, np.zeros_like(mu), np.full_like(mu, nominal_var)),
-            )
+        if not 0 < scale < math.inf:
+            raise ValueError(f"initial error scales must be positive and finite, got {scale!r}")
+        sim = _simulate_scenario(replace(clean, init_states=_scaled_initials(s, float(scale))), workers=workers)
+        y1, y2 = sim.ystar1[:, -1], sim.ystar2[:, -1]  # (T, E, n) at the probe step
+        resid = y1 - sim.states[:, -2][:, edge_dst]
+        mu = resid.mean(axis=0)
+        var = np.maximum(resid.var(axis=0), 1e-30)
+        ab_kl = gaussian_kl(mu, var, np.zeros_like(mu), np.full_like(mu, nominal_var))
         rows.append(
             {
                 "scale": float(scale),
-                "watermark_kl": float(wm_kl),
-                "ablation_kl": float(ab_kl),
+                "watermark_kl": float(np.max(estimate_kl(y1, y2, s.kl), initial=0.0)),
+                "ablation_kl": float(np.max(ab_kl, initial=0.0)),
                 "probe_step": int(probe_step),
             }
         )

@@ -113,18 +113,23 @@ def test_sweep_has_no_variant_option(scenario_file, capsys):
     assert "--variant" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("horizon", [10**12, 10**18], ids=["beyond_memory", "beyond_address_space"])
+@pytest.mark.parametrize("size", [10**12, 10**18], ids=["beyond_memory", "beyond_address_space"])
 @pytest.mark.parametrize(
-    "args",
-    [["run", "--out", "unused"], ["sweep", "--grid", "1"]],
+    "args, field, batch",
+    [
+        (["run", "--out", "unused"], "horizon", "6 trials x {} steps"),
+        (["sweep", "--grid", "1"], "trials", "{} trials x 4 steps"),
+    ],
     ids=["run", "sweep"],
 )
-def test_huge_horizon_is_a_scenario_error(tmp_path, capsys, args, horizon):
-    # numpy refuses either allocation at once, so nothing is allocated
-    doc = small_doc(horizon=horizon)
+def test_huge_horizon_is_a_scenario_error(tmp_path, capsys, args, field, batch, size):
+    # numpy refuses either allocation at once, so nothing is allocated.
+    # A sweep simulates only up to its probe step (4), so its batch is
+    # made huge through the trial count instead.
+    doc = small_doc(**{field: size})
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(doc))
     assert main([args[0], "--scenario", str(p), *args[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("scenario validation failed: run: ")
-    assert f"6 trials x {horizon} steps" in err
+    assert batch.format(size) in err

@@ -8,6 +8,7 @@ against hand-evaluated values of tau(k) and the norm-splitting factor.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from maswatch.detectors import (
     lemma1_bound,
 )
 from maswatch.dynamics import StateBounds
+from maswatch.engine import simulate
+from maswatch.harness import platoon_preset
 
 
 def kl_by_quadrature(mu_a, var_a, mu_b, var_b) -> float:
@@ -104,6 +107,20 @@ def test_estimate_kl_grows_with_mean_shift():
     shifts = [0.5, 1.0, 2.0]
     vals = [estimate_kl(a, a + s, _cfg()) for s in shifts]
     assert vals[0] < vals[1] < vals[2]
+
+
+def test_estimate_kl_blocks_match_per_pair_calls():
+    """One call on (T, K, E, n) slabs equals the per-(step, edge) calls
+    bit for bit, each of which gives a Python float."""
+    s = replace(platoon_preset("hybrid"), trials=40, horizon=12)
+    sim = simulate(s)
+    K, E = s.horizon, s.topology.n_edges
+    pairs = [[estimate_kl(sim.ystar1[:, k, e], sim.ystar2[:, k, e], s.kl) for e in range(E)] for k in range(K)]
+    assert all(type(v) is float for row in pairs for v in row)
+    block = estimate_kl(sim.ystar1, sim.ystar2, s.kl)
+    assert block.shape == (K, E)
+    assert np.array_equal(block, np.array(pairs))
+    assert kl_verdict(block, s.kl).any()  # the channel attack shows
 
 
 def test_estimate_kl_validation():

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from maswatch import harness
 from maswatch.attacks import AttackScenario
-from maswatch.detectors import envelope_verdict
+from maswatch.detectors import envelope_verdict, estimate_kl, gaussian_kl
 from maswatch.dynamics import StateBounds
 from maswatch.engine import simulate
+from maswatch.graph import LEADER
 from maswatch.harness import (
     RunReport,
     Scenario,
@@ -423,19 +424,44 @@ def test_transient_sweep_single_value():
 def test_transient_sweep_simulates_each_scale_once(monkeypatch):
     calls = []
 
-    def counting_simulate(*args, **kwargs):
-        calls.append(args)
-        return simulate(*args, **kwargs)
+    def counting_simulate(s, **kwargs):
+        calls.append(s)
+        return simulate(s, **kwargs)
 
     monkeypatch.setattr(harness, "simulate", counting_simulate)
     rows = transient_sweep(scenario_from_dict(small_doc()), [0.5, 1.0, 2.0], probe_step=4)
     assert len(rows) == 3 and len(calls) == 3
+    # a step's numbers do not depend on the horizon, so no scale is
+    # simulated past the probe step
+    assert [c.horizon for c in calls] == [4, 4, 4]
+
+
+def test_transient_sweep_matches_full_horizon_per_edge_reference():
+    s = scenario_from_dict(small_doc(horizon=10, trials=40))
+    grid, probe_step = [0.5, 3.0], 5
+    clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget))
+    leader = s.init_states[LEADER]
+    nominal_var = max(s.controller.noise_var, 1e-30)
+    want = []
+    for scale in grid:
+        sim = simulate(replace(clean, init_states=leader + scale * (s.init_states - leader)))
+        wm_kl = ab_kl = 0.0
+        for e, (_, i) in enumerate(s.topology.edges):
+            y1, y2 = sim.ystar1[:, probe_step - 1, e], sim.ystar2[:, probe_step - 1, e]
+            wm_kl = max(wm_kl, estimate_kl(y1, y2, s.kl))
+            resid = y1 - sim.states[:, probe_step - 1, i]
+            mu, var = resid.mean(axis=0), np.maximum(resid.var(axis=0), 1e-30)
+            ab_kl = max(ab_kl, gaussian_kl(mu, var, np.zeros_like(mu), np.full_like(mu, nominal_var)))
+        want.append({"scale": scale, "watermark_kl": wm_kl, "ablation_kl": ab_kl, "probe_step": probe_step})
+    assert transient_sweep(s, grid, probe_step=probe_step) == want
+    assert want[1]["ablation_kl"] > want[0]["ablation_kl"] > 0.0
 
 
 def test_transient_sweep_rejects_bad_grid():
     s = scenario_from_dict(small_doc())
-    with pytest.raises(ValueError, match="positive"):
-        transient_sweep(s, [0.0])
+    for scale in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            transient_sweep(s, [1.0, scale])
     with pytest.raises(ValueError, match="beyond horizon"):
         transient_sweep(s, [1.0], probe_step=99)
     with pytest.raises(ValueError, match="at least 1"):

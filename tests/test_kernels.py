@@ -40,13 +40,6 @@ from _scenarios import small_doc
 RTOL = 1e-12
 
 
-def _simulate(s, workers=None):
-    return simulate(
-        s.topology, s.model, s.controller, s.watermark, s.attacks,
-        s.horizon, s.trials, s.master_seed, s.init_states, workers=workers,
-    )
-
-
 def _oracle(s):
     """simulate's (states, ystar1, ystar2), one message at a time."""
     t, K, n = s.topology, s.horizon, s.model.n
@@ -130,7 +123,7 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_simulate_matches_per_message_oracle(case):
     s = ORACLE_CASES[case]()
-    sim = _simulate(s)
+    sim = simulate(s)
     for name, got, want in zip(("states", "ystar1", "ystar2"), (sim.states, sim.ystar1, sim.ystar2), _oracle(s)):
         err = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert err <= RTOL, (name, err)
@@ -148,18 +141,32 @@ def test_resolve_workers(monkeypatch):
 
 def test_worker_chunking_is_invisible():
     s = replace(platoon_preset("channel"), horizon=12, trials=10)
-    a = _simulate(s, workers=1)
-    b = _simulate(s, workers=4)
+    a = simulate(s, workers=1)
+    b = simulate(s, workers=4)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.ystar1, b.ystar1)
     assert np.array_equal(a.ystar2, b.ystar2)
 
 
+def test_surplus_workers_cost_nothing():
+    """Workers beyond the trial count get no chunk, so they cost neither
+    time nor memory; the two trials run on two threads."""
+    s = scenario_from_dict(small_doc(horizon=6, trials=2))
+    tracemalloc.start()
+    try:
+        sim = simulate(s, workers=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    assert np.array_equal(sim.states, simulate(s, workers=1).states)
+
+
 def test_trial_slabs_are_independent_of_trial_count():
     """Adding trials must not change the numbers of earlier trials."""
     s = scenario_from_dict(small_doc(horizon=6, trials=4))
-    small = _simulate(s)
-    big = _simulate(replace(s, trials=9))
+    small = simulate(s)
+    big = simulate(replace(s, trials=9))
     assert np.array_equal(small.states, big.states[:4])
     assert np.array_equal(small.ystar1, big.ystar1[:4])
 
@@ -190,7 +197,7 @@ def test_simulate_allocates_only_the_slabs_it_uses(case):
     outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 2 * slab
     tracemalloc.start()
     try:
-        _simulate(s, workers=1)
+        simulate(s, workers=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
