@@ -120,12 +120,18 @@ def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray, cfg: KlDetectorCon
         raise ValueError("sample sets must have matching shapes")
     if a.shape[0] < 2:
         raise ValueError("need at least two samples per set")
-    mu_a = a.mean(axis=0)
-    mu_b = b.mean(axis=0)
+    (mu_a, var_a), (mu_b, var_b) = _moments(a), _moments(b)
     floor = np.maximum((VAR_FLOOR_REL * np.maximum(np.abs(mu_a), np.abs(mu_b))) ** 2, VAR_FLOOR)
-    var_a = np.maximum(a.var(axis=0), floor)
-    var_b = np.maximum(b.var(axis=0), floor)
-    return gaussian_kl(mu_a, var_a, mu_b, var_b)
+    return gaussian_kl(mu_a, np.maximum(var_a, floor), mu_b, np.maximum(var_b, floor))
+
+
+def _moments(x: np.ndarray):
+    """Mean and variance over axis 0 by the operations np.mean and np.var
+    run, in their order, without their Python overhead; same bits."""
+    mu = x.sum(axis=0) / x.shape[0]
+    d = x - mu
+    d *= d
+    return mu, d.sum(axis=0) / x.shape[0]
 
 
 def kl_verdict(kl, cfg: KlDetectorConfig) -> np.ndarray:

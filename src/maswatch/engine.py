@@ -3,7 +3,7 @@
 simulate takes a harness.Scenario. It builds the dense attack and
 watermark arrays the step kernel consumes (the attack masks come from
 attacks.activity, the schedules are filled from the window slices),
-splits trials across workers, and returns the raw slabs (states and
+splits trials into chunks, and returns the raw slabs (states and
 recovered message pairs) that the detector pipeline pools.
 
 Every random stream is derived counter-style from
@@ -26,6 +26,10 @@ Random material of a chunk of T trials, K steps, E edges, n dims:
              at zero variance, byz_rand without such an edge) is a
              broadcast 0, never a slab.
 
+Each chunk holds at most CHUNK_BYTES of slabs, plus at most one
+trial's worth, and only running chunks hold any, so a run's peak is its
+output slabs plus at most threads x CHUNK_BYTES of material.
+
 Bit-compatibility invariant: stream (trial, j, i, tag) draws exactly the
 numbers of default_rng(SeedSequence([master_seed, trial, j, i, tag])),
 and a step's row does not depend on K. tests/test_watermark.py checks
@@ -33,7 +37,8 @@ the keys against SeedSequence, and the oracle in tests/test_kernels.py
 seeds its streams through SeedSequence itself.
 
 Environment knob:
-    MASWATCH_WORKERS = <int>   worker thread count (default 1)
+    MASWATCH_WORKERS = <int>   upper bound on worker threads (default 1);
+                               no more threads than trials or CPUs run
 """
 
 from __future__ import annotations
@@ -63,6 +68,10 @@ if TYPE_CHECKING:
     from .harness import Scenario
 
 WORKERS_ENV = "MASWATCH_WORKERS"
+
+# Byte budget of one trial chunk's random material. harness sizes its
+# residual step blocks by it too.
+CHUNK_BYTES = 32 * 2**20
 
 _BYZ_CODE = {
     "constant_offset": _kernels.BYZ_CONST,
@@ -196,8 +205,10 @@ def simulate(s: Scenario, workers: int | None = None) -> SimData:
 
     Reads topology, model, controller, watermark, attacks, horizon,
     trials, master_seed and init_states from s; any object with those
-    fields will do. Trials are split into min(workers, trials) chunks
-    that run on parallel threads; the chunking never changes a number.
+    fields will do. Trials are split into chunks of at most CHUNK_BYTES
+    of random material, and at least one chunk per thread; the threads
+    number min(workers, trials, cpu count). The chunking never changes a
+    number.
     """
     t, model, ctrl, attacks = s.topology, s.model, s.controller, s.attacks
     horizon, trials = s.horizon, s.trials
@@ -268,10 +279,14 @@ def simulate(s: Scenario, workers: int | None = None) -> SimData:
             ys2[lo:hi],
         )
 
-    chunks = np.array_split(np.arange(trials), min(workers, trials))
-    if len(chunks) == 1:
-        run_chunk(chunks[0])
+    slabs = 4 + (ctrl.noise_var > 0) + bool(rand_edges.any())  # as _pregenerate allocates them
+    threads = min(workers, trials, os.cpu_count() or 1)
+    n_chunks = min(trials, max(threads, -(-trials * 8 * K * E * n * slabs // CHUNK_BYTES)))
+    chunks = np.array_split(np.arange(trials), n_chunks)
+    if threads == 1:
+        for chunk in chunks:
+            run_chunk(chunk)
     else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_chunk, chunks))
     return SimData(states=states, ystar1=ys1, ystar2=ys2)

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import engine
 from .attacks import (
     AttackScenario,
     ByzantineBehavior,
@@ -473,9 +474,16 @@ def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
     E, K = t.n_edges, s.horizon
     edge_dst = np.array([i for _, i in t.edges], dtype=np.int64)
 
-    # Residuals of both copies against the receiver state at send time.
-    own = sim.states[:, :-1][:, :, edge_dst]  # (T, K, E, n)
-    residuals = np.stack([edge_residual(slab, own).T for slab in (sim.ystar1, sim.ystar2)])
+    # Residuals of both copies against the receiver state at send time,
+    # in step blocks whose gather, difference and square fit the engine's
+    # chunk budget. Each (step, edge) mean reduces over trials alike in
+    # any block of two or more steps (numpy sums a 1 x 1 block pairwise).
+    n_blocks = max(1, min(-(-K * 3 * 8 * s.trials * E * s.model.n // engine.CHUNK_BYTES), K // 2))
+    parts = []
+    for x, y1, y2 in zip(*(np.array_split(a, n_blocks, axis=1) for a in (sim.states[:, :-1], sim.ystar1, sim.ystar2))):
+        own = x[:, :, edge_dst]  # (T, B, E, n)
+        parts.append([edge_residual(y1, own).T, edge_residual(y2, own).T])
+    residuals = np.concatenate(parts, axis=2)
 
     kl_stats = np.zeros((E, K))
     if s.trials >= s.kl.min_samples:

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from maswatch.detectors import (
+    VAR_FLOOR,
+    VAR_FLOOR_REL,
     EnvelopeConfig,
     KlDetectorConfig,
     edge_residual,
@@ -121,6 +123,28 @@ def test_estimate_kl_blocks_match_per_pair_calls():
     assert block.shape == (K, E)
     assert np.array_equal(block, np.array(pairs))
     assert kl_verdict(block, s.kl).any()  # the channel attack shows
+
+
+def _kl_by_np_moments(a, b):
+    """estimate_kl with its moments taken by np.mean and np.var."""
+    mu_a, mu_b = np.mean(a, axis=0), np.mean(b, axis=0)
+    floor = np.maximum((VAR_FLOOR_REL * np.maximum(np.abs(mu_a), np.abs(mu_b))) ** 2, VAR_FLOOR)
+    return gaussian_kl(mu_a, np.maximum(np.var(a, axis=0), floor), mu_b, np.maximum(np.var(b, axis=0), floor))
+
+
+def test_estimate_kl_moments_match_np_mean_and_var():
+    """Bit for bit on strided per-(step, edge) views of the slabs, on
+    whole and step-strided slabs, and on a noiseless clean pair, whose
+    copies differ by round-off only and so meet the variance floor."""
+    s = replace(platoon_preset("hybrid"), trials=40, horizon=12)
+    noiseless = replace(platoon_preset(), trials=40, horizon=12)
+    noiseless = replace(noiseless, controller=replace(noiseless.controller, noise_var=0.0))
+    sims = [simulate(s), simulate(noiseless)]
+    for sim in sims:
+        pairs = [(sim.ystar1[:, k, e], sim.ystar2[:, k, e]) for k in range(12) for e in range(s.topology.n_edges)]
+        for a, b in pairs + [(sim.ystar1, sim.ystar2), (sim.ystar1[:, ::3], sim.ystar2[:, ::3])]:
+            assert np.array_equal(estimate_kl(a, b, s.kl), _kl_by_np_moments(a, b))
+    assert estimate_kl(sims[1].ystar1, sims[1].ystar2, s.kl).max() < 1e-6
 
 
 def test_estimate_kl_validation():

@@ -7,21 +7,25 @@ and remove_watermark, tamper_channel, byzantine_emit, compute_control,
 step_system), reading the same counter-style streams, and must agree
 with simulate to float64 round-off. The oracle seeds each stream with
 numpy's own SeedSequence, so it also checks the engine's vectorised
-stream_keys. Worker chunking must not change results at all.
+stream_keys. Neither worker chunking nor the byte budget of trial
+chunks and residual step blocks may change results at all.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from maswatch import _kernels, engine, harness
 from maswatch.attacks import byzantine_emit, tamper_channel
 from maswatch.dynamics import compute_control, step_system
 from maswatch.engine import resolve_workers, simulate
-from maswatch.harness import platoon_preset, scenario_from_dict
+from maswatch.harness import RunReport, platoon_preset, run_monte_carlo, scenario_from_dict
 from maswatch.watermark import (
     STREAM_BYZANTINE,
     STREAM_NOISE,
@@ -148,9 +152,41 @@ def test_worker_chunking_is_invisible():
     assert np.array_equal(a.ystar2, b.ystar2)
 
 
+def test_thread_count_is_bounded_by_trials_and_cpus(monkeypatch):
+    """MASWATCH_WORKERS=5000 must not start 5000 threads. A stand-in for
+    ThreadPoolExecutor records max_workers and maps serially."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    s = scenario_from_dict(small_doc(horizon=6, trials=5))
+    want = simulate(s, workers=1)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for workers in (5000, 3):
+        got = simulate(s, workers=workers)
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.ystar1, want.ystar1)
+    simulate(replace(s, trials=2), workers=5000)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one thread, no pool
+    simulate(s, workers=5000)
+    assert pools == [4, 3, 2]
+
+
 def test_surplus_workers_cost_nothing():
     """Workers beyond the trial count get no chunk, so they cost neither
-    time nor memory; the two trials run on two threads."""
+    time nor memory."""
     s = scenario_from_dict(small_doc(horizon=6, trials=2))
     tracemalloc.start()
     try:
@@ -190,6 +226,8 @@ SLAB_CASES = {
 
 @pytest.mark.parametrize("case", SLAB_CASES)
 def test_simulate_allocates_only_the_slabs_it_uses(case):
+    # At most 3.5 MB of material, far below engine.CHUNK_BYTES, so every
+    # case runs as one chunk that holds all its slabs at once.
     kwargs, slabs = SLAB_CASES[case]
     s = _random_material_case(**kwargs)
     T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
@@ -204,3 +242,70 @@ def test_simulate_allocates_only_the_slabs_it_uses(case):
     # Schedules, stream keys, per-trial draw buffers and the kernel's
     # per-step temporaries stay far below half a slab at this shape.
     assert outputs + (slabs - 0.5) * slab <= peak <= outputs + (slabs + 0.5) * slab, peak
+
+
+def _assert_same_arrays(a, b):
+    """Every array field of two SimData or RunReport objects is equal bit
+    for bit; a report's summary too."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+    if isinstance(a, RunReport):
+        assert json.dumps(a.summary) == json.dumps(b.summary)
+
+
+@pytest.mark.parametrize("case", SLAB_CASES)
+def test_chunk_budget_is_invisible(case, monkeypatch):
+    """A budget of 100 kB splits the 100 trials into 24 to 35 chunks
+    and the 120 steps of residuals into 18 blocks; no number changes."""
+    kwargs, slabs = SLAB_CASES[case]
+    s = _random_material_case(**kwargs)
+    chunks = -(-slabs * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8 // 100_000)
+    sim, report = simulate(s, workers=1), run_monte_carlo(s, workers=1)
+    calls = {"chunks": 0, "blocks": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 100_000)
+    monkeypatch.setattr(_kernels, "_simulate_numpy", counted(_kernels._simulate_numpy, "chunks"))
+    monkeypatch.setattr(harness, "edge_residual", counted(harness.edge_residual, "blocks"))
+    _assert_same_arrays(simulate(s, workers=1), sim)
+    assert calls == {"chunks": chunks, "blocks": 0}
+    _assert_same_arrays(run_monte_carlo(s, workers=1), report)
+    assert calls == {"chunks": 2 * chunks, "blocks": 2 * 18}
+
+
+def test_one_edge_residual_blocks_keep_two_steps(monkeypatch):
+    """On a one-edge topology a one-step block would reduce over trials
+    as a 1-D array, which numpy sums pairwise, not in trial order."""
+    doc = small_doc(horizon=7, trials=200)
+    doc["topology"] = {"n_agents": 2, "edges": [[0, 1]]}
+    s = scenario_from_dict(doc)
+    want = run_monte_carlo(s)
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
+    _assert_same_arrays(run_monte_carlo(s), want)
+
+
+def test_simulate_holds_one_chunk_of_material_at_a_time(monkeypatch):
+    """With the budget at a quarter of the material, the peak is the
+    outputs plus one chunk; it was the outputs plus every slab."""
+    s = _random_material_case()
+    T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
+    slab = T * K * E * n * 8
+    outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 2 * slab
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 5 * slab // 4)
+    tracemalloc.start()
+    try:
+        simulate(s, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The schedules and the other per-run arrays stay below half a slab,
+    # as in test_simulate_allocates_only_the_slabs_it_uses.
+    assert peak <= outputs + engine.CHUNK_BYTES + slab / 2, (peak - outputs) / slab
