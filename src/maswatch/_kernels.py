@@ -12,13 +12,14 @@ by message through the public per-message API and compares.
 Array shapes, with T trials, K steps, N agents, E edges, n state dims:
 
     x0 (N, n)            A (n, n)   Bv, K1, K2 (n,)   ak (K+1,)
-    edge_src, edge_dst (E,) int64   edge_w (E,)
+    edge_src, edge_dst (E,) intp    edge_w (E,)
     W, M1, M2, F1, F2, byz_rand (T, K, E, n), each step's (E, n)
                          block contiguous; M1..F2 may be strided views of
                          one (T, K, 4, E, n) slab, and unused material
                          (W, byz_rand) a read-only broadcast of 0
     chan_mask (K, E) bool   Xi1, Lam1, Xi2, Lam2 (K, E, n)
-    byz_mask (K, E) bool    byz_kind (K, E) i1   byz_coeff (K, E, n)
+    byz_kind (K, E) i1      byz_coeff (K, E, n), the offset a BYZ_OFFSET
+                         step adds (a ramp's offset * k already)
     states (T, K+1, N, n) out       ys1, ys2 (T, K, E, n) out
 
 The leader is agent 0 and never consumes neighbor messages.
@@ -29,10 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 # byz_kind codes; 0 marks a step and edge without a Byzantine behavior.
-BYZ_CONST = 1
-BYZ_RAMP = 2
-BYZ_FROZEN = 3
-BYZ_RANDOM = 4
+BYZ_OFFSET = 1
+BYZ_FROZEN = 2
+BYZ_RANDOM = 3
 
 
 def _simulate_numpy(
@@ -55,7 +55,6 @@ def _simulate_numpy(
     Lam1,
     Xi2,
     Lam2,
-    byz_mask,
     byz_kind,
     byz_coeff,
     byz_rand,
@@ -69,24 +68,21 @@ def _simulate_numpy(
     frozen = np.zeros((T, E, n))
     frozen_set = np.zeros(E, dtype=bool)
     trial_rows = np.arange(T)[:, None]
-    any_byz = bool(byz_mask.any())
+    any_byz = bool(byz_kind.any())
     for k in range(1, K + 1):
         x = states[:, k - 1]
         plain = x[:, edge_src, :].copy()
         if any_byz:
-            bm = byz_mask[k - 1]
             kinds = byz_kind[k - 1]
-            cap = bm & (kinds == BYZ_FROZEN) & ~frozen_set
+            cap = (kinds == BYZ_FROZEN) & ~frozen_set
             if cap.any():
                 frozen[:, cap] = x[:, edge_src[cap], :]
-            frozen_set = np.where(bm, frozen_set | cap, False)
-            sel = bm & (kinds == BYZ_CONST)
+            frozen_set = np.where(kinds != 0, frozen_set | cap, False)
+            sel = kinds == BYZ_OFFSET
             plain[:, sel] += byz_coeff[k - 1, sel]
-            sel = bm & (kinds == BYZ_RAMP)
-            plain[:, sel] += byz_coeff[k - 1, sel] * k
-            sel = bm & (kinds == BYZ_FROZEN)
+            sel = kinds == BYZ_FROZEN
             plain[:, sel] = frozen[:, sel]
-            sel = bm & (kinds == BYZ_RANDOM)
+            sel = kinds == BYZ_RANDOM
             plain[:, sel] += byz_rand[:, k - 1, sel]
         y = plain + W[:, k - 1]
         m1 = M1[:, k - 1]

@@ -141,7 +141,7 @@ class AttackScenario:
 
     channel: tuple[ChannelAttack, ...] = ()
     byzantine: tuple[ByzantineBehavior, ...] = ()
-    budget: LocalAttackBudget = field(default_factory=lambda: LocalAttackBudget(1, 1))
+    budget: LocalAttackBudget = field(default_factory=LocalAttackBudget)
 
     def __post_init__(self):
         object.__setattr__(self, "channel", tuple(self.channel))
@@ -204,8 +204,7 @@ def activity(s: AttackScenario, t: Topology, horizon: int) -> tuple[np.ndarray, 
     for a in s.channel:
         chan[window_rows(a.window, horizon), t.edge_index(*a.edge)] = True
     for bz in s.byzantine:
-        for i in t.out_neighbors(bz.agent):
-            byz[window_rows(bz.window, horizon), t.edge_index(bz.agent, i)] = True
+        byz[window_rows(bz.window, horizon), t.src == bz.agent] = True
     return chan, byz
 
 

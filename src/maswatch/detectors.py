@@ -161,9 +161,7 @@ def edge_residual(y_samples: np.ndarray, x_samples: np.ndarray) -> np.ndarray:
 
 def envelope_factor(bounds: StateBounds) -> float:
     """Norm-splitting factor sqrt((eps1^2 + eps2^2) / eps2^2) applied to
-    the envelope threshold."""
-    if bounds.eps2 == 0:
-        raise ValueError("eps2 = 0 leaves the residual growth factor undefined")
+    the envelope threshold; StateBounds rules out eps2 = 0."""
     return math.sqrt((bounds.eps1 ** 2 + bounds.eps2 ** 2) / bounds.eps2 ** 2)
 
 

@@ -81,7 +81,8 @@ class StateBounds:
     """Componentwise state range over a nominal run, eps1 <= x_l(k) <= eps2.
 
     It sets the norm-splitting factor of the residual detector's
-    threshold (detectors.envelope_factor).
+    threshold (detectors.envelope_factor), which eps2 = 0 leaves
+    undefined.
     """
 
     eps1: float
@@ -90,6 +91,8 @@ class StateBounds:
     def __post_init__(self):
         if not self.eps1 <= self.eps2:
             raise ValueError("eps1 must not exceed eps2")
+        if self.eps2 == 0:
+            raise ValueError("eps2 = 0 leaves the residual growth factor undefined")
 
 
 def companion_model(rho) -> AgentModel:

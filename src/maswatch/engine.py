@@ -1,10 +1,10 @@
 """Monte Carlo simulation driver.
 
 simulate takes a harness.Scenario. It builds the dense attack and
-watermark arrays the step kernel consumes (the attack masks come from
-attacks.activity, the schedules are filled from the window slices),
-splits trials into chunks, and returns the raw slabs (states and
-recovered message pairs) that the detector pipeline pools.
+watermark arrays the step kernel consumes (the channel mask comes from
+attacks.activity, the schedules and Byzantine codes are filled from the
+window slices), splits trials into chunks, and returns the raw slabs
+(states and recovered message pairs) that the detector pipeline pools.
 
 Every random stream is derived counter-style from
 (master_seed, trial, edge, stream tag), so results are a pure function
@@ -58,7 +58,6 @@ from .watermark import (
     STREAM_BYZANTINE,
     STREAM_NOISE,
     STREAM_WATERMARK,
-    WatermarkParams,
     edge_stream,
     stream_keys,
     watermark_blocks,
@@ -69,13 +68,12 @@ if TYPE_CHECKING:
 
 WORKERS_ENV = "MASWATCH_WORKERS"
 
-# Byte budget of one trial chunk's random material. harness sizes its
-# residual step blocks by it too.
+# Byte budget of one trial chunk's random material.
 CHUNK_BYTES = 32 * 2**20
 
 _BYZ_CODE = {
-    "constant_offset": _kernels.BYZ_CONST,
-    "divergent_ramp": _kernels.BYZ_RAMP,
+    "constant_offset": _kernels.BYZ_OFFSET,
+    "divergent_ramp": _kernels.BYZ_OFFSET,
     "frozen_state": _kernels.BYZ_FROZEN,
     "per_neighbor_random": _kernels.BYZ_RANDOM,
 }
@@ -115,11 +113,13 @@ class SimData:
 def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int):
     """Attack arrays over (step, edge), filled from the window slices.
 
-    Returns the kernel's chan_mask, Xi1, Lam1, Xi2, Lam2, byz_mask,
-    byz_kind and byz_coeff in its argument order, then the per-edge
-    rand_edges and rand_scale of per_neighbor_random behaviors.
+    Returns the kernel's chan_mask, Xi1, Lam1, Xi2, Lam2, byz_kind and
+    byz_coeff in its argument order, then the per-edge rand_edges and
+    rand_scale of per_neighbor_random behaviors. A Byzantine agent's
+    behavior covers every edge it sends on, and a divergent_ramp's
+    coefficient at step k is offset * k, as byzantine_emit computes it.
     """
-    chan_mask, byz_mask = activity(attacks, t, horizon)
+    chan_mask = activity(attacks, t, horizon)[0]
     E = t.n_edges
     tamper = np.zeros((4, horizon, E, n))  # Xi1, Lam1, Xi2, Lam2
     tamper[0::2] = 1.0
@@ -135,15 +135,17 @@ def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int)
     rand_scale = np.zeros(E)
     for bz in attacks.byzantine:
         rows = window_rows(bz.window, horizon)
-        for i in t.out_neighbors(bz.agent):
-            e = t.edge_index(bz.agent, i)
-            byz_kind[rows, e] = _BYZ_CODE[bz.kind]
-            if bz.offset:
-                byz_coeff[rows, e] = bz.offset
-            if bz.kind == "per_neighbor_random":
-                rand_edges[e] = True
-                rand_scale[e] = bz.scale
-    return chan_mask, *tamper, byz_mask, byz_kind, byz_coeff, rand_edges, rand_scale
+        out = t.src == bz.agent
+        byz_kind[rows, out] = _BYZ_CODE[bz.kind]
+        if bz.kind == "divergent_ramp":
+            steps = np.arange(rows.start + 1, rows.stop + 1, dtype=float)
+            byz_coeff[rows, out] = steps[:, None, None] * bz.offset
+        elif bz.kind == "constant_offset":
+            byz_coeff[rows, out] = bz.offset
+        elif bz.kind == "per_neighbor_random":
+            rand_edges[out] = True
+            rand_scale[out] = bz.scale
+    return chan_mask, *tamper, byz_kind, byz_coeff, rand_edges, rand_scale
 
 
 def _draw_streams(slab, master_seed, trial_ids, edges, tag, rows=slice(None)) -> None:
@@ -163,17 +165,7 @@ def _draw_streams(slab, master_seed, trial_ids, edges, tag, rows=slice(None)) ->
         slab[ti][..., rows, :] = step_major
 
 
-def _pregenerate(
-    trial_ids: np.ndarray,
-    t: Topology,
-    horizon: int,
-    n: int,
-    master_seed: int,
-    noise_var: float,
-    wm: WatermarkParams,
-    rand_edges: np.ndarray,
-    rand_scale: np.ndarray,
-):
+def _pregenerate(s: Scenario, trial_ids: np.ndarray, rand_edges: np.ndarray, rand_scale: np.ndarray):
     """The chunk's random material as (T, K, E, n) arrays W, M1, M2, F1, F2, byz_rand.
 
     M1..F2 are the views z[:, :, r] of one (T, K, 4, E, n) slab that
@@ -181,21 +173,22 @@ def _pregenerate(
     (noise at zero variance, byz_rand without a per_neighbor_random
     edge) is a read-only broadcast of 0, not a slab.
     """
-    shape = (trial_ids.shape[0], horizon, t.n_edges, n)
+    t, noise_var = s.topology, s.controller.noise_var
+    shape = (trial_ids.shape[0], s.horizon, t.n_edges, s.model.n)
     zeros = np.broadcast_to(0.0, shape)
     W = zeros
     if noise_var > 0:
         W = np.empty(shape)
-        _draw_streams(W, master_seed, trial_ids, t.edges, STREAM_NOISE)
+        _draw_streams(W, s.master_seed, trial_ids, t.edges, STREAM_NOISE)
         W *= np.sqrt(noise_var)
     z = np.empty(shape[:2] + (4,) + shape[2:])
-    _draw_streams(z, master_seed, trial_ids, t.edges, STREAM_WATERMARK)
-    M1, M2, F1, F2 = watermark_blocks(z, wm)
+    _draw_streams(z, s.master_seed, trial_ids, t.edges, STREAM_WATERMARK)
+    M1, M2, F1, F2 = watermark_blocks(z, s.watermark)
     byz_rand = zeros
     if rand_edges.any():
         rows = np.flatnonzero(rand_edges)
         byz_rand = np.zeros(shape)
-        _draw_streams(byz_rand, master_seed, trial_ids, [t.edges[e] for e in rows], STREAM_BYZANTINE, rows)
+        _draw_streams(byz_rand, s.master_seed, trial_ids, [t.edges[e] for e in rows], STREAM_BYZANTINE, rows)
         byz_rand *= rand_scale[:, None]
     return W, M1, M2, F1, F2, byz_rand
 
@@ -240,44 +233,35 @@ def simulate(s: Scenario, workers: int | None = None) -> SimData:
         return SimData(states=states, ystar1=ys1, ystar2=ys2)
     *schedules, rand_edges, rand_scale = _schedule_arrays(t, attacks, K, n)
     ak = np.array([noise_gain(k, ctrl) for k in range(K + 1)])
-    edge_src = np.array([j for j, _ in t.edges], dtype=np.int64)
-    edge_dst = np.array([i for _, i in t.edges], dtype=np.int64)
     edge_w = np.array(t.weights)
 
     def run_chunk(trial_ids: np.ndarray) -> None:
-        W, M1, M2, F1, F2, byz_rand = _pregenerate(
-            trial_ids,
-            t,
-            K,
-            n,
-            s.master_seed,
-            ctrl.noise_var,
-            s.watermark,
-            rand_edges,
-            rand_scale,
-        )
+        W, M1, M2, F1, F2, byz_rand = _pregenerate(s, trial_ids, rand_edges, rand_scale)
         lo, hi = int(trial_ids[0]), int(trial_ids[-1]) + 1
-        _kernels._simulate_numpy(
-            init_states,
-            model.A,
-            model.B,
-            ctrl.K1,
-            ctrl.K2,
-            ak,
-            edge_src,
-            edge_dst,
-            edge_w,
-            W,
-            M1,
-            M2,
-            F1,
-            F2,
-            *schedules,
-            byz_rand,
-            states[lo:hi],
-            ys1[lo:hi],
-            ys2[lo:hi],
-        )
+        # A diverging run overflows silently here; harness rejects its
+        # non-finite states. errstate is per thread, so it is set here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _kernels._simulate_numpy(
+                init_states,
+                model.A,
+                model.B,
+                ctrl.K1,
+                ctrl.K2,
+                ak,
+                t.src,
+                t.dst,
+                edge_w,
+                W,
+                M1,
+                M2,
+                F1,
+                F2,
+                *schedules,
+                byz_rand,
+                states[lo:hi],
+                ys1[lo:hi],
+                ys2[lo:hi],
+            )
 
     slabs = 4 + (ctrl.noise_var > 0) + bool(rand_edges.any())  # as _pregenerate allocates them
     threads = min(workers, trials, os.cpu_count() or 1)

@@ -26,8 +26,8 @@ class LocalAttackBudget:
     """Per-agent attack budget: at most L Byzantine in-neighbors and at
     most P attacked incoming channels at any step."""
 
-    max_byzantine_neighbors: int
-    max_attacked_channels: int
+    max_byzantine_neighbors: int = 1
+    max_attacked_channels: int = 1
 
     def __post_init__(self):
         if self.max_byzantine_neighbors < 0 or self.max_attacked_channels < 0:
@@ -40,7 +40,9 @@ class Topology:
 
     edges holds (j, i) pairs in insertion order; weights[e] is the gain
     a_ij of the e-th edge. Edge order is the canonical message order
-    used everywhere downstream (simulation slabs, CSV exports).
+    used everywhere downstream (simulation slabs, CSV exports). src and
+    dst are read-only (E,) intp arrays of each edge's sender j and
+    receiver i; in_neighbors and out_neighbors read them in edge order.
 
     relay_si and relay_js are (E, C) edge indices over the relays s of
     each edge (j, i), in two_hop_relays order: row e holds the index of
@@ -51,8 +53,8 @@ class Topology:
     n_agents: int
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...]
-    _in: dict[int, tuple[int, ...]] = field(repr=False, compare=False, default_factory=dict)
-    _out: dict[int, tuple[int, ...]] = field(repr=False, compare=False, default_factory=dict)
+    src: np.ndarray | None = field(repr=False, compare=False, default=None)
+    dst: np.ndarray | None = field(repr=False, compare=False, default=None)
     relay_si: np.ndarray | None = field(repr=False, compare=False, default=None)
     relay_js: np.ndarray | None = field(repr=False, compare=False, default=None)
 
@@ -61,10 +63,10 @@ class Topology:
         return len(self.edges)
 
     def in_neighbors(self, i: int) -> tuple[int, ...]:
-        return self._in.get(i, ())
+        return tuple(self.src[self.dst == i].tolist())
 
     def out_neighbors(self, j: int) -> tuple[int, ...]:
-        return self._out.get(j, ())
+        return tuple(self.dst[self.src == j].tolist())
 
     def edge_index(self, j: int, i: int) -> int:
         return self.edges.index((j, i))
@@ -102,18 +104,9 @@ def build_topology(n_agents: int, edge_list) -> Topology:
         seen.add((j, i))
         edges.append((j, i))
         weights.append(float(w))
-    incoming: dict[int, list[int]] = {}
-    outgoing: dict[int, list[int]] = {}
-    for j, i in edges:
-        incoming.setdefault(i, []).append(j)
-        outgoing.setdefault(j, []).append(i)
-    t = Topology(
-        n_agents=n_agents,
-        edges=tuple(edges),
-        weights=tuple(weights),
-        _in={i: tuple(v) for i, v in incoming.items()},
-        _out={j: tuple(v) for j, v in outgoing.items()},
-    )
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2).T.copy()
+    ends.flags.writeable = False
+    t = Topology(n_agents=n_agents, edges=tuple(edges), weights=tuple(weights), src=ends[0], dst=ends[1])
     index = {e: k for k, e in enumerate(edges)}
     relays = [two_hop_relays(t, j, i) for j, i in edges]
     width = max(1, max(map(len, relays), default=0))

@@ -5,13 +5,15 @@ A scenario JSON has sections topology / model / controller / watermark
 entries swap in alternative attack sections. Validation failures name
 the offending field by path (for example "detectors.kl.theta").
 
-run_monte_carlo simulates the batch and passes whole (edge, step)
-arrays between stages: pooled KL statistics and their alarms, envelope
-ratios against each edge's frozen reference, then one flag-protocol
-round per step into a (K, E) flag and label array, scored against
-attacks.activity in one comparison. export_report writes the traces as
-CSV, each file built from whole columns (np.repeat / np.tile /
-tolist), so a float is written as its shortest round-trip repr. All
+run_monte_carlo simulates the batch, rejects a run whose states are
+not finite, and pools each step over trials: the KL statistic of every
+edge and the residuals of both copies, reduced as one (trials, 2,
+edges) block. Whole (edge, step) arrays then pass between stages:
+envelope ratios against each edge's frozen reference, one
+flag-protocol round per step into a (K, E) flag and label array,
+scored against attacks.activity in one comparison. export_report
+writes the traces as CSV, each file built from whole columns
+(np.repeat / np.tile / tolist), so a float is written as its shortest round-trip repr. All
 exported numbers are pure functions of (scenario, master_seed),
 independent of worker count.
 """
@@ -25,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine
 from .attacks import (
     AttackScenario,
     ByzantineBehavior,
@@ -152,6 +153,13 @@ def _vector(value, path, n=None) -> list[float]:
     return [float(v) for v in value]
 
 
+def _given(section, path, keys, kind=None) -> dict:
+    """{key: value} for those keys that section names, each checked by
+    _get (a finite float without a kind). A key it leaves out is not
+    passed on, so the type's own default applies."""
+    return {k: _get(section, k, path, kind) if kind else _num(section, k, path) for k in keys if k in section}
+
+
 def _build(path, factory, *args, **kwargs):
     """factory(*args, **kwargs), its ValueError reported at path."""
     try:
@@ -197,7 +205,8 @@ def _attacks_from(sec, path, n, n_agents) -> AttackScenario:
         raise ScenarioError(path, "missing or malformed section")
     bp = f"{path}.budget"
     bud = _get(sec, "budget", path, dict, default={})
-    budget = _build(bp, LocalAttackBudget, _get(bud, "L", bp, int, default=1), _get(bud, "P", bp, int, default=1))
+    names = {"L": "max_byzantine_neighbors", "P": "max_attacked_channels"}
+    budget = _build(bp, LocalAttackBudget, **{names[k]: v for k, v in _given(bud, bp, names, int).items()})
     channel = []
     for idx, d in enumerate(_entries(sec, "channel", path)):
         p = f"{path}.channel[{idx}]"
@@ -233,7 +242,7 @@ def _attacks_from(sec, path, n, n_agents) -> AttackScenario:
                 window=_window_from(d, p),
                 kind=_get(d, "kind", p, str),
                 offset=tuple(offset),
-                scale=_num(d, "scale", p, 0.0),
+                **_given(d, p, ("scale",)),
             )
         )
     return AttackScenario(channel=tuple(channel), byzantine=tuple(byzantine), budget=budget)
@@ -267,7 +276,7 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
     sec, p = _section(doc, "model")
     mtype = _get(sec, "type", p, str)
     if mtype == "platoon":
-        model = _build(p, platoon_model, _num(sec, "delta", p, 1.2), _num(sec, "T", p, 1.0))
+        model = _build(p, platoon_model, **_given(sec, p, ("delta", "T")))
     elif mtype == "companion":
         model = _build(p, companion_model, _vector(_get(sec, "rho", p, list), f"{p}.rho"))
     else:
@@ -280,9 +289,7 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         ControllerParams,
         K1=np.array(_vector(_get(sec, "K1", p, list), f"{p}.K1", n)),
         K2=np.array(_vector(_get(sec, "K2", p, list), f"{p}.K2", n)),
-        gain_mu=_num(sec, "gain_mu", p, 1.0),
-        gain_lambda=_num(sec, "gain_lambda", p, 0.6),
-        noise_var=_num(sec, "noise_var", p, 0.0),
+        **_given(sec, p, ("gain_mu", "gain_lambda", "noise_var")),
     )
 
     wmsec, wmp = _section(doc, "watermark")
@@ -305,16 +312,9 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         klp,
         KlDetectorConfig,
         theta=_num(klsec, "theta", klp),
-        min_samples=_get(klsec, "min_samples", klp, int, default=30),
+        **_given(klsec, klp, ("min_samples",), int),
     )
-    env_cfg = _build(
-        envp,
-        EnvelopeConfig,
-        M_r=_num(envsec, "M_r", envp, 100.0),
-        phi=_num(envsec, "phi", envp, 0.16),
-        lambda_min=_num(envsec, "lambda_min", envp, 1.0),
-        delta=_num(envsec, "delta", envp, 6.0),
-    )
+    env_cfg = _build(envp, EnvelopeConfig, **_given(envsec, envp, ("M_r", "phi", "lambda_min", "delta")))
     bounds = None
     if sec.get("bounds") is not None:
         bsec, bp = _section(sec, "bounds", p)
@@ -441,20 +441,25 @@ def platoon_preset(variant: str | None = None) -> Scenario:
 
 
 def _simulate_scenario(s: Scenario, workers=None) -> SimData:
-    """simulate(s); a batch too large to allocate is a ScenarioError on run."""
+    """simulate(s); a batch too large to allocate, or states that are not
+    finite, are a ScenarioError on run."""
     t = s.topology
     # Bytes of the output slabs. numpy refuses an array of more than
     # intp-max bytes with a ValueError, and one the machine cannot
     # provide with a MemoryError.
     nbytes = 8 * s.trials * s.model.n * ((s.horizon + 1) * t.n_agents + 2 * s.horizon * t.n_edges)
     try:
-        if nbytes <= np.iinfo(np.intp).max:
-            return simulate(s, workers=workers)
+        sim = simulate(s, workers=workers) if nbytes <= np.iinfo(np.intp).max else None
     except MemoryError:
-        pass
-    raise ScenarioError(
-        "run", f"{s.trials} trials x {s.horizon} steps need {nbytes} bytes of output slabs, more than can be allocated"
-    )
+        sim = None
+    if sim is None:
+        raise ScenarioError(
+            "run", f"{s.trials} trials x {s.horizon} steps need {nbytes} bytes of output slabs, more than can be allocated"
+        )
+    finite = np.isfinite(sim.states).all(axis=(0, 2, 3))
+    if not finite.all():
+        raise ScenarioError("run", f"the states diverge: not finite from step {int(finite.argmin())} on")
+    return sim
 
 
 def _nominal_bounds(s: Scenario, workers) -> tuple[StateBounds, SimData | None]:
@@ -463,7 +468,8 @@ def _nominal_bounds(s: Scenario, workers) -> tuple[StateBounds, SimData | None]:
         return s.bounds, None
     clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget))
     sim = _simulate_scenario(clean, workers=workers)
-    return compute_state_bounds(sim.states), sim if not s.attacks.channel and not s.attacks.byzantine else None
+    bounds = _build("detectors.bounds", compute_state_bounds, sim.states)
+    return bounds, sim if not s.attacks.channel and not s.attacks.byzantine else None
 
 
 def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
@@ -472,22 +478,16 @@ def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
     sim = reuse if reuse is not None else _simulate_scenario(s, workers=workers)
     t = s.topology
     E, K = t.n_edges, s.horizon
-    edge_dst = np.array([i for _, i in t.edges], dtype=np.int64)
-
-    # Residuals of both copies against the receiver state at send time,
-    # in step blocks whose gather, difference and square fit the engine's
-    # chunk budget. Each (step, edge) mean reduces over trials alike in
-    # any block of two or more steps (numpy sums a 1 x 1 block pairwise).
-    n_blocks = max(1, min(-(-K * 3 * 8 * s.trials * E * s.model.n // engine.CHUNK_BYTES), K // 2))
-    parts = []
-    for x, y1, y2 in zip(*(np.array_split(a, n_blocks, axis=1) for a in (sim.states[:, :-1], sim.ystar1, sim.ystar2))):
-        own = x[:, :, edge_dst]  # (T, B, E, n)
-        parts.append([edge_residual(y1, own).T, edge_residual(y2, own).T])
-    residuals = np.concatenate(parts, axis=2)
-
+    residuals = np.empty((2, E, K))
     kl_stats = np.zeros((E, K))
-    if s.trials >= s.kl.min_samples:
-        for k in range(1, K + 1):
+    for k in range(1, K + 1):
+        # Residuals of both copies against the receiver state at send
+        # time. With the copy axis the trial reduction is never over a
+        # 1-D array, which numpy would sum pairwise rather than in order.
+        y = np.stack((sim.ystar1[:, k - 1], sim.ystar2[:, k - 1]), axis=1)  # (T, 2, E, n)
+        own = sim.states[:, k - 1][:, None, t.dst]  # (T, 1, E, n)
+        residuals[:, :, k - 1] = edge_residual(y, np.broadcast_to(own, y.shape))
+        if s.trials >= s.kl.min_samples:
             for e in range(E):
                 kl_stats[e, k - 1] = estimate_kl(sim.ystar1[:, k - 1, e], sim.ystar2[:, k - 1, e], s.kl)
     kl_attacked = kl_verdict(kl_stats, s.kl)
@@ -509,7 +509,7 @@ def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
     flags = np.zeros((K, E, 2), dtype=np.int64)
     classifications = np.empty((K, E), dtype=object)
     for k in range(1, K + 1):
-        flags[k - 1], classifications[k - 1] = run_protocol_step(k, kl_attacked[:, k - 1], env_any[:, k - 1], t)
+        flags[k - 1], classifications[k - 1] = run_protocol_step(kl_attacked[:, k - 1], env_any[:, k - 1], t)
 
     eta = eta_curve(sim.states)
     summary = _summarize(s, eta, kl_attacked, env_attacked, classifications)
@@ -567,8 +567,8 @@ def _summarize(s: Scenario, eta, kl_attacked, env_attacked, classifications) -> 
     for a in s.attacks.channel:
         summary[f"ttd_channel_{a.edge[0]}_{a.edge[1]}"] = time_to_detect(a.window, t.edge_index(*a.edge))
     for bz in s.attacks.byzantine:
-        for i in t.out_neighbors(bz.agent):
-            summary[f"ttd_byzantine_{bz.agent}_{i}"] = time_to_detect(bz.window, t.edge_index(bz.agent, i))
+        for e in np.flatnonzero(t.src == bz.agent):
+            summary[f"ttd_byzantine_{bz.agent}_{t.dst[e]}"] = time_to_detect(bz.window, e)
     return summary
 
 
@@ -615,7 +615,6 @@ def transient_sweep(
     if probe_step > s.horizon:
         raise ValueError(f"probe step {probe_step} beyond horizon {s.horizon}")
     clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget), horizon=probe_step)
-    edge_dst = np.array([i for _, i in s.topology.edges], dtype=np.int64)
     nominal_var = max(s.controller.noise_var, 1e-30)
     rows = []
     for scale in initial_error_grid:
@@ -623,7 +622,7 @@ def transient_sweep(
             raise ValueError(f"initial error scales must be positive and finite, got {scale!r}")
         sim = _simulate_scenario(replace(clean, init_states=_scaled_initials(s, float(scale))), workers=workers)
         y1, y2 = sim.ystar1[:, -1], sim.ystar2[:, -1]  # (T, E, n) at the probe step
-        resid = y1 - sim.states[:, -2][:, edge_dst]
+        resid = y1 - sim.states[:, -2][:, s.topology.dst]
         mu = resid.mean(axis=0)
         var = np.maximum(resid.var(axis=0), 1e-30)
         ab_kl = gaussian_kl(mu, var, np.zeros_like(mu), np.full_like(mu, nominal_var))
@@ -670,8 +669,7 @@ def export_report(r: RunReport, out_dir) -> list[Path]:
         return np.where(attacked, "attacked", "secure")
 
     k = np.repeat(np.arange(1, K + 1), E)
-    src = np.tile([j for j, _ in t.edges], K)
-    dst = np.tile([i for _, i in t.edges], K)
+    src, dst = np.tile(t.src, K), np.tile(t.dst, K)
     kl = [r.kl_stats.T.ravel(), verdict(r.kl_attacked.T.ravel())]
     _write_csv(paths[0], detector, [k, src, dst, ["kl"] * (K * E), *kl])
 

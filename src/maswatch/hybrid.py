@@ -101,13 +101,8 @@ def classify(own: FlagPair, trusted: FlagPair | None) -> Classification:
     return Classification.UNDECIDABLE
 
 
-def run_protocol_step(
-    k: int,
-    channel_attacked,
-    envelope_attacked,
-    t: Topology,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous round at step k: detect, broadcast, arbitrate.
+def run_protocol_step(channel_attacked, envelope_attacked, t: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """One synchronous round of one step: detect, broadcast, arbitrate.
 
     channel_attacked and envelope_attacked are (E,) booleans in edge
     order: the KL alarm and the alarm of either envelope copy. Returns

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maswatch import engine
 from maswatch.attacks import (
+    BYZANTINE_KINDS,
     AttackScenario,
     ByzantineBehavior,
     ChannelAttack,
@@ -238,19 +240,23 @@ def test_validate_attacks_matches_per_step_scan(chan, byz, L, P, horizon):
 @settings(max_examples=200, deadline=None)
 @given(
     chan=st.lists(st.tuples(st.sampled_from(_topology().edges), _windows), max_size=4),
-    byz=st.lists(st.tuples(st.integers(0, 6), _windows), max_size=4),
+    byz=st.lists(st.tuples(st.integers(0, 6), _windows, st.sampled_from(BYZANTINE_KINDS)), max_size=4),
     horizon=st.integers(0, 16),
 )
 def test_activity_matches_per_step_scan(chan, byz, horizon):
+    """activity against a step-by-step scan, and the kernel's Byzantine
+    codes: nonzero exactly where activity's Byzantine mask is set."""
     t = _topology()
     s = AttackScenario(
         channel=tuple(
             ChannelAttack(e, w, _const(1.0), _const(0.0), _const(1.0), _const(0.0)) for e, w in chan
         ),
-        byzantine=tuple(ByzantineBehavior(a, w, "frozen_state") for a, w in byz),
+        byzantine=tuple(ByzantineBehavior(a, w, kind, (1.0,), 1.0) for a, w, kind in byz),
     )
     chan_mask, byz_mask = activity(s, t, horizon)
     assert chan_mask.shape == byz_mask.shape == (horizon, t.n_edges)
+    byz_kind = engine._schedule_arrays(t, s, horizon, 1)[5]
+    assert np.array_equal(byz_kind != 0, byz_mask)
     for k in range(1, horizon + 1):
         chan_k, byz_k = active_attacks(s, k)
         for e, (j, i) in enumerate(t.edges):

@@ -50,6 +50,30 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     assert "scenario validation failed" in capsys.readouterr().err
 
 
+def _eps2_zero(doc):
+    doc["detectors"]["bounds"] = {"eps1": -1, "eps2": 0}
+
+
+def _diverging(doc):
+    doc["run"]["horizon"] = 800
+    doc["model"]["rho"] = [0.5, 1.6]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_eps2_zero, "detectors.bounds: eps2 = 0"), (_diverging, "run: the states diverge: not finite from step 774 on")],
+    ids=["eps2_zero", "diverging"],
+)
+def test_run_exits_2_on_a_scenario_it_cannot_run(tmp_path, capsys, edit, message):
+    doc = small_doc(trials=40)
+    edit(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"scenario validation failed: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_graph(scenario_file, capsys):
     code = main(["check-graph", "--scenario", str(scenario_file), "--L", "1", "--P", "1"])
     assert code == 0

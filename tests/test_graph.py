@@ -51,6 +51,16 @@ def test_build_topology_neighbors_and_weights():
     assert t.in_neighbors(2) == (1, 0)
     assert t.out_neighbors(0) == (1, 2)
     assert t.in_neighbors(0) == ()
+    assert t.out_neighbors(3) == () and t.in_neighbors(9) == ()
+    for a in range(t.n_agents):  # edge order, as the senders and receivers appear
+        assert t.in_neighbors(a) == tuple(j for j, i in t.edges if i == a)
+        assert t.out_neighbors(a) == tuple(i for j, i in t.edges if j == a)
+    assert all(type(j) is int for j in t.in_neighbors(2) + t.out_neighbors(0))
+    assert t.src.tolist() == [j for j, _ in t.edges] and t.dst.tolist() == [i for _, i in t.edges]
+    assert t.src.dtype == t.dst.dtype == np.intp
+    for ends in (t.src, t.dst):
+        with pytest.raises(ValueError, match="read-only"):
+            ends[0] = 3
     assert t.weight(1, 2) == 2.5
     assert t.weight(0, 1) == 1.0
     assert t.edge_index(2, 3) == 3

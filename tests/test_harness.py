@@ -144,10 +144,11 @@ def _channel_attack(**fields):
         (lambda d: d["detectors"]["envelope"].update(factor_mode="proposition3"), "detectors.envelope.factor_mode"),
         (lambda d: d["watermark"].update(identity=True), "watermark.identity"),
         (lambda d: d["topology"].update(n_agents=2**62), "topology.n_agents"),
+        (lambda d: d["detectors"]["bounds"].update(eps1=-1, eps2=0), "detectors.bounds"),
     ],
     ids=[
         "window", "edge", "budget", "theta_nan", "noise_var_inf", "trials_bool", "estimator", "factor_mode",
-        "identity", "n_agents_huge",
+        "identity", "n_agents_huge", "eps2_zero",
     ],
 )
 def test_bad_input_raises_scenario_error_with_path(edit, path):
@@ -407,6 +408,34 @@ def test_time_to_detect_stays_inside_the_window():
     assert summary["kl_detection_rate"] == 0.0
     # the first normal step after the window is not a detection
     assert summary["ttd_channel_0_1"] == -1.0
+
+
+def diverging_doc() -> dict:
+    """small_doc with an unstable model: the states overflow at step 774."""
+    doc = small_doc(horizon=800, trials=40)
+    doc["model"]["rho"] = [0.5, 1.6]
+    return doc
+
+
+@pytest.mark.parametrize("bounds", [True, False], ids=["given_bounds", "nominal_bounds"])
+def test_diverging_run_is_a_scenario_error(bounds):
+    doc = diverging_doc()
+    if not bounds:
+        del doc["detectors"]["bounds"]
+    with pytest.raises(ScenarioError, match="not finite from step 774 on") as err:
+        run_monte_carlo(scenario_from_dict(doc))
+    assert err.value.path == "run"
+
+
+def test_nominal_bounds_with_eps2_zero_are_a_scenario_error():
+    # Without steps the nominal run's states are the initial ones, whose
+    # largest component is the leader's 0.
+    doc = small_doc(horizon=0)
+    del doc["detectors"]["bounds"]
+    doc["run"]["init"] = {"leader": [0.0, 0.0], "spacing": -2.0}
+    with pytest.raises(ScenarioError, match="eps2 = 0") as err:
+        run_monte_carlo(scenario_from_dict(doc))
+    assert err.value.path == "detectors.bounds"
 
 
 # --- sweep ------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_select_trusted_requires_two_hop():
 def test_run_protocol_step_channel_only():
     t = _topology()
     chan = _mask(t, lambda e: e == (5, 2))
-    flags, labels = run_protocol_step(7, chan, _mask(t, lambda e: False), t)
+    flags, labels = run_protocol_step(chan, _mask(t, lambda e: False), t)
     assert flags.shape == (len(t.edges), 2)
     assert tuple(flags[t.edge_index(5, 2)]) == (1, 2)
     assert tuple(flags[t.edge_index(1, 2)]) == (0, 0)
@@ -101,7 +101,7 @@ def test_run_protocol_step_hybrid():
     chan = _mask(t, lambda e: e == (5, 2))
     # relays 1, 3, 4 all see agent 5's residual break the envelope
     env = _mask(t, lambda e: e[0] == 5 and e != (5, 2))
-    flags, labels = run_protocol_step(5, chan, env, t)
+    flags, labels = run_protocol_step(chan, env, t)
     assert tuple(flags[t.edge_index(5, 1)]) == (0, 1)
     by_edge = _labels(t, labels)
     assert by_edge[(5, 2)] is Classification.HYBRID
@@ -111,7 +111,7 @@ def test_run_protocol_step_hybrid():
 def test_run_protocol_step_undecidable_without_relay():
     t = _topology()
     chan = _mask(t, lambda e: e == (0, 6))
-    _, labels = run_protocol_step(4, chan, _mask(t, lambda e: False), t)
+    _, labels = run_protocol_step(chan, _mask(t, lambda e: False), t)
     assert _labels(t, labels)[(0, 6)] is Classification.UNDECIDABLE
 
 
@@ -119,7 +119,7 @@ def test_run_protocol_step_missing_envelope_counts_clean():
     # an edge without an envelope reference raises no envelope alarm
     t = _topology()
     none = _mask(t, lambda e: False)
-    flags, labels = run_protocol_step(1, none, none, t)
+    flags, labels = run_protocol_step(none, none, t)
     assert not flags.any()
     assert all(v is Classification.NORMAL for v in labels)
 
@@ -145,7 +145,7 @@ def _reference_step(chan, env, t):
 
 
 def _assert_matches_reference(chan, env, t):
-    flags, labels = run_protocol_step(1, chan, env, t)
+    flags, labels = run_protocol_step(chan, env, t)
     want_flags, want_labels = _reference_step(chan, env, t)
     assert flags.dtype == np.int64 and flags.shape == (t.n_edges, 2)
     assert np.array_equal(flags, want_flags)
@@ -161,7 +161,7 @@ def test_protocol_step_matches_reference_on_platoon_masks():
         chan = rng.random(t.n_edges) < p_chan
         env = rng.random(t.n_edges) < p_env
         _assert_matches_reference(chan, env, t)
-        seen.update(run_protocol_step(1, chan, env, t)[1])
+        seen.update(run_protocol_step(chan, env, t)[1])
     assert seen == set(Classification)
 
 

@@ -8,7 +8,7 @@ step_system), reading the same counter-style streams, and must agree
 with simulate to float64 round-off. The oracle seeds each stream with
 numpy's own SeedSequence, so it also checks the engine's vectorised
 stream_keys. Neither worker chunking nor the byte budget of trial
-chunks and residual step blocks may change results at all.
+chunks may change results at all.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from maswatch import _kernels, engine, harness
+from maswatch import _kernels, engine
 from maswatch.attacks import byzantine_emit, tamper_channel
 from maswatch.dynamics import compute_control, step_system
 from maswatch.engine import resolve_workers, simulate
@@ -257,39 +257,43 @@ def _assert_same_arrays(a, b):
 
 @pytest.mark.parametrize("case", SLAB_CASES)
 def test_chunk_budget_is_invisible(case, monkeypatch):
-    """A budget of 100 kB splits the 100 trials into 24 to 35 chunks
-    and the 120 steps of residuals into 18 blocks; no number changes."""
+    """A budget of 100 kB splits the 100 trials into 24 to 35 chunks;
+    no number changes."""
     kwargs, slabs = SLAB_CASES[case]
     s = _random_material_case(**kwargs)
     chunks = -(-slabs * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8 // 100_000)
     sim, report = simulate(s, workers=1), run_monte_carlo(s, workers=1)
-    calls = {"chunks": 0, "blocks": 0}
+    calls, kernel = [], _kernels._simulate_numpy
 
-    def counted(fn, key):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-
-        return wrapper
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
 
     monkeypatch.setattr(engine, "CHUNK_BYTES", 100_000)
-    monkeypatch.setattr(_kernels, "_simulate_numpy", counted(_kernels._simulate_numpy, "chunks"))
-    monkeypatch.setattr(harness, "edge_residual", counted(harness.edge_residual, "blocks"))
+    monkeypatch.setattr(_kernels, "_simulate_numpy", counted)
     _assert_same_arrays(simulate(s, workers=1), sim)
-    assert calls == {"chunks": chunks, "blocks": 0}
+    assert len(calls) == chunks
     _assert_same_arrays(run_monte_carlo(s, workers=1), report)
-    assert calls == {"chunks": 2 * chunks, "blocks": 2 * 18}
+    assert len(calls) == 2 * chunks
 
 
-def test_one_edge_residual_blocks_keep_two_steps(monkeypatch):
-    """On a one-edge topology a one-step block would reduce over trials
-    as a 1-D array, which numpy sums pairwise, not in trial order."""
+def test_one_edge_residuals_sum_trials_in_order():
+    """Each residual is the in-order sum over trials divided by their
+    count. Reduced alone, one edge's step would be a 1-D array, which
+    numpy sums pairwise; the copy axis keeps the reduction in order."""
     doc = small_doc(horizon=7, trials=200)
     doc["topology"] = {"n_agents": 2, "edges": [[0, 1]]}
     s = scenario_from_dict(doc)
-    want = run_monte_carlo(s)
-    monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
-    _assert_same_arrays(run_monte_carlo(s), want)
+    sim, r = simulate(s), run_monte_carlo(s)
+    want = np.empty((2, s.horizon))
+    for c, ys in enumerate((sim.ystar1, sim.ystar2)):
+        norms = np.linalg.norm(ys[:, :, 0] - sim.states[:, :-1, 1], axis=-1)  # (T, K)
+        for k in range(s.horizon):
+            total = 0.0
+            for d in norms[:, k].tolist():
+                total += d
+            want[c, k] = total / s.trials
+    assert np.array_equal(r.residuals[:, 0], want)
 
 
 def test_simulate_holds_one_chunk_of_material_at_a_time(monkeypatch):
