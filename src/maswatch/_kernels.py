@@ -1,18 +1,18 @@
 """Trial-simulation step kernel.
 
-One vectorized numpy implementation of the step loop. It consumes
-pregenerated random material and attack schedules as plain arrays and
-fills preallocated output slabs, so a chunk of trials is a single
-kernel call and results do not depend on how trials are chunked
-across workers. The arithmetic order is fixed (edge-major
-accumulation of consensus terms), so repeated runs are bitwise
-reproducible. tests/test_kernels.py steps the same simulation message
-by message through the public per-message API and compares.
+One vectorized numpy implementation of the step loop. It reads the
+scenario's model, controller, topology and initial states, consumes
+pregenerated random material and attack schedules, and fills
+preallocated output slabs, so a chunk of trials is a single kernel call
+and results do not depend on how trials are chunked across workers.
+The arithmetic order is fixed (edge-major accumulation of consensus
+terms), so repeated runs are bitwise reproducible. tests/test_kernels.py
+steps the same simulation message by message through the public
+per-message API and compares.
 
-Array shapes, with T trials, K steps, N agents, E edges, n state dims:
+Arguments, with T trials, K steps, N agents, E edges, n state dims:
 
-    x0 (N, n)            A (n, n)   Bv, K1, K2 (n,)   ak (K+1,)
-    edge_src, edge_dst (E,) intp    edge_w (E,)
+    s                    the Scenario
     W, M1, M2, F1, F2, byz_rand (T, K, E, n), each step's (E, n)
                          block contiguous; M1..F2 may be strided views of
                          one (T, K, 4, E, n) slab, and unused material
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dynamics import noise_gain
+
 # byz_kind codes; 0 marks a step and edge without a Byzantine behavior.
 BYZ_OFFSET = 1
 BYZ_FROZEN = 2
@@ -36,15 +38,7 @@ BYZ_RANDOM = 3
 
 
 def _simulate_numpy(
-    x0,
-    A,
-    Bv,
-    K1,
-    K2,
-    ak,
-    edge_src,
-    edge_dst,
-    edge_w,
+    s,
     W,
     M1,
     M2,
@@ -62,9 +56,11 @@ def _simulate_numpy(
     ys1,
     ys2,
 ):
+    t, A, Bv, ctrl = s.topology, s.model.A, s.model.B, s.controller
+    edge_src, edge_dst, edge_w = t.src, t.dst, np.array(t.weights)
     T, K, E, n = W.shape
-    N = x0.shape[0]
-    states[:, 0] = x0
+    N = t.n_agents
+    states[:, 0] = s.init_states
     frozen = np.zeros((T, E, n))
     frozen_set = np.zeros(E, dtype=bool)
     trial_rows = np.arange(T)[:, None]
@@ -97,10 +93,10 @@ def _simulate_numpy(
             b2[:, cm] = Xi2[k - 1, cm] * b2[:, cm] + Lam2[k - 1, cm]
         ys1[:, k - 1] = m1 * (b1 - f1)
         ys2[:, k - 1] = m2 * (b2 - f2)
-        u = x @ K1
-        per_edge = ((ys1[:, k - 1] - x[:, edge_dst, :]) @ K2) * edge_w
+        u = x @ ctrl.K1
+        per_edge = ((ys1[:, k - 1] - x[:, edge_dst, :]) @ ctrl.K2) * edge_w
         cons = np.zeros((T, N))
         np.add.at(cons, (trial_rows, edge_dst[None, :]), per_edge)
         cons[:, 0] = 0.0
-        u = u + ak[k] * cons
+        u = u + noise_gain(k, ctrl) * cons
         states[:, k] = x @ A.T + u[:, :, None] * Bv

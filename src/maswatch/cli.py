@@ -88,20 +88,18 @@ def _cmd_check_graph(args) -> int:
         return _usage_error(f"--L and --P must be nonnegative, got {args.L} and {args.P}")
     s = load_scenario(args.scenario)
     t = s.topology
-    budget = LocalAttackBudget(args.L, args.P)
     print(f"agents: {t.n_agents}, edges: {t.n_edges}")
     print(f"spanning tree from leader: {has_spanning_tree(t)}")
     print(f"grounded laplacian min eigenvalue: {grounded_laplacian_min_eigenvalue(t)}")
-    need = args.L + args.P + 1
+    need, short = check_hybrid_detectability(t, LocalAttackBudget(args.L, args.P))
     for j, i in t.edges:
         count = count_directed_two_hop_paths(t, j, i)
-        status = "ok" if count >= need else "short"
+        status = "short" if (j, i) in short else "ok"
         print(f"edge ({j}, {i}): {count} two-hop paths, need {need}: {status}")
-    ok, bad = check_hybrid_detectability(t, budget)
-    if ok:
-        print("hybrid detectability condition satisfied on every edge")
+    if short:
+        print(f"hybrid detectability violated on {len(short)} edge(s): {short}")
     else:
-        print(f"hybrid detectability violated on {len(bad)} edge(s): {bad}")
+        print("hybrid detectability condition satisfied on every edge")
     return 0
 
 

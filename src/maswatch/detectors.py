@@ -103,7 +103,7 @@ def gaussian_kl(mu_a, var_a, mu_b, var_b) -> float | np.ndarray:
     return float(kl) if kl.ndim == 0 else kl
 
 
-def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray, cfg: KlDetectorConfig) -> float | np.ndarray:
+def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray) -> float | np.ndarray:
     """Empirical KL between two sample blocks of shape (T, ..., n).
 
     Blocks run over trials first and state components last, like
@@ -113,6 +113,7 @@ def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray, cfg: KlDetectorCon
     (T, n) pair, a (K, E) array for (T, K, E, n) slabs. Sample variances
     are floored at (VAR_FLOOR_REL * max(|mu_a|, |mu_b|))^2, and at least
     VAR_FLOOR, so that sets equal up to round-off report a KL near zero.
+    The statistic needs no detector config: kl_verdict applies theta.
     """
     a = np.atleast_2d(np.asarray(samples_a, dtype=float))
     b = np.atleast_2d(np.asarray(samples_b, dtype=float))

@@ -5,6 +5,10 @@ watermark arrays the step kernel consumes (the channel mask comes from
 attacks.activity, the schedules and Byzantine codes are filled from the
 window slices), splits trials into chunks, and returns the raw slabs
 (states and recovered message pairs) that the detector pipeline pools.
+The kernel reads the model, controller, topology and initial states
+from the Scenario itself. A zero horizon takes the same path: every
+draw and schedule has no steps, and the kernel writes only the initial
+states.
 
 Every random stream is derived counter-style from
 (master_seed, trial, edge, stream tag), so results are a pure function
@@ -52,7 +56,6 @@ import numpy as np
 
 from . import _kernels
 from .attacks import AttackScenario, activity, validate_attacks, window_rows
-from .dynamics import noise_gain
 from .graph import Topology
 from .watermark import (
     STREAM_BYZANTINE,
@@ -228,12 +231,7 @@ def simulate(s: Scenario, workers: int | None = None) -> SimData:
     states = np.zeros((trials, K + 1, N, n))
     ys1 = np.zeros((trials, K, E, n))
     ys2 = np.zeros((trials, K, E, n))
-    if K == 0:
-        states[:, 0] = init_states
-        return SimData(states=states, ystar1=ys1, ystar2=ys2)
     *schedules, rand_edges, rand_scale = _schedule_arrays(t, attacks, K, n)
-    ak = np.array([noise_gain(k, ctrl) for k in range(K + 1)])
-    edge_w = np.array(t.weights)
 
     def run_chunk(trial_ids: np.ndarray) -> None:
         W, M1, M2, F1, F2, byz_rand = _pregenerate(s, trial_ids, rand_edges, rand_scale)
@@ -241,27 +239,7 @@ def simulate(s: Scenario, workers: int | None = None) -> SimData:
         # A diverging run overflows silently here; harness rejects its
         # non-finite states. errstate is per thread, so it is set here.
         with np.errstate(over="ignore", invalid="ignore"):
-            _kernels._simulate_numpy(
-                init_states,
-                model.A,
-                model.B,
-                ctrl.K1,
-                ctrl.K2,
-                ak,
-                t.src,
-                t.dst,
-                edge_w,
-                W,
-                M1,
-                M2,
-                F1,
-                F2,
-                *schedules,
-                byz_rand,
-                states[lo:hi],
-                ys1[lo:hi],
-                ys2[lo:hi],
-            )
+            _kernels._simulate_numpy(s, W, M1, M2, F1, F2, *schedules, byz_rand, states[lo:hi], ys1[lo:hi], ys2[lo:hi])
 
     slabs = 4 + (ctrl.noise_var > 0) + bool(rand_edges.any())  # as _pregenerate allocates them
     threads = min(workers, trials, os.cpu_count() or 1)

@@ -6,14 +6,13 @@ Laplacian uses the weighted in-degree on the diagonal:
 
     l_ii = sum_j a_ij,    l_ij = -a_ij  (j != i)
 
-The grounded Laplacian L2 is the follower block obtained by deleting
-the leader row and column. Its smallest eigenvalue parameterizes the
-decay envelope used by the residual detector.
+The grounded Laplacian L2 is the Laplacian without the leader's row
+and column, laplacian(t)[1:, 1:]. Its smallest eigenvalue
+parameterizes the decay envelope used by the residual detector.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -119,52 +118,30 @@ def build_topology(n_agents: int, edge_list) -> Topology:
     return replace(t, relay_si=relay_si, relay_js=relay_js)
 
 
-def laplacian(t: Topology, followers_only: bool = False) -> np.ndarray:
-    """Weighted in-degree Laplacian.
-
-    Full size (n_agents x n_agents) by default; followers_only drops
-    the leader row and column (the grounded Laplacian L2).
-    """
+def laplacian(t: Topology) -> np.ndarray:
+    """Weighted in-degree Laplacian, n_agents x n_agents."""
     n = t.n_agents
     lap = np.zeros((n, n))
     for (j, i), w in zip(t.edges, t.weights):
         lap[i, i] += w
         lap[i, j] -= w
-    if followers_only:
-        keep = [a for a in range(n) if a != LEADER]
-        lap = lap[np.ix_(keep, keep)]
     return lap
 
 
-def grounded_laplacian_min_eigenvalue(t: Topology, scaling: np.ndarray | None = None) -> float:
-    """Smallest eigenvalue (by real part) of C @ L2.
+def grounded_laplacian_min_eigenvalue(t: Topology) -> float:
+    """Smallest real part over the eigenvalues of L2.
 
-    scaling C defaults to the identity. Directed graphs can produce
-    complex eigenvalues; a nonzero imaginary part on the minimizer is
-    reported through a warning and the real part is returned.
+    L2 has no positive entry off its diagonal, so by Perron-Frobenius
+    the eigenvalue of least real part is real, also on a directed graph;
+    computed, a double one may pick up a round-off imaginary part.
     """
-    l2 = laplacian(t, followers_only=True)
-    if scaling is not None:
-        scaling = np.asarray(scaling, dtype=float)
-        if scaling.shape != l2.shape:
-            raise ValueError(f"scaling must be {l2.shape}, got {scaling.shape}")
-        l2 = scaling @ l2
-    eig = np.linalg.eigvals(l2)
-    idx = int(np.argmin(eig.real))
-    lam = eig[idx]
-    if abs(lam.imag) > 1e-9 * max(1.0, abs(lam.real)):
-        warnings.warn(
-            f"minimum eigenvalue {lam} has a nonzero imaginary part; "
-            "using its real part",
-            stacklevel=2,
-        )
-    return float(lam.real)
+    return float(np.linalg.eigvals(laplacian(t)[1:, 1:]).real.min())
 
 
-def has_spanning_tree(t: Topology, root: int = LEADER) -> bool:
-    """True when every agent is reachable from root along directed edges."""
-    seen = {root}
-    frontier = [root]
+def has_spanning_tree(t: Topology) -> bool:
+    """True when every agent is reachable from the leader along directed edges."""
+    seen = {LEADER}
+    frontier = [LEADER]
     while frontier:
         j = frontier.pop()
         for i in t.out_neighbors(j):
@@ -189,16 +166,14 @@ def count_directed_two_hop_paths(t: Topology, j: int, i: int) -> int:
     return len(two_hop_relays(t, j, i))
 
 
-def check_hybrid_detectability(
-    t: Topology, budget: LocalAttackBudget
-) -> tuple[bool, list[tuple[int, int]]]:
+def check_hybrid_detectability(t: Topology, budget: LocalAttackBudget) -> tuple[int, list[tuple[int, int]]]:
     """Check the two-hop redundancy condition for flag arbitration.
 
     Every communication edge (j, i) needs at least L + P + 1 directed
     two-hop paths from j to i so that a clean relay survives any
     admissible placement of Byzantine agents and channel attacks.
-    Returns (ok, violating_edges).
+    Returns (need, short_edges): the path count L + P + 1 and the edges
+    with fewer paths; the condition holds when short_edges is empty.
     """
     need = budget.max_byzantine_neighbors + budget.max_attacked_channels + 1
-    bad = [e for e in t.edges if count_directed_two_hop_paths(t, *e) < need]
-    return (not bad, bad)
+    return need, [e for e in t.edges if count_directed_two_hop_paths(t, *e) < need]

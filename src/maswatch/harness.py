@@ -8,7 +8,9 @@ the offending field by path (for example "detectors.kl.theta").
 run_monte_carlo simulates the batch, rejects a run whose states are
 not finite, and pools each step over trials: the KL statistic of every
 edge and the residuals of both copies, reduced as one (trials, 2,
-edges) block. Whole (edge, step) arrays then pass between stages:
+edges) block. A KL or residual that is not finite, from a tampered
+copy that overflows, rejects the run too. Whole (edge, step) arrays
+then pass between stages:
 envelope ratios against each edge's frozen reference, one
 flag-protocol round per step into a (K, E) flag and label array,
 scored against attacks.activity in one comparison. export_report
@@ -37,6 +39,7 @@ from .attacks import (
     window_rows,
 )
 from .detectors import (
+    VAR_FLOOR,
     EnvelopeConfig,
     KlDetectorConfig,
     edge_residual,
@@ -480,16 +483,22 @@ def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
     E, K = t.n_edges, s.horizon
     residuals = np.empty((2, E, K))
     kl_stats = np.zeros((E, K))
-    for k in range(1, K + 1):
-        # Residuals of both copies against the receiver state at send
-        # time. With the copy axis the trial reduction is never over a
-        # 1-D array, which numpy would sum pairwise rather than in order.
-        y = np.stack((sim.ystar1[:, k - 1], sim.ystar2[:, k - 1]), axis=1)  # (T, 2, E, n)
-        own = sim.states[:, k - 1][:, None, t.dst]  # (T, 1, E, n)
-        residuals[:, :, k - 1] = edge_residual(y, np.broadcast_to(own, y.shape))
-        if s.trials >= s.kl.min_samples:
-            for e in range(E):
-                kl_stats[e, k - 1] = estimate_kl(sim.ystar1[:, k - 1, e], sim.ystar2[:, k - 1, e], s.kl)
+    # A tampered copy can overflow here while the states stay finite;
+    # the check after the loop rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, K + 1):
+            # Residuals of both copies against the receiver state at send
+            # time. With the copy axis the trial reduction is never over a
+            # 1-D array, which numpy would sum pairwise rather than in order.
+            y = np.stack((sim.ystar1[:, k - 1], sim.ystar2[:, k - 1]), axis=1)  # (T, 2, E, n)
+            own = sim.states[:, k - 1][:, None, t.dst]  # (T, 1, E, n)
+            residuals[:, :, k - 1] = edge_residual(y, np.broadcast_to(own, y.shape))
+            if s.trials >= s.kl.min_samples:
+                for e in range(E):
+                    kl_stats[e, k - 1] = estimate_kl(sim.ystar1[:, k - 1, e], sim.ystar2[:, k - 1, e])
+    finite = np.isfinite(kl_stats).all(axis=0) & np.isfinite(residuals).all(axis=(0, 1))
+    if not finite.all():
+        raise ScenarioError("run", f"the recovered messages overflow the detectors: first not finite at step {int(finite.argmin()) + 1}")
     kl_attacked = kl_verdict(kl_stats, s.kl)
 
     # Each edge's envelope reference is its residual at the first step
@@ -615,7 +624,7 @@ def transient_sweep(
     if probe_step > s.horizon:
         raise ValueError(f"probe step {probe_step} beyond horizon {s.horizon}")
     clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget), horizon=probe_step)
-    nominal_var = max(s.controller.noise_var, 1e-30)
+    nominal_var = max(s.controller.noise_var, VAR_FLOOR)
     rows = []
     for scale in initial_error_grid:
         if not 0 < scale < math.inf:
@@ -624,12 +633,12 @@ def transient_sweep(
         y1, y2 = sim.ystar1[:, -1], sim.ystar2[:, -1]  # (T, E, n) at the probe step
         resid = y1 - sim.states[:, -2][:, s.topology.dst]
         mu = resid.mean(axis=0)
-        var = np.maximum(resid.var(axis=0), 1e-30)
+        var = np.maximum(resid.var(axis=0), VAR_FLOOR)
         ab_kl = gaussian_kl(mu, var, np.zeros_like(mu), np.full_like(mu, nominal_var))
         rows.append(
             {
                 "scale": float(scale),
-                "watermark_kl": float(np.max(estimate_kl(y1, y2, s.kl), initial=0.0)),
+                "watermark_kl": float(np.max(estimate_kl(y1, y2), initial=0.0)),
                 "ablation_kl": float(np.max(ab_kl, initial=0.0)),
                 "probe_step": int(probe_step),
             }

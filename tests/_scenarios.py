@@ -36,3 +36,16 @@ def small_doc(horizon=8, trials=6):
             "init": {"leader": [10.0, 0.0], "spacing": -2.0},
         },
     }
+
+
+def overflowing_tamper_doc(xi2: float, trials=6):
+    """small_doc with edge (0, 1)'s second copy scaled by xi2 from step 3.
+
+    At 1e308 the copy overflows; at 1e200 it stays finite and the
+    detectors' squares overflow. The states stay finite either way.
+    """
+    doc = small_doc(trials=trials)
+    one, zero = {"kind": "const", "coeffs": [1.0, 1.0]}, {"kind": "const", "coeffs": [0.0, 0.0]}
+    xi = {"kind": "const", "coeffs": [xi2, xi2]}
+    doc["attacks"]["channel"] = [{"edge": [0, 1], "window": [3, None], "xi1": one, "lam1": zero, "xi2": xi, "lam2": zero}]
+    return doc

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maswatch.detectors import KlDetectorConfig, estimate_kl, gaussian_kl, lemma1_bound
+from maswatch.detectors import estimate_kl, gaussian_kl, lemma1_bound
 from maswatch.graph import build_topology, count_directed_two_hop_paths, two_hop_relays
 from maswatch.harness import (
     export_report,
@@ -223,7 +223,7 @@ def _tampered_kl(wp: WatermarkParams, case, rng, n=400) -> float:
     f2 = np.sqrt(wp.sigma2_f2) * rng.standard_normal(n)
     y1 = xi1 * y + m1 * ((xi1 - 1.0) * f1 + lam1)
     y2 = xi2 * y + m2 * ((xi2 - 1.0) * f2 + lam2)
-    return estimate_kl(y1[:, None], y2[:, None], KlDetectorConfig())
+    return estimate_kl(y1[:, None], y2[:, None])
 
 
 def test_criterion_6_divergence_monotonicity():

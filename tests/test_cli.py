@@ -8,7 +8,7 @@ import pytest
 
 from maswatch.cli import main
 
-from _scenarios import small_doc
+from _scenarios import overflowing_tamper_doc, small_doc
 
 
 @pytest.fixture()
@@ -59,10 +59,25 @@ def _diverging(doc):
     doc["model"]["rho"] = [0.5, 1.6]
 
 
+def _overflowing_tamper(xi2):
+    def edit(doc):
+        doc["attacks"] = overflowing_tamper_doc(xi2)["attacks"]
+
+    return edit
+
+
+OVERFLOW = "run: the recovered messages overflow the detectors: first not finite at step 3"
+
+
 @pytest.mark.parametrize(
     "edit, message",
-    [(_eps2_zero, "detectors.bounds: eps2 = 0"), (_diverging, "run: the states diverge: not finite from step 774 on")],
-    ids=["eps2_zero", "diverging"],
+    [
+        (_eps2_zero, "detectors.bounds: eps2 = 0"),
+        (_diverging, "run: the states diverge: not finite from step 774 on"),
+        (_overflowing_tamper(1e308), OVERFLOW),
+        (_overflowing_tamper(1e200), OVERFLOW),
+    ],
+    ids=["eps2_zero", "diverging", "copy_overflows", "detectors_overflow"],
 )
 def test_run_exits_2_on_a_scenario_it_cannot_run(tmp_path, capsys, edit, message):
     doc = small_doc(trials=40)

@@ -93,21 +93,17 @@ def test_gaussian_kl_matches_quadrature():
 # --- estimate_kl ------------------------------------------------------------
 
 
-def _cfg(**kw):
-    return KlDetectorConfig(**kw)
-
-
 def test_estimate_kl_zero_on_identical_sets():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(50, 3))
-    assert estimate_kl(a, a.copy(), _cfg()) == 0.0
+    assert estimate_kl(a, a.copy()) == 0.0
 
 
 def test_estimate_kl_grows_with_mean_shift():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(200, 1))
     shifts = [0.5, 1.0, 2.0]
-    vals = [estimate_kl(a, a + s, _cfg()) for s in shifts]
+    vals = [estimate_kl(a, a + s) for s in shifts]
     assert vals[0] < vals[1] < vals[2]
 
 
@@ -117,9 +113,9 @@ def test_estimate_kl_blocks_match_per_pair_calls():
     s = replace(platoon_preset("hybrid"), trials=40, horizon=12)
     sim = simulate(s)
     K, E = s.horizon, s.topology.n_edges
-    pairs = [[estimate_kl(sim.ystar1[:, k, e], sim.ystar2[:, k, e], s.kl) for e in range(E)] for k in range(K)]
+    pairs = [[estimate_kl(sim.ystar1[:, k, e], sim.ystar2[:, k, e]) for e in range(E)] for k in range(K)]
     assert all(type(v) is float for row in pairs for v in row)
-    block = estimate_kl(sim.ystar1, sim.ystar2, s.kl)
+    block = estimate_kl(sim.ystar1, sim.ystar2)
     assert block.shape == (K, E)
     assert np.array_equal(block, np.array(pairs))
     assert kl_verdict(block, s.kl).any()  # the channel attack shows
@@ -143,16 +139,15 @@ def test_estimate_kl_moments_match_np_mean_and_var():
     for sim in sims:
         pairs = [(sim.ystar1[:, k, e], sim.ystar2[:, k, e]) for k in range(12) for e in range(s.topology.n_edges)]
         for a, b in pairs + [(sim.ystar1, sim.ystar2), (sim.ystar1[:, ::3], sim.ystar2[:, ::3])]:
-            assert np.array_equal(estimate_kl(a, b, s.kl), _kl_by_np_moments(a, b))
-    assert estimate_kl(sims[1].ystar1, sims[1].ystar2, s.kl).max() < 1e-6
+            assert np.array_equal(estimate_kl(a, b), _kl_by_np_moments(a, b))
+    assert estimate_kl(sims[1].ystar1, sims[1].ystar2).max() < 1e-6
 
 
 def test_estimate_kl_validation():
-    cfg = _cfg()
     with pytest.raises(ValueError, match="matching shapes"):
-        estimate_kl(np.zeros((5, 2)), np.zeros((5, 3)), cfg)
+        estimate_kl(np.zeros((5, 2)), np.zeros((5, 3)))
     with pytest.raises(ValueError, match="two samples"):
-        estimate_kl(np.zeros((1, 2)), np.zeros((1, 2)), cfg)
+        estimate_kl(np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 def test_kl_config_validation():
@@ -163,7 +158,7 @@ def test_kl_config_validation():
 
 
 def test_kl_verdict_boundary_stays_secure():
-    cfg = _cfg(theta=4.61)
+    cfg = KlDetectorConfig(theta=4.61)
     assert not kl_verdict(4.61, cfg)
     assert kl_verdict(4.6100001, cfg)
     mask = kl_verdict(np.array([[0.0, 4.61], [4.6100001, 50.0]]), cfg)

@@ -34,7 +34,7 @@ from maswatch.harness import (
 )
 from maswatch.hybrid import Classification
 
-from _scenarios import small_doc
+from _scenarios import overflowing_tamper_doc, small_doc
 
 
 def preset_doc() -> dict:
@@ -427,6 +427,13 @@ def test_diverging_run_is_a_scenario_error(bounds):
     assert err.value.path == "run"
 
 
+@pytest.mark.parametrize("xi2", [1e308, 1e200])
+def test_overflowing_tamper_is_a_scenario_error(xi2):
+    with pytest.raises(ScenarioError, match="not finite at step 3$") as err:
+        run_monte_carlo(scenario_from_dict(overflowing_tamper_doc(xi2)))
+    assert err.value.path == "run"
+
+
 def test_nominal_bounds_with_eps2_zero_are_a_scenario_error():
     # Without steps the nominal run's states are the initial ones, whose
     # largest component is the leader's 0.
@@ -477,13 +484,19 @@ def test_transient_sweep_matches_full_horizon_per_edge_reference():
         wm_kl = ab_kl = 0.0
         for e, (_, i) in enumerate(s.topology.edges):
             y1, y2 = sim.ystar1[:, probe_step - 1, e], sim.ystar2[:, probe_step - 1, e]
-            wm_kl = max(wm_kl, estimate_kl(y1, y2, s.kl))
+            wm_kl = max(wm_kl, estimate_kl(y1, y2))
             resid = y1 - sim.states[:, probe_step - 1, i]
             mu, var = resid.mean(axis=0), np.maximum(resid.var(axis=0), 1e-30)
             ab_kl = max(ab_kl, gaussian_kl(mu, var, np.zeros_like(mu), np.full_like(mu, nominal_var)))
         want.append({"scale": scale, "watermark_kl": wm_kl, "ablation_kl": ab_kl, "probe_step": probe_step})
     assert transient_sweep(s, grid, probe_step=probe_step) == want
     assert want[1]["ablation_kl"] > want[0]["ablation_kl"] > 0.0
+
+
+def test_transient_sweep_rows_do_not_depend_on_workers():
+    s = platoon_preset()
+    grid = [0.5, 1.0, 2.0, 5.0]
+    assert transient_sweep(s, grid, probe_step=4, workers=1) == transient_sweep(s, grid, probe_step=4, workers=3)
 
 
 def test_transient_sweep_rejects_bad_grid():
