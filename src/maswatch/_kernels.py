@@ -13,14 +13,16 @@ per-message API and compares.
 Arguments, with T trials, K steps, N agents, E edges, n state dims:
 
     s                    the Scenario
-    W, M1, M2, F1, F2, byz_rand (T, K, E, n), each step's (E, n)
-                         block contiguous; M1..F2 may be strided views of
-                         one (T, K, 4, E, n) slab, and unused material
-                         (W, byz_rand) a read-only broadcast of 0
-    chan_mask (K, E) bool   Xi1, Lam1, Xi2, Lam2 (K, E, n)
+    W, byz_rand (T, K, E, n), each step's (E, n) block contiguous;
+                         unused material a read-only broadcast of 0
+    M, F (T, K, 2, E, n) the material of copies r = 1, 2 on axis -3;
+                         may be strided views of one (T, K, 4, E, n) slab
+    chan_mask (K, E) bool   Xi, Lam (K, 2, E, n)
     byz_kind (K, E) i1      byz_coeff (K, E, n), the offset a BYZ_OFFSET
                          step adds (a ramp's offset * k already)
-    states (T, K+1, N, n) out       ys1, ys2 (T, K, E, n) out
+    states (T, K+1, N, n) out       ys (T, K, 2, E, n) out
+
+Each masking statement covers both copies; consensus reads the first.
 
 The leader is agent 0 and never consumes neighbor messages.
 """
@@ -37,25 +39,7 @@ BYZ_FROZEN = 2
 BYZ_RANDOM = 3
 
 
-def _simulate_numpy(
-    s,
-    W,
-    M1,
-    M2,
-    F1,
-    F2,
-    chan_mask,
-    Xi1,
-    Lam1,
-    Xi2,
-    Lam2,
-    byz_kind,
-    byz_coeff,
-    byz_rand,
-    states,
-    ys1,
-    ys2,
-):
+def _simulate_numpy(s, W, M, F, chan_mask, Xi, Lam, byz_kind, byz_coeff, byz_rand, states, ys):
     t, A, Bv, ctrl = s.topology, s.model.A, s.model.B, s.controller
     edge_src, edge_dst, edge_w = t.src, t.dst, np.array(t.weights)
     T, K, E, n = W.shape
@@ -81,20 +65,15 @@ def _simulate_numpy(
             sel = kinds == BYZ_RANDOM
             plain[:, sel] += byz_rand[:, k - 1, sel]
         y = plain + W[:, k - 1]
-        m1 = M1[:, k - 1]
-        f1 = F1[:, k - 1]
-        m2 = M2[:, k - 1]
-        f2 = F2[:, k - 1]
-        b1 = y / m1 + f1
-        b2 = y / m2 + f2
+        m = M[:, k - 1]
+        f = F[:, k - 1]
+        b = y[:, None] / m + f
         cm = chan_mask[k - 1]
         if cm.any():
-            b1[:, cm] = Xi1[k - 1, cm] * b1[:, cm] + Lam1[k - 1, cm]
-            b2[:, cm] = Xi2[k - 1, cm] * b2[:, cm] + Lam2[k - 1, cm]
-        ys1[:, k - 1] = m1 * (b1 - f1)
-        ys2[:, k - 1] = m2 * (b2 - f2)
+            b[:, :, cm] = Xi[k - 1][:, cm] * b[:, :, cm] + Lam[k - 1][:, cm]
+        ys[:, k - 1] = m * (b - f)
         u = x @ ctrl.K1
-        per_edge = ((ys1[:, k - 1] - x[:, edge_dst, :]) @ ctrl.K2) * edge_w
+        per_edge = ((ys[:, k - 1, 0] - x[:, edge_dst, :]) @ ctrl.K2) * edge_w
         cons = np.zeros((T, N))
         np.add.at(cons, (trial_rows, edge_dst[None, :]), per_edge)
         cons[:, 0] = 0.0

@@ -202,11 +202,10 @@ def eta_curve(trajectories: np.ndarray) -> np.ndarray:
 def settling_step(eta: np.ndarray, varsigma: float) -> int | None:
     """First step after which eta stays below varsigma (NaN steps skipped)."""
     eta = np.asarray(eta, dtype=float)
-    ok = (eta < varsigma) | np.isnan(eta)
-    for k in range(eta.shape[0]):
-        if ok[k:].all() and not math.isnan(eta[k]):
-            return k
-    return None
+    nan = np.isnan(eta)
+    # settled[k]: eta is a number at k and below varsigma (or NaN) from k on.
+    settled = np.logical_and.accumulate(((eta < varsigma) | nan)[::-1])[::-1] & ~nan
+    return int(settled.argmax()) if settled.any() else None
 
 
 def compute_state_bounds(trajectories: np.ndarray) -> StateBounds:

@@ -24,7 +24,8 @@ Random material of a chunk of T trials, K steps, E edges, n dims:
              (E, K, ..., n) buffer; one transposed copy per trial moves
              it into a step-contiguous slab
     slabs    noise W (T, K, E, n); watermark z (T, K, 4, E, n), turned
-             into M1, M2, F1, F2 = z[:, :, r] by one in-place
+             into the pair M, F = z[:, :, :2], z[:, :, 2:], each
+             (T, K, 2, E, n) with the copy on axis -3, by one in-place
              watermark_blocks call; byz_rand (T, K, E, n) only when a
              per_neighbor_random edge exists. Unused material (noise
              at zero variance, byz_rand without such an edge) is a
@@ -101,37 +102,41 @@ class SimData:
     """Raw simulation output.
 
     states  (trials, steps+1, agents, n)  agent states, index 0 initial
-    ystar1  (trials, steps, edges, n)     first recovered copy, step k
-    ystar2  (trials, steps, edges, n)     second recovered copy
-    Edge axis order follows Topology.edges. The message at step index
-    k-1 carries the sender state of snapshot k-1; the controller that
-    consumes it produces snapshot k.
+    ystar   (trials, steps, 2, edges, n)  recovered copy r of the step-k
+                                          message at [:, k-1, r-1]
+    ystar1, ystar2 are properties giving the two copies as (trials,
+    steps, edges, n) views. Edge axis order follows Topology.edges.
+    The message at step index k-1 carries the sender state of snapshot
+    k-1; the controller that consumes it produces snapshot k.
     """
 
     states: np.ndarray
-    ystar1: np.ndarray
-    ystar2: np.ndarray
+    ystar: np.ndarray
+    ystar1 = property(lambda self: self.ystar[:, :, 0])
+    ystar2 = property(lambda self: self.ystar[:, :, 1])
 
 
 def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int):
     """Attack arrays over (step, edge), filled from the window slices.
 
-    Returns the kernel's chan_mask, Xi1, Lam1, Xi2, Lam2, byz_kind and
-    byz_coeff in its argument order, then the per-edge rand_edges and
-    rand_scale of per_neighbor_random behaviors. A Byzantine agent's
-    behavior covers every edge it sends on, and a divergent_ramp's
-    coefficient at step k is offset * k, as byzantine_emit computes it.
+    Returns the kernel's chan_mask, Xi, Lam (each (K, 2, E, n), the
+    copy on axis -3), byz_kind and byz_coeff in its argument order, then
+    the per-edge rand_edges and rand_scale of per_neighbor_random
+    behaviors. A Byzantine agent's behavior covers every edge it sends
+    on, and a divergent_ramp's coefficient at step k is offset * k, as
+    byzantine_emit computes it.
     """
     chan_mask = activity(attacks, t, horizon)[0]
     E = t.n_edges
-    tamper = np.zeros((4, horizon, E, n))  # Xi1, Lam1, Xi2, Lam2
-    tamper[0::2] = 1.0
+    xi = np.ones((horizon, 2, E, n))
+    lam = np.zeros((horizon, 2, E, n))
     for a in attacks.channel:
         e = t.edge_index(*a.edge)
         rows = window_rows(a.window, horizon)
         steps = np.arange(rows.start + 1, rows.stop + 1)
-        for r, sched in enumerate((a.xi1, a.lam1, a.xi2, a.lam2)):
-            tamper[r, rows, e] = sched.eval(steps)
+        for r, (xi_r, lam_r) in enumerate(((a.xi1, a.lam1), (a.xi2, a.lam2))):
+            xi[rows, r, e] = xi_r.eval(steps)
+            lam[rows, r, e] = lam_r.eval(steps)
     byz_kind = np.zeros((horizon, E), dtype=np.int8)
     byz_coeff = np.zeros((horizon, E, n))
     rand_edges = np.zeros(E, dtype=bool)
@@ -148,7 +153,7 @@ def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int)
         elif bz.kind == "per_neighbor_random":
             rand_edges[out] = True
             rand_scale[out] = bz.scale
-    return chan_mask, *tamper, byz_kind, byz_coeff, rand_edges, rand_scale
+    return chan_mask, xi, lam, byz_kind, byz_coeff, rand_edges, rand_scale
 
 
 def _draw_streams(slab, master_seed, trial_ids, edges, tag, rows=slice(None)) -> None:
@@ -169,9 +174,10 @@ def _draw_streams(slab, master_seed, trial_ids, edges, tag, rows=slice(None)) ->
 
 
 def _pregenerate(s: Scenario, trial_ids: np.ndarray, rand_edges: np.ndarray, rand_scale: np.ndarray):
-    """The chunk's random material as (T, K, E, n) arrays W, M1, M2, F1, F2, byz_rand.
+    """The chunk's random material W, M, F, byz_rand.
 
-    M1..F2 are the views z[:, :, r] of one (T, K, 4, E, n) slab that
+    W and byz_rand are (T, K, E, n). M and F are the (T, K, 2, E, n)
+    views z[:, :, :2] and z[:, :, 2:] of one (T, K, 4, E, n) slab that
     watermark_blocks transforms in place. Material a run does not use
     (noise at zero variance, byz_rand without a per_neighbor_random
     edge) is a read-only broadcast of 0, not a slab.
@@ -186,14 +192,14 @@ def _pregenerate(s: Scenario, trial_ids: np.ndarray, rand_edges: np.ndarray, ran
         W *= np.sqrt(noise_var)
     z = np.empty(shape[:2] + (4,) + shape[2:])
     _draw_streams(z, s.master_seed, trial_ids, t.edges, STREAM_WATERMARK)
-    M1, M2, F1, F2 = watermark_blocks(z, s.watermark)
+    M, F = watermark_blocks(z, s.watermark)
     byz_rand = zeros
     if rand_edges.any():
         rows = np.flatnonzero(rand_edges)
         byz_rand = np.zeros(shape)
         _draw_streams(byz_rand, s.master_seed, trial_ids, [t.edges[e] for e in rows], STREAM_BYZANTINE, rows)
         byz_rand *= rand_scale[:, None]
-    return W, M1, M2, F1, F2, byz_rand
+    return W, M, F, byz_rand
 
 
 def simulate(s: Scenario, workers: int | None = None) -> SimData:
@@ -229,17 +235,16 @@ def simulate(s: Scenario, workers: int | None = None) -> SimData:
     E = t.n_edges
     K = horizon
     states = np.zeros((trials, K + 1, N, n))
-    ys1 = np.zeros((trials, K, E, n))
-    ys2 = np.zeros((trials, K, E, n))
+    ys = np.zeros((trials, K, 2, E, n))
     *schedules, rand_edges, rand_scale = _schedule_arrays(t, attacks, K, n)
 
     def run_chunk(trial_ids: np.ndarray) -> None:
-        W, M1, M2, F1, F2, byz_rand = _pregenerate(s, trial_ids, rand_edges, rand_scale)
+        W, M, F, byz_rand = _pregenerate(s, trial_ids, rand_edges, rand_scale)
         lo, hi = int(trial_ids[0]), int(trial_ids[-1]) + 1
         # A diverging run overflows silently here; harness rejects its
         # non-finite states. errstate is per thread, so it is set here.
         with np.errstate(over="ignore", invalid="ignore"):
-            _kernels._simulate_numpy(s, W, M1, M2, F1, F2, *schedules, byz_rand, states[lo:hi], ys1[lo:hi], ys2[lo:hi])
+            _kernels._simulate_numpy(s, W, M, F, *schedules, byz_rand, states[lo:hi], ys[lo:hi])
 
     slabs = 4 + (ctrl.noise_var > 0) + bool(rand_edges.any())  # as _pregenerate allocates them
     threads = min(workers, trials, os.cpu_count() or 1)
@@ -251,4 +256,4 @@ def simulate(s: Scenario, workers: int | None = None) -> SimData:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_chunk, chunks))
-    return SimData(states=states, ystar1=ys1, ystar2=ys2)
+    return SimData(states=states, ystar=ys)

@@ -8,9 +8,9 @@ the offending field by path (for example "detectors.kl.theta").
 run_monte_carlo simulates the batch, rejects a run whose states are
 not finite, and pools each step over trials: the KL statistic of every
 edge and the residuals of both copies, reduced as one (trials, 2,
-edges) block. A KL or residual that is not finite, from a tampered
-copy that overflows, rejects the run too. Whole (edge, step) arrays
-then pass between stages:
+edges) block read in place from the recovered-copy slab. A KL or
+residual that is not finite, from a tampered copy that overflows,
+rejects the run too. Whole (edge, step) arrays then pass between stages:
 envelope ratios against each edge's frozen reference, one
 flag-protocol round per step into a (K, E) flag and label array,
 scored against attacks.activity in one comparison. export_report
@@ -475,6 +475,15 @@ def _nominal_bounds(s: Scenario, workers) -> tuple[StateBounds, SimData | None]:
     return bounds, sim if not s.attacks.channel and not s.attacks.byzantine else None
 
 
+def _require_finite(*stats: np.ndarray, first_step: int = 1, at: str = "") -> None:
+    """A ScenarioError unless every detector statistic is finite; the
+    last axis of each array runs over steps from first_step on."""
+    finite = np.logical_and.reduce([np.isfinite(a).all(axis=tuple(range(a.ndim - 1))) for a in stats])
+    if not finite.all():
+        step = first_step + int(finite.argmin())
+        raise ScenarioError("run", f"the recovered messages overflow the detectors{at}: first not finite at step {step}")
+
+
 def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
     """Simulate, detect, arbitrate; returns the full report."""
     bounds, reuse = _nominal_bounds(s, workers)
@@ -490,15 +499,13 @@ def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
             # Residuals of both copies against the receiver state at send
             # time. With the copy axis the trial reduction is never over a
             # 1-D array, which numpy would sum pairwise rather than in order.
-            y = np.stack((sim.ystar1[:, k - 1], sim.ystar2[:, k - 1]), axis=1)  # (T, 2, E, n)
+            y = sim.ystar[:, k - 1]  # (T, 2, E, n)
             own = sim.states[:, k - 1][:, None, t.dst]  # (T, 1, E, n)
             residuals[:, :, k - 1] = edge_residual(y, np.broadcast_to(own, y.shape))
             if s.trials >= s.kl.min_samples:
                 for e in range(E):
-                    kl_stats[e, k - 1] = estimate_kl(sim.ystar1[:, k - 1, e], sim.ystar2[:, k - 1, e])
-    finite = np.isfinite(kl_stats).all(axis=0) & np.isfinite(residuals).all(axis=(0, 1))
-    if not finite.all():
-        raise ScenarioError("run", f"the recovered messages overflow the detectors: first not finite at step {int(finite.argmin()) + 1}")
+                    kl_stats[e, k - 1] = estimate_kl(y[:, 0, e], y[:, 1, e])
+    _require_finite(kl_stats, residuals)
     kl_attacked = kl_verdict(kl_stats, s.kl)
 
     # Each edge's envelope reference is its residual at the first step
@@ -617,7 +624,8 @@ def transient_sweep(
     to round-off, so the residual is the one an unwatermarked run would
     see. The watermark statistic is transient-blind by construction; the
     ablation statistic grows with the initial disagreement. Every scale
-    must be positive and finite.
+    must be positive and finite, and a scale whose statistics overflow
+    is a ScenarioError.
     """
     if probe_step < 1:
         raise ValueError("probe_step must be at least 1")
@@ -629,16 +637,21 @@ def transient_sweep(
     for scale in initial_error_grid:
         if not 0 < scale < math.inf:
             raise ValueError(f"initial error scales must be positive and finite, got {scale!r}")
-        sim = _simulate_scenario(replace(clean, init_states=_scaled_initials(s, float(scale))), workers=workers)
-        y1, y2 = sim.ystar1[:, -1], sim.ystar2[:, -1]  # (T, E, n) at the probe step
-        resid = y1 - sim.states[:, -2][:, s.topology.dst]
-        mu = resid.mean(axis=0)
-        var = np.maximum(resid.var(axis=0), VAR_FLOOR)
-        ab_kl = gaussian_kl(mu, var, np.zeros_like(mu), np.full_like(mu, nominal_var))
+        # A scale this large can overflow the initial states or the
+        # statistics; _simulate_scenario and _require_finite reject both.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            sim = _simulate_scenario(replace(clean, init_states=_scaled_initials(s, float(scale))), workers=workers)
+            y1, y2 = sim.ystar[:, -1, 0], sim.ystar[:, -1, 1]  # (T, E, n) at the probe step
+            wm_kl = estimate_kl(y1, y2)
+            resid = y1 - sim.states[:, -2][:, s.topology.dst]
+            mu = resid.mean(axis=0)
+            var = np.maximum(resid.var(axis=0), VAR_FLOOR)
+            ab_kl = gaussian_kl(mu, var, np.zeros_like(mu), np.full_like(mu, nominal_var))
+        _require_finite(wm_kl[:, None], ab_kl[:, None], first_step=probe_step, at=f" at initial error scale {scale!r}")
         rows.append(
             {
                 "scale": float(scale),
-                "watermark_kl": float(np.max(estimate_kl(y1, y2), initial=0.0)),
+                "watermark_kl": float(np.max(wm_kl, initial=0.0)),
                 "ablation_kl": float(np.max(ab_kl, initial=0.0)),
                 "probe_step": int(probe_step),
             }

@@ -31,8 +31,8 @@ Generator(PCG64). Each stream therefore draws exactly the numbers of
 default_rng(SeedSequence([master_seed, trial, j, i, tag])); only the
 per-stream hashing cost is gone. A watermark stream's step-k draw is
 row k-1 of standard_normal((K, 4, n)), components m1, m2, f1, f2 in
-that order, and watermark_blocks turns such draws into material in
-place.
+that order, and watermark_blocks turns such draws in place into one
+material pair (m, f), each with the copy r along its axis -3.
 """
 
 from __future__ import annotations
@@ -203,26 +203,26 @@ def edge_stream(key: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_stream_key_type()(np.ascontiguousarray(key, dtype=np.uint64))))
 
 
-def watermark_blocks(z: np.ndarray, params: WatermarkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def watermark_blocks(z: np.ndarray, params: WatermarkParams) -> tuple[np.ndarray, np.ndarray]:
     """Turn standard-normal draws into watermark material, in place.
 
-    z has shape (..., 4, E, n) with the four components along axis -3:
-    a chunk's slab (T, K, 4, E, n), or one stream's draw reshaped to
-    (K, 4, 1, n). Returns the views (m1, m2, f1, f2) = z[..., r, :, :]
-    with m_r = lambda_r + (sigma_Mr z)^2 and F_r = sigma_Fr z.
+    z has shape (..., 4, E, n) with the components m1, m2, f1, f2 along
+    axis -3: a chunk's slab (T, K, 4, E, n), or one stream's draw
+    reshaped to (K, 4, 1, n). Returns the views m = z[..., :2, :, :] and
+    f = z[..., 2:, :, :], whose axis -3 is the copy r, with
+    m_r = lambda_r + (sigma_Mr z)^2 and F_r = sigma_Fr z.
 
     A stream's step-k draw is row k-1 of standard_normal((K, 4, n)),
     which does not depend on K, so sender and receiver reconstruct the
     same material from the edge's stream without transmitting it.
     """
-    m1, m2, f1, f2 = (z[..., r, :, :] for r in range(4))
-    for m, lam, s2 in ((m1, params.lambda1, params.sigma2_m1), (m2, params.lambda2, params.sigma2_m2)):
-        np.multiply(m, np.sqrt(s2), out=m)
-        np.square(m, out=m)
-        np.add(m, lam, out=m)
-    np.multiply(f1, np.sqrt(params.sigma2_f1), out=f1)
-    np.multiply(f2, np.sqrt(params.sigma2_f2), out=f2)
-    return m1, m2, f1, f2
+    m, f = z[..., :2, :, :], z[..., 2:, :, :]
+    p = params
+    np.multiply(m, np.sqrt([p.sigma2_m1, p.sigma2_m2])[:, None, None], out=m)
+    np.square(m, out=m)
+    np.add(m, np.array([p.lambda1, p.lambda2])[:, None, None], out=m)
+    np.multiply(f, np.sqrt([p.sigma2_f1, p.sigma2_f2])[:, None, None], out=f)
+    return m, f
 
 
 def apply_watermark(plain: np.ndarray, draw: WatermarkDraw) -> MessageSet:

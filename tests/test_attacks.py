@@ -255,7 +255,9 @@ def test_activity_matches_per_step_scan(chan, byz, horizon):
     )
     chan_mask, byz_mask = activity(s, t, horizon)
     assert chan_mask.shape == byz_mask.shape == (horizon, t.n_edges)
-    byz_kind = engine._schedule_arrays(t, s, horizon, 1)[5]
+    kernel_mask, xi, lam, byz_kind, _byz_coeff, _rand_edges, _rand_scale = engine._schedule_arrays(t, s, horizon, 1)
+    assert np.array_equal(kernel_mask, chan_mask)
+    assert xi.shape == lam.shape == (horizon, 2, t.n_edges, 1)
     assert np.array_equal(byz_kind != 0, byz_mask)
     for k in range(1, horizon + 1):
         chan_k, byz_k = active_attacks(s, k)

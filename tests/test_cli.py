@@ -108,6 +108,18 @@ def test_sweep(scenario_file, capsys):
     assert len(lines) == 4
 
 
+def test_sweep_exits_2_when_a_scale_overflows_the_statistics(scenario_file, capsys):
+    # A RuntimeWarning is an error under the suite's filter, so a warning
+    # would end this call in a traceback.
+    assert main(["sweep", "--scenario", str(scenario_file), "--grid", "1e160", "--probe-step", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "scenario validation failed: run: the recovered messages overflow the detectors"
+        " at initial error scale 1e+160: first not finite at step 4\n"
+    )
+
+
 def test_sweep_rejects_malformed_grid(scenario_file, capsys):
     assert main(["sweep", "--scenario", str(scenario_file), "--grid", "a,b"]) == 2
     assert main(["sweep", "--scenario", str(scenario_file), "--grid", ","]) == 2

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maswatch.dynamics import (
     AgentModel,
@@ -149,6 +151,25 @@ def test_settling_step():
     assert settling_step(np.array([0.4, 0.3]), 0.05) is None
     # NaN steps are undefined, not violations
     assert settling_step(np.array([0.4, 0.02, math.nan, 0.01]), 0.05) == 1
+    assert settling_step(np.array([0.4, math.nan]), 0.05) is None
+    assert settling_step(np.array([]), 0.05) is None
+
+
+def _settling_scan(eta, varsigma):
+    """settling_step by its definition, one suffix per step."""
+    for k in range(len(eta)):
+        if not math.isnan(eta[k]) and all(v < varsigma or math.isnan(v) for v in eta[k:]):
+            return k
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    eta=st.lists(st.one_of(st.just(math.nan), st.floats(0.0, 0.2)), max_size=30),
+    varsigma=st.sampled_from([0.0, 0.05, 0.1, 0.2]),
+)
+def test_settling_step_matches_per_step_scan(eta, varsigma):
+    assert settling_step(np.array(eta, dtype=float), varsigma) == _settling_scan(eta, varsigma)
 
 
 def test_compute_state_bounds():

@@ -499,6 +499,14 @@ def test_transient_sweep_rows_do_not_depend_on_workers():
     assert transient_sweep(s, grid, probe_step=4, workers=1) == transient_sweep(s, grid, probe_step=4, workers=3)
 
 
+def test_transient_sweep_rejects_a_scale_that_overflows_the_statistics():
+    # The states stay finite at 1e160; the residual squares overflow.
+    s = scenario_from_dict(small_doc())
+    with pytest.raises(ScenarioError, match=r"at initial error scale 1e\+160: first not finite at step 4$") as err:
+        transient_sweep(s, [1.0, 1e160], probe_step=4)
+    assert err.value.path == "run"
+
+
 def test_transient_sweep_rejects_bad_grid():
     s = scenario_from_dict(small_doc())
     for scale in (0.0, -1.0, math.nan, math.inf):

@@ -61,7 +61,8 @@ def _oracle(s):
             if s.controller.noise_var > 0:
                 noise[edge] = sig * stream(STREAM_NOISE).standard_normal((K, n))
             z = stream(STREAM_WATERMARK).standard_normal((K, 4, 1, n))
-            marks[edge] = [block[:, 0] for block in watermark_blocks(z, s.watermark)]
+            m, f = watermark_blocks(z, s.watermark)
+            marks[edge] = [m[:, 0, 0], m[:, 1, 0], f[:, 0, 0], f[:, 1, 0]]  # m1, m2, f1, f2
             byz_draws[edge] = stream(STREAM_BYZANTINE).standard_normal((K, n))
         frozen = {}
         x = s.init_states.copy()

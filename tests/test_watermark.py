@@ -42,7 +42,8 @@ def _stream(master_seed, trial, edge, tag):
 def _blocks(master_seed, trial, edge, steps, n=3):
     """(m1, m2, f1, f2) of one edge's watermark stream, each (steps, n)."""
     z = _stream(master_seed, trial, edge, STREAM_WATERMARK).standard_normal((steps, 4, 1, n))
-    return tuple(b[:, 0] for b in watermark_blocks(z, PARAMS))
+    m, f = watermark_blocks(z, PARAMS)
+    return m[:, 0, 0], m[:, 1, 0], f[:, 0, 0], f[:, 1, 0]
 
 
 def test_edge_stream_is_keyed_by_every_argument():
@@ -116,12 +117,13 @@ def test_removal_multipliers_exceed_lambda():
 def test_watermark_blocks_transform_in_place():
     z = np.random.default_rng(4).standard_normal((5, 4, 2, 3))
     raw = z.copy()
-    m1, m2, f1, f2 = watermark_blocks(z, PARAMS)
-    assert all(np.shares_memory(b, z) for b in (m1, m2, f1, f2))
-    assert np.array_equal(m1, PARAMS.lambda1 + (np.sqrt(PARAMS.sigma2_m1) * raw[:, 0]) ** 2)
-    assert np.array_equal(m2, PARAMS.lambda2 + (np.sqrt(PARAMS.sigma2_m2) * raw[:, 1]) ** 2)
-    assert np.array_equal(f1, np.sqrt(PARAMS.sigma2_f1) * raw[:, 2])
-    assert np.array_equal(f2, np.sqrt(PARAMS.sigma2_f2) * raw[:, 3])
+    m, f = watermark_blocks(z, PARAMS)
+    assert m.shape == f.shape == (5, 2, 2, 3)
+    assert np.shares_memory(m, z) and np.shares_memory(f, z)
+    assert np.array_equal(m[:, 0], PARAMS.lambda1 + (np.sqrt(PARAMS.sigma2_m1) * raw[:, 0]) ** 2)
+    assert np.array_equal(m[:, 1], PARAMS.lambda2 + (np.sqrt(PARAMS.sigma2_m2) * raw[:, 1]) ** 2)
+    assert np.array_equal(f[:, 0], np.sqrt(PARAMS.sigma2_f1) * raw[:, 2])
+    assert np.array_equal(f[:, 1], np.sqrt(PARAMS.sigma2_f2) * raw[:, 3])
 
 
 def test_apply_remove_hand_numbers():
