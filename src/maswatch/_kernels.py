@@ -51,7 +51,7 @@ def _simulate_numpy(s, W, M, F, chan_mask, Xi, Lam, byz_kind, byz_coeff, byz_ran
     any_byz = bool(byz_kind.any())
     for k in range(1, K + 1):
         x = states[:, k - 1]
-        plain = x[:, edge_src, :].copy()
+        plain = x[:, edge_src, :]  # a gather: already a new array
         if any_byz:
             kinds = byz_kind[k - 1]
             cap = (kinds == BYZ_FROZEN) & ~frozen_set

@@ -184,6 +184,7 @@ def envelope_verdict(d_k, d_ref, k, cfg: EnvelopeConfig, bounds: StateBounds) ->
     if np.any(d_k < 0) or np.any(d_ref < 0):
         raise ValueError("residuals are nonnegative")
     steps = np.asarray(k)
+    # envelope per step, not np.exp / **: numpy's vectorised ones may differ from libm in the last bit.
     tau = np.array([envelope(int(step), cfg) for step in steps.ravel()]).reshape(steps.shape)
     threshold = envelope_factor(bounds) * d_ref * (tau + cfg.delta)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,7 +1,10 @@
-"""Monte Carlo simulation driver.
+"""The Scenario type and the Monte Carlo simulation driver.
 
-simulate takes a harness.Scenario. It builds the dense attack and
-watermark arrays the step kernel consumes (the channel mask comes from
+A Scenario is valid by construction: __post_init__ checks every run rule
+and raises ScenarioError at the field path the harness loader reports,
+so one built through dataclasses.replace fails alike. simulate takes a
+Scenario and checks nothing. It builds the dense attack and watermark
+arrays the step kernel consumes (the channel mask comes from
 attacks.activity, the schedules and Byzantine codes are filled from the
 window slices), splits trials into chunks, and returns the raw slabs
 (states and recovered message pairs) that the detector pipeline pools.
@@ -48,27 +51,27 @@ Environment knob:
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
 from .attacks import AttackScenario, activity, validate_attacks, window_rows
+from .detectors import EnvelopeConfig, KlDetectorConfig
+from .dynamics import AgentModel, ControllerParams, StateBounds
 from .graph import Topology
 from .watermark import (
     STREAM_BYZANTINE,
     STREAM_NOISE,
     STREAM_WATERMARK,
+    WatermarkParams,
     edge_stream,
     stream_keys,
     watermark_blocks,
 )
-
-if TYPE_CHECKING:
-    from .harness import Scenario
 
 WORKERS_ENV = "MASWATCH_WORKERS"
 
@@ -95,6 +98,59 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers < 1:
         raise ValueError(f"{name} must be at least 1, got {workers}")
     return workers
+
+
+class ScenarioError(ValueError):
+    """Scenario validation failure; the message starts with the field path."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    name: str
+    topology: Topology
+    model: AgentModel
+    controller: ControllerParams
+    watermark: WatermarkParams
+    kl: KlDetectorConfig
+    envelope: EnvelopeConfig
+    bounds: StateBounds | None
+    attacks: AttackScenario
+    horizon: int
+    trials: int
+    master_seed: int
+    varsigma: float
+    init_states: np.ndarray
+
+    def __post_init__(self):
+        for key, ok, message in (
+            ("horizon", self.horizon >= 0, "horizon must be nonnegative"),
+            ("trials", self.trials >= 1, "need at least one trial"),
+            ("master_seed", self.master_seed >= 0, "master_seed must be nonnegative"),
+            ("varsigma", 0 < self.varsigma < math.inf, "varsigma must be positive and finite"),
+        ):
+            if not ok:
+                raise ScenarioError(f"run.{key}", message)
+        try:
+            init = np.array(self.init_states, dtype=float)
+        except (TypeError, ValueError) as err:  # ragged rows, or not numbers
+            raise ScenarioError("run.init", str(err)) from None
+        shape = (self.topology.n_agents, self.model.n)
+        if init.shape != shape:
+            raise ScenarioError("run.init", f"expected shape {shape}, got {init.shape}")
+        if not np.isfinite(init).all():
+            raise ScenarioError("run.init", "initial states must be finite")
+        init.flags.writeable = False
+        object.__setattr__(self, "init_states", init)
+        try:
+            offender = validate_attacks(self.attacks, self.topology, self.horizon)
+        except ValueError as err:
+            raise ScenarioError("attacks", str(err)) from None
+        if offender is not None:
+            raise ScenarioError("attacks.budget", "local budget exceeded at agent {}, step {}".format(*offender))
 
 
 @dataclass
@@ -205,38 +261,19 @@ def _pregenerate(s: Scenario, trial_ids: np.ndarray, rand_edges: np.ndarray, ran
 def simulate(s: Scenario, workers: int | None = None) -> SimData:
     """Run the scenario's Monte Carlo batch and return the raw slabs.
 
-    Reads topology, model, controller, watermark, attacks, horizon,
-    trials, master_seed and init_states from s; any object with those
-    fields will do. Trials are split into chunks of at most CHUNK_BYTES
-    of random material, and at least one chunk per thread; the threads
-    number min(workers, trials, cpu count). The chunking never changes a
-    number.
+    s is valid by construction, so nothing is checked here. Trials are
+    split into chunks of at most CHUNK_BYTES of random material, and at
+    least one chunk per thread; the threads number min(workers, trials,
+    cpu count), the calling thread among them. The chunks are equal to
+    within one trial, so each thread takes every threads-th one. The
+    chunking never changes a number.
     """
-    t, model, ctrl, attacks = s.topology, s.model, s.controller, s.attacks
-    horizon, trials = s.horizon, s.trials
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    init_states = np.asarray(s.init_states, dtype=float)
-    if init_states.shape != (t.n_agents, model.n):
-        raise ValueError(
-            f"init_states must be ({t.n_agents}, {model.n}), got {init_states.shape}"
-        )
-    offender = validate_attacks(attacks, t, horizon)
-    if offender is not None:
-        agent, step = offender
-        raise ValueError(
-            f"attack scenario exceeds the local budget at agent {agent}, step {step}"
-        )
+    t, trials = s.topology, s.trials
     workers = resolve_workers(workers)
-    n = model.n
-    N = t.n_agents
-    E = t.n_edges
-    K = horizon
+    n, N, E, K = s.model.n, t.n_agents, t.n_edges, s.horizon
     states = np.zeros((trials, K + 1, N, n))
     ys = np.zeros((trials, K, 2, E, n))
-    *schedules, rand_edges, rand_scale = _schedule_arrays(t, attacks, K, n)
+    *schedules, rand_edges, rand_scale = _schedule_arrays(t, s.attacks, K, n)
 
     def run_chunk(trial_ids: np.ndarray) -> None:
         W, M, F, byz_rand = _pregenerate(s, trial_ids, rand_edges, rand_scale)
@@ -246,14 +283,20 @@ def simulate(s: Scenario, workers: int | None = None) -> SimData:
         with np.errstate(over="ignore", invalid="ignore"):
             _kernels._simulate_numpy(s, W, M, F, *schedules, byz_rand, states[lo:hi], ys[lo:hi])
 
-    slabs = 4 + (ctrl.noise_var > 0) + bool(rand_edges.any())  # as _pregenerate allocates them
+    slabs = 4 + (s.controller.noise_var > 0) + bool(rand_edges.any())  # as _pregenerate allocates them
     threads = min(workers, trials, os.cpu_count() or 1)
     n_chunks = min(trials, max(threads, -(-trials * 8 * K * E * n * slabs // CHUNK_BYTES)))
     chunks = np.array_split(np.arange(trials), n_chunks)
-    if threads == 1:
-        for chunk in chunks:
+
+    def run_share(first: int) -> None:
+        for chunk in chunks[first::threads]:
             run_chunk(chunk)
+
+    if threads == 1:
+        run_share(0)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, chunks))
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            helpers = pool.map(run_share, range(1, threads))
+            run_share(0)
+            list(helpers)
     return SimData(states=states, ystar=ys)

@@ -3,7 +3,11 @@
 A scenario JSON has sections topology / model / controller / watermark
 / detectors / attacks / run, plus an optional variants table whose
 entries swap in alternative attack sections. Validation failures name
-the offending field by path (for example "detectors.kl.theta").
+the offending field by path (for example "detectors.kl.theta"). The
+loader checks the document's types and shapes; engine.Scenario checks
+every run rule itself (the run ranges, the initial states, the attacks
+and their local budget), so one built through dataclasses.replace fails
+as the same ScenarioError.
 
 run_monte_carlo simulates the batch, rejects a run whose states are
 not finite, and pools each step over trials: the KL statistic of every
@@ -35,7 +39,6 @@ from .attacks import (
     ChannelAttack,
     Schedule,
     activity,
-    validate_attacks,
     window_rows,
 )
 from .detectors import (
@@ -49,7 +52,6 @@ from .detectors import (
     kl_verdict,
 )
 from .dynamics import (
-    AgentModel,
     ControllerParams,
     StateBounds,
     companion_model,
@@ -58,36 +60,10 @@ from .dynamics import (
     platoon_model,
     settling_step,
 )
-from .engine import SimData, simulate
-from .graph import LEADER, LocalAttackBudget, Topology, build_topology
+from .engine import Scenario, ScenarioError, SimData, simulate
+from .graph import LEADER, LocalAttackBudget, build_topology
 from .hybrid import Classification, run_protocol_step
 from .watermark import WatermarkParams
-
-
-class ScenarioError(ValueError):
-    """Scenario validation failure; the message starts with the field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
-@dataclass
-class Scenario:
-    name: str
-    topology: Topology
-    model: AgentModel
-    controller: ControllerParams
-    watermark: WatermarkParams
-    kl: KlDetectorConfig
-    envelope: EnvelopeConfig
-    bounds: StateBounds | None
-    attacks: AttackScenario
-    horizon: int
-    trials: int
-    master_seed: int
-    varsigma: float
-    init_states: np.ndarray
 
 
 @dataclass
@@ -329,18 +305,6 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
             raise ScenarioError("attacks.channel", f"attack targets unknown edge {list(a.edge)}")
 
     sec, p = _section(doc, "run")
-    horizon = _get(sec, "horizon", p, int)
-    if horizon < 0:
-        raise ScenarioError(f"{p}.horizon", "horizon must be nonnegative")
-    trials = _get(sec, "trials", p, int)
-    if trials < 1:
-        raise ScenarioError(f"{p}.trials", "need at least one trial")
-    master_seed = _get(sec, "master_seed", p, int)
-    if master_seed < 0:
-        raise ScenarioError(f"{p}.master_seed", "master_seed must be nonnegative")
-    varsigma = _num(sec, "varsigma", p, 0.05)
-    if varsigma <= 0:
-        raise ScenarioError(f"{p}.varsigma", "varsigma must be positive")
     init, ip = _section(sec, "init", p)
     if "states" in init:
         rows = _get(init, "states", ip, list)
@@ -352,20 +316,12 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         spacing = _num(init, "spacing", ip)
         try:
             init_states = np.tile(np.array(leader_ref), (n_agents, 1))
-            init_states[1:, 0] += spacing * np.arange(1, n_agents)
+            # A spacing that overflows leaves an inf, which Scenario rejects.
+            with np.errstate(over="ignore"):
+                init_states[1:, 0] += spacing * np.arange(1, n_agents)
         except (ValueError, MemoryError):
             # numpy refuses an (n_agents, n) array beyond addressable memory.
             raise ScenarioError("topology.n_agents", f"{n_agents} agents x {n} state components cannot be allocated") from None
-
-    try:
-        offender = validate_attacks(attacks, topology, horizon)
-    except ValueError as err:
-        raise ScenarioError("attacks", str(err)) from None
-    if offender is not None:
-        agent, step = offender
-        raise ScenarioError(
-            "attacks.budget", f"local budget exceeded at agent {agent}, step {step}"
-        )
 
     return Scenario(
         name=name,
@@ -377,10 +333,10 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         envelope=env_cfg,
         bounds=bounds,
         attacks=attacks,
-        horizon=horizon,
-        trials=trials,
-        master_seed=master_seed,
-        varsigma=varsigma,
+        horizon=_get(sec, "horizon", p, int),
+        trials=_get(sec, "trials", p, int),
+        master_seed=_get(sec, "master_seed", p, int),
+        varsigma=_num(sec, "varsigma", p, 0.05),
         init_states=init_states,
     )
 
@@ -593,12 +549,6 @@ def _summarize(s: Scenario, eta, kl_attacked, env_attacked, classifications) -> 
 # ---------------------------------------------------------------------------
 
 
-def _scaled_initials(s: Scenario, scale: float) -> np.ndarray:
-    init = s.init_states.copy()
-    leader = init[LEADER].copy()
-    return leader + scale * (init - leader)
-
-
 def transient_sweep(
     s: Scenario,
     initial_error_grid,
@@ -633,14 +583,18 @@ def transient_sweep(
         raise ValueError(f"probe step {probe_step} beyond horizon {s.horizon}")
     clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget), horizon=probe_step)
     nominal_var = max(s.controller.noise_var, VAR_FLOOR)
+    leader = s.init_states[LEADER]
     rows = []
     for scale in initial_error_grid:
         if not 0 < scale < math.inf:
             raise ValueError(f"initial error scales must be positive and finite, got {scale!r}")
         # A scale this large can overflow the initial states or the
-        # statistics; _simulate_scenario and _require_finite reject both.
+        # statistics; both are a ScenarioError that names the scale.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sim = _simulate_scenario(replace(clean, init_states=_scaled_initials(s, float(scale))), workers=workers)
+            init = leader + float(scale) * (s.init_states - leader)
+            if not np.isfinite(init).all():
+                raise ScenarioError("run", f"initial error scale {scale!r} overflows the initial states")
+            sim = _simulate_scenario(replace(clean, init_states=init), workers=workers)
             y1, y2 = sim.ystar[:, -1, 0], sim.ystar[:, -1, 1]  # (T, E, n) at the probe step
             wm_kl = estimate_kl(y1, y2)
             resid = y1 - sim.states[:, -2][:, s.topology.dst]

@@ -7,7 +7,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from importlib import resources
 
 import numpy as np
@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maswatch import harness
-from maswatch.attacks import AttackScenario
+from maswatch.attacks import AttackScenario, ByzantineBehavior, ChannelAttack, Schedule
 from maswatch.detectors import envelope_verdict, estimate_kl, gaussian_kl
 from maswatch.dynamics import StateBounds
 from maswatch.engine import simulate
-from maswatch.graph import LEADER
+from maswatch.graph import LEADER, LocalAttackBudget
 from maswatch.harness import (
     RunReport,
     Scenario,
@@ -145,10 +145,11 @@ def _channel_attack(**fields):
         (lambda d: d["watermark"].update(identity=True), "watermark.identity"),
         (lambda d: d["topology"].update(n_agents=2**62), "topology.n_agents"),
         (lambda d: d["detectors"]["bounds"].update(eps1=-1, eps2=0), "detectors.bounds"),
+        (lambda d: d["run"]["init"].update(spacing=1e308), "run.init"),
     ],
     ids=[
         "window", "edge", "budget", "theta_nan", "noise_var_inf", "trials_bool", "estimator", "factor_mode",
-        "identity", "n_agents_huge", "eps2_zero",
+        "identity", "n_agents_huge", "eps2_zero", "spacing_overflows",
     ],
 )
 def test_bad_input_raises_scenario_error_with_path(edit, path):
@@ -157,6 +158,68 @@ def test_bad_input_raises_scenario_error_with_path(edit, path):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(json.loads(json.dumps(doc)))
     assert err.value.path == path
+
+
+_CONST = Schedule("const", (1.0, 1.0))
+_RAGGED = [[0.0, 0.0], [0.0], [0.0, 0.0]]
+
+
+def _frozen_agent_1(d):
+    d["attacks"] = {"budget": {"L": 0, "P": 1}, "byzantine": [{"agent": 1, "window": [3, None], "kind": "frozen_state"}]}
+
+
+@pytest.mark.parametrize(
+    "field, value, edit, path",
+    [
+        ("varsigma", -1.0, lambda d: d["run"].update(varsigma=-1.0), "run.varsigma"),
+        ("varsigma", math.nan, lambda d: d["run"].update(varsigma=math.nan), "run.varsigma"),
+        ("varsigma", math.inf, lambda d: d["run"].update(varsigma=math.inf), "run.varsigma"),
+        ("trials", 0, lambda d: d["run"].update(trials=0), "run.trials"),
+        ("horizon", -1, lambda d: d["run"].update(horizon=-1), "run.horizon"),
+        ("master_seed", -1, lambda d: d["run"].update(master_seed=-1), "run.master_seed"),
+        ("init_states", np.full((3, 2), np.nan), lambda d: d["run"]["init"].update(states=[[math.nan] * 2] * 3), "run.init"),
+        ("init_states", np.zeros((2, 2)), lambda d: d["run"]["init"].update(states=[[0.0] * 2] * 2), "run.init"),
+        ("init_states", _RAGGED, lambda d: d["run"]["init"].update(states=_RAGGED), "run.init"),
+        (
+            "attacks",
+            AttackScenario(byzantine=(ByzantineBehavior(1, (3, None), "frozen_state"),), budget=LocalAttackBudget(0, 1)),
+            _frozen_agent_1,
+            "attacks.budget",
+        ),
+        (
+            "attacks",
+            AttackScenario(channel=(ChannelAttack((2, 0), (1, None), _CONST, _CONST, _CONST, _CONST),)),
+            lambda d: d["attacks"].update(channel=[_channel_attack(edge=[2, 0])]),
+            "attacks",
+        ),
+    ],
+    ids=[
+        "varsigma_negative", "varsigma_nan", "varsigma_inf", "trials_zero", "horizon_negative", "master_seed_negative",
+        "init_nan", "init_shape", "init_ragged", "over_budget", "unknown_edge",
+    ],
+)
+def test_a_scenario_built_through_the_api_fails_as_the_loader_does(field, value, edit, path):
+    """A fault set through replace is the ScenarioError the loader reports
+    for it, at the same field. The loader's own checks may name a more
+    specific path inside it (run.init.states, attacks.channel). Setting
+    the field of a loaded Scenario is refused."""
+    s = scenario_from_dict(small_doc())
+    with pytest.raises(FrozenInstanceError):
+        setattr(s, field, value)
+    with pytest.raises(ScenarioError) as err:
+        replace(s, **{field: value})
+    assert err.value.path == path
+    doc = small_doc()
+    edit(doc)
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert f"{err.value.path}.".startswith(f"{path}.")
+
+
+def test_loaded_init_states_are_read_only():
+    s = scenario_from_dict(small_doc())
+    with pytest.raises(ValueError, match="read-only"):
+        s.init_states[0, 0] = 1.0
 
 
 def test_retired_settings_still_load_at_their_remaining_value():
@@ -505,6 +568,12 @@ def test_transient_sweep_rejects_a_scale_that_overflows_the_statistics():
     with pytest.raises(ScenarioError, match=r"at initial error scale 1e\+160: first not finite at step 4$") as err:
         transient_sweep(s, [1.0, 1e160], probe_step=4)
     assert err.value.path == "run"
+
+
+def test_transient_sweep_names_a_scale_that_overflows_the_initial_states():
+    s = scenario_from_dict(small_doc())
+    with pytest.raises(ScenarioError, match=r"^run: initial error scale 1\.7e\+308 overflows the initial states$"):
+        transient_sweep(s, [1.0, 1.7e308], probe_step=4)
 
 
 def test_transient_sweep_rejects_bad_grid():

@@ -182,7 +182,7 @@ def test_thread_count_is_bounded_by_trials_and_cpus(monkeypatch):
     simulate(replace(s, trials=2), workers=5000)
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one thread, no pool
     simulate(s, workers=5000)
-    assert pools == [4, 3, 2]
+    assert pools == [3, 2, 1]  # the calling thread runs a share too
 
 
 def test_surplus_workers_cost_nothing():
