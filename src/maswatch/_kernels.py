@@ -1,9 +1,10 @@
 """Trial-simulation step kernel.
 
 One vectorized numpy implementation of the step loop. It reads the
-scenario's model, controller, topology and initial states, consumes
-pregenerated random material and attack schedules, and fills
-preallocated output slabs, so a chunk of trials is a single kernel call
+scenario's model, controller and topology, starts from the initial
+states in row 0 of the states slab, consumes pregenerated random
+material and attack schedules, and fills preallocated output slabs, so
+a chunk of trials from one initial-state table is a single kernel call
 and results do not depend on how trials are chunked across workers.
 The arithmetic order is fixed (edge-major accumulation of consensus
 terms), so repeated runs are bitwise reproducible. tests/test_kernels.py
@@ -20,7 +21,9 @@ Arguments, with T trials, K steps, N agents, E edges, n state dims:
     chan_mask (K, E) bool   Xi, Lam (K, 2, E, n)
     byz_kind (K, E) i1      byz_coeff (K, E, n), the offset a BYZ_OFFSET
                          step adds (a ramp's offset * k already)
-    states (T, K+1, N, n) out       ys (T, K, 2, E, n) out
+    states (T, K+1, N, n) in/out: row 0 holds the initial states on
+                         entry, and the kernel writes rows 1..K
+    ys (T, K, 2, E, n) out
 
 Each masking statement covers both copies; consensus reads the first.
 
@@ -44,7 +47,6 @@ def _simulate_numpy(s, W, M, F, chan_mask, Xi, Lam, byz_kind, byz_coeff, byz_ran
     edge_src, edge_dst, edge_w = t.src, t.dst, np.array(t.weights)
     T, K, E, n = W.shape
     N = t.n_agents
-    states[:, 0] = s.init_states
     frozen = np.zeros((T, E, n))
     frozen_set = np.zeros(E, dtype=bool)
     trial_rows = np.arange(T)[:, None]

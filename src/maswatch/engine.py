@@ -8,10 +8,15 @@ arrays the step kernel consumes (the channel mask comes from
 attacks.activity, the schedules and Byzantine codes are filled from the
 window slices), splits trials into chunks, and returns the raw slabs
 (states and recovered message pairs) that the detector pipeline pools.
-The kernel reads the model, controller, topology and initial states
-from the Scenario itself. A zero horizon takes the same path: every
-draw and schedule has no steps, and the kernel writes only the initial
-states.
+The kernel reads the model, controller and topology from the Scenario
+itself, and the initial states from row 0 of its states slab. A zero
+horizon takes the same path: every draw and schedule has no steps, and
+the kernel writes nothing.
+
+simulate can run one batch from several initial-state tables (inits).
+The random material does not depend on the initial states, so each
+chunk's material is drawn once and serves every table: the kernel runs
+once per table on the same W, M, F and byz_rand.
 
 Every random stream is derived counter-style from
 (master_seed, trial, edge, stream tag), so results are a pure function
@@ -163,13 +168,15 @@ class SimData:
     ystar1, ystar2 are properties giving the two copies as (trials,
     steps, edges, n) views. Edge axis order follows Topology.edges.
     The message at step index k-1 carries the sender state of snapshot
-    k-1; the controller that consumes it produces snapshot k.
+    k-1; the controller that consumes it produces snapshot k. A run
+    from a stack of B initial-state tables puts a leading (B,) axis on
+    both slabs, table b at [b].
     """
 
     states: np.ndarray
     ystar: np.ndarray
-    ystar1 = property(lambda self: self.ystar[:, :, 0])
-    ystar2 = property(lambda self: self.ystar[:, :, 1])
+    ystar1 = property(lambda self: self.ystar[..., 0, :, :])
+    ystar2 = property(lambda self: self.ystar[..., 1, :, :])
 
 
 def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int):
@@ -258,21 +265,28 @@ def _pregenerate(s: Scenario, trial_ids: np.ndarray, rand_edges: np.ndarray, ran
     return W, M, F, byz_rand
 
 
-def simulate(s: Scenario, workers: int | None = None) -> SimData:
+def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None = None) -> SimData:
     """Run the scenario's Monte Carlo batch and return the raw slabs.
 
-    s is valid by construction, so nothing is checked here. Trials are
-    split into chunks of at most CHUNK_BYTES of random material, and at
-    least one chunk per thread; the threads number min(workers, trials,
-    cpu count), the calling thread among them. The chunks are equal to
-    within one trial, so each thread takes every threads-th one. The
-    chunking never changes a number.
+    s is valid by construction, so nothing is checked here. inits, a
+    (B, agents, n) stack of initial-state tables, replaces
+    s.init_states: the batch then runs once per table and both slabs
+    gain a leading (B,) axis. One chunk's material is drawn once and
+    serves every table.
+
+    Trials are split into chunks of at most CHUNK_BYTES of random
+    material, and at least one chunk per thread; the threads number
+    min(workers, trials, cpu count), the calling thread among them. The
+    chunks are equal to within one trial, so each thread takes every
+    threads-th one. The chunking never changes a number.
     """
     t, trials = s.topology, s.trials
     workers = resolve_workers(workers)
     n, N, E, K = s.model.n, t.n_agents, t.n_edges, s.horizon
-    states = np.zeros((trials, K + 1, N, n))
-    ys = np.zeros((trials, K, 2, E, n))
+    tables = s.init_states[None] if inits is None else inits
+    states = np.zeros((len(tables), trials, K + 1, N, n))
+    states[:, :, 0] = tables[:, None]
+    ys = np.zeros((len(tables), trials, K, 2, E, n))
     *schedules, rand_edges, rand_scale = _schedule_arrays(t, s.attacks, K, n)
 
     def run_chunk(trial_ids: np.ndarray) -> None:
@@ -281,7 +295,8 @@ def simulate(s: Scenario, workers: int | None = None) -> SimData:
         # A diverging run overflows silently here; harness rejects its
         # non-finite states. errstate is per thread, so it is set here.
         with np.errstate(over="ignore", invalid="ignore"):
-            _kernels._simulate_numpy(s, W, M, F, *schedules, byz_rand, states[lo:hi], ys[lo:hi])
+            for b in range(len(tables)):
+                _kernels._simulate_numpy(s, W, M, F, *schedules, byz_rand, states[b, lo:hi], ys[b, lo:hi])
 
     slabs = 4 + (s.controller.noise_var > 0) + bool(rand_edges.any())  # as _pregenerate allocates them
     threads = min(workers, trials, os.cpu_count() or 1)
@@ -299,4 +314,6 @@ def simulate(s: Scenario, workers: int | None = None) -> SimData:
             helpers = pool.map(run_share, range(1, threads))
             run_share(0)
             list(helpers)
+    if inits is None:
+        return SimData(states=states[0], ystar=ys[0])
     return SimData(states=states, ystar=ys)

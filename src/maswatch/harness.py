@@ -399,26 +399,33 @@ def platoon_preset(variant: str | None = None) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_scenario(s: Scenario, workers=None) -> SimData:
-    """simulate(s); a batch too large to allocate, or states that are not
-    finite, are a ScenarioError on run."""
+def _simulate_scenario(s: Scenario, workers=None, inits=None) -> SimData:
+    """simulate(s, workers, inits); a batch too large to allocate is a
+    ScenarioError on run, and so are states that are not finite. With
+    inits the caller checks each table's states (_require_finite_states)."""
     t = s.topology
-    # Bytes of the output slabs. numpy refuses an array of more than
-    # intp-max bytes with a ValueError, and one the machine cannot
-    # provide with a MemoryError.
-    nbytes = 8 * s.trials * s.model.n * ((s.horizon + 1) * t.n_agents + 2 * s.horizon * t.n_edges)
+    # Bytes of the output slabs of every table. numpy refuses an array
+    # of more than intp-max bytes with a ValueError, and one the machine
+    # cannot provide with a MemoryError.
+    tables = 1 if inits is None else len(inits)
+    nbytes = 8 * tables * s.trials * s.model.n * ((s.horizon + 1) * t.n_agents + 2 * s.horizon * t.n_edges)
     try:
-        sim = simulate(s, workers=workers) if nbytes <= np.iinfo(np.intp).max else None
+        sim = simulate(s, workers=workers, inits=inits) if nbytes <= np.iinfo(np.intp).max else None
     except MemoryError:
         sim = None
     if sim is None:
-        raise ScenarioError(
-            "run", f"{s.trials} trials x {s.horizon} steps need {nbytes} bytes of output slabs, more than can be allocated"
-        )
-    finite = np.isfinite(sim.states).all(axis=(0, 2, 3))
+        batch = f"{s.trials} trials x {s.horizon} steps" + (f" x {tables} initial states" if tables > 1 else "")
+        raise ScenarioError("run", f"{batch} need {nbytes} bytes of output slabs, more than can be allocated")
+    if inits is None:
+        _require_finite_states(sim.states)
+    return sim
+
+
+def _require_finite_states(states: np.ndarray) -> None:
+    """A ScenarioError unless the (trials, steps+1, agents, n) states are finite."""
+    finite = np.isfinite(states).all(axis=(0, 2, 3))
     if not finite.all():
         raise ScenarioError("run", f"the states diverge: not finite from step {int(finite.argmin())} on")
-    return sim
 
 
 def _nominal_bounds(s: Scenario, workers) -> tuple[StateBounds, SimData | None]:
@@ -558,11 +565,12 @@ def transient_sweep(
     """Transient false-alarm probe across initial error scales.
 
     For each scale the follower offsets from the leader are multiplied
-    by the scale and the attack-free system simulated once, up to the
-    probe step only: a step's numbers do not depend on the horizon. Two
-    statistics are evaluated on that trajectory at the probe step, each
-    read for all edges at once and maximized over them (0.0 without
-    edges):
+    by the scale. The attack-free system is simulated up to the probe
+    step only, since a step's numbers do not depend on the horizon, and
+    in one batch for the whole grid: the random material is drawn once
+    and the kernel runs once per scale. Two statistics are evaluated on
+    each scale's trajectory at the probe step, each read for all edges
+    at once and maximized over them (0.0 without edges):
 
       watermark_kl: the channel detector's KL between recovered copies
       ablation_kl:  the consensus-residual detector, which reads one
@@ -574,30 +582,37 @@ def transient_sweep(
     to round-off, so the residual is the one an unwatermarked run would
     see. The watermark statistic is transient-blind by construction; the
     ablation statistic grows with the initial disagreement. Every scale
-    must be positive and finite, and a scale whose statistics overflow
-    is a ScenarioError.
+    is checked before anything is drawn: it must be positive and finite
+    (a ValueError), and one that overflows the initial states is a
+    ScenarioError. A scale whose states diverge or whose statistics
+    overflow is a ScenarioError too, reported in grid order.
     """
     if probe_step < 1:
         raise ValueError("probe_step must be at least 1")
     if probe_step > s.horizon:
         raise ValueError(f"probe step {probe_step} beyond horizon {s.horizon}")
-    clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget), horizon=probe_step)
-    nominal_var = max(s.controller.noise_var, VAR_FLOOR)
+    grid = list(initial_error_grid)
     leader = s.init_states[LEADER]
-    rows = []
-    for scale in initial_error_grid:
+    inits = np.empty((len(grid),) + s.init_states.shape)
+    for b, scale in enumerate(grid):
         if not 0 < scale < math.inf:
             raise ValueError(f"initial error scales must be positive and finite, got {scale!r}")
-        # A scale this large can overflow the initial states or the
-        # statistics; both are a ScenarioError that names the scale.
+        with np.errstate(over="ignore", invalid="ignore"):
+            inits[b] = leader + float(scale) * (s.init_states - leader)
+        if not np.isfinite(inits[b]).all():
+            raise ScenarioError("run", f"initial error scale {scale!r} overflows the initial states")
+    clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget), horizon=probe_step)
+    sim = _simulate_scenario(clean, workers=workers, inits=inits)
+    nominal_var = max(s.controller.noise_var, VAR_FLOOR)
+    rows = []
+    for b, scale in enumerate(grid):
+        _require_finite_states(sim.states[b])
+        # A scale this large can overflow the statistics; the check
+        # below names it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            init = leader + float(scale) * (s.init_states - leader)
-            if not np.isfinite(init).all():
-                raise ScenarioError("run", f"initial error scale {scale!r} overflows the initial states")
-            sim = _simulate_scenario(replace(clean, init_states=init), workers=workers)
-            y1, y2 = sim.ystar[:, -1, 0], sim.ystar[:, -1, 1]  # (T, E, n) at the probe step
+            y1, y2 = sim.ystar[b, :, -1, 0], sim.ystar[b, :, -1, 1]  # (T, E, n) at the probe step
             wm_kl = estimate_kl(y1, y2)
-            resid = y1 - sim.states[:, -2][:, s.topology.dst]
+            resid = y1 - sim.states[b, :, -2][:, s.topology.dst]
             mu = resid.mean(axis=0)
             var = np.maximum(resid.var(axis=0), VAR_FLOOR)
             ab_kl = gaussian_kl(mu, var, np.zeros_like(mu), np.full_like(mu, nominal_var))

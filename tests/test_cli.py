@@ -189,13 +189,15 @@ def test_sweep_has_no_variant_option(scenario_file, capsys):
     [
         (["run", "--out", "unused"], "horizon", "6 trials x {} steps"),
         (["sweep", "--grid", "1"], "trials", "{} trials x 4 steps"),
+        (["sweep", "--grid", "1,2"], "trials", "{} trials x 4 steps x 2 initial states"),
     ],
-    ids=["run", "sweep"],
+    ids=["run", "sweep", "sweep_two_scales"],
 )
 def test_huge_horizon_is_a_scenario_error(tmp_path, capsys, args, field, batch, size):
     # numpy refuses either allocation at once, so nothing is allocated.
     # A sweep simulates only up to its probe step (4), so its batch is
-    # made huge through the trial count instead.
+    # made huge through the trial count instead; a grid of two scales
+    # runs as one batch of two initial-state tables.
     doc = small_doc(**{field: size})
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(doc))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maswatch import harness
+from maswatch import engine, harness
 from maswatch.attacks import AttackScenario, ByzantineBehavior, ChannelAttack, Schedule
 from maswatch.detectors import envelope_verdict, estimate_kl, gaussian_kl
 from maswatch.dynamics import StateBounds
@@ -33,6 +33,7 @@ from maswatch.harness import (
     transient_sweep,
 )
 from maswatch.hybrid import Classification
+from maswatch.watermark import edge_stream
 
 from _scenarios import overflowing_tamper_doc, small_doc
 
@@ -520,19 +521,29 @@ def test_transient_sweep_single_value():
     assert row["watermark_kl"] >= 0.0 and row["ablation_kl"] >= 0.0
 
 
-def test_transient_sweep_simulates_each_scale_once(monkeypatch):
-    calls = []
+def test_transient_sweep_draws_the_grid_once(monkeypatch):
+    calls, streams = [], []
 
     def counting_simulate(s, **kwargs):
-        calls.append(s)
+        calls.append((s, kwargs.get("inits")))
         return simulate(s, **kwargs)
 
+    def counting_stream(key):
+        streams.append(key)
+        return edge_stream(key)
+
     monkeypatch.setattr(harness, "simulate", counting_simulate)
-    rows = transient_sweep(scenario_from_dict(small_doc()), [0.5, 1.0, 2.0], probe_step=4)
-    assert len(rows) == 3 and len(calls) == 3
-    # a step's numbers do not depend on the horizon, so no scale is
-    # simulated past the probe step
-    assert [c.horizon for c in calls] == [4, 4, 4]
+    monkeypatch.setattr(engine, "edge_stream", counting_stream)
+    s = scenario_from_dict(small_doc())
+    rows = transient_sweep(s, [0.5, 1.0, 2.0], probe_step=4)
+    assert len(rows) == 3 and len(calls) == 1
+    # a step's numbers do not depend on the horizon, so the grid is not
+    # simulated past the probe step, and it runs as one batch of 3 tables
+    (clean, inits), = calls
+    assert clean.horizon == 4 and inits.shape == (3,) + s.init_states.shape
+    # one noise stream and one watermark stream per (trial, edge), drawn
+    # once for the whole grid
+    assert len(streams) == s.trials * s.topology.n_edges * 2
 
 
 def test_transient_sweep_matches_full_horizon_per_edge_reference():
@@ -570,10 +581,34 @@ def test_transient_sweep_rejects_a_scale_that_overflows_the_statistics():
     assert err.value.path == "run"
 
 
+def test_transient_sweep_reports_each_scale_in_grid_order():
+    # On the preset, 1e306 keeps the initial states finite but the states
+    # diverge at step 1, and 1e200 overflows the statistics. The whole
+    # grid is one batch, yet each scale's states and statistics are
+    # checked in turn, so the first failing scale of the grid is reported.
+    s = platoon_preset()
+    with pytest.raises(ScenarioError, match=r"^run: the states diverge: not finite from step 1 on$"):
+        transient_sweep(s, [1e306, 1e200], probe_step=4)
+    with pytest.raises(ScenarioError, match=r"at initial error scale 1e\+200: first not finite at step 4$"):
+        transient_sweep(s, [1e200, 1e306], probe_step=4)
+
+
 def test_transient_sweep_names_a_scale_that_overflows_the_initial_states():
     s = scenario_from_dict(small_doc())
     with pytest.raises(ScenarioError, match=r"^run: initial error scale 1\.7e\+308 overflows the initial states$"):
         transient_sweep(s, [1.0, 1.7e308], probe_step=4)
+
+
+def test_transient_sweep_checks_the_whole_grid_before_drawing(monkeypatch):
+    # 1e160 alone overflows the statistics, but the NaN after it is
+    # rejected first, before anything is simulated.
+    monkeypatch.setattr(harness, "simulate", None)
+    s = scenario_from_dict(small_doc())
+    with pytest.raises(ValueError, match="positive and finite, got nan") as err:
+        transient_sweep(s, [1e160, math.nan], probe_step=4)
+    assert not isinstance(err.value, ScenarioError)
+    with pytest.raises(ScenarioError, match=r"^run: initial error scale 1\.7e\+308 overflows the initial states$"):
+        transient_sweep(s, [1e160, 1.7e308], probe_step=4)
 
 
 def test_transient_sweep_rejects_bad_grid():

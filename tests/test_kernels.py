@@ -278,6 +278,39 @@ def test_chunk_budget_is_invisible(case, monkeypatch):
     assert len(calls) == 2 * chunks
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_each_initial_state_table_matches_its_own_run(workers, monkeypatch):
+    """simulate(s, inits=stack) gives, table by table, the numbers of a
+    run from that table alone. Under a 100 kB budget each of the 35
+    chunks draws its noise, watermark and byz_rand material once and
+    runs the kernel once per table."""
+    s = _random_material_case(random_byzantine=True)
+    leader = s.init_states[0]
+    stack = np.stack([leader + scale * (s.init_states - leader) for scale in (0.5, 1.0, 3.0)])
+    want = [simulate(replace(s, init_states=table), workers=workers) for table in stack]
+    chunks = -(-6 * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8 // 100_000)
+    draws, steps = [], []  # list.append is atomic across worker threads
+    pregenerate, kernel = engine._pregenerate, _kernels._simulate_numpy
+
+    def counted_pregenerate(*args):
+        draws.append(1)
+        return pregenerate(*args)
+
+    def counted_kernel(*args):
+        steps.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 100_000)
+    monkeypatch.setattr(engine, "_pregenerate", counted_pregenerate)
+    monkeypatch.setattr(_kernels, "_simulate_numpy", counted_kernel)
+    got = simulate(s, workers=workers, inits=stack)
+    assert chunks == 35 and len(draws) == chunks and len(steps) == chunks * len(stack)
+    assert got.states.shape == (len(stack),) + want[0].states.shape
+    for b, one in enumerate(want):
+        for name in ("states", "ystar1", "ystar2"):
+            assert np.array_equal(getattr(got, name)[b], getattr(one, name)), (b, name)
+
+
 def test_one_edge_residuals_sum_trials_in_order():
     """Each residual is the in-order sum over trials divided by their
     count. Reduced alone, one edge's step would be a 1-D array, which
