@@ -6,10 +6,14 @@ states in row 0 of the states slab, consumes pregenerated random
 material and attack schedules, and fills preallocated output slabs, so
 a chunk of trials from one initial-state table is a single kernel call
 and results do not depend on how trials are chunked across workers.
-The arithmetic order is fixed (edge-major accumulation of consensus
-terms), so repeated runs are bitwise reproducible. tests/test_kernels.py
-steps the same simulation message by message through the public
-per-message API and compares.
+Each step's contractions run on flat operands, one row per (trial,
+agent) or (trial, edge), so x @ K1, the per-edge @ K2 and x @ A.T are
+one matrix product each, not one per trial. The arithmetic order is
+fixed: one bincount over (trial, receiver) slots adds each follower's
+consensus terms in edge order, starting from 0.0, so repeated runs are
+bitwise reproducible. tests/test_kernels.py steps the same simulation
+message by message through the public per-message API and compares,
+and pins the consensus order bit for bit.
 
 Arguments, with T trials, K steps, N agents, E edges, n state dims:
 
@@ -44,12 +48,15 @@ BYZ_RANDOM = 3
 
 def _simulate_numpy(s, W, M, F, chan_mask, Xi, Lam, byz_kind, byz_coeff, byz_rand, states, ys):
     t, A, Bv, ctrl = s.topology, s.model.A, s.model.B, s.controller
-    edge_src, edge_dst, edge_w = t.src, t.dst, np.array(t.weights)
+    edge_src, edge_dst = t.src, t.dst
     T, K, E, n = W.shape
     N = t.n_agents
     frozen = np.zeros((T, E, n))
     frozen_set = np.zeros(E, dtype=bool)
-    trial_rows = np.arange(T)[:, None]
+    # bincount slot of each (trial, edge) consensus term: its receiver's
+    # row in the flat (T * N,) control vector, in trial-major edge order.
+    slot = (np.arange(T)[:, None] * N + edge_dst).ravel()
+    weight = np.tile(t.weights, T)
     any_byz = bool(byz_kind.any())
     for k in range(1, K + 1):
         x = states[:, k - 1]
@@ -74,10 +81,11 @@ def _simulate_numpy(s, W, M, F, chan_mask, Xi, Lam, byz_kind, byz_coeff, byz_ran
         if cm.any():
             b[:, :, cm] = Xi[k - 1][:, cm] * b[:, :, cm] + Lam[k - 1][:, cm]
         ys[:, k - 1] = m * (b - f)
-        u = x @ ctrl.K1
-        per_edge = ((ys[:, k - 1, 0] - x[:, edge_dst, :]) @ ctrl.K2) * edge_w
-        cons = np.zeros((T, N))
-        np.add.at(cons, (trial_rows, edge_dst[None, :]), per_edge)
-        cons[:, 0] = 0.0
+        flat = x.reshape(T * N, n)  # the step's states, one row per (trial, agent)
+        u = flat @ ctrl.K1
+        diff = (ys[:, k - 1, 0] - x[:, edge_dst, :]).reshape(T * E, n)
+        per_edge = (diff @ ctrl.K2) * weight
+        cons = np.bincount(slot, weights=per_edge, minlength=T * N)
+        cons[::N] = 0.0  # the leader, agent 0
         u = u + noise_gain(k, ctrl) * cons
-        states[:, k] = x @ A.T + u[:, :, None] * Bv
+        states[:, k] = (flat @ A.T + u[:, None] * Bv).reshape(T, N, n)

@@ -98,8 +98,13 @@ def gaussian_kl(mu_a, var_a, mu_b, var_b) -> float | np.ndarray:
         raise ValueError("mean and variance arrays must share one shape")
     if np.any(var_a <= 0) or np.any(var_b <= 0):
         raise ValueError("variances must be positive")
+    return _kl_sum(mu_a, var_a, mu_b, var_b)
+
+
+def _kl_sum(mu_a, var_a, mu_b, var_b) -> float | np.ndarray:
+    """gaussian_kl's formula on checked arrays."""
     terms = 0.5 * np.log(var_b / var_a) + (var_a + (mu_a - mu_b) ** 2) / (2.0 * var_b) - 0.5
-    kl = terms.sum(axis=-1)
+    kl = np.add.reduce(terms, axis=-1)
     return float(kl) if kl.ndim == 0 else kl
 
 
@@ -114,6 +119,14 @@ def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray) -> float | np.ndar
     are floored at (VAR_FLOOR_REL * max(|mu_a|, |mu_b|))^2, and at least
     VAR_FLOOR, so that sets equal up to round-off report a KL near zero.
     The statistic needs no detector config: kl_verdict applies theta.
+
+    One pass takes the moments of both sets, stacked on a new leading
+    axis, by the operations np.mean and np.var run, in their order. The
+    stack keeps each set's memory layout and so its reduction order
+    (numpy sums a (T, 1) set or a trial-contiguous one pairwise, and a
+    C-ordered wider one row by row), so the result is gaussian_kl of
+    each set's floored moments bit for bit, without its checks: a
+    floored variance is always positive.
     """
     a = np.atleast_2d(np.asarray(samples_a, dtype=float))
     b = np.atleast_2d(np.asarray(samples_b, dtype=float))
@@ -121,18 +134,15 @@ def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray) -> float | np.ndar
         raise ValueError("sample sets must have matching shapes")
     if a.shape[0] < 2:
         raise ValueError("need at least two samples per set")
-    (mu_a, var_a), (mu_b, var_b) = _moments(a), _moments(b)
-    floor = np.maximum((VAR_FLOOR_REL * np.maximum(np.abs(mu_a), np.abs(mu_b))) ** 2, VAR_FLOOR)
-    return gaussian_kl(mu_a, np.maximum(var_a, floor), mu_b, np.maximum(var_b, floor))
-
-
-def _moments(x: np.ndarray):
-    """Mean and variance over axis 0 by the operations np.mean and np.var
-    run, in their order, without their Python overhead; same bits."""
-    mu = x.sum(axis=0) / x.shape[0]
-    d = x - mu
-    d *= d
-    return mu, d.sum(axis=0) / x.shape[0]
+    x = np.stack((a, b))
+    mu = np.add.reduce(x, axis=1) / a.shape[0]
+    x -= mu[:, None]
+    x *= x
+    var = np.add.reduce(x, axis=1) / a.shape[0]
+    size = np.abs(mu)
+    floor = np.maximum((VAR_FLOOR_REL * np.maximum(size[0], size[1])) ** 2, VAR_FLOOR)
+    (mu_a, mu_b), (var_a, var_b) = mu, np.maximum(var, floor)
+    return _kl_sum(mu_a, var_a, mu_b, var_b)
 
 
 def kl_verdict(kl, cfg: KlDetectorConfig) -> np.ndarray:

@@ -26,6 +26,9 @@ import numpy as np
 
 from .graph import LEADER, Topology
 
+# Bytes of states eta_curve reads per block of steps.
+ETA_BLOCK_BYTES = 2**18
+
 
 @dataclass(frozen=True)
 class AgentModel:
@@ -194,9 +197,32 @@ def transient_metric(trajectories: np.ndarray, k: int) -> float:
 
 
 def eta_curve(trajectories: np.ndarray) -> np.ndarray:
-    """transient_metric evaluated at every recorded step."""
-    steps = np.asarray(trajectories).shape[1]
-    return np.array([transient_metric(trajectories, k) for k in range(steps)])
+    """transient_metric evaluated at every recorded step.
+
+    The steps are taken in blocks of about ETA_BLOCK_BYTES of states, so
+    the temporaries stay bounded while the per-step overhead is paid
+    once per block. Every reduction keeps transient_metric's axes and
+    order (norms over components, means over trials row by row), so each
+    step's value is the same bits.
+    """
+    traj = np.asarray(trajectories, dtype=float)
+    if traj.ndim != 4:
+        raise ValueError("trajectories must be (trials, steps+1, agents, n)")
+    trials, steps, agents, n = traj.shape
+    followers = np.arange(agents) != LEADER
+    block = max(1, ETA_BLOCK_BYTES // max(1, 8 * trials * agents * n))
+    eta = np.empty(steps)
+    for k0 in range(0, steps, block):
+        snap = traj[:, k0 : k0 + block]  # (trials, block, agents, n)
+        leader = snap[:, :, LEADER]
+        leader_norm = np.linalg.norm(leader, axis=-1)  # (trials, block)
+        vanish = leader_norm == 0.0
+        # A step whose leader norm vanishes is NaN; dividing by 1 there
+        # keeps the division free of warnings.
+        rel = np.linalg.norm(snap - leader[:, :, None], axis=-1) / np.where(vanish, 1.0, leader_norm)[..., None]
+        per_agent = rel.mean(axis=0)  # (block, agents)
+        eta[k0 : k0 + block] = np.where(vanish.any(axis=0), math.nan, per_agent[:, followers].max(axis=1))
+    return eta
 
 
 def settling_step(eta: np.ndarray, varsigma: float) -> int | None:

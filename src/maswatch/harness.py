@@ -18,10 +18,11 @@ rejects the run too. Whole (edge, step) arrays then pass between stages:
 envelope ratios against each edge's frozen reference, one
 flag-protocol round per step into a (K, E) flag and label array,
 scored against attacks.activity in one comparison. export_report
-writes the traces as CSV, each file built from whole columns
-(np.repeat / np.tile / tolist), so a float is written as its shortest round-trip repr. All
-exported numbers are pure functions of (scenario, master_seed),
-independent of worker count.
+writes the traces as CSV: each (step, edge) row key "k,j,i" is
+formatted once and shared by the three detector traces, and every
+value goes through tolist, so a float is written as its shortest
+round-trip repr. All exported numbers are pure functions of (scenario,
+master_seed), independent of worker count.
 """
 
 from __future__ import annotations
@@ -635,12 +636,9 @@ def transient_sweep(
 EXPORT_NAMES = ("kl_trace.csv", "residual_trace.csv", "envelope_trace.csv", "flags.csv", "eta.csv", "summary.csv")
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """One CSV line per row of the equal-length columns. Each column goes
-    through tolist, and str of a Python float is its shortest round-trip
-    repr."""
-    rows = zip(*(map(str, np.asarray(c).tolist()) for c in columns))
-    path.write_text("\n".join([",".join(header), *map(",".join, rows)]) + "\n")
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    """The header, then each entry of lines (one or more CSV lines)."""
+    path.write_text("\n".join([",".join(header), *lines]) + "\n")
 
 
 def export_report(r: RunReport, out_dir) -> list[Path]:
@@ -655,28 +653,37 @@ def export_report(r: RunReport, out_dir) -> list[Path]:
     K, E = r.horizon, t.n_edges
     paths = [out / name for name in EXPORT_NAMES]
     detector = ["k", "edge_j", "edge_i", "detector", "statistic", "decision"]
+    verdict = ("secure", "attacked")
 
-    def verdict(attacked):
-        return np.where(attacked, "attacked", "secure")
+    # The "k,j,i" key of every (step, edge) row, step-major, formatted
+    # once for the three detector traces; flags.csv names the observer i
+    # before the sender j.
+    src, dst = t.src.tolist(), t.dst.tolist()
+    keys = [f"{k},{j},{i}" for k in range(1, K + 1) for j, i in zip(src, dst)]
+    flag_keys = [f"{k},{i},{j}" for k in range(1, K + 1) for j, i in zip(src, dst)]
 
-    k = np.repeat(np.arange(1, K + 1), E)
-    src, dst = np.tile(t.src, K), np.tile(t.dst, K)
-    kl = [r.kl_stats.T.ravel(), verdict(r.kl_attacked.T.ravel())]
-    _write_csv(paths[0], detector, [k, src, dst, ["kl"] * (K * E), *kl])
+    kl = zip(keys, r.kl_stats.T.ravel().tolist(), r.kl_attacked.T.ravel().tolist())
+    _write_csv(paths[0], detector, [f"{key},kl,{v},{verdict[a]}" for key, v, a in kl])
+
+    def copies(a):
+        """The two copies' (step, edge) columns of a (2, E, K) array."""
+        return a.transpose(0, 2, 1).reshape(2, K * E).tolist()
 
     # Two rows per (step, edge), one per message copy, in (K, E, 2) order.
-    k2, src2, dst2 = (np.repeat(c, 2) for c in (k, src, dst))
-    copy = np.tile([1, 2], K * E)
-    _write_csv(paths[1], ["k", "edge_j", "edge_i", "msg", "d"], [k2, src2, dst2, copy, r.residuals.T.ravel()])
-    tested = np.repeat(r.env_tested.T.ravel(), 2)
-    names = np.char.add("envelope", copy.astype(str))
-    env = [r.env_stats.T.ravel(), verdict(r.env_attacked.T.ravel())]
-    _write_csv(paths[2], detector, [c[tested] for c in (k2, src2, dst2, names, *env)])
+    resid = zip(keys, *copies(r.residuals))
+    lines = [f"{key},1,{d1}\n{key},2,{d2}" for key, d1, d2 in resid]
+    _write_csv(paths[1], ["k", "edge_j", "edge_i", "msg", "d"], lines)
+    env = zip(keys, r.env_tested.T.ravel().tolist(), *copies(r.env_stats), *copies(r.env_attacked))
+    lines = [
+        f"{key},envelope1,{v1},{verdict[a1]}\n{key},envelope2,{v2},{verdict[a2]}"
+        for key, tested, v1, v2, a1, a2 in env
+        if tested
+    ]
+    _write_csv(paths[2], detector, lines)
 
-    # flags.csv names the observer i before the sender j.
-    labels = [c.value for c in np.ravel(r.classifications)]
-    phi1, phi2 = r.flags.reshape(-1, 2).T
-    _write_csv(paths[3], ["k", "i", "j", "phi1", "phi2", "classification"], [k, dst, src, phi1, phi2, labels])
-    _write_csv(paths[4], ["k", "eta"], [np.arange(r.eta.size), r.eta])
-    _write_csv(paths[5], ["metric", "value"], [list(r.summary), [float(v) for v in r.summary.values()]])
+    flags = zip(flag_keys, *r.flags.reshape(K * E, 2).T.tolist(), np.ravel(r.classifications))
+    lines = [f"{key},{p1},{p2},{c.value}" for key, p1, p2, c in flags]
+    _write_csv(paths[3], ["k", "i", "j", "phi1", "phi2", "classification"], lines)
+    _write_csv(paths[4], ["k", "eta"], [f"{k},{v}" for k, v in enumerate(r.eta.tolist())])
+    _write_csv(paths[5], ["metric", "value"], [f"{name},{float(v)}" for name, v in r.summary.items()])
     return paths

@@ -143,6 +143,43 @@ def test_estimate_kl_moments_match_np_mean_and_var():
     assert estimate_kl(sims[1].ystar1, sims[1].ystar2).max() < 1e-6
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 60),
+    st.sampled_from([(), (1, 1), (3, 2), (2, 5)]),
+    st.integers(1, 4),
+    st.sampled_from(["noise", "identical", "constant_columns", "large_mean"]),
+    st.sampled_from(["slab", "fortran", "reversed"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_estimate_kl_is_gaussian_kl_of_floored_moments(trials, between, n, case, layout, seed):
+    """The one-pass statistic equals the per-set composition bit for bit,
+    on (T, n) pairs and (T, K, E, n) blocks: both sets strided views of
+    one slab like ystar's, Fortran-ordered copies, or views with the
+    trials reversed. In the last three cases the variance floor
+    decides: equal copies, components constant over the trials, and
+    means near +-1e8 whose sample variance sits below the relative
+    floor of (1e-9 * 1e8)^2."""
+    rng = np.random.default_rng(seed)
+    slab = rng.normal(size=(trials, *between, 2, n))
+    if case == "identical":
+        slab[..., 1, :] = slab[..., 0, :]
+    elif case == "constant_columns":
+        slab[..., 0] = rng.normal()
+    elif case == "large_mean":
+        slab = rng.choice([-1e8, 1e8]) + 0.05 * slab
+    a, b = slab[..., 0, :], slab[..., 1, :]
+    if layout == "fortran":
+        a, b = np.asfortranarray(a), np.asfortranarray(b)
+    elif layout == "reversed":
+        a, b = a[::-1], b[::-1]
+    got = estimate_kl(a, b)
+    assert np.array_equal(got, _kl_by_np_moments(a, b))
+    assert type(got) is float if not between else got.shape == between
+    if case == "identical":
+        assert np.all(got == 0.0)
+
+
 def test_estimate_kl_validation():
     with pytest.raises(ValueError, match="matching shapes"):
         estimate_kl(np.zeros((5, 2)), np.zeros((5, 3)))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maswatch import dynamics
 from maswatch.dynamics import (
     AgentModel,
     ControllerParams,
@@ -143,6 +145,47 @@ def test_transient_metric_nan_on_zero_leader():
     traj = _trajectory()
     traj[0, 1, 0] = 0.0
     assert math.isnan(transient_metric(traj, 1))
+
+
+def _noisy_trajectory(trials, steps, agents, n, seed=11):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(trials, steps, agents, n)) * rng.uniform(1.0, 100.0, size=(1, steps, agents, 1))
+
+
+# One step of the (13 trials, steps, 4 agents, 3 components) trajectory below.
+_STEP_BYTES = 8 * 13 * 4 * 3
+
+
+@pytest.mark.parametrize("block_bytes", [None, 3 * _STEP_BYTES + 8], ids=["default", "three_steps"])
+def test_eta_curve_is_transient_metric_at_every_step(block_bytes, monkeypatch):
+    """Bit for bit over several blocks of steps, the last one partial,
+    with a zero leader norm in one trial and in every trial."""
+    if block_bytes is not None:
+        monkeypatch.setattr(dynamics, "ETA_BLOCK_BYTES", block_bytes)
+    steps_per_block = dynamics.ETA_BLOCK_BYTES // _STEP_BYTES
+    traj = _noisy_trajectory(13, 2 * steps_per_block + 5, 4, 3)
+    traj[4, steps_per_block, 0] = 0.0  # first step of the second block
+    traj[:, 2, 0] = 0.0
+    want = np.array([transient_metric(traj, k) for k in range(traj.shape[1])])
+    assert np.isnan(want[2]) and np.isnan(want[steps_per_block]) and np.isfinite(want[1])
+    assert np.array_equal(eta_curve(traj), want, equal_nan=True)
+
+
+def test_eta_curve_memory_does_not_grow_with_steps():
+    """Blocks of steps bound the temporaries: beyond its (steps,) output,
+    the traced peak stays under one constant at 4000 and at 50000
+    steps, while the larger trajectory is over ten times that constant."""
+    bound = 5 * dynamics.ETA_BLOCK_BYTES
+    for steps in (4000, 50000):
+        traj = _noisy_trajectory(8, steps, 4, 2)
+        tracemalloc.start()
+        try:
+            eta_curve(traj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * steps <= bound, (steps, peak / dynamics.ETA_BLOCK_BYTES)
+    assert traj.nbytes >= 10 * bound
 
 
 def test_settling_step():

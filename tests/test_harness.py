@@ -679,6 +679,48 @@ def test_export_report_zero_steps_keeps_headers(small_report, tmp_path):
             assert lines[0] == "k,eta"
 
 
+def _csv_by_rows(r: RunReport) -> dict[str, str]:
+    """Each exported file's text, written row by row from the report's
+    arrays: every field through str, joined by commas."""
+    K, edges = r.horizon, r.scenario.topology.edges
+    at = [(k, e, j, i) for k in range(1, K + 1) for e, (j, i) in enumerate(edges)]
+    verdict = {True: "attacked", False: "secure"}
+    detector = ("k", "edge_j", "edge_i", "detector", "statistic", "decision")
+    tables = {
+        "kl_trace.csv": [detector]
+        + [(k, j, i, "kl", float(r.kl_stats[e, k - 1]), verdict[bool(r.kl_attacked[e, k - 1])]) for k, e, j, i in at],
+        "residual_trace.csv": [("k", "edge_j", "edge_i", "msg", "d")]
+        + [(k, j, i, c + 1, float(r.residuals[c, e, k - 1])) for k, e, j, i in at for c in range(2)],
+        "envelope_trace.csv": [detector]
+        + [
+            (k, j, i, f"envelope{c + 1}", float(r.env_stats[c, e, k - 1]), verdict[bool(r.env_attacked[c, e, k - 1])])
+            for k, e, j, i in at
+            if r.env_tested[e, k - 1]
+            for c in range(2)
+        ],
+        "flags.csv": [("k", "i", "j", "phi1", "phi2", "classification")]
+        + [(k, i, j, *map(int, r.flags[k - 1, e]), r.classifications[k - 1, e].value) for k, e, j, i in at],
+        "eta.csv": [("k", "eta")] + [(k, float(v)) for k, v in enumerate(r.eta)],
+        "summary.csv": [("metric", "value")] + [(name, float(v)) for name, v in r.summary.items()],
+    }
+    return {name: "".join(",".join(map(str, row)) + "\n" for row in rows) for name, rows in tables.items()}
+
+
+@pytest.mark.parametrize("horizon", [None, 0], ids=["hybrid", "zero_steps"])
+def test_export_bytes_match_a_row_by_row_writer(tmp_path, horizon):
+    """Every byte of the six files, formatting included, as a plain
+    row-by-row writer produces it from the report."""
+    s = platoon_preset("hybrid")
+    if horizon is not None:
+        s = replace(s, horizon=horizon)
+    r = run_monte_carlo(s)
+    paths = export_report(r, tmp_path)
+    want = _csv_by_rows(r)
+    assert [p.name for p in paths] == list(want)
+    for p in paths:
+        assert p.read_bytes() == want[p.name].encode(), p.name
+
+
 def _csv_rows(path, *parsers):
     """Header and data rows of a CSV file, each field through its parser."""
     with open(path, newline="") as f:

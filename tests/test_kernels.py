@@ -14,17 +14,20 @@ chunks may change results at all.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import tracemalloc
 from dataclasses import fields, replace
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from maswatch import _kernels, engine
 from maswatch.attacks import byzantine_emit, tamper_channel
-from maswatch.dynamics import compute_control, step_system
+from maswatch.dynamics import compute_control, noise_gain, step_system
 from maswatch.engine import resolve_workers, simulate
+from maswatch.graph import LEADER
 from maswatch.harness import RunReport, platoon_preset, run_monte_carlo, scenario_from_dict
 from maswatch.watermark import (
     STREAM_BYZANTINE,
@@ -347,3 +350,57 @@ def test_simulate_holds_one_chunk_of_material_at_a_time(monkeypatch):
     # The schedules and the other per-run arrays stay below half a slab,
     # as in test_simulate_allocates_only_the_slabs_it_uses.
     assert peak <= outputs + engine.CHUNK_BYTES + slab / 2, (peak - outputs) / slab
+
+
+def _consensus_order_case():
+    """A scalar model where follower 9 hears the other nine agents, in
+    this edge order: a term near +1e17, a small one, a term near -1e17,
+    then six small ones. Added in order, the first small term is lost in
+    the large partial sum and the last six are kept; a sum that pairs
+    the terms up or splits them into lanes loses other small terms."""
+    doc = small_doc(horizon=2, trials=3)
+    follower = 9
+    large = {0: 1.0, 2: -1.0}  # sender: offset over an edge of weight 1e17
+    doc["topology"] = {
+        "n_agents": follower + 1,
+        "edges": [[j, follower, 1e17 if j in large else 1.0] for j in range(follower)],
+    }
+    doc["model"] = {"type": "companion", "rho": [0.9]}
+    doc["controller"].update(K1=[0.5], K2=[1.0], noise_var=0.0)
+    x_f = 0.25
+    doc["run"]["init"] = {"states": [[x_f + large.get(j, 0.5 + j / 8)] for j in range(follower)] + [[x_f]]}
+    return scenario_from_dict(doc)
+
+
+def test_consensus_terms_add_in_edge_order():
+    """Each follower's consensus sum is its terms added one by one in
+    edge order, from 0.0, bit for bit. A sum that reassociates the terms
+    (reversed, pairwise, or in lanes as a BLAS product by an incidence
+    matrix may) gives other bits on this case."""
+    s = _consensus_order_case()
+    t, ctrl = s.topology, s.controller
+    A, B, K1, K2 = float(s.model.A[0, 0]), float(s.model.B[0]), float(ctrl.K1[0]), float(ctrl.K2[0])
+    sim = simulate(s)
+
+    def terms(x, ys, i):
+        return [((ys[e] - x[i]) * K2) * t.weights[e] for e in range(t.n_edges) if t.dst[e] == i]
+
+    for k in (1, 2):
+        want = np.empty((s.trials, t.n_agents, 1))
+        for trial in range(s.trials):
+            x, ys = sim.states[trial, k - 1, :, 0].tolist(), sim.ystar[trial, k - 1, 0, :, 0].tolist()
+            for i in range(t.n_agents):
+                acc = reduce(operator.add, terms(x, ys, i), 0.0) if i != LEADER else 0.0
+                u = x[i] * K1 + noise_gain(k, ctrl) * acc
+                want[trial, i, 0] = x[i] * A + u * B
+        assert np.array_equal(sim.states[:, k], want), k
+
+    # The case is sensitive to association: reversed, pairwise and
+    # two-lane sums of the follower's first-step terms all differ from
+    # the in-order sum.
+    ts = terms(sim.states[0, 0, :, 0].tolist(), sim.ystar[0, 0, 0, :, 0].tolist(), t.n_agents - 1)
+    in_order = reduce(operator.add, ts, 0.0)
+    pairs = [a + b for a, b in zip(ts[0::2], ts[1::2])] + ts[len(ts) // 2 * 2 :]
+    assert in_order != reduce(operator.add, ts[::-1], 0.0)
+    assert in_order != reduce(operator.add, pairs, 0.0)
+    assert in_order != reduce(operator.add, ts[0::2], 0.0) + reduce(operator.add, ts[1::2], 0.0)
