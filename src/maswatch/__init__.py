@@ -25,7 +25,6 @@ from .detectors import (
     estimate_kl,
     gaussian_kl,
     kl_verdict,
-    lemma1_bound,
 )
 from .dynamics import (
     AgentModel,
@@ -47,7 +46,6 @@ from .graph import (
     Topology,
     build_topology,
     check_hybrid_detectability,
-    count_directed_two_hop_paths,
     grounded_laplacian_min_eigenvalue,
     has_spanning_tree,
     laplacian,
@@ -71,8 +69,6 @@ from .hybrid import (
     select_trusted,
 )
 from .watermark import (
-    MessageSet,
-    WatermarkDraw,
     WatermarkParams,
     apply_watermark,
     remove_watermark,

@@ -19,16 +19,22 @@ Arguments, with T trials, K steps, N agents, E edges, n state dims:
 
     s                    the Scenario
     W, byz_rand (T, K, E, n), each step's (E, n) block contiguous;
-                         unused material a read-only broadcast of 0
+                         unused material a read-only broadcast of 0;
+                         byz_rand is already scaled, and 0 outside
+                         per_neighbor_random windows
     M, F (T, K, 2, E, n) the material of copies r = 1, 2 on axis -3;
                          may be strided views of one (T, K, 4, E, n) slab
     chan_mask (K, E) bool   Xi, Lam (K, 2, E, n)
-    byz_kind (K, E) i1      byz_coeff (K, E, n), the offset a BYZ_OFFSET
-                         step adds (a ramp's offset * k already)
+    send_row (K, E) intp the states row each edge's sender reads at a
+                         step: k-1, or start-1 in a frozen_state window
+    byz_coeff (K, E, n)  the offset each step adds (a ramp's offset * k
+                         already), 0 outside offset windows
     states (T, K+1, N, n) in/out: row 0 holds the initial states on
                          entry, and the kernel writes rows 1..K
     ys (T, K, 2, E, n) out
 
+A Byzantine sender's plaintext is the gathered row plus byz_coeff
+plus byz_rand, with no branch on the behavior: an honest step adds 0.
 Each masking statement covers both copies; consensus reads the first.
 
 The leader is agent 0 and never consumes neighbor messages.
@@ -40,39 +46,21 @@ import numpy as np
 
 from .dynamics import noise_gain
 
-# byz_kind codes; 0 marks a step and edge without a Byzantine behavior.
-BYZ_OFFSET = 1
-BYZ_FROZEN = 2
-BYZ_RANDOM = 3
 
-
-def _simulate_numpy(s, W, M, F, chan_mask, Xi, Lam, byz_kind, byz_coeff, byz_rand, states, ys):
+def _simulate_numpy(s, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz_rand, states, ys):
     t, A, Bv, ctrl = s.topology, s.model.A, s.model.B, s.controller
     edge_src, edge_dst = t.src, t.dst
     T, K, E, n = W.shape
     N = t.n_agents
-    frozen = np.zeros((T, E, n))
-    frozen_set = np.zeros(E, dtype=bool)
     # bincount slot of each (trial, edge) consensus term: its receiver's
     # row in the flat (T * N,) control vector, in trial-major edge order.
     slot = (np.arange(T)[:, None] * N + edge_dst).ravel()
     weight = np.tile(t.weights, T)
-    any_byz = bool(byz_kind.any())
     for k in range(1, K + 1):
         x = states[:, k - 1]
-        plain = x[:, edge_src, :]  # a gather: already a new array
-        if any_byz:
-            kinds = byz_kind[k - 1]
-            cap = (kinds == BYZ_FROZEN) & ~frozen_set
-            if cap.any():
-                frozen[:, cap] = x[:, edge_src[cap], :]
-            frozen_set = np.where(kinds != 0, frozen_set | cap, False)
-            sel = kinds == BYZ_OFFSET
-            plain[:, sel] += byz_coeff[k - 1, sel]
-            sel = kinds == BYZ_FROZEN
-            plain[:, sel] = frozen[:, sel]
-            sel = kinds == BYZ_RANDOM
-            plain[:, sel] += byz_rand[:, k - 1, sel]
+        plain = states[:, send_row[k - 1], edge_src]  # a gather: already a new array
+        plain += byz_coeff[k - 1]
+        plain += byz_rand[:, k - 1]
         y = plain + W[:, k - 1]
         m = M[:, k - 1]
         f = F[:, k - 1]

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import LocalAttackBudget, Topology
-from .watermark import MessageSet
 
 SCHEDULE_KINDS = ("sin", "const", "ramp")
 
@@ -110,8 +109,14 @@ class ByzantineBehavior:
     kind:
       constant_offset     emit x + offset
       divergent_ramp      emit x + offset * k
-      frozen_state        emit the state captured at the window start
+      frozen_state        emit snapshot start-1 of the agent's state,
+                          the one its message at step start carries
       per_neighbor_random emit x + scale * z, z fresh per edge and step
+
+    Every behavior acts only inside its own window: a frozen_state
+    window freezes its own snapshot and a per_neighbor_random window
+    draws at its own scale, whatever behavior of the same agent came
+    just before it.
     """
 
     agent: int
@@ -148,13 +153,14 @@ class AttackScenario:
         object.__setattr__(self, "byzantine", tuple(self.byzantine))
 
 
-def tamper_channel(ms: MessageSet, a: ChannelAttack, k: int) -> MessageSet:
-    """Apply the attack to one message set; identity outside the window."""
+def tamper_channel(y: np.ndarray, a: ChannelAttack, k: int) -> np.ndarray:
+    """Apply the attack to one (2, n) pair of copies, copy r in row r-1;
+    identity outside the window."""
     if not a.active(k):
-        return ms
-    y1 = a.xi1.eval(k) * ms.y1 + a.lam1.eval(k)
-    y2 = a.xi2.eval(k) * ms.y2 + a.lam2.eval(k)
-    return MessageSet(y1=y1, y2=y2)
+        return y
+    xi = np.stack([a.xi1.eval(k), a.xi2.eval(k)])
+    lam = np.stack([a.lam1.eval(k), a.lam2.eval(k)])
+    return xi * y + lam
 
 
 def byzantine_emit(
@@ -166,9 +172,12 @@ def byzantine_emit(
 ) -> np.ndarray:
     """State the Byzantine agent feeds into one outgoing message at step k.
 
+    frozen_state is the agent's snapshot start-1 of this behavior's own
+    window, which a frozen_state behavior sends at every step of it.
     draw is the step's standard-normal row for the edge, row k-1 of its
     STREAM_BYZANTINE stream; every step has one, whether or not the
-    behavior is active.
+    behavior is active, and a per_neighbor_random behavior scales it by
+    its own scale.
     """
     x = np.asarray(true_state, dtype=float)
     if not bz.active(k):

@@ -22,9 +22,9 @@ from .engine import resolve_workers
 from .graph import (
     LocalAttackBudget,
     check_hybrid_detectability,
-    count_directed_two_hop_paths,
     grounded_laplacian_min_eigenvalue,
     has_spanning_tree,
+    two_hop_relays,
 )
 from .harness import (
     ScenarioError,
@@ -93,7 +93,7 @@ def _cmd_check_graph(args) -> int:
     print(f"grounded laplacian min eigenvalue: {grounded_laplacian_min_eigenvalue(t)}")
     need, short = check_hybrid_detectability(t, LocalAttackBudget(args.L, args.P))
     for j, i in t.edges:
-        count = count_directed_two_hop_paths(t, j, i)
+        count = len(two_hop_relays(t, j, i))
         status = "short" if (j, i) in short else "ok"
         print(f"edge ({j}, {i}): {count} two-hop paths, need {need}: {status}")
     if short:

@@ -199,29 +199,3 @@ def envelope_verdict(d_k, d_ref, k, cfg: EnvelopeConfig, bounds: StateBounds) ->
     threshold = envelope_factor(bounds) * d_ref * (tau + cfg.delta)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(d_k == 0.0, 0.0, d_k / threshold)
-
-
-def lemma1_bound(gamma: np.ndarray, omega: np.ndarray, rho1: float, rho2: float) -> bool:
-    """Verify the norm-splitting inequality on one vector pair.
-
-    Both vectors must have every component in [rho1, rho2] with
-    rho1 > 0; out-of-range inputs are rejected. Returns whether
-
-        ||gamma|| + ||omega|| <= sqrt((rho1^2 + rho2^2) / rho1^2) * ||gamma + omega||
-
-    holds (it always should; the return value exists for test suites).
-    """
-    if rho1 <= 0:
-        raise ValueError("rho1 must be positive")
-    if rho2 < rho1:
-        raise ValueError("need rho1 <= rho2")
-    g = np.asarray(gamma, dtype=float)
-    o = np.asarray(omega, dtype=float)
-    if g.shape != o.shape:
-        raise ValueError("vectors must share a shape")
-    for v in (g, o):
-        if np.any(v < rho1) or np.any(v > rho2):
-            raise ValueError("components must lie in [rho1, rho2]")
-    lhs = np.linalg.norm(g) + np.linalg.norm(o)
-    rhs = math.sqrt((rho1 ** 2 + rho2 ** 2) / rho1 ** 2) * np.linalg.norm(g + o)
-    return bool(lhs <= rhs * (1.0 + 1e-12))

@@ -1,12 +1,13 @@
 """The Scenario type and the Monte Carlo simulation driver.
 
 A Scenario is valid by construction: __post_init__ checks every run rule
-and raises ScenarioError at the field path the harness loader reports,
+(attack vectors of one component per state dimension among them) and
+raises ScenarioError at the field path the harness loader reports,
 so one built through dataclasses.replace fails alike. simulate takes a
 Scenario and checks nothing. It builds the dense attack and watermark
 arrays the step kernel consumes (the channel mask comes from
-attacks.activity, the schedules and Byzantine codes are filled from the
-window slices), splits trials into chunks, and returns the raw slabs
+attacks.activity, the schedules and Byzantine tables are filled from
+the window slices), splits trials into chunks, and returns the raw slabs
 (states and recovered message pairs) that the detector pipeline pools.
 The kernel reads the model, controller and topology from the Scenario
 itself, and the initial states from row 0 of its states slab. A zero
@@ -35,9 +36,10 @@ Random material of a chunk of T trials, K steps, E edges, n dims:
              into the pair M, F = z[:, :, :2], z[:, :, 2:], each
              (T, K, 2, E, n) with the copy on axis -3, by one in-place
              watermark_blocks call; byz_rand (T, K, E, n) only when a
-             per_neighbor_random edge exists. Unused material (noise
-             at zero variance, byz_rand without such an edge) is a
-             broadcast 0, never a slab.
+             per_neighbor_random window falls inside the horizon,
+             scaled per (step, edge) so it is 0 outside such windows.
+             Unused material (noise at zero variance, byz_rand without
+             such a window) is a broadcast 0, never a slab.
 
 Each chunk holds at most CHUNK_BYTES of slabs, plus at most one
 trial's worth, and only running chunks hold any, so a run's peak is its
@@ -82,13 +84,6 @@ WORKERS_ENV = "MASWATCH_WORKERS"
 
 # Byte budget of one trial chunk's random material.
 CHUNK_BYTES = 32 * 2**20
-
-_BYZ_CODE = {
-    "constant_offset": _kernels.BYZ_OFFSET,
-    "divergent_ramp": _kernels.BYZ_OFFSET,
-    "frozen_state": _kernels.BYZ_FROZEN,
-    "per_neighbor_random": _kernels.BYZ_RANDOM,
-}
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -150,6 +145,19 @@ class Scenario:
             raise ScenarioError("run.init", "initial states must be finite")
         init.flags.writeable = False
         object.__setattr__(self, "init_states", init)
+        # A schedule always has n coefficients; an offset only when given.
+        n = self.model.n
+        vectors = [
+            (f"attacks.channel[{idx}].{name}.coeffs", getattr(a, name).coeffs)
+            for idx, a in enumerate(self.attacks.channel)
+            for name in ("xi1", "lam1", "xi2", "lam2")
+        ]
+        vectors += [
+            (f"attacks.byzantine[{idx}].offset", bz.offset) for idx, bz in enumerate(self.attacks.byzantine) if bz.offset
+        ]
+        for path, v in vectors:
+            if len(v) != n:
+                raise ScenarioError(path, f"expected {n} components, got {len(v)}")
         try:
             offender = validate_attacks(self.attacks, self.topology, self.horizon)
         except ValueError as err:
@@ -180,14 +188,17 @@ class SimData:
 
 
 def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int):
-    """Attack arrays over (step, edge), filled from the window slices.
+    """Attack tables over (step, edge), filled from the window slices.
 
     Returns the kernel's chan_mask, Xi, Lam (each (K, 2, E, n), the
-    copy on axis -3), byz_kind and byz_coeff in its argument order, then
-    the per-edge rand_edges and rand_scale of per_neighbor_random
-    behaviors. A Byzantine agent's behavior covers every edge it sends
-    on, and a divergent_ramp's coefficient at step k is offset * k, as
-    byzantine_emit computes it.
+    copy on axis -3), send_row and byz_coeff in its argument order, then
+    the (K, E) scale of byz_rand. A Byzantine agent's behavior covers
+    every edge it sends on, each behavior fills only its own window, and
+    a step outside every window gets the honest entries: send_row k-1,
+    byz_coeff 0, scale 0. In a frozen_state window send_row is start-1,
+    the snapshot the window froze; a divergent_ramp's coefficient at
+    step k is offset * k and a per_neighbor_random window's scale its
+    own, as byzantine_emit computes them.
     """
     chan_mask = activity(attacks, t, horizon)[0]
     E = t.n_edges
@@ -200,23 +211,22 @@ def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int)
         for r, (xi_r, lam_r) in enumerate(((a.xi1, a.lam1), (a.xi2, a.lam2))):
             xi[rows, r, e] = xi_r.eval(steps)
             lam[rows, r, e] = lam_r.eval(steps)
-    byz_kind = np.zeros((horizon, E), dtype=np.int8)
+    send_row = np.repeat(np.arange(horizon)[:, None], E, axis=1)
     byz_coeff = np.zeros((horizon, E, n))
-    rand_edges = np.zeros(E, dtype=bool)
-    rand_scale = np.zeros(E)
+    scale = np.zeros((horizon, E))
     for bz in attacks.byzantine:
         rows = window_rows(bz.window, horizon)
         out = t.src == bz.agent
-        byz_kind[rows, out] = _BYZ_CODE[bz.kind]
-        if bz.kind == "divergent_ramp":
+        if bz.kind == "frozen_state":
+            send_row[rows, out] = rows.start
+        elif bz.kind == "divergent_ramp":
             steps = np.arange(rows.start + 1, rows.stop + 1, dtype=float)
             byz_coeff[rows, out] = steps[:, None, None] * bz.offset
         elif bz.kind == "constant_offset":
             byz_coeff[rows, out] = bz.offset
-        elif bz.kind == "per_neighbor_random":
-            rand_edges[out] = True
-            rand_scale[out] = bz.scale
-    return chan_mask, xi, lam, byz_kind, byz_coeff, rand_edges, rand_scale
+        else:
+            scale[rows, out] = bz.scale
+    return chan_mask, xi, lam, send_row, byz_coeff, scale
 
 
 def _draw_streams(slab, master_seed, trial_ids, edges, tag, rows=slice(None)) -> None:
@@ -236,14 +246,15 @@ def _draw_streams(slab, master_seed, trial_ids, edges, tag, rows=slice(None)) ->
         slab[ti][..., rows, :] = step_major
 
 
-def _pregenerate(s: Scenario, trial_ids: np.ndarray, rand_edges: np.ndarray, rand_scale: np.ndarray):
+def _pregenerate(s: Scenario, trial_ids: np.ndarray, scale: np.ndarray):
     """The chunk's random material W, M, F, byz_rand.
 
     W and byz_rand are (T, K, E, n). M and F are the (T, K, 2, E, n)
     views z[:, :, :2] and z[:, :, 2:] of one (T, K, 4, E, n) slab that
-    watermark_blocks transforms in place. Material a run does not use
-    (noise at zero variance, byz_rand without a per_neighbor_random
-    edge) is a read-only broadcast of 0, not a slab.
+    watermark_blocks transforms in place. byz_rand holds the draws of
+    the edges with a nonzero entry in the (K, E) scale, multiplied by
+    it. Material a run does not use (noise at zero variance, byz_rand
+    with an all-zero scale) is a read-only broadcast of 0, not a slab.
     """
     t, noise_var = s.topology, s.controller.noise_var
     shape = (trial_ids.shape[0], s.horizon, t.n_edges, s.model.n)
@@ -257,11 +268,11 @@ def _pregenerate(s: Scenario, trial_ids: np.ndarray, rand_edges: np.ndarray, ran
     _draw_streams(z, s.master_seed, trial_ids, t.edges, STREAM_WATERMARK)
     M, F = watermark_blocks(z, s.watermark)
     byz_rand = zeros
-    if rand_edges.any():
-        rows = np.flatnonzero(rand_edges)
+    rows = np.flatnonzero(scale.any(axis=0))
+    if rows.size:
         byz_rand = np.zeros(shape)
         _draw_streams(byz_rand, s.master_seed, trial_ids, [t.edges[e] for e in rows], STREAM_BYZANTINE, rows)
-        byz_rand *= rand_scale[:, None]
+        byz_rand *= scale[:, :, None]
     return W, M, F, byz_rand
 
 
@@ -287,10 +298,10 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
     states = np.zeros((len(tables), trials, K + 1, N, n))
     states[:, :, 0] = tables[:, None]
     ys = np.zeros((len(tables), trials, K, 2, E, n))
-    *schedules, rand_edges, rand_scale = _schedule_arrays(t, s.attacks, K, n)
+    *schedules, scale = _schedule_arrays(t, s.attacks, K, n)
 
     def run_chunk(trial_ids: np.ndarray) -> None:
-        W, M, F, byz_rand = _pregenerate(s, trial_ids, rand_edges, rand_scale)
+        W, M, F, byz_rand = _pregenerate(s, trial_ids, scale)
         lo, hi = int(trial_ids[0]), int(trial_ids[-1]) + 1
         # A diverging run overflows silently here; harness rejects its
         # non-finite states. errstate is per thread, so it is set here.
@@ -298,7 +309,7 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
             for b in range(len(tables)):
                 _kernels._simulate_numpy(s, W, M, F, *schedules, byz_rand, states[b, lo:hi], ys[b, lo:hi])
 
-    slabs = 4 + (s.controller.noise_var > 0) + bool(rand_edges.any())  # as _pregenerate allocates them
+    slabs = 4 + (s.controller.noise_var > 0) + bool(scale.any())  # as _pregenerate allocates them
     threads = min(workers, trials, os.cpu_count() or 1)
     n_chunks = min(trials, max(threads, -(-trials * 8 * K * E * n * slabs // CHUNK_BYTES)))
     chunks = np.array_split(np.arange(trials), n_chunks)

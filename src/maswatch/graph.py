@@ -161,11 +161,6 @@ def two_hop_relays(t: Topology, j: int, i: int) -> tuple[int, ...]:
     return tuple(sorted(set(t.out_neighbors(j)) & set(t.in_neighbors(i)) - {i, j}))
 
 
-def count_directed_two_hop_paths(t: Topology, j: int, i: int) -> int:
-    """Number of directed two-hop paths j -> s -> i, s not in {i, j}."""
-    return len(two_hop_relays(t, j, i))
-
-
 def check_hybrid_detectability(t: Topology, budget: LocalAttackBudget) -> tuple[int, list[tuple[int, int]]]:
     """Check the two-hop redundancy condition for flag arbitration.
 
@@ -176,4 +171,4 @@ def check_hybrid_detectability(t: Topology, budget: LocalAttackBudget) -> tuple[
     with fewer paths; the condition holds when short_edges is empty.
     """
     need = budget.max_byzantine_neighbors + budget.max_attacked_channels + 1
-    return need, [e for e in t.edges if count_directed_two_hop_paths(t, *e) < need]
+    return need, [e for e in t.edges if len(two_hop_relays(t, *e)) < need]

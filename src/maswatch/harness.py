@@ -165,11 +165,11 @@ def _entries(sec, key, path):
     return items
 
 
-def _schedule_from(d, path, n) -> Schedule:
+def _schedule_from(d, path) -> Schedule:
     if not isinstance(d, dict):
         raise ScenarioError(path, "schedule must be an object with kind and coeffs")
     kind = _get(d, "kind", path, str)
-    coeffs = _vector(_get(d, "coeffs", path, list), f"{path}.coeffs", n)
+    coeffs = _vector(_get(d, "coeffs", path, list), f"{path}.coeffs")
     return _build(path, Schedule, kind=kind, coeffs=tuple(coeffs))
 
 
@@ -180,7 +180,7 @@ def _window_from(d, path):
     return (w[0], w[1])
 
 
-def _attacks_from(sec, path, n, n_agents) -> AttackScenario:
+def _attacks_from(sec, path, n_agents) -> AttackScenario:
     if not isinstance(sec, dict):
         raise ScenarioError(path, "missing or malformed section")
     bp = f"{path}.budget"
@@ -199,10 +199,10 @@ def _attacks_from(sec, path, n, n_agents) -> AttackScenario:
                 ChannelAttack,
                 edge=(edge[0], edge[1]),
                 window=_window_from(d, p),
-                xi1=_schedule_from(_get(d, "xi1", p), f"{p}.xi1", n),
-                lam1=_schedule_from(_get(d, "lam1", p), f"{p}.lam1", n),
-                xi2=_schedule_from(_get(d, "xi2", p), f"{p}.xi2", n),
-                lam2=_schedule_from(_get(d, "lam2", p), f"{p}.lam2", n),
+                xi1=_schedule_from(_get(d, "xi1", p), f"{p}.xi1"),
+                lam1=_schedule_from(_get(d, "lam1", p), f"{p}.lam1"),
+                xi2=_schedule_from(_get(d, "xi2", p), f"{p}.xi2"),
+                lam2=_schedule_from(_get(d, "lam2", p), f"{p}.lam2"),
             )
         )
     byzantine = []
@@ -212,8 +212,6 @@ def _attacks_from(sec, path, n, n_agents) -> AttackScenario:
         if not 0 <= agent < n_agents:
             raise ScenarioError(f"{p}.agent", f"agent {agent} out of range")
         offset = _vector(d.get("offset", []), f"{p}.offset")
-        if offset and len(offset) != n:
-            raise ScenarioError(f"{p}.offset", f"expected {n} components, got {len(offset)}")
         byzantine.append(
             _build(
                 p,
@@ -300,7 +298,7 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         bsec, bp = _section(sec, "bounds", p)
         bounds = _build(bp, StateBounds, eps1=_num(bsec, "eps1", bp), eps2=_num(bsec, "eps2", bp))
 
-    attacks = _attacks_from(doc.get("attacks") or {}, "attacks", n, n_agents)
+    attacks = _attacks_from(doc.get("attacks") or {}, "attacks", n_agents)
     for a in attacks.channel:
         if a.edge not in topology.edges:
             raise ScenarioError("attacks.channel", f"attack targets unknown edge {list(a.edge)}")

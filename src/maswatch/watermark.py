@@ -68,28 +68,6 @@ class WatermarkParams:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class WatermarkDraw:
-    """One step's watermark material for one edge.
-
-    m1, m2 are the diagonal removal multipliers (lambda_r + M_r^2, so
-    every entry exceeds lambda_r); f1, f2 the additive offsets.
-    """
-
-    m1: np.ndarray
-    m2: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
-
-
-@dataclass(frozen=True)
-class MessageSet:
-    """The watermarked pair as it travels on one edge."""
-
-    y1: np.ndarray
-    y2: np.ndarray
-
-
 # SeedSequence's hash constants (numpy.random.bit_generator); stream_keys
 # must reproduce its pool mixing and generate_state word for word.
 _MASK32 = 0xFFFFFFFF
@@ -225,16 +203,16 @@ def watermark_blocks(z: np.ndarray, params: WatermarkParams) -> tuple[np.ndarray
     return m, f
 
 
-def apply_watermark(plain: np.ndarray, draw: WatermarkDraw) -> MessageSet:
-    """Mask one plaintext vector into its two transmitted copies."""
-    plain = np.asarray(plain, dtype=float)
-    y1 = plain / draw.m1 + draw.f1
-    y2 = plain / draw.m2 + draw.f2
-    return MessageSet(y1=y1, y2=y2)
+def apply_watermark(plain: np.ndarray, m: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Mask one plaintext vector into its two transmitted copies.
+
+    m and f are one step's (2, n) material of one edge, the copy r in
+    row r-1 as watermark_blocks lays it out; so is the returned pair.
+    """
+    return np.asarray(plain, dtype=float) / m + f
 
 
-def remove_watermark(ms: MessageSet, draw: WatermarkDraw) -> tuple[np.ndarray, np.ndarray]:
-    """Undo both masks; the plaintext up to round-off when the channel was clean."""
-    y1 = draw.m1 * (np.asarray(ms.y1, dtype=float) - draw.f1)
-    y2 = draw.m2 * (np.asarray(ms.y2, dtype=float) - draw.f2)
-    return y1, y2
+def remove_watermark(y: np.ndarray, m: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Undo both masks of a (2, n) pair; the plaintext in each row up to
+    round-off when the channel was clean."""
+    return m * (np.asarray(y, dtype=float) - f)

@@ -15,8 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maswatch.detectors import estimate_kl, gaussian_kl, lemma1_bound
-from maswatch.graph import build_topology, count_directed_two_hop_paths, two_hop_relays
+from maswatch.detectors import estimate_kl, gaussian_kl
+from maswatch.graph import build_topology, two_hop_relays
 from maswatch.harness import (
     export_report,
     platoon_preset,
@@ -258,8 +258,7 @@ def _brute_two_hop(edge_set, n, j, i):
 
 
 def _two_hop_wrong(t, edge_set, n, j, i) -> bool:
-    relays = _brute_two_hop(edge_set, n, j, i)
-    return two_hop_relays(t, j, i) != relays or count_directed_two_hop_paths(t, j, i) != len(relays)
+    return two_hop_relays(t, j, i) != _brute_two_hop(edge_set, n, j, i)
 
 
 def test_criterion_7_oracle_suites():
@@ -273,7 +272,7 @@ def test_criterion_7_oracle_suites():
         closed = gaussian_kl(mu_a, var_a, mu_b, var_b)
         worst_kl = max(worst_kl, abs(closed - kl_by_quadrature(mu_a, var_a, mu_b, var_b)))
 
-    # two-hop relay sets and counts: exhaustive digraph families up to 4 nodes, then
+    # two-hop relay sets: exhaustive digraph families up to 4 nodes, then
     # random graphs at 5, 6 and 12 nodes (the full 6-node family is
     # 2^30 graphs, far outside a test budget)
     two_hop_checked = 0
@@ -304,8 +303,7 @@ def test_criterion_7_oracle_suites():
                 if _two_hop_wrong(t, edge_set, n, j, i):
                     two_hop_bad += 1
 
-    # norm-splitting inequality on 1e5 random pairs (vectorized), plus
-    # the public checker on a slice of them
+    # norm-splitting inequality on 1e5 random pairs (vectorized)
     rho1 = rng.uniform(0.1, 2.0, size=100_000)
     rho2 = rho1 + rng.uniform(0.0, 10.0, size=100_000)
     g = rng.uniform(rho1[:, None], rho2[:, None], size=(100_000, 4))
@@ -313,9 +311,6 @@ def test_criterion_7_oracle_suites():
     lhs = np.linalg.norm(g, axis=1) + np.linalg.norm(o, axis=1)
     rhs = np.sqrt((rho1 ** 2 + rho2 ** 2) / rho1 ** 2) * np.linalg.norm(g + o, axis=1)
     lemma_failures = int((lhs > rhs * (1.0 + 1e-12)).sum())
-    spot = all(
-        lemma1_bound(g[idx], o[idx], rho1[idx], rho2[idx]) for idx in range(0, 100_000, 50)
-    )
 
     # watermark round trip on 1e4 random messages
     wp = WatermarkParams(2.0, 5.0, 7.2, 4.3, 2.0, 3.5)
@@ -329,7 +324,6 @@ def test_criterion_7_oracle_suites():
         worst_kl < 1e-3
         and two_hop_bad == 0
         and lemma_failures == 0
-        and spot
         and roundtrip_err < 1e-9
     )
     _line(
@@ -341,7 +335,7 @@ def test_criterion_7_oracle_suites():
     )
     assert worst_kl < 1e-3
     assert two_hop_bad == 0
-    assert lemma_failures == 0 and spot
+    assert lemma_failures == 0
     assert roundtrip_err < 1e-9
 
 

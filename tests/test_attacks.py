@@ -25,7 +25,6 @@ from maswatch.attacks import (
 )
 from maswatch.graph import LocalAttackBudget, build_topology
 from maswatch.harness import scenario_from_dict
-from maswatch.watermark import MessageSet
 
 from _scenarios import small_doc
 
@@ -91,13 +90,14 @@ def test_byzantine_validation():
 
 
 def test_tamper_channel():
-    ms = MessageSet(y1=np.array([1.0, 2.0, 3.0]), y2=np.array([1.0, 1.0, 1.0]))
+    y = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
     a = section_iv_attack(window=(10, None))
-    assert tamper_channel(ms, a, 9) is ms
-    out = tamper_channel(ms, a, 10)
+    assert tamper_channel(y, a, 9) is y
+    out = tamper_channel(y, a, 10)
     s = math.sin(10)
-    assert np.allclose(out.y1, np.array([1.0, 8.3 * 2, 2.4 * 3]) * s + np.array([0.0, 3.73, -1.32]) * s)
-    assert np.allclose(out.y2, np.array([0.0, 7.3, -2.32]) * s)
+    assert out.shape == (2, 3)
+    assert np.allclose(out[0], np.array([1.0, 8.3 * 2, 2.4 * 3]) * s + np.array([0.0, 3.73, -1.32]) * s)
+    assert np.allclose(out[1], np.array([0.0, 7.3, -2.32]) * s)
 
 
 def test_byzantine_emit_kinds():
@@ -245,7 +245,8 @@ def test_validate_attacks_matches_per_step_scan(chan, byz, L, P, horizon):
 )
 def test_activity_matches_per_step_scan(chan, byz, horizon):
     """activity against a step-by-step scan, and the kernel's Byzantine
-    codes: nonzero exactly where activity's Byzantine mask is set."""
+    tables: outside activity's Byzantine mask they are the tables of a
+    run without Byzantine behaviors (send_row k-1, byz_coeff 0, scale 0)."""
     t = _topology()
     s = AttackScenario(
         channel=tuple(
@@ -255,10 +256,15 @@ def test_activity_matches_per_step_scan(chan, byz, horizon):
     )
     chan_mask, byz_mask = activity(s, t, horizon)
     assert chan_mask.shape == byz_mask.shape == (horizon, t.n_edges)
-    kernel_mask, xi, lam, byz_kind, _byz_coeff, _rand_edges, _rand_scale = engine._schedule_arrays(t, s, horizon, 1)
+    kernel_mask, xi, lam, send_row, byz_coeff, scale = engine._schedule_arrays(t, s, horizon, 1)
     assert np.array_equal(kernel_mask, chan_mask)
     assert xi.shape == lam.shape == (horizon, 2, t.n_edges, 1)
-    assert np.array_equal(byz_kind != 0, byz_mask)
+    honest = engine._schedule_arrays(t, AttackScenario(channel=s.channel), horizon, 1)[3:]
+    assert np.array_equal(honest[0], np.repeat(np.arange(horizon)[:, None], t.n_edges, axis=1))
+    assert not honest[1].any() and not honest[2].any()
+    for got, want in zip((send_row, byz_coeff, scale), honest):
+        assert got.shape == want.shape
+        assert np.array_equal(got[~byz_mask], want[~byz_mask])
     for k in range(1, horizon + 1):
         chan_k, byz_k = active_attacks(s, k)
         for e, (j, i) in enumerate(t.edges):

@@ -19,7 +19,6 @@ from maswatch.graph import (
     Topology,
     build_topology,
     check_hybrid_detectability,
-    count_directed_two_hop_paths,
     grounded_laplacian_min_eigenvalue,
     has_spanning_tree,
     laplacian,
@@ -36,10 +35,8 @@ def platoon_topology() -> Topology:
     return build_topology(7, PLATOON_EDGES)
 
 
-def brute_two_hop(edges: set, n: int, j: int, i: int) -> int:
-    return sum(
-        1 for s in range(n) if s not in (i, j) and (j, s) in edges and (s, i) in edges
-    )
+def brute_two_hop(edges: set, n: int, j: int, i: int) -> tuple[int, ...]:
+    return tuple(s for s in range(n) if s not in (i, j) and (j, s) in edges and (s, i) in edges)
 
 
 # --- construction -----------------------------------------------------------
@@ -154,14 +151,11 @@ def test_spanning_tree_detects_unreachable_agent():
 def test_two_hop_hand_example():
     t = platoon_topology()
     # 5 -> {1,3,4} -> 2 are the arbitration paths the preset relies on
-    assert count_directed_two_hop_paths(t, 5, 2) == 3
-    assert count_directed_two_hop_paths(t, 0, 2) == 2
-    assert count_directed_two_hop_paths(t, 0, 6) == 0
     assert two_hop_relays(t, 5, 2) == (1, 3, 4)
     assert two_hop_relays(t, 0, 2) == (1, 5)
     assert two_hop_relays(t, 0, 6) == ()
     with pytest.raises(ValueError, match="unknown agent"):
-        count_directed_two_hop_paths(t, 0, 9)
+        two_hop_relays(t, 0, 9)
     # the relay tables hold the edge indices of (s, 2) and (5, s)
     e = t.edges.index
     assert t.relay_si.shape == (t.n_edges, 3)
@@ -182,7 +176,7 @@ def test_two_hop_exhaustive_three_nodes():
         t = build_topology(3, chosen)
         edge_set = set(chosen)
         for j, i in pairs:
-            assert count_directed_two_hop_paths(t, j, i) == brute_two_hop(edge_set, 3, j, i)
+            assert two_hop_relays(t, j, i) == brute_two_hop(edge_set, 3, j, i)
 
 
 def test_two_hop_random_graphs():
@@ -197,7 +191,7 @@ def test_two_hop_random_graphs():
         t = build_topology(n, chosen)
         edge_set = set(chosen)
         j, i = pairs[int(rng.integers(len(pairs)))]
-        assert count_directed_two_hop_paths(t, j, i) == brute_two_hop(edge_set, n, j, i)
+        assert two_hop_relays(t, j, i) == brute_two_hop(edge_set, n, j, i)
 
 
 # --- detectability ----------------------------------------------------------

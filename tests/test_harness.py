@@ -193,10 +193,22 @@ def _frozen_agent_1(d):
             lambda d: d["attacks"].update(channel=[_channel_attack(edge=[2, 0])]),
             "attacks",
         ),
+        (
+            "attacks",
+            AttackScenario(byzantine=(ByzantineBehavior(1, (3, None), "constant_offset", offset=(1000.0,)),)),
+            lambda d: d["attacks"].update(byzantine=[{"agent": 1, "window": [3, None], "kind": "constant_offset", "offset": [1000.0]}]),
+            "attacks.byzantine[0].offset",
+        ),
+        (
+            "attacks",
+            AttackScenario(channel=(ChannelAttack((0, 1), (1, None), _CONST, _CONST, _CONST, Schedule("const", (0.0,) * 3)),)),
+            lambda d: d["attacks"].update(channel=[_channel_attack(lam2={"kind": "const", "coeffs": [0.0] * 3})]),
+            "attacks.channel[0].lam2.coeffs",
+        ),
     ],
     ids=[
         "varsigma_negative", "varsigma_nan", "varsigma_inf", "trials_zero", "horizon_negative", "master_seed_negative",
-        "init_nan", "init_shape", "init_ragged", "over_budget", "unknown_edge",
+        "init_nan", "init_shape", "init_ragged", "over_budget", "unknown_edge", "offset_length", "coeffs_length",
     ],
 )
 def test_a_scenario_built_through_the_api_fails_as_the_loader_does(field, value, edit, path):

@@ -5,10 +5,12 @@ oracle below steps the same simulation one message at a time through
 the public per-message API (rows of watermark_blocks, apply_watermark
 and remove_watermark, tamper_channel, byzantine_emit, compute_control,
 step_system), reading the same counter-style streams, and must agree
-with simulate to float64 round-off. The oracle seeds each stream with
-numpy's own SeedSequence, so it also checks the engine's vectorised
-stream_keys. Neither worker chunking nor the byte budget of trial
-chunks may change results at all.
+with simulate to float64 round-off. It carries no Byzantine state from
+step to step: a frozen_state window's capture is read back from the
+states the oracle has already computed. The oracle seeds each stream
+with numpy's own SeedSequence, so it also checks the engine's
+vectorised stream_keys. Neither worker chunking nor the byte budget of
+trial chunks may change results at all.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from maswatch.watermark import (
     STREAM_BYZANTINE,
     STREAM_NOISE,
     STREAM_WATERMARK,
-    WatermarkDraw,
     apply_watermark,
     remove_watermark,
     watermark_blocks,
@@ -64,10 +65,8 @@ def _oracle(s):
             if s.controller.noise_var > 0:
                 noise[edge] = sig * stream(STREAM_NOISE).standard_normal((K, n))
             z = stream(STREAM_WATERMARK).standard_normal((K, 4, 1, n))
-            m, f = watermark_blocks(z, s.watermark)
-            marks[edge] = [m[:, 0, 0], m[:, 1, 0], f[:, 0, 0], f[:, 1, 0]]  # m1, m2, f1, f2
+            marks[edge] = watermark_blocks(z, s.watermark)  # m, f, each (K, 2, 1, n)
             byz_draws[edge] = stream(STREAM_BYZANTINE).standard_normal((K, n))
-        frozen = {}
         x = s.init_states.copy()
         states[trial, 0] = x
         for k in range(1, K + 1):
@@ -75,19 +74,16 @@ def _oracle(s):
             for e, edge in enumerate(t.edges):
                 j, i = edge
                 plain = x[j]
-                active = [bz for bz in s.attacks.byzantine if bz.agent == j and bz.active(k)]
-                if not active:
-                    frozen.pop(edge, None)
-                for bz in active:
-                    if bz.kind == "frozen_state":
-                        frozen.setdefault(edge, x[j].copy())
-                    plain = byzantine_emit(bz, k, x[j], frozen.get(edge), byz_draws[edge][k - 1])
-                draw = WatermarkDraw(*(block[k - 1] for block in marks[edge]))
-                ms = apply_watermark(plain + noise[edge][k - 1], draw)
+                for bz in s.attacks.byzantine:
+                    if bz.agent == j and bz.active(k):
+                        frozen = states[trial, bz.window[0] - 1, j]  # what a frozen_state window sends
+                        plain = byzantine_emit(bz, k, x[j], frozen, byz_draws[edge][k - 1])
+                m, f = (block[k - 1, :, 0] for block in marks[edge])  # (2, n), copy r in row r-1
+                y = apply_watermark(plain + noise[edge][k - 1], m, f)
                 for a in s.attacks.channel:
                     if a.edge == edge:
-                        ms = tamper_channel(ms, a, k)
-                ys1[trial, k - 1, e], ys2[trial, k - 1, e] = remove_watermark(ms, draw)
+                        y = tamper_channel(y, a, k)
+                ys1[trial, k - 1, e], ys2[trial, k - 1, e] = remove_watermark(y, m, f)
                 received[i][j] = ys1[trial, k - 1, e]
             u = [compute_control(i, x[i], received[i], k, t, s.controller) for i in range(t.n_agents)]
             x = step_system(x, np.array(u), s.model)
@@ -99,10 +95,12 @@ def _platoon(variant):
     return replace(platoon_preset(variant), horizon=30, trials=4)
 
 
-def _small_with_byzantine(kind):
-    """Agent 1 lies on edge (1, 2) in steps 3..6 while edge (0, 2) is
-    tampered from step 2 with sin, ramp and const schedules."""
-    doc = small_doc(horizon=12, trials=4)
+def _small_with_byzantine(*behaviors, horizon=12, noise_var=1.0):
+    """Agent 1 lies on edge (1, 2) in each (window, kind, scale) of
+    behaviors while edge (0, 2) is tampered from step 2 with sin, ramp
+    and const schedules."""
+    doc = small_doc(horizon=horizon, trials=4)
+    doc["controller"]["noise_var"] = noise_var
     doc["attacks"]["channel"] = [
         {
             "edge": [0, 2],
@@ -114,17 +112,30 @@ def _small_with_byzantine(kind):
         }
     ]
     doc["attacks"]["byzantine"] = [
-        {"agent": 1, "window": [3, 7], "kind": kind, "offset": [3.0, -1.0], "scale": 2.5}
+        {"agent": 1, "window": list(window), "kind": kind, "offset": [3.0, -1.0], "scale": scale}
+        for window, kind, scale in behaviors
     ]
     return scenario_from_dict(doc)
 
 
+# Back-to-back behaviors of agent 1: each frozen window sends its own
+# snapshot start-1 and each random window draws at its own scale.
+SEQUENCE = (
+    ((2, 4), "frozen_state", 1.0),
+    ((4, 6), "frozen_state", 1.0),
+    ((6, 7), "per_neighbor_random", 1.0),
+    ((7, 8), "constant_offset", 1.0),
+    ((8, 10), "frozen_state", 1.0),
+    ((10, 13), "per_neighbor_random", 1000.0),
+)
+
 ORACLE_CASES = {
     **{f"platoon-{v}": (lambda v=v: _platoon(v)) for v in (None, "clean", "channel", "byzantine", "hybrid")},
     **{
-        f"small-{kind}": (lambda kind=kind: _small_with_byzantine(kind))
+        f"small-{kind}": (lambda kind=kind: _small_with_byzantine(((3, 7), kind, 2.5)))
         for kind in ("constant_offset", "divergent_ramp", "frozen_state", "per_neighbor_random")
     },
+    "small-sequence": lambda: _small_with_byzantine(*SEQUENCE, horizon=14),
 }
 
 
@@ -135,6 +146,25 @@ def test_simulate_matches_per_message_oracle(case):
     for name, got, want in zip(("states", "ystar1", "ystar2"), (sim.states, sim.ystar1, sim.ystar2), _oracle(s)):
         err = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert err <= RTOL, (name, err)
+
+
+def test_each_byzantine_window_sends_its_own_capture_and_scale():
+    """Without noise, edge (1, 2) recovers exactly what agent 1 emits:
+    in each frozen window its snapshot start-1, and in each random window
+    its true state plus that window's own scale times the step's draw."""
+    s = _small_with_byzantine(*SEQUENCE, horizon=14, noise_var=0.0)
+    sim = simulate(s)
+    e = s.topology.edge_index(1, 2)
+    seeds = [np.random.SeedSequence([s.master_seed, trial, 1, 2, STREAM_BYZANTINE]) for trial in range(s.trials)]
+    z = np.stack([np.random.default_rng(seed).standard_normal((s.horizon, 2)) for seed in seeds])
+    for (start, stop), kind, scale in SEQUENCE:
+        for k in range(start, stop):
+            sent, true = sim.ystar1[:, k - 1, e], sim.states[:, k - 1, 1]
+            if kind == "frozen_state":
+                want = sim.states[:, start - 1, 1]
+                assert np.max(np.abs(sent - want)) <= RTOL * np.max(np.abs(want)), k
+            elif kind == "per_neighbor_random":
+                assert np.allclose((sent - true) / z[:, k - 1], scale, rtol=1e-6), k
 
 
 def test_resolve_workers(monkeypatch):

@@ -11,8 +11,6 @@ from maswatch.watermark import (
     STREAM_BYZANTINE,
     STREAM_NOISE,
     STREAM_WATERMARK,
-    MessageSet,
-    WatermarkDraw,
     WatermarkParams,
     apply_watermark,
     edge_stream,
@@ -40,10 +38,10 @@ def _stream(master_seed, trial, edge, tag):
 
 
 def _blocks(master_seed, trial, edge, steps, n=3):
-    """(m1, m2, f1, f2) of one edge's watermark stream, each (steps, n)."""
+    """(m, f) of one edge's watermark stream, each (steps, 2, n), copy r in column r-1."""
     z = _stream(master_seed, trial, edge, STREAM_WATERMARK).standard_normal((steps, 4, 1, n))
     m, f = watermark_blocks(z, PARAMS)
-    return m[:, 0, 0], m[:, 1, 0], f[:, 0, 0], f[:, 1, 0]
+    return m[:, :, 0], f[:, :, 0]
 
 
 def test_edge_stream_is_keyed_by_every_argument():
@@ -91,27 +89,25 @@ def test_stream_keys_reject_entries_beyond_one_word(trial, edge, tag):
 
 
 def _draw(edge, k, master_seed, steps=None):
-    """Step-k material of one edge in trial 0: row k-1 of its watermark blocks."""
-    blocks = _blocks(master_seed, 0, edge, k if steps is None else steps)
-    return WatermarkDraw(*(b[k - 1] for b in blocks))
+    """Step-k material (m, f) of one edge in trial 0, each (2, n): row k-1
+    of its watermark blocks."""
+    return tuple(b[k - 1] for b in _blocks(master_seed, 0, edge, k if steps is None else steps))
 
 
 def test_draw_is_deterministic_and_horizon_stable():
-    d1 = _draw((5, 2), 3, master_seed=7)
-    d2 = _draw((5, 2), 3, master_seed=7)
-    assert np.array_equal(d1.m1, d2.m1) and np.array_equal(d1.f2, d2.f2)
+    m, f = _draw((5, 2), 3, master_seed=7)
+    assert m.shape == f.shape == (2, 3)
+    again = _draw((5, 2), 3, master_seed=7)
     # the step-k draw must not depend on how far the block was generated
-    d10 = _draw((5, 2), 3, master_seed=7, steps=10)
-    assert np.array_equal(d1.m1, d10.m1)
-    assert np.array_equal(d1.m2, d10.m2)
-    assert np.array_equal(d1.f1, d10.f1)
-    assert np.array_equal(d1.f2, d10.f2)
+    longer = _draw((5, 2), 3, master_seed=7, steps=10)
+    for other in (again, longer):
+        assert np.array_equal(m, other[0]) and np.array_equal(f, other[1])
 
 
 def test_removal_multipliers_exceed_lambda():
-    m1, m2, _, _ = _blocks(3, 0, (0, 1), 1000)
-    assert m1.min() > PARAMS.lambda1
-    assert m2.min() > PARAMS.lambda2
+    m, _ = _blocks(3, 0, (0, 1), 1000)
+    assert m[:, 0].min() > PARAMS.lambda1
+    assert m[:, 1].min() > PARAMS.lambda2
 
 
 def test_watermark_blocks_transform_in_place():
@@ -127,43 +123,34 @@ def test_watermark_blocks_transform_in_place():
 
 
 def test_apply_remove_hand_numbers():
-    draw = WatermarkDraw(
-        m1=np.array([3.0]), m2=np.array([4.0]),
-        f1=np.array([1.0]), f2=np.array([-2.0]),
-    )
-    ms = apply_watermark(np.array([2.0]), draw)
-    assert ms.y1[0] == pytest.approx(2.0 / 3.0 + 1.0)
-    assert ms.y2[0] == pytest.approx(2.0 / 4.0 - 2.0)
-    y1, y2 = remove_watermark(ms, draw)
-    assert y1[0] == pytest.approx(2.0)
-    assert y2[0] == pytest.approx(2.0)
+    m, f = np.array([[3.0], [4.0]]), np.array([[1.0], [-2.0]])
+    y = apply_watermark(np.array([2.0]), m, f)
+    assert y.shape == (2, 1)
+    assert y[0, 0] == pytest.approx(2.0 / 3.0 + 1.0)
+    assert y[1, 0] == pytest.approx(2.0 / 4.0 - 2.0)
+    assert remove_watermark(y, m, f) == pytest.approx(np.full((2, 1), 2.0))
 
 
 def test_roundtrip_bulk():
     """10^4 random messages recover to 1e-9 through both masks."""
-    m1, m2, f1, f2 = _blocks(99, 0, (1, 2), 10_000)
-    plains = np.random.default_rng(5).uniform(-200.0, 1200.0, size=(10_000, 3))
-    y1 = plains / m1 + f1
-    y2 = plains / m2 + f2
-    back1 = m1 * (y1 - f1)
-    back2 = m2 * (y2 - f2)
-    assert np.max(np.abs(back1 - plains)) < 1e-9
-    assert np.max(np.abs(back2 - plains)) < 1e-9
+    m, f = _blocks(99, 0, (1, 2), 10_000)
+    plains = np.random.default_rng(5).uniform(-200.0, 1200.0, size=(10_000, 1, 3))
+    back = m * ((plains / m + f) - f)
+    assert np.max(np.abs(back - plains)) < 1e-9
 
 
-def test_roundtrip_through_dataclasses():
+def test_roundtrip_through_the_functions():
     rng = np.random.default_rng(17)
     blocks = _blocks(31, 3, (4, 2), 100)
     for k in range(1, 101):
-        draw = WatermarkDraw(*(b[k - 1] for b in blocks))
+        m, f = (b[k - 1] for b in blocks)
         plain = rng.uniform(-50.0, 50.0, size=3)
-        y1, y2 = remove_watermark(apply_watermark(plain, draw), draw)
-        assert np.max(np.abs(y1 - plain)) < 1e-9
-        assert np.max(np.abs(y2 - plain)) < 1e-9
+        y = apply_watermark(plain, m, f)
+        assert y.shape == (2, 3)
+        assert np.max(np.abs(remove_watermark(y, m, f) - plain)) < 1e-9
 
 
 def test_copies_differ_on_the_wire():
-    draw = _draw((0, 1), 1, master_seed=7)
-    ms = apply_watermark(np.array([5.0, 5.0, 5.0]), draw)
-    assert not np.allclose(ms.y1, ms.y2)
-    assert isinstance(ms, MessageSet)
+    y = apply_watermark(np.array([5.0, 5.0, 5.0]), *_draw((0, 1), 1, master_seed=7))
+    assert y.shape == (2, 3)
+    assert not np.allclose(y[0], y[1])
