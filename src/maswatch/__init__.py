@@ -9,7 +9,6 @@ from .attacks import (
     ByzantineBehavior,
     ChannelAttack,
     Schedule,
-    active_attacks,
     activity,
     byzantine_emit,
     tamper_channel,

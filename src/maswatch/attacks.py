@@ -195,13 +195,6 @@ def byzantine_emit(
     return x + bz.scale * np.asarray(draw, dtype=float)
 
 
-def active_attacks(
-    s: AttackScenario, k: int
-) -> tuple[list[ChannelAttack], list[ByzantineBehavior]]:
-    """Attacks in effect at step k."""
-    return [a for a in s.channel if a.active(k)], [b for b in s.byzantine if b.active(k)]
-
-
 def activity(s: AttackScenario, t: Topology, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Ground truth over steps 1..horizon (row k-1) and edges.
 
@@ -263,8 +256,8 @@ def validate_attacks(
                 raise ValueError(f"two byzantine behaviors overlap on agent {a.agent} at step {k}")
     starts = {1} | {x.window[0] for x in (*s.channel, *s.byzantine)}
     for k in sorted(k for k in starts if k <= horizon):
-        chan_k, byz_k = active_attacks(s, k)
-        byz_agents = {b.agent for b in byz_k}
+        chan_k = [a for a in s.channel if a.active(k)]
+        byz_agents = {b.agent for b in s.byzantine if b.active(k)}
         exposed = {a.edge[1] for a in chan_k} | {i for j in byz_agents for i in t.out_neighbors(j)}
         for i in sorted(exposed):
             n_byz = sum(1 for j in t.in_neighbors(i) if j in byz_agents)

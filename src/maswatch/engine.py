@@ -1,9 +1,10 @@
 """The Scenario type and the Monte Carlo simulation driver.
 
 A Scenario is valid by construction: __post_init__ checks every run rule
-(attack vectors of one component per state dimension among them) and
-raises ScenarioError at the field path the harness loader reports,
-so one built through dataclasses.replace fails alike. simulate takes a
+(gains, initial states and attack vectors of one component per state
+dimension among them) and raises ScenarioError at the field path the
+harness loader reports, so one built through dataclasses.replace fails
+alike. Its Topology checks the graph rules itself. simulate takes a
 Scenario and checks nothing. It builds the dense attack and watermark
 arrays the step kernel consumes (the channel mask comes from
 attacks.activity, the schedules and Byzantine tables are filled from
@@ -20,7 +21,7 @@ chunk's material is drawn once and serves every table: the kernel runs
 once per table on the same W, M, F and byz_rand.
 
 Every random stream is derived counter-style from
-(master_seed, trial, edge, stream tag), so results are a pure function
+(master_seed, trial, edge, stream tag), so the draws are a pure function
 of the scenario and seed: chunking trials across workers cannot change
 which numbers are drawn. Each stream yields one row per step, whether
 or not the step uses it.
@@ -126,6 +127,11 @@ class Scenario:
     init_states: np.ndarray
 
     def __post_init__(self):
+        n = self.model.n
+        for key in ("K1", "K2"):
+            gain = getattr(self.controller, key)
+            if len(gain) != n:
+                raise ScenarioError(f"controller.{key}", f"expected {n} components, got {len(gain)}")
         for key, ok, message in (
             ("horizon", self.horizon >= 0, "horizon must be nonnegative"),
             ("trials", self.trials >= 1, "need at least one trial"),
@@ -138,7 +144,7 @@ class Scenario:
             init = np.array(self.init_states, dtype=float)
         except (TypeError, ValueError) as err:  # ragged rows, or not numbers
             raise ScenarioError("run.init", str(err)) from None
-        shape = (self.topology.n_agents, self.model.n)
+        shape = (self.topology.n_agents, n)
         if init.shape != shape:
             raise ScenarioError("run.init", f"expected shape {shape}, got {init.shape}")
         if not np.isfinite(init).all():
@@ -146,7 +152,6 @@ class Scenario:
         init.flags.writeable = False
         object.__setattr__(self, "init_states", init)
         # A schedule always has n coefficients; an offset only when given.
-        n = self.model.n
         vectors = [
             (f"attacks.channel[{idx}].{name}.coeffs", getattr(a, name).coeffs)
             for idx, a in enumerate(self.attacks.channel)

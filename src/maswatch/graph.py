@@ -13,7 +13,7 @@ parameterizes the decay envelope used by the residual detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,10 +39,16 @@ class Topology:
 
     edges holds (j, i) pairs in insertion order; weights[e] is the gain
     a_ij of the e-th edge. Edge order is the canonical message order
-    used everywhere downstream (simulation slabs, CSV exports). src and
-    dst are read-only (E,) intp arrays of each edge's sender j and
-    receiver i; in_neighbors and out_neighbors read them in edge order.
+    used everywhere downstream (simulation slabs, CSV exports).
 
+    A Topology is valid by construction: __post_init__ raises ValueError
+    for fewer than 2 agents, an unknown agent id, a self-loop, a
+    duplicate edge, a nonpositive weight, or a weight count other than
+    the edge count. It then derives the read-only tables below, so one
+    built through dataclasses.replace derives them again.
+
+    src and dst are (E,) intp arrays of each edge's sender j and
+    receiver i; in_neighbors and out_neighbors read them in edge order.
     relay_si and relay_js are (E, C) edge indices over the relays s of
     each edge (j, i), in two_hop_relays order: row e holds the index of
     (s, i) and of (j, s) for every relay of edge e, padded with -1 to
@@ -52,10 +58,43 @@ class Topology:
     n_agents: int
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...]
-    src: np.ndarray | None = field(repr=False, compare=False, default=None)
-    dst: np.ndarray | None = field(repr=False, compare=False, default=None)
-    relay_si: np.ndarray | None = field(repr=False, compare=False, default=None)
-    relay_js: np.ndarray | None = field(repr=False, compare=False, default=None)
+    src: np.ndarray = field(init=False, repr=False, compare=False)
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
+    relay_si: np.ndarray = field(init=False, repr=False, compare=False)
+    relay_js: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        edges, weights = tuple(map(tuple, self.edges)), tuple(map(float, self.weights))
+        if self.n_agents < 2:
+            raise ValueError("need at least a leader and one follower")
+        if len(weights) != len(edges):
+            raise ValueError(f"{len(weights)} weights for {len(edges)} edges")
+        seen = set()
+        for (j, i), w in zip(edges, weights):
+            if not (0 <= j < self.n_agents and 0 <= i < self.n_agents):
+                raise ValueError(f"edge ({j}, {i}) references an unknown agent")
+            if j == i:
+                raise ValueError(f"self-loop on agent {j} is not allowed")
+            if (j, i) in seen:
+                raise ValueError(f"duplicate edge ({j}, {i})")
+            if not w > 0:
+                raise ValueError(f"edge ({j}, {i}) has nonpositive weight {w}")
+            seen.add((j, i))
+        ends = np.array(edges, dtype=np.intp).reshape(-1, 2).T.copy()
+        ends.flags.writeable = False
+        for name, value in (("edges", edges), ("weights", weights), ("src", ends[0]), ("dst", ends[1])):
+            object.__setattr__(self, name, value)
+        index = {e: k for k, e in enumerate(edges)}
+        relays = [two_hop_relays(self, j, i) for j, i in edges]
+        width = max(1, max(map(len, relays), default=0))
+        relay_si = np.full((len(edges), width), -1, dtype=np.intp)
+        relay_js = relay_si.copy()
+        for e, ((j, i), mids) in enumerate(zip(edges, relays)):
+            relay_si[e, : len(mids)] = [index[s, i] for s in mids]
+            relay_js[e, : len(mids)] = [index[j, s] for s in mids]
+        relay_si.flags.writeable = relay_js.flags.writeable = False
+        object.__setattr__(self, "relay_si", relay_si)
+        object.__setattr__(self, "relay_js", relay_js)
 
     @property
     def n_edges(self) -> int:
@@ -75,47 +114,10 @@ class Topology:
 
 
 def build_topology(n_agents: int, edge_list) -> Topology:
-    """Validate and build a Topology.
-
-    edge_list entries are (j, i) or (j, i, weight); weight defaults
-    to 1.0. Rejects self-loops, duplicate edges, out-of-range agent
-    ids and nonpositive weights.
-    """
-    if n_agents < 2:
-        raise ValueError("need at least a leader and one follower")
-    edges = []
-    weights = []
-    seen = set()
-    for entry in edge_list:
-        if len(entry) == 2:
-            j, i = entry
-            w = 1.0
-        else:
-            j, i, w = entry
-        if not (0 <= j < n_agents and 0 <= i < n_agents):
-            raise ValueError(f"edge ({j}, {i}) references an unknown agent")
-        if j == i:
-            raise ValueError(f"self-loop on agent {j} is not allowed")
-        if (j, i) in seen:
-            raise ValueError(f"duplicate edge ({j}, {i})")
-        if w <= 0:
-            raise ValueError(f"edge ({j}, {i}) has nonpositive weight {w}")
-        seen.add((j, i))
-        edges.append((j, i))
-        weights.append(float(w))
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 2).T.copy()
-    ends.flags.writeable = False
-    t = Topology(n_agents=n_agents, edges=tuple(edges), weights=tuple(weights), src=ends[0], dst=ends[1])
-    index = {e: k for k, e in enumerate(edges)}
-    relays = [two_hop_relays(t, j, i) for j, i in edges]
-    width = max(1, max(map(len, relays), default=0))
-    relay_si = np.full((len(edges), width), -1, dtype=np.intp)
-    relay_js = relay_si.copy()
-    for e, ((j, i), mids) in enumerate(zip(edges, relays)):
-        relay_si[e, : len(mids)] = [index[s, i] for s in mids]
-        relay_js[e, : len(mids)] = [index[j, s] for s in mids]
-    relay_si.flags.writeable = relay_js.flags.writeable = False
-    return replace(t, relay_si=relay_si, relay_js=relay_js)
+    """A Topology from (j, i) or (j, i, weight) entries; weight
+    defaults to 1.0. Topology itself checks the result."""
+    entries = [(*e, 1.0) if len(e) == 2 else e for e in edge_list]
+    return Topology(n_agents, tuple((j, i) for j, i, _ in entries), tuple(w for *_, w in entries))
 
 
 def laplacian(t: Topology) -> np.ndarray:

@@ -4,10 +4,10 @@ A scenario JSON has sections topology / model / controller / watermark
 / detectors / attacks / run, plus an optional variants table whose
 entries swap in alternative attack sections. Validation failures name
 the offending field by path (for example "detectors.kl.theta"). The
-loader checks the document's types and shapes; engine.Scenario checks
-every run rule itself (the run ranges, the initial states, the attacks
-and their local budget), so one built through dataclasses.replace fails
-as the same ScenarioError.
+loader checks the document's types; graph.Topology checks the graph
+rules and engine.Scenario every run rule (the gain lengths, the run
+ranges, the initial states, the attacks and their local budget), so one
+built through dataclasses.replace fails as the same ScenarioError.
 
 run_monte_carlo simulates the batch, rejects a run whose states are
 not finite, and pools each step over trials: the KL statistic of every
@@ -22,7 +22,11 @@ writes the traces as CSV: each (step, edge) row key "k,j,i" is
 formatted once and shared by the three detector traces, and every
 value goes through tolist, so a float is written as its shortest
 round-trip repr. All exported numbers are pure functions of (scenario,
-master_seed), independent of worker count.
+master_seed) per machine, independent of worker count. Across machines
+two operations may move their last bits: detectors._kl_sum's np.log,
+which numpy dispatches to SIMD code picked for the CPU, and the step
+kernel's BLAS contraction diff @ K2, whose rounding follows the OpenBLAS
+core picked at run time.
 """
 
 from __future__ import annotations
@@ -180,7 +184,7 @@ def _window_from(d, path):
     return (w[0], w[1])
 
 
-def _attacks_from(sec, path, n_agents) -> AttackScenario:
+def _attacks_from(sec, path) -> AttackScenario:
     if not isinstance(sec, dict):
         raise ScenarioError(path, "missing or malformed section")
     bp = f"{path}.budget"
@@ -208,15 +212,12 @@ def _attacks_from(sec, path, n_agents) -> AttackScenario:
     byzantine = []
     for idx, d in enumerate(_entries(sec, "byzantine", path)):
         p = f"{path}.byzantine[{idx}]"
-        agent = _get(d, "agent", p, int)
-        if not 0 <= agent < n_agents:
-            raise ScenarioError(f"{p}.agent", f"agent {agent} out of range")
         offset = _vector(d.get("offset", []), f"{p}.offset")
         byzantine.append(
             _build(
                 p,
                 ByzantineBehavior,
-                agent=agent,
+                agent=_get(d, "agent", p, int),
                 window=_window_from(d, p),
                 kind=_get(d, "kind", p, str),
                 offset=tuple(offset),
@@ -265,8 +266,8 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
     controller = _build(
         p,
         ControllerParams,
-        K1=np.array(_vector(_get(sec, "K1", p, list), f"{p}.K1", n)),
-        K2=np.array(_vector(_get(sec, "K2", p, list), f"{p}.K2", n)),
+        K1=_vector(_get(sec, "K1", p, list), f"{p}.K1"),
+        K2=_vector(_get(sec, "K2", p, list), f"{p}.K2"),
         **_given(sec, p, ("gain_mu", "gain_lambda", "noise_var")),
     )
 
@@ -298,18 +299,13 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         bsec, bp = _section(sec, "bounds", p)
         bounds = _build(bp, StateBounds, eps1=_num(bsec, "eps1", bp), eps2=_num(bsec, "eps2", bp))
 
-    attacks = _attacks_from(doc.get("attacks") or {}, "attacks", n_agents)
-    for a in attacks.channel:
-        if a.edge not in topology.edges:
-            raise ScenarioError("attacks.channel", f"attack targets unknown edge {list(a.edge)}")
+    attacks = _attacks_from(doc.get("attacks") or {}, "attacks")
 
     sec, p = _section(doc, "run")
     init, ip = _section(sec, "init", p)
     if "states" in init:
         rows = _get(init, "states", ip, list)
-        if len(rows) != n_agents:
-            raise ScenarioError(f"{ip}.states", f"expected shape ({n_agents}, {n})")
-        init_states = np.array([_vector(row, f"{ip}.states[{i}]", n) for i, row in enumerate(rows)])
+        init_states = [_vector(row, f"{ip}.states[{i}]") for i, row in enumerate(rows)]
     else:
         leader_ref = _vector(_get(init, "leader", ip, list), f"{ip}.leader", n)
         spacing = _num(init, "spacing", ip)

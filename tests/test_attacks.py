@@ -17,7 +17,6 @@ from maswatch.attacks import (
     ByzantineBehavior,
     ChannelAttack,
     Schedule,
-    active_attacks,
     activity,
     byzantine_emit,
     tamper_channel,
@@ -122,16 +121,6 @@ def test_byzantine_emit_kinds():
         byzantine_emit(rand, 1, x)
 
 
-def test_active_attacks_filters_by_step():
-    chan = section_iv_attack(window=(10, 20))
-    byz = ByzantineBehavior(5, (15, None), "constant_offset", offset=(1.0, 0.0, 0.0))
-    s = AttackScenario(channel=(chan,), byzantine=(byz,))
-    assert active_attacks(s, 9) == ([], [])
-    assert active_attacks(s, 12) == ([chan], [])
-    assert active_attacks(s, 16) == ([chan], [byz])
-    assert active_attacks(s, 25) == ([], [byz])
-
-
 def _topology():
     return build_topology(
         7,
@@ -196,8 +185,8 @@ def _brute_force_validate(s, t, horizon):
                     if a.active(k) and b.active(k):
                         return f"two {what} overlap on {key} {getattr(a, key)} at step {k}"
     for k in range(1, horizon + 1):
-        chan_k, byz_k = active_attacks(s, k)
-        byz_agents = {b.agent for b in byz_k}
+        chan_k = [a for a in s.channel if a.active(k)]
+        byz_agents = {b.agent for b in s.byzantine if b.active(k)}
         for i in range(t.n_agents):
             if sum(1 for j in t.in_neighbors(i) if j in byz_agents) > s.budget.max_byzantine_neighbors:
                 return (i, k)
@@ -266,7 +255,8 @@ def test_activity_matches_per_step_scan(chan, byz, horizon):
         assert got.shape == want.shape
         assert np.array_equal(got[~byz_mask], want[~byz_mask])
     for k in range(1, horizon + 1):
-        chan_k, byz_k = active_attacks(s, k)
+        chan_k = [a for a in s.channel if a.active(k)]
+        byz_k = [b for b in s.byzantine if b.active(k)]
         for e, (j, i) in enumerate(t.edges):
             assert chan_mask[k - 1, e] == any(a.edge == (j, i) for a in chan_k)
             assert byz_mask[k - 1, e] == any(b.agent == j for b in byz_k)

@@ -8,6 +8,8 @@ suite, this file keeps the small exhaustive case and the error paths.
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from maswatch.graph import (
     laplacian,
     two_hop_relays,
 )
+from maswatch.harness import platoon_preset
 
 PLATOON_EDGES = [
     (0, 2), (1, 2), (3, 2), (4, 2), (5, 2),
@@ -75,6 +78,28 @@ def test_build_topology_rejects_bad_edges():
         build_topology(3, [(0, 3)])
     with pytest.raises(ValueError, match="nonpositive weight"):
         build_topology(3, [(0, 1, 0.0)])
+
+
+def test_a_topology_built_through_replace_checks_and_derives_its_tables_again():
+    t = platoon_preset().topology
+    cut = replace(t, edges=t.edges[:5], weights=t.weights[:5])
+    want = build_topology(t.n_agents, [(j, i, w) for (j, i), w in zip(t.edges[:5], t.weights[:5])])
+    assert len(cut.src) == cut.n_edges == 5
+    for name in ("src", "dst", "relay_si", "relay_js"):
+        assert np.array_equal(getattr(cut, name), getattr(want, name)), name
+    for edges, weights, match in (
+        (t.edges, (-1.0,) + t.weights[1:], "nonpositive weight"),
+        (t.edges, (0.0,) + t.weights[1:], "nonpositive weight"),
+        (t.edges, (math.nan,) + t.weights[1:], "nonpositive weight"),
+        (((1, 1),) + t.edges[1:], t.weights, "self-loop"),
+        (t.edges + t.edges[:1], t.weights + t.weights[:1], "duplicate"),
+        (((0, 7),) + t.edges[1:], t.weights, "unknown agent"),
+        (t.edges, t.weights[1:], "10 weights for 11 edges"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            replace(t, edges=edges, weights=weights)
+    with pytest.raises(ValueError, match="at least a leader"):
+        replace(t, n_agents=1, edges=(), weights=())
 
 
 # --- laplacian --------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from maswatch import engine, harness
 from maswatch.attacks import AttackScenario, ByzantineBehavior, ChannelAttack, Schedule
 from maswatch.detectors import envelope_verdict, estimate_kl, gaussian_kl
-from maswatch.dynamics import StateBounds
+from maswatch.dynamics import ControllerParams, StateBounds
 from maswatch.engine import simulate
 from maswatch.graph import LEADER, LocalAttackBudget
 from maswatch.harness import (
@@ -73,13 +73,20 @@ def test_gain_length_checked_against_model_order():
     doc["controller"]["K1"] = [0.5]
     with pytest.raises(ScenarioError, match="controller.K1"):
         scenario_from_dict(doc)
+    s = platoon_preset("clean")
+    for key in ("K1", "K2"):
+        gains = {"K1": s.controller.K1, "K2": s.controller.K2, key: [0.0, 1.0]}
+        with pytest.raises(ScenarioError, match="expected 3 components, got 2") as err:
+            replace(s, controller=ControllerParams(**gains))
+        assert err.value.path == f"controller.{key}"
 
 
 def test_init_states_shape_checked():
     doc = small_doc()
     doc["run"]["init"] = {"states": [[0.0, 0.0]]}
-    with pytest.raises(ScenarioError, match="run.init.states"):
+    with pytest.raises(ScenarioError, match="expected shape") as err:
         scenario_from_dict(doc)
+    assert err.value.path == "run.init"
 
 
 def test_attack_on_unknown_edge_rejected():
@@ -178,6 +185,8 @@ def _frozen_agent_1(d):
         ("trials", 0, lambda d: d["run"].update(trials=0), "run.trials"),
         ("horizon", -1, lambda d: d["run"].update(horizon=-1), "run.horizon"),
         ("master_seed", -1, lambda d: d["run"].update(master_seed=-1), "run.master_seed"),
+        ("controller", ControllerParams([0.5] * 3, [0.5, 1.0]), lambda d: d["controller"].update(K1=[0.5] * 3), "controller.K1"),
+        ("controller", ControllerParams([0.5, 0.5], [0.5] * 3), lambda d: d["controller"].update(K2=[0.5] * 3), "controller.K2"),
         ("init_states", np.full((3, 2), np.nan), lambda d: d["run"]["init"].update(states=[[math.nan] * 2] * 3), "run.init"),
         ("init_states", np.zeros((2, 2)), lambda d: d["run"]["init"].update(states=[[0.0] * 2] * 2), "run.init"),
         ("init_states", _RAGGED, lambda d: d["run"]["init"].update(states=_RAGGED), "run.init"),
@@ -208,14 +217,15 @@ def _frozen_agent_1(d):
     ],
     ids=[
         "varsigma_negative", "varsigma_nan", "varsigma_inf", "trials_zero", "horizon_negative", "master_seed_negative",
+        "K1_length", "K2_length",
         "init_nan", "init_shape", "init_ragged", "over_budget", "unknown_edge", "offset_length", "coeffs_length",
     ],
 )
 def test_a_scenario_built_through_the_api_fails_as_the_loader_does(field, value, edit, path):
     """A fault set through replace is the ScenarioError the loader reports
-    for it, at the same field. The loader's own checks may name a more
-    specific path inside it (run.init.states, attacks.channel). Setting
-    the field of a loaded Scenario is refused."""
+    for it, at the same field. The loader's own type checks may name a
+    more specific path inside it. Setting the field of a loaded Scenario
+    is refused."""
     s = scenario_from_dict(small_doc())
     with pytest.raises(FrozenInstanceError):
         setattr(s, field, value)
