@@ -5,11 +5,12 @@ A Scenario is valid by construction: __post_init__ checks every run rule
 dimension among them) and raises ScenarioError at the field path the
 harness loader reports, so one built through dataclasses.replace fails
 alike. Its Topology checks the graph rules itself. simulate takes a
-Scenario and checks nothing. It builds the dense attack and watermark
-arrays the step kernel consumes (the channel mask comes from
-attacks.activity, the schedules and Byzantine tables are filled from
-the window slices), splits trials into chunks, and returns the raw slabs
-(states and recovered message pairs) that the detector pipeline pools.
+Scenario and refuses only a batch it cannot allocate, as a ScenarioError
+on run. It builds the dense attack and watermark arrays the step kernel
+consumes (the channel mask comes from attacks.activity, the schedules
+and Byzantine tables are filled from the window slices), splits trials
+into chunks, and returns the raw slabs (states and recovered message
+pairs) that the detector pipeline pools.
 The kernel reads the model, controller and topology from the Scenario
 itself, and the initial states from row 0 of its states slab. A zero
 horizon takes the same path: every draw and schedule has no steps, and
@@ -284,8 +285,10 @@ def _pregenerate(s: Scenario, trial_ids: np.ndarray, scale: np.ndarray):
 def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None = None) -> SimData:
     """Run the scenario's Monte Carlo batch and return the raw slabs.
 
-    s is valid by construction, so nothing is checked here. inits, a
-    (B, agents, n) stack of initial-state tables, replaces
+    s is valid by construction, so the one failure is a batch whose
+    output slabs or chunk material cannot be allocated: a ScenarioError
+    on run naming the trials, steps and bytes of the output slabs.
+    inits, a (B, agents, n) stack of initial-state tables, replaces
     s.init_states: the batch then runs once per table and both slabs
     gain a leading (B,) axis. One chunk's material is drawn once and
     serves every table.
@@ -300,10 +303,15 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
     workers = resolve_workers(workers)
     n, N, E, K = s.model.n, t.n_agents, t.n_edges, s.horizon
     tables = s.init_states[None] if inits is None else inits
-    states = np.zeros((len(tables), trials, K + 1, N, n))
+    shapes = ((len(tables), trials, K + 1, N, n), (len(tables), trials, K, 2, E, n))
+    batch = f"{trials} trials x {K} steps" + (f" x {len(tables)} initial states" if len(tables) > 1 else "")
+    nbytes = 8 * sum(map(math.prod, shapes))
+    refused = ScenarioError("run", f"{batch} need {nbytes} bytes of output slabs, more than can be allocated")
+    try:
+        states, ys = np.zeros(shapes[0]), np.zeros(shapes[1])
+    except (ValueError, MemoryError):  # numpy's ValueError: a shape beyond intp
+        raise refused from None
     states[:, :, 0] = tables[:, None]
-    ys = np.zeros((len(tables), trials, K, 2, E, n))
-    *schedules, scale = _schedule_arrays(t, s.attacks, K, n)
 
     def run_chunk(trial_ids: np.ndarray) -> None:
         W, M, F, byz_rand = _pregenerate(s, trial_ids, scale)
@@ -314,22 +322,25 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
             for b in range(len(tables)):
                 _kernels._simulate_numpy(s, W, M, F, *schedules, byz_rand, states[b, lo:hi], ys[b, lo:hi])
 
-    slabs = 4 + (s.controller.noise_var > 0) + bool(scale.any())  # as _pregenerate allocates them
-    threads = min(workers, trials, os.cpu_count() or 1)
-    n_chunks = min(trials, max(threads, -(-trials * 8 * K * E * n * slabs // CHUNK_BYTES)))
-    chunks = np.array_split(np.arange(trials), n_chunks)
-
     def run_share(first: int) -> None:
         for chunk in chunks[first::threads]:
             run_chunk(chunk)
 
-    if threads == 1:
-        run_share(0)
-    else:
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            helpers = pool.map(run_share, range(1, threads))
+    try:
+        *schedules, scale = _schedule_arrays(t, s.attacks, K, n)
+        slabs = 4 + (s.controller.noise_var > 0) + bool(scale.any())  # as _pregenerate allocates them
+        threads = min(workers, trials, os.cpu_count() or 1)
+        n_chunks = min(trials, max(threads, -(-trials * 8 * K * E * n * slabs // CHUNK_BYTES)))
+        chunks = np.array_split(np.arange(trials), n_chunks)
+        if threads == 1:
             run_share(0)
-            list(helpers)
+        else:
+            with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+                helpers = pool.map(run_share, range(1, threads))
+                run_share(0)
+                list(helpers)
+    except MemoryError:
+        raise refused from None
     if inits is None:
         return SimData(states=states[0], ystar=ys[0])
     return SimData(states=states, ystar=ys)

@@ -13,6 +13,7 @@ parameterizes the decay envelope used by the residual detector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,9 +44,10 @@ class Topology:
 
     A Topology is valid by construction: __post_init__ raises ValueError
     for fewer than 2 agents, an unknown agent id, a self-loop, a
-    duplicate edge, a nonpositive weight, or a weight count other than
-    the edge count. It then derives the read-only tables below, so one
-    built through dataclasses.replace derives them again.
+    duplicate edge, a weight that is not positive and finite, or a
+    weight count other than the edge count. It then derives the
+    read-only tables below, so one built through dataclasses.replace
+    derives them again.
 
     src and dst are (E,) intp arrays of each edge's sender j and
     receiver i; in_neighbors and out_neighbors read them in edge order.
@@ -77,8 +79,8 @@ class Topology:
                 raise ValueError(f"self-loop on agent {j} is not allowed")
             if (j, i) in seen:
                 raise ValueError(f"duplicate edge ({j}, {i})")
-            if not w > 0:
-                raise ValueError(f"edge ({j}, {i}) has nonpositive weight {w}")
+            if not 0 < w < math.inf:
+                raise ValueError(f"edge ({j}, {i}) has weight {w}, not positive and finite")
             seen.add((j, i))
         ends = np.array(edges, dtype=np.intp).reshape(-1, 2).T.copy()
         ends.flags.writeable = False

@@ -394,28 +394,6 @@ def platoon_preset(variant: str | None = None) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_scenario(s: Scenario, workers=None, inits=None) -> SimData:
-    """simulate(s, workers, inits); a batch too large to allocate is a
-    ScenarioError on run, and so are states that are not finite. With
-    inits the caller checks each table's states (_require_finite_states)."""
-    t = s.topology
-    # Bytes of the output slabs of every table. numpy refuses an array
-    # of more than intp-max bytes with a ValueError, and one the machine
-    # cannot provide with a MemoryError.
-    tables = 1 if inits is None else len(inits)
-    nbytes = 8 * tables * s.trials * s.model.n * ((s.horizon + 1) * t.n_agents + 2 * s.horizon * t.n_edges)
-    try:
-        sim = simulate(s, workers=workers, inits=inits) if nbytes <= np.iinfo(np.intp).max else None
-    except MemoryError:
-        sim = None
-    if sim is None:
-        batch = f"{s.trials} trials x {s.horizon} steps" + (f" x {tables} initial states" if tables > 1 else "")
-        raise ScenarioError("run", f"{batch} need {nbytes} bytes of output slabs, more than can be allocated")
-    if inits is None:
-        _require_finite_states(sim.states)
-    return sim
-
-
 def _require_finite_states(states: np.ndarray) -> None:
     """A ScenarioError unless the (trials, steps+1, agents, n) states are finite."""
     finite = np.isfinite(states).all(axis=(0, 2, 3))
@@ -428,7 +406,8 @@ def _nominal_bounds(s: Scenario, workers) -> tuple[StateBounds, SimData | None]:
     if s.bounds is not None:
         return s.bounds, None
     clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget))
-    sim = _simulate_scenario(clean, workers=workers)
+    sim = simulate(clean, workers=workers)
+    _require_finite_states(sim.states)
     bounds = _build("detectors.bounds", compute_state_bounds, sim.states)
     return bounds, sim if not s.attacks.channel and not s.attacks.byzantine else None
 
@@ -444,8 +423,10 @@ def _require_finite(*stats: np.ndarray, first_step: int = 1, at: str = "") -> No
 
 def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
     """Simulate, detect, arbitrate; returns the full report."""
-    bounds, reuse = _nominal_bounds(s, workers)
-    sim = reuse if reuse is not None else _simulate_scenario(s, workers=workers)
+    bounds, sim = _nominal_bounds(s, workers)
+    if sim is None:
+        sim = simulate(s, workers=workers)
+        _require_finite_states(sim.states)
     t = s.topology
     E, K = t.n_edges, s.horizon
     residuals = np.empty((2, E, K))
@@ -597,7 +578,7 @@ def transient_sweep(
         if not np.isfinite(inits[b]).all():
             raise ScenarioError("run", f"initial error scale {scale!r} overflows the initial states")
     clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget), horizon=probe_step)
-    sim = _simulate_scenario(clean, workers=workers, inits=inits)
+    sim = simulate(clean, workers=workers, inits=inits)
     nominal_var = max(s.controller.noise_var, VAR_FLOOR)
     rows = []
     for b, scale in enumerate(grid):

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from maswatch.detectors import estimate_kl, gaussian_kl
 from maswatch.graph import build_topology, two_hop_relays
@@ -36,33 +34,6 @@ def _line(n: int, ok: bool, detail: str) -> None:
     text = f"[{'PASS' if ok else 'FAIL'}] criterion {n}: {detail}"
     print(text)
     record_criterion(text)
-
-
-# --- shared runs ------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def clean_data():
-    s = platoon_preset()
-    run_monte_carlo(replace(s, trials=2, horizon=3))  # warm the step kernel
-    t0 = time.perf_counter()
-    report = run_monte_carlo(s)
-    return report, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def channel_report():
-    return run_monte_carlo(platoon_preset("channel"))
-
-
-@pytest.fixture(scope="module")
-def byzantine_report():
-    return run_monte_carlo(platoon_preset("byzantine"))
-
-
-@pytest.fixture(scope="module")
-def hybrid_report():
-    return run_monte_carlo(platoon_preset("hybrid"))
 
 
 # --- criteria ---------------------------------------------------------------

@@ -76,8 +76,9 @@ def test_build_topology_rejects_bad_edges():
         build_topology(3, [(0, 1), (0, 1)])
     with pytest.raises(ValueError, match="unknown agent"):
         build_topology(3, [(0, 3)])
-    with pytest.raises(ValueError, match="nonpositive weight"):
-        build_topology(3, [(0, 1, 0.0)])
+    for w in (0.0, math.inf):
+        with pytest.raises(ValueError, match="not positive and finite"):
+            build_topology(3, [(0, 1, w)])
 
 
 def test_a_topology_built_through_replace_checks_and_derives_its_tables_again():
@@ -88,9 +89,10 @@ def test_a_topology_built_through_replace_checks_and_derives_its_tables_again():
     for name in ("src", "dst", "relay_si", "relay_js"):
         assert np.array_equal(getattr(cut, name), getattr(want, name)), name
     for edges, weights, match in (
-        (t.edges, (-1.0,) + t.weights[1:], "nonpositive weight"),
-        (t.edges, (0.0,) + t.weights[1:], "nonpositive weight"),
-        (t.edges, (math.nan,) + t.weights[1:], "nonpositive weight"),
+        (t.edges, (-1.0,) + t.weights[1:], "not positive and finite"),
+        (t.edges, (0.0,) + t.weights[1:], "not positive and finite"),
+        (t.edges, (math.nan,) + t.weights[1:], "not positive and finite"),
+        (t.edges, (math.inf,) + t.weights[1:], "not positive and finite"),
         (((1, 1),) + t.edges[1:], t.weights, "self-loop"),
         (t.edges + t.edges[:1], t.weights + t.weights[:1], "duplicate"),
         (((0, 7),) + t.edges[1:], t.weights, "unknown agent"),

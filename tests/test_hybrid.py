@@ -18,6 +18,8 @@ from maswatch.hybrid import (
     select_trusted,
 )
 
+from _reference import reference_step
+
 PLATOON_EDGES = [
     (0, 2), (1, 2), (3, 2), (4, 2), (5, 2),
     (5, 1), (5, 3), (5, 4), (0, 1), (0, 5), (0, 6),
@@ -127,26 +129,9 @@ def test_run_protocol_step_missing_envelope_counts_clean():
 # --- the array step against the per-edge reference ----------------------------
 
 
-def _reference_step(chan, env, t):
-    """Flags and labels edge by edge through select_trusted and classify."""
-    flags = np.array(
-        [(1, 2) if c else (0, 1) if v else (0, 0) for c, v in zip(chan, env)], dtype=np.int64
-    ).reshape(-1, 2)
-    labels = []
-    for e, (j, i) in enumerate(t.edges):
-        own = FlagPair(*flags[e])
-        relayed = None
-        if own == FlagPair(1, 2):
-            jhat = select_trusted(i, j, flags, t)
-            if jhat is not None:
-                relayed = FlagPair(*flags[t.edge_index(j, jhat)])
-        labels.append(classify(own, relayed))
-    return flags, labels
-
-
 def _assert_matches_reference(chan, env, t):
     flags, labels = run_protocol_step(chan, env, t)
-    want_flags, want_labels = _reference_step(chan, env, t)
+    want_flags, want_labels = reference_step(chan, env, t)
     assert flags.dtype == np.int64 and flags.shape == (t.n_edges, 2)
     assert np.array_equal(flags, want_flags)
     assert list(labels) == want_labels

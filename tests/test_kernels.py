@@ -28,7 +28,7 @@ import pytest
 from maswatch import _kernels, engine
 from maswatch.attacks import byzantine_emit, tamper_channel
 from maswatch.dynamics import compute_control, noise_gain, step_system
-from maswatch.engine import resolve_workers, simulate
+from maswatch.engine import ScenarioError, resolve_workers, simulate
 from maswatch.graph import LEADER
 from maswatch.harness import RunReport, platoon_preset, run_monte_carlo, scenario_from_dict
 from maswatch.watermark import (
@@ -380,6 +380,22 @@ def test_simulate_holds_one_chunk_of_material_at_a_time(monkeypatch):
     # The schedules and the other per-run arrays stay below half a slab,
     # as in test_simulate_allocates_only_the_slabs_it_uses.
     assert peak <= outputs + engine.CHUNK_BYTES + slab / 2, (peak - outputs) / slab
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_chunk_material_beyond_memory_is_a_scenario_error(workers, monkeypatch):
+    """A MemoryError while drawing a chunk's material, in the calling
+    thread or a helper, is refused as a batch that cannot be allocated."""
+    s = scenario_from_dict(small_doc())
+
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(engine, "_pregenerate", no_memory)
+    # states (6, 9, 3, 2) and ystar (6, 8, 2, 3, 2): 900 float64
+    with pytest.raises(ScenarioError, match=r"^run: 6 trials x 8 steps need 7200 bytes of output slabs, more") as err:
+        simulate(s, workers=workers)
+    assert err.value.path == "run"
 
 
 def _consensus_order_case():
