@@ -43,9 +43,17 @@ Random material of a chunk of T trials, K steps, E edges, n dims:
              Unused material (noise at zero variance, byz_rand without
              such a window) is a broadcast 0, never a slab.
 
-Each chunk holds at most CHUNK_BYTES of slabs, plus at most one
-trial's worth, and only running chunks hold any, so a run's peak is its
-output slabs plus at most threads x CHUNK_BYTES of material.
+Chunk rule: a batch of T trials whose material takes B bytes splits
+into min(ceil(B / CHUNK_BYTES), T // MIN_CHUNK_TRIALS) chunks, but at
+least ceil(B / MAX_CHUNK_BYTES) and 1, and at most T; the chunks are
+equal to within one trial. The split reads no worker count, so every
+worker count runs the same chunks; the threads only choose who runs
+which. A chunk holds at most CHUNK_BYTES of slabs plus one trial's
+worth, unless the floor binds: then it holds fewer than
+2 x MIN_CHUNK_TRIALS trials, and still at most MAX_CHUNK_BYTES plus one
+trial's worth. Only running chunks hold material, so a run's peak is
+its output slabs plus at most threads x (MAX_CHUNK_BYTES + one trial)
+of material.
 
 Bit-compatibility invariant: stream (trial, j, i, tag) draws exactly the
 numbers of default_rng(SeedSequence([master_seed, trial, j, i, tag])),
@@ -55,7 +63,7 @@ seeds its streams through SeedSequence itself.
 
 Environment knob:
     MASWATCH_WORKERS = <int>   upper bound on worker threads (default 1);
-                               no more threads than trials or CPUs run
+                               no more threads than chunks or CPUs run
 """
 
 from __future__ import annotations
@@ -85,7 +93,14 @@ from .watermark import (
 WORKERS_ENV = "MASWATCH_WORKERS"
 
 # Byte budget of one trial chunk's random material.
-CHUNK_BYTES = 32 * 2**20
+CHUNK_BYTES = 4 * 2**20
+# Fewest trials a split puts in a chunk. The step kernel pays about 25
+# numpy calls per step for each chunk; below 64 trials per chunk that
+# overhead shows in its time (README, Memory).
+MIN_CHUNK_TRIALS = 64
+# Byte ceiling of one chunk's material that the floor cannot push past,
+# so a long horizon still splits.
+MAX_CHUNK_BYTES = 32 * 2**20
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -293,11 +308,12 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
     gain a leading (B,) axis. One chunk's material is drawn once and
     serves every table.
 
-    Trials are split into chunks of at most CHUNK_BYTES of random
-    material, and at least one chunk per thread; the threads number
-    min(workers, trials, cpu count), the calling thread among them. The
-    chunks are equal to within one trial, so each thread takes every
-    threads-th one. The chunking never changes a number.
+    Trials are split into chunks by the module's chunk rule: at most
+    CHUNK_BYTES of random material each, and at least MIN_CHUNK_TRIALS
+    trials unless the batch has fewer, or unless the floor would take a
+    chunk past MAX_CHUNK_BYTES. The threads number min(workers, chunks,
+    cpu count), the calling thread among them, and each takes every
+    threads-th chunk. The chunking never changes a number.
     """
     t, trials = s.topology, s.trials
     workers = resolve_workers(workers)
@@ -329,9 +345,11 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
     try:
         *schedules, scale = _schedule_arrays(t, s.attacks, K, n)
         slabs = 4 + (s.controller.noise_var > 0) + bool(scale.any())  # as _pregenerate allocates them
-        threads = min(workers, trials, os.cpu_count() or 1)
-        n_chunks = min(trials, max(threads, -(-trials * 8 * K * E * n * slabs // CHUNK_BYTES)))
+        material = trials * 8 * K * E * n * slabs
+        budget, ceiling = (-(-material // limit) for limit in (CHUNK_BYTES, MAX_CHUNK_BYTES))
+        n_chunks = min(trials, max(1, ceiling, min(budget, trials // MIN_CHUNK_TRIALS)))
         chunks = np.array_split(np.arange(trials), n_chunks)
+        threads = min(workers, n_chunks, os.cpu_count() or 1)
         if threads == 1:
             run_share(0)
         else:

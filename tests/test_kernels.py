@@ -177,18 +177,32 @@ def test_resolve_workers(monkeypatch):
         resolve_workers(0)
 
 
-def test_worker_chunking_is_invisible():
+def test_worker_chunking_is_invisible(monkeypatch):
+    """With a 1-byte budget and the floor at 2 trials, the 10 trials run
+    as 5 chunks, on one thread and on up to 4."""
     s = replace(platoon_preset("channel"), horizon=12, trials=10)
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    chunks, pregenerate = [], engine._pregenerate
+
+    def recorded(s, trial_ids, scale):
+        chunks.append(len(trial_ids))
+        return pregenerate(s, trial_ids, scale)
+
+    monkeypatch.setattr(engine, "_pregenerate", recorded)
     a = simulate(s, workers=1)
     b = simulate(s, workers=4)
+    assert chunks == [2] * 10
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.ystar1, b.ystar1)
     assert np.array_equal(a.ystar2, b.ystar2)
 
 
 def test_thread_count_is_bounded_by_trials_and_cpus(monkeypatch):
-    """MASWATCH_WORKERS=5000 must not start 5000 threads. A stand-in for
-    ThreadPoolExecutor records max_workers and maps serially."""
+    """MASWATCH_WORKERS=5000 must not start 5000 threads: no more run
+    than chunks or CPUs. A stand-in for ThreadPoolExecutor records
+    max_workers and maps serially."""
     pools = []
 
     class SerialPool:
@@ -208,6 +222,10 @@ def test_thread_count_is_bounded_by_trials_and_cpus(monkeypatch):
     want = simulate(s, workers=1)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    simulate(s, workers=5000)  # 5 trials are one chunk: one thread, no pool
+    # Every trial its own chunk.
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
     for workers in (5000, 3):
         got = simulate(s, workers=workers)
         assert np.array_equal(got.states, want.states)
@@ -219,7 +237,7 @@ def test_thread_count_is_bounded_by_trials_and_cpus(monkeypatch):
 
 
 def test_surplus_workers_cost_nothing():
-    """Workers beyond the trial count get no chunk, so they cost neither
+    """Workers beyond the chunk count get no chunk, so they cost neither
     time nor memory."""
     s = scenario_from_dict(small_doc(horizon=6, trials=2))
     tracemalloc.start()
@@ -260,8 +278,9 @@ SLAB_CASES = {
 
 @pytest.mark.parametrize("case", SLAB_CASES)
 def test_simulate_allocates_only_the_slabs_it_uses(case):
-    # At most 3.5 MB of material, far below engine.CHUNK_BYTES, so every
-    # case runs as one chunk that holds all its slabs at once.
+    # At most 3.5 MB of material, below engine.CHUNK_BYTES, and 100
+    # trials, below 2 x engine.MIN_CHUNK_TRIALS: every case runs as one
+    # chunk that holds all its slabs at once.
     kwargs, slabs = SLAB_CASES[case]
     s = _random_material_case(**kwargs)
     T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
@@ -291,8 +310,8 @@ def _assert_same_arrays(a, b):
 
 @pytest.mark.parametrize("case", SLAB_CASES)
 def test_chunk_budget_is_invisible(case, monkeypatch):
-    """A budget of 100 kB splits the 100 trials into 24 to 35 chunks;
-    no number changes."""
+    """A budget of 100 kB and a floor of one trial split the 100 trials
+    into 24 to 35 chunks; no number changes."""
     kwargs, slabs = SLAB_CASES[case]
     s = _random_material_case(**kwargs)
     chunks = -(-slabs * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8 // 100_000)
@@ -304,6 +323,7 @@ def test_chunk_budget_is_invisible(case, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(engine, "CHUNK_BYTES", 100_000)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
     monkeypatch.setattr(_kernels, "_simulate_numpy", counted)
     _assert_same_arrays(simulate(s, workers=1), sim)
     assert len(calls) == chunks
@@ -311,12 +331,65 @@ def test_chunk_budget_is_invisible(case, monkeypatch):
     assert len(calls) == 2 * chunks
 
 
+# (trials, horizon): chunks. The watermarked case draws 240 bytes of
+# material per trial and step. One chunk below the floor, the budget or
+# both; 2 and 12 chunks set by the 4 MiB budget; 15 set by the floor,
+# where the budget alone would make 18 chunks of 56 trials; 3 set by the
+# 32 MiB ceiling, where the floor alone would make 2 chunks of 46 MB.
+SPLIT_CASES = {
+    (1, 12): 1,
+    (63, 100): 1,
+    (128, 12): 1,
+    (200, 100): 2,
+    (2000, 100): 12,
+    (1000, 300): 15,
+    (128, 3000): 3,
+}
+
+
+@pytest.mark.parametrize("trials, horizon", SPLIT_CASES)
+def test_trial_split_reads_no_worker_count(trials, horizon, monkeypatch):
+    """Workers 1, 3 and 4 run the same trial ranges. Each chunk holds at
+    most MAX_CHUNK_BYTES of material plus one trial's worth; at least
+    MIN_CHUNK_TRIALS trials unless the batch has fewer or one fewer chunk
+    would break that ceiling; and at most CHUNK_BYTES plus one trial's
+    worth unless one more chunk would break the floor. Only the split
+    runs: the material and the kernel are stand-ins, and the output slabs
+    stay untouched zero pages."""
+    s = replace(_random_material_case(), trials=trials, horizon=horizon)
+    per_trial = 8 * horizon * s.topology.n_edges * s.model.n * SLAB_CASES["watermarked"][1]
+    chunks = []  # list.append is atomic across worker threads
+
+    def recorded(s, trial_ids, scale):
+        chunks.append(trial_ids.tolist())
+        return (None,) * 4
+
+    monkeypatch.setattr(engine, "_pregenerate", recorded)
+    monkeypatch.setattr(_kernels, "_simulate_numpy", lambda *args: None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    splits = []
+    for workers in (1, 3, 4):
+        chunks.clear()
+        simulate(s, workers=workers)
+        splits.append(sorted(chunks))
+    split = splits[0]
+    assert splits[1] == split and splits[2] == split
+    assert len(split) == SPLIT_CASES[trials, horizon]
+    assert sum(split, []) == list(range(trials))
+    at_floor = trials < (len(split) + 1) * engine.MIN_CHUNK_TRIALS
+    at_ceiling = trials * per_trial > (len(split) - 1) * engine.MAX_CHUNK_BYTES
+    for chunk in split:
+        assert (len(chunk) - 1) * per_trial < engine.MAX_CHUNK_BYTES
+        assert len(chunk) >= min(trials, engine.MIN_CHUNK_TRIALS) or at_ceiling
+        assert (len(chunk) - 1) * per_trial < engine.CHUNK_BYTES or at_floor
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_each_initial_state_table_matches_its_own_run(workers, monkeypatch):
     """simulate(s, inits=stack) gives, table by table, the numbers of a
-    run from that table alone. Under a 100 kB budget each of the 35
-    chunks draws its noise, watermark and byz_rand material once and
-    runs the kernel once per table."""
+    run from that table alone. Under a 100 kB budget and a floor of one
+    trial each of the 35 chunks draws its noise, watermark and byz_rand
+    material once and runs the kernel once per table."""
     s = _random_material_case(random_byzantine=True)
     leader = s.init_states[0]
     stack = np.stack([leader + scale * (s.init_states - leader) for scale in (0.5, 1.0, 3.0)])
@@ -334,6 +407,7 @@ def test_each_initial_state_table_matches_its_own_run(workers, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(engine, "CHUNK_BYTES", 100_000)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
     monkeypatch.setattr(engine, "_pregenerate", counted_pregenerate)
     monkeypatch.setattr(_kernels, "_simulate_numpy", counted_kernel)
     got = simulate(s, workers=workers, inits=stack)
@@ -364,13 +438,15 @@ def test_one_edge_residuals_sum_trials_in_order():
 
 
 def test_simulate_holds_one_chunk_of_material_at_a_time(monkeypatch):
-    """With the budget at a quarter of the material, the peak is the
-    outputs plus one chunk; it was the outputs plus every slab."""
+    """With the budget at a quarter of the material and a floor of one
+    trial, the peak is the outputs plus one chunk; it was the outputs
+    plus every slab."""
     s = _random_material_case()
     T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
     slab = T * K * E * n * 8
     outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 2 * slab
     monkeypatch.setattr(engine, "CHUNK_BYTES", 5 * slab // 4)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
     tracemalloc.start()
     try:
         simulate(s, workers=1)
