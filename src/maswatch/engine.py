@@ -1,12 +1,13 @@
 """The Scenario type and the Monte Carlo simulation driver.
 
 A Scenario is valid by construction: __post_init__ checks every run rule
-(gains, initial states and attack vectors of one component per state
-dimension among them) and raises ScenarioError at the field path the
-harness loader reports, so one built through dataclasses.replace fails
-alike. Its Topology checks the graph rules itself. simulate takes a
-Scenario and refuses only a batch it cannot allocate, as a ScenarioError
-on run. It builds the dense attack and watermark arrays the step kernel
+(integer horizon, trials and master_seed, gains, initial states and
+attack vectors of one component per state dimension among them) and
+raises ScenarioError at the field path the harness loader reports, so
+one built through dataclasses.replace fails alike. Its Topology checks
+the graph rules itself. simulate takes a Scenario, holds an inits stack
+to its initial-state rule, and refuses a batch it cannot allocate, as a
+ScenarioError on run. It builds the dense arrays the step kernel
 consumes (the channel mask comes from attacks.activity, the schedules
 and Byzantine tables are filled from the window slices), splits trials
 into chunks, and returns the raw slabs (states and recovered message
@@ -125,6 +126,21 @@ class ScenarioError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _init_table(table, shape: tuple[int, int]) -> np.ndarray:
+    """The initial-state rule: a read-only float copy of table, of the
+    (agents, n) shape and finite, else a ScenarioError at run.init."""
+    try:
+        init = np.array(table, dtype=float)
+    except (TypeError, ValueError) as err:  # ragged rows, or not numbers
+        raise ScenarioError("run.init", str(err)) from None
+    if init.shape != shape:
+        raise ScenarioError("run.init", f"expected shape {shape}, got {init.shape}")
+    if not np.isfinite(init).all():
+        raise ScenarioError("run.init", "initial states must be finite")
+    init.flags.writeable = False
+    return init
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -148,6 +164,11 @@ class Scenario:
             gain = getattr(self.controller, key)
             if len(gain) != n:
                 raise ScenarioError(f"controller.{key}", f"expected {n} components, got {len(gain)}")
+        for key in ("horizon", "trials", "master_seed"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):  # numpy ints pass, bool not
+                raise ScenarioError(f"run.{key}", f"expected an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         for key, ok, message in (
             ("horizon", self.horizon >= 0, "horizon must be nonnegative"),
             ("trials", self.trials >= 1, "need at least one trial"),
@@ -156,17 +177,7 @@ class Scenario:
         ):
             if not ok:
                 raise ScenarioError(f"run.{key}", message)
-        try:
-            init = np.array(self.init_states, dtype=float)
-        except (TypeError, ValueError) as err:  # ragged rows, or not numbers
-            raise ScenarioError("run.init", str(err)) from None
-        shape = (self.topology.n_agents, n)
-        if init.shape != shape:
-            raise ScenarioError("run.init", f"expected shape {shape}, got {init.shape}")
-        if not np.isfinite(init).all():
-            raise ScenarioError("run.init", "initial states must be finite")
-        init.flags.writeable = False
-        object.__setattr__(self, "init_states", init)
+        object.__setattr__(self, "init_states", _init_table(self.init_states, (self.topology.n_agents, n)))
         # A schedule always has n coefficients; an offset only when given.
         vectors = [
             (f"attacks.channel[{idx}].{name}.coeffs", getattr(a, name).coeffs)
@@ -300,13 +311,14 @@ def _pregenerate(s: Scenario, trial_ids: np.ndarray, scale: np.ndarray):
 def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None = None) -> SimData:
     """Run the scenario's Monte Carlo batch and return the raw slabs.
 
-    s is valid by construction, so the one failure is a batch whose
-    output slabs or chunk material cannot be allocated: a ScenarioError
-    on run naming the trials, steps and bytes of the output slabs.
     inits, a (B, agents, n) stack of initial-state tables, replaces
     s.init_states: the batch then runs once per table and both slabs
     gain a leading (B,) axis. One chunk's material is drawn once and
-    serves every table.
+    serves every table. Every table must pass the rule of s.init_states
+    before anything is allocated or drawn, else a ScenarioError on
+    run.init. A batch whose output slabs or chunk material cannot be
+    allocated is a ScenarioError on run naming the trials, steps and
+    bytes of the output slabs.
 
     Trials are split into chunks by the module's chunk rule: at most
     CHUNK_BYTES of random material each, and at least MIN_CHUNK_TRIALS
@@ -318,7 +330,7 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
     t, trials = s.topology, s.trials
     workers = resolve_workers(workers)
     n, N, E, K = s.model.n, t.n_agents, t.n_edges, s.horizon
-    tables = s.init_states[None] if inits is None else inits
+    tables = [s.init_states] if inits is None else [_init_table(x, (N, n)) for x in inits]
     shapes = ((len(tables), trials, K + 1, N, n), (len(tables), trials, K, 2, E, n))
     batch = f"{trials} trials x {K} steps" + (f" x {len(tables)} initial states" if len(tables) > 1 else "")
     nbytes = 8 * sum(map(math.prod, shapes))
@@ -327,7 +339,8 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
         states, ys = np.zeros(shapes[0]), np.zeros(shapes[1])
     except (ValueError, MemoryError):  # numpy's ValueError: a shape beyond intp
         raise refused from None
-    states[:, :, 0] = tables[:, None]
+    for b, table in enumerate(tables):
+        states[b, :, 0] = table
 
     def run_chunk(trial_ids: np.ndarray) -> None:
         W, M, F, byz_rand = _pregenerate(s, trial_ids, scale)

@@ -43,9 +43,9 @@ class Topology:
     used everywhere downstream (simulation slabs, CSV exports).
 
     A Topology is valid by construction: __post_init__ raises ValueError
-    for fewer than 2 agents, an unknown agent id, a self-loop, a
-    duplicate edge, a weight that is not positive and finite, or a
-    weight count other than the edge count. It then derives the
+    for fewer than 2 agents or more than an intp holds, an unknown agent
+    id, a self-loop, a duplicate edge, a weight that is not positive and
+    finite, or a weight count other than the edge count. It then derives the
     read-only tables below, so one built through dataclasses.replace
     derives them again.
 
@@ -69,6 +69,8 @@ class Topology:
         edges, weights = tuple(map(tuple, self.edges)), tuple(map(float, self.weights))
         if self.n_agents < 2:
             raise ValueError("need at least a leader and one follower")
+        if self.n_agents > np.iinfo(np.intp).max:  # the src / dst arrays hold agent ids
+            raise ValueError(f"{self.n_agents} agents exceed numpy's index range")
         if len(weights) != len(edges):
             raise ValueError(f"{len(weights)} weights for {len(edges)} edges")
         seen = set()

@@ -5,9 +5,10 @@ A scenario JSON has sections topology / model / controller / watermark
 entries swap in alternative attack sections. Validation failures name
 the offending field by path (for example "detectors.kl.theta"). The
 loader checks the document's types; graph.Topology checks the graph
-rules and engine.Scenario every run rule (the gain lengths, the run
-ranges, the initial states, the attacks and their local budget), so one
-built through dataclasses.replace fails as the same ScenarioError.
+rules and engine.Scenario every run rule (the gain lengths, the
+integers and ranges of the run section, the run.init.states rows, the
+attacks and their local budget), so one built through
+dataclasses.replace fails as the same ScenarioError.
 
 run_monte_carlo simulates the batch, rejects a run whose states are
 not finite, and pools each step over trials: the KL statistic of every
@@ -33,6 +34,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -102,7 +105,9 @@ def _is_int(v) -> bool:
 
 
 def _is_finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A number that is a finite float; compared exactly, so an integer
+    beyond the float range is not one (math.isfinite would raise)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _get(section, key, path, kind=None, default=None):
@@ -125,15 +130,16 @@ def _get(section, key, path, kind=None, default=None):
 
 def _num(section, key, path, default=None) -> float:
     """A finite number; required when no default is given."""
-    return float(_get(section, key, path, (int, float), default))
+    value = _get(section, key, path, (int, float), default)
+    if not _is_finite(value):
+        raise ScenarioError(f"{path}.{key}", "expected a number within the float range")
+    return float(value)
 
 
-def _vector(value, path, n=None) -> list[float]:
-    """A list of finite numbers, of length n when n is given."""
+def _vector(value, path) -> list[float]:
+    """A list of finite numbers."""
     if not isinstance(value, list) or not all(_is_finite(v) for v in value):
         raise ScenarioError(path, "expected a list of finite numbers")
-    if n is not None and len(value) != n:
-        raise ScenarioError(path, f"expected {n} components, got {len(value)}")
     return [float(v) for v in value]
 
 
@@ -228,7 +234,8 @@ def _attacks_from(sec, path) -> AttackScenario:
 
 
 def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scenario") -> Scenario:
-    """Validate a scenario document and build the typed Scenario."""
+    """Validate a scenario document's JSON types and build the typed
+    Scenario, which applies every run rule (module docstring)."""
     if variant is not None:
         variants = doc.get("variants")
         if not isinstance(variants, dict) or variant not in (variants or {}):
@@ -244,13 +251,12 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         name = f"{name}:{variant}"
 
     sec, p = _section(doc, "topology")
-    n_agents = _get(sec, "n_agents", p, int)
     edges = _get(sec, "edges", p, list)
     for idx, e in enumerate(edges):
         ok = isinstance(e, list) and len(e) in (2, 3)
         if not ok or not all(map(_is_int, e[:2])) or not all(map(_is_finite, e[2:])):
             raise ScenarioError(f"{p}.edges[{idx}]", "edge must be [j, i] or [j, i, weight], ids integer")
-    topology = _build(p, build_topology, n_agents, edges)
+    topology = _build(p, build_topology, _get(sec, "n_agents", p, int), edges)
 
     sec, p = _section(doc, "model")
     mtype = _get(sec, "type", p, str)
@@ -260,7 +266,6 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         model = _build(p, companion_model, _vector(_get(sec, "rho", p, list), f"{p}.rho"))
     else:
         raise ScenarioError(f"{p}.type", f"unknown model type {mtype!r}")
-    n = model.n
 
     sec, p = _section(doc, "controller")
     controller = _build(
@@ -303,20 +308,8 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
 
     sec, p = _section(doc, "run")
     init, ip = _section(sec, "init", p)
-    if "states" in init:
-        rows = _get(init, "states", ip, list)
-        init_states = [_vector(row, f"{ip}.states[{i}]") for i, row in enumerate(rows)]
-    else:
-        leader_ref = _vector(_get(init, "leader", ip, list), f"{ip}.leader", n)
-        spacing = _num(init, "spacing", ip)
-        try:
-            init_states = np.tile(np.array(leader_ref), (n_agents, 1))
-            # A spacing that overflows leaves an inf, which Scenario rejects.
-            with np.errstate(over="ignore"):
-                init_states[1:, 0] += spacing * np.arange(1, n_agents)
-        except (ValueError, MemoryError):
-            # numpy refuses an (n_agents, n) array beyond addressable memory.
-            raise ScenarioError("topology.n_agents", f"{n_agents} agents x {n} state components cannot be allocated") from None
+    rows = _get(init, "states", ip, list)
+    init_states = [_vector(row, f"{ip}.states[{i}]") for i, row in enumerate(rows)]
 
     return Scenario(
         name=name,
@@ -328,9 +321,9 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         envelope=env_cfg,
         bounds=bounds,
         attacks=attacks,
-        horizon=_get(sec, "horizon", p, int),
-        trials=_get(sec, "trials", p, int),
-        master_seed=_get(sec, "master_seed", p, int),
+        horizon=_get(sec, "horizon", p),
+        trials=_get(sec, "trials", p),
+        master_seed=_get(sec, "master_seed", p),
         varsigma=_num(sec, "varsigma", p, 0.05),
         init_states=init_states,
     )
@@ -519,11 +512,17 @@ def _summarize(s: Scenario, eta, kl_attacked, env_attacked, classifications) -> 
         hits = np.flatnonzero(correct[e, window_rows(window, K)])
         return float(hits[0]) if hits.size else -1.0
 
+    # An edge or agent with more than one window (they never overlap)
+    # names each window's entry by its start step.
+    per_edge = Counter(a.edge for a in s.attacks.channel)
+    per_agent = Counter(bz.agent for bz in s.attacks.byzantine)
     for a in s.attacks.channel:
-        summary[f"ttd_channel_{a.edge[0]}_{a.edge[1]}"] = time_to_detect(a.window, t.edge_index(*a.edge))
+        at = f"_from_{a.window[0]}" if per_edge[a.edge] > 1 else ""
+        summary[f"ttd_channel_{a.edge[0]}_{a.edge[1]}{at}"] = time_to_detect(a.window, t.edge_index(*a.edge))
     for bz in s.attacks.byzantine:
+        at = f"_from_{bz.window[0]}" if per_agent[bz.agent] > 1 else ""
         for e in np.flatnonzero(t.src == bz.agent):
-            summary[f"ttd_byzantine_{bz.agent}_{t.dst[e]}"] = time_to_detect(bz.window, e)
+            summary[f"ttd_byzantine_{bz.agent}_{t.dst[e]}{at}"] = time_to_detect(bz.window, e)
     return summary
 
 
@@ -561,8 +560,12 @@ def transient_sweep(
     is checked before anything is drawn: it must be positive and finite
     (a ValueError), and one that overflows the initial states is a
     ScenarioError. A scale whose states diverge or whose statistics
-    overflow is a ScenarioError too, reported in grid order.
+    overflow is a ScenarioError too, reported in grid order. Both
+    statistics fit a distribution per edge, so a sweep needs at least 2
+    trials; fewer is a ScenarioError on run.trials.
     """
+    if s.trials < 2:
+        raise ScenarioError("run.trials", f"a sweep needs at least 2 trials, got {s.trials}")
     if probe_step < 1:
         raise ValueError("probe_step must be at least 1")
     if probe_step > s.horizon:

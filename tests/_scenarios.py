@@ -33,7 +33,7 @@ def small_doc(horizon=8, trials=6):
             "horizon": horizon,
             "trials": trials,
             "master_seed": 42,
-            "init": {"leader": [10.0, 0.0], "spacing": -2.0},
+            "init": {"states": [[10.0, 0.0], [8.0, 0.0], [6.0, 0.0]]},
         },
     }
 

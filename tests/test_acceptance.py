@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 
+from maswatch import engine
 from maswatch.detectors import estimate_kl, gaussian_kl
 from maswatch.graph import build_topology, two_hop_relays
 from maswatch.harness import (
@@ -310,23 +313,42 @@ def test_criterion_7_oracle_suites():
     assert roundtrip_err < 1e-9
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
+    """The preset's CSVs repeat byte for byte on one seed and across 1
+    and 4 workers. The preset's 100 trials are one trial chunk, so the
+    worker comparison runs again at 2 x MIN_CHUNK_TRIALS trials, where
+    the split gives at least 2 chunks, with 4 CPUs reported, so that at
+    least 2 threads share them."""
     s = platoon_preset("channel")
-    names = None
-    digests = []
-    for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
-        report = run_monte_carlo(s, workers=workers)
-        paths = export_report(report, tmp_path / tag)
-        names = [p.name for p in paths]
-        digests.append([p.read_bytes() for p in paths])
-    same_seed = all(x == y for x, y in zip(digests[0], digests[1]))
-    across_workers = all(x == y for x, y in zip(digests[0], digests[2]))
-    ok = same_seed and across_workers
+    threaded = replace(s, trials=2 * engine.MIN_CHUNK_TRIALS)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    runs, pregenerate = [], engine._pregenerate  # list.append is atomic across worker threads
+
+    def recorded(s, trial_ids, scale):
+        runs.append(threading.get_ident())
+        return pregenerate(s, trial_ids, scale)
+
+    def export(scenario, workers, tag):
+        paths = export_report(run_monte_carlo(scenario, workers=workers), tmp_path / tag)
+        return [p.name for p in paths], [p.read_bytes() for p in paths]
+
+    names, a = export(s, 1, "a")
+    _, b = export(s, 1, "b")
+    _, c = export(s, 4, "c")
+    _, d = export(threaded, 1, "d")
+    monkeypatch.setattr(engine, "_pregenerate", recorded)
+    _, e = export(threaded, 4, "e")
+    chunks, threads = len(runs), len(set(runs))
+    same_seed = a == b
+    across_workers = a == c and d == e
+    ok = same_seed and across_workers and chunks >= 2 and threads >= 2
     _line(
         8,
         ok,
         f"{len(names)} CSV files byte-identical across repeat runs ({same_seed}) "
-        f"and across 1 vs 4 workers ({across_workers})",
+        f"and across 1 vs 4 workers ({across_workers}), at {threaded.trials} trials "
+        f"in {chunks} chunks on {threads} threads",
     )
     assert same_seed
     assert across_workers
+    assert chunks >= 2 and threads >= 2

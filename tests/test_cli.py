@@ -127,16 +127,13 @@ def test_sweep_exits_2_when_a_scale_overflows_the_initial_states(scenario_file, 
     assert err == "scenario validation failed: run: initial error scale 1.7e+308 overflows the initial states\n"
 
 
-@pytest.mark.parametrize("args", [["run", "--out", "unused"], ["check-graph", "--L", "1", "--P", "1"]], ids=["run", "check_graph"])
-def test_init_spacing_that_overflows_exits_2(tmp_path, capsys, args):
-    # Under the suite's RuntimeWarning filter an overflow warning would
-    # end the call in a traceback instead.
-    doc = small_doc()
-    doc["run"]["init"]["spacing"] = 1e308
-    p = tmp_path / "spacing.json"
-    p.write_text(json.dumps(doc))
-    assert main([args[0], "--scenario", str(p), *args[1:]]) == 2
-    assert capsys.readouterr().err == "scenario validation failed: run.init: initial states must be finite\n"
+def test_one_trial_sweep_exits_2(tmp_path, capsys):
+    p = tmp_path / "one.json"
+    p.write_text(json.dumps(small_doc(trials=1)))
+    assert main(["sweep", "--scenario", str(p), "--grid", "1", "--probe-step", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "scenario validation failed: run.trials: a sweep needs at least 2 trials, got 1\n"
 
 
 def test_sweep_rejects_malformed_grid(scenario_file, capsys):

@@ -76,6 +76,9 @@ def test_build_topology_rejects_bad_edges():
         build_topology(3, [(0, 1), (0, 1)])
     with pytest.raises(ValueError, match="unknown agent"):
         build_topology(3, [(0, 3)])
+    # an id beyond intp would not fit the src / dst arrays
+    with pytest.raises(ValueError, match="index range"):
+        build_topology(2**70, [(0, 1), (2**65, 0)])
     for w in (0.0, math.inf):
         with pytest.raises(ValueError, match="not positive and finite"):
             build_topology(3, [(0, 1, w)])

@@ -151,13 +151,12 @@ def _channel_attack(**fields):
         (lambda d: d["detectors"]["kl"].update(estimator="histogram"), "detectors.kl.estimator"),
         (lambda d: d["detectors"]["envelope"].update(factor_mode="proposition3"), "detectors.envelope.factor_mode"),
         (lambda d: d["watermark"].update(identity=True), "watermark.identity"),
-        (lambda d: d["topology"].update(n_agents=2**62), "topology.n_agents"),
+        (lambda d: d["topology"].update(n_agents=2**62), "run.init"),
         (lambda d: d["detectors"]["bounds"].update(eps1=-1, eps2=0), "detectors.bounds"),
-        (lambda d: d["run"]["init"].update(spacing=1e308), "run.init"),
     ],
     ids=[
         "window", "edge", "budget", "theta_nan", "noise_var_inf", "trials_bool", "estimator", "factor_mode",
-        "identity", "n_agents_huge", "eps2_zero", "spacing_overflows",
+        "identity", "n_agents_huge", "eps2_zero",
     ],
 )
 def test_bad_input_raises_scenario_error_with_path(edit, path):
@@ -185,6 +184,10 @@ def _frozen_agent_1(d):
         ("trials", 0, lambda d: d["run"].update(trials=0), "run.trials"),
         ("horizon", -1, lambda d: d["run"].update(horizon=-1), "run.horizon"),
         ("master_seed", -1, lambda d: d["run"].update(master_seed=-1), "run.master_seed"),
+        ("master_seed", 1.5, lambda d: d["run"].update(master_seed=1.5), "run.master_seed"),
+        ("trials", 2.5, lambda d: d["run"].update(trials=2.5), "run.trials"),
+        ("horizon", 3.0, lambda d: d["run"].update(horizon=3.0), "run.horizon"),
+        ("trials", True, lambda d: d["run"].update(trials=True), "run.trials"),
         ("controller", ControllerParams([0.5] * 3, [0.5, 1.0]), lambda d: d["controller"].update(K1=[0.5] * 3), "controller.K1"),
         ("controller", ControllerParams([0.5, 0.5], [0.5] * 3), lambda d: d["controller"].update(K2=[0.5] * 3), "controller.K2"),
         ("init_states", np.full((3, 2), np.nan), lambda d: d["run"]["init"].update(states=[[math.nan] * 2] * 3), "run.init"),
@@ -217,6 +220,7 @@ def _frozen_agent_1(d):
     ],
     ids=[
         "varsigma_negative", "varsigma_nan", "varsigma_inf", "trials_zero", "horizon_negative", "master_seed_negative",
+        "master_seed_float", "trials_float", "horizon_float", "trials_bool",
         "K1_length", "K2_length",
         "init_nan", "init_shape", "init_ragged", "over_budget", "unknown_edge", "offset_length", "coeffs_length",
     ],
@@ -255,11 +259,11 @@ def test_retired_settings_still_load_at_their_remaining_value():
 
 # Values a mutation may write: usually one of the JSON type it replaces
 # (NaN and inf included, and the names the loader dispatches on), else
-# any small JSON value. Integers stay small because an agent count that
-# numpy would try to allocate may exhaust memory before it fails; the
-# single-field faults below cover a count numpy refuses outright.
+# any small JSON value. Integers span the whole range: the loader
+# allocates nothing sized by a document integer, so a huge agent count,
+# horizon or trial count is refused (or loaded) without memory behind it.
 _names = st.sampled_from(["sin", "ramp", "const", "companion", "frozen_state", "per_neighbor_random", "histogram"])
-_numbers = st.booleans() | st.integers(-3, 40) | st.floats()
+_numbers = st.booleans() | st.integers() | st.floats()
 _json_leaf = st.none() | _numbers | st.text(max_size=3) | _names
 _json_value = st.recursive(
     _json_leaf, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6
@@ -315,10 +319,11 @@ def test_scenario_from_dict_returns_scenario_or_scenario_error(base, data):
 
 
 # Faults written to each field in turn: deletion, then wrong types,
-# signs and sizes, NaN and inf. 2**62 agents is an (n_agents, n) array
-# numpy refuses at once, without trying to allocate it.
+# signs and sizes, NaN and inf. 2**62 agents is a valid topology whose
+# initial states, one row per agent, the document cannot match; 10**400
+# is an integer JSON may hold that no float can.
 _DELETE = "<delete>"
-_FAULTS = (_DELETE, None, True, -1, 0, 2, 0.5, -0.5, math.nan, math.inf, "x", "sin", [], [0], [[1, 0]], {}, 2**62)
+_FAULTS = (_DELETE, None, True, -1, 0, 2, 0.5, -0.5, math.nan, math.inf, "x", "sin", [], [0], [[1, 0]], {}, 2**62, 10**400)
 
 
 @pytest.mark.parametrize("make, variant", [(_attacked_small_doc, None), (preset_doc, "hybrid")], ids=["small", "preset"])
@@ -496,6 +501,34 @@ def test_time_to_detect_stays_inside_the_window():
     assert summary["ttd_channel_0_1"] == -1.0
 
 
+def _preset_with_windows(section, windows) -> Scenario:
+    """The preset at horizon 40 with the channel variant's attack, or the
+    byzantine variant's behavior, once in each of windows."""
+    doc = preset_doc()
+    attacks = doc["variants"][section]["attacks"]
+    doc["attacks"] = {**attacks, section: [{**attacks[section][0], "window": list(w)} for w in windows]}
+    doc["run"]["horizon"] = 40
+    return scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "section, key, windows",
+    [("channel", "ttd_channel_5_2", [(5, 15), (25, 35)]), ("byzantine", "ttd_byzantine_5_2", [(3, 8), (20, 30)])],
+)
+def test_each_attack_window_has_its_own_time_to_detect(section, key, windows):
+    """Two windows on one edge, or two behaviors of one agent, give one
+    ttd entry each, named by the window's start step; the entry of the
+    first window is the one a run with it alone reports under the plain
+    key."""
+    alone = run_monte_carlo(_preset_with_windows(section, windows[:1])).summary
+    both = run_monte_carlo(_preset_with_windows(section, windows)).summary
+    first, second = (f"{key}_from_{start}" for start, _ in windows)
+    assert key in alone and key not in both
+    assert both[first] == alone[key]
+    # one shared key would have kept only the second window's value
+    assert both[second] != both[first]
+
+
 def diverging_doc() -> dict:
     """small_doc with an unstable model: the states overflow at step 774."""
     doc = small_doc(horizon=800, trials=40)
@@ -525,7 +558,7 @@ def test_nominal_bounds_with_eps2_zero_are_a_scenario_error():
     # largest component is the leader's 0.
     doc = small_doc(horizon=0)
     del doc["detectors"]["bounds"]
-    doc["run"]["init"] = {"leader": [0.0, 0.0], "spacing": -2.0}
+    doc["run"]["init"] = {"states": [[0.0, 0.0], [-2.0, 0.0], [-4.0, 0.0]]}
     with pytest.raises(ScenarioError, match="eps2 = 0") as err:
         run_monte_carlo(scenario_from_dict(doc))
     assert err.value.path == "detectors.bounds"
@@ -631,6 +664,11 @@ def test_transient_sweep_checks_the_whole_grid_before_drawing(monkeypatch):
     assert not isinstance(err.value, ScenarioError)
     with pytest.raises(ScenarioError, match=r"^run: initial error scale 1\.7e\+308 overflows the initial states$"):
         transient_sweep(s, [1e160, 1.7e308], probe_step=4)
+    # Both statistics fit a distribution over trials, so one trial is
+    # refused before anything is simulated.
+    with pytest.raises(ScenarioError, match="at least 2 trials, got 1") as err:
+        transient_sweep(replace(s, trials=1), [1.0], probe_step=4)
+    assert err.value.path == "run.trials"
 
 
 def test_transient_sweep_rejects_bad_grid():

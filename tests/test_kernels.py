@@ -418,12 +418,34 @@ def test_each_initial_state_table_matches_its_own_run(workers, monkeypatch):
             assert np.array_equal(getattr(got, name)[b], getattr(one, name)), (b, name)
 
 
+@pytest.mark.parametrize(
+    "stack",
+    [
+        lambda x: x[None, :1],  # (1, 1, n)
+        lambda x: x[None, :, :1],  # (1, agents, 1)
+        lambda x: np.stack([x, np.where(x == x.max(), np.nan, x)]),  # NaN in the second table
+    ],
+    ids=["one_agent", "one_component", "nan"],
+)
+def test_a_bad_initial_state_table_is_refused_before_anything_is_allocated(stack):
+    """simulate holds every table of an inits stack to the Scenario's
+    initial-state rule: a table numpy would broadcast, or one that is not
+    finite, is a ScenarioError at run.init. A batch of 10**18 trials
+    would be refused at run, so the tables are checked first."""
+    s = scenario_from_dict(small_doc())
+    for trials in (s.trials, 10**18):
+        with pytest.raises(ScenarioError) as err:
+            simulate(replace(s, trials=trials), inits=stack(s.init_states))
+        assert err.value.path == "run.init"
+
+
 def test_one_edge_residuals_sum_trials_in_order():
     """Each residual is the in-order sum over trials divided by their
     count. Reduced alone, one edge's step would be a 1-D array, which
     numpy sums pairwise; the copy axis keeps the reduction in order."""
     doc = small_doc(horizon=7, trials=200)
     doc["topology"] = {"n_agents": 2, "edges": [[0, 1]]}
+    doc["run"]["init"]["states"] = doc["run"]["init"]["states"][:2]
     s = scenario_from_dict(doc)
     sim, r = simulate(s), run_monte_carlo(s)
     want = np.empty((2, s.horizon))
