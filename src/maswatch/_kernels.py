@@ -1,11 +1,13 @@
 """Trial-simulation step kernel.
 
 One vectorized numpy implementation of the step loop. It reads the
-scenario's model, controller and topology, starts from the initial
-states in row 0 of the states slab, consumes pregenerated random
-material and attack schedules, and fills preallocated output slabs, so
-a chunk of trials from one initial-state table is a single kernel call
-and results do not depend on how trials are chunked across workers.
+scenario's model, controller and topology, starts from the states in
+the row before its first step, consumes one block of steps of
+pregenerated random material and the run's attack schedules, and fills
+preallocated output slabs, so a block of steps of a chunk of trials
+from one initial-state table is a single kernel call and results do
+not depend on how trials are chunked across workers or steps into
+blocks.
 Each step's contractions run on flat operands, one row per (trial,
 agent) or (trial, edge), so x @ K1, the per-edge @ K2 and x @ A.T are
 one matrix product each, not one per trial. The arithmetic order is
@@ -15,23 +17,32 @@ bitwise reproducible. tests/test_kernels.py steps the same simulation
 message by message through the public per-message API and compares,
 and pins the consensus order bit for bit.
 
-Arguments, with T trials, K steps, N agents, E edges, n state dims:
+Arguments, with T trials, K steps, a block of Kb steps from step index
+k0, N agents, E edges, n state dims:
 
     s                    the Scenario
-    W, byz_rand (T, K, E, n), each step's (E, n) block contiguous;
-                         unused material a read-only broadcast of 0;
-                         byz_rand is already scaled, and 0 outside
+    k0                   the block's first step index: it runs steps
+                         k0+1 .. k0+Kb
+    W, byz_rand (T, Kb, E, n), each step's (E, n) block contiguous,
+                         row j the material of step k0+j+1; unused
+                         material a read-only broadcast of 0; byz_rand
+                         is already scaled, and 0 outside
                          per_neighbor_random windows
-    M, F (T, K, 2, E, n) the material of copies r = 1, 2 on axis -3;
-                         may be strided views of one (T, K, 4, E, n) slab
+    M, F (T, Kb, 2, E, n) the material of copies r = 1, 2 on axis -3;
+                         may be strided views of one (T, Kb, 4, E, n) slab
     chan_mask (K, E) bool   Xi, Lam (K, 2, E, n)
     send_row (K, E) intp the states row each edge's sender reads at a
-                         step: k-1, or start-1 in a frozen_state window
+                         step: k-1, or start-1 in a frozen_state window,
+                         which may lie before the block
     byz_coeff (K, E, n)  the offset each step adds (a ramp's offset * k
                          already), 0 outside offset windows
-    states (T, K+1, N, n) in/out: row 0 holds the initial states on
-                         entry, and the kernel writes rows 1..K
-    ys (T, K, 2, E, n) out
+    states (T, K+1, N, n) in/out: rows 0..k0 hold the states up to the
+                         block on entry, row 0 the initial states, and
+                         the kernel writes rows k0+1 .. k0+Kb
+    ys (T, K, 2, E, n)   out, rows k0 .. k0+Kb-1
+
+The schedules, states and ys are indexed by absolute step, the
+material by its row in the block.
 
 A Byzantine sender's plaintext is the gathered row plus byz_coeff
 plus byz_rand, with no branch on the behavior: an honest step adds 0.
@@ -47,23 +58,24 @@ import numpy as np
 from .dynamics import noise_gain
 
 
-def _simulate_numpy(s, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz_rand, states, ys):
+def _simulate_numpy(s, k0, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz_rand, states, ys):
     t, A, Bv, ctrl = s.topology, s.model.A, s.model.B, s.controller
     edge_src, edge_dst = t.src, t.dst
-    T, K, E, n = W.shape
+    T, Kb, E, n = W.shape
     N = t.n_agents
     # bincount slot of each (trial, edge) consensus term: its receiver's
     # row in the flat (T * N,) control vector, in trial-major edge order.
     slot = (np.arange(T)[:, None] * N + edge_dst).ravel()
     weight = np.tile(t.weights, T)
-    for k in range(1, K + 1):
+    for j in range(Kb):
+        k = k0 + j + 1
         x = states[:, k - 1]
         plain = states[:, send_row[k - 1], edge_src]  # a gather: already a new array
         plain += byz_coeff[k - 1]
-        plain += byz_rand[:, k - 1]
-        y = plain + W[:, k - 1]
-        m = M[:, k - 1]
-        f = F[:, k - 1]
+        plain += byz_rand[:, j]
+        y = plain + W[:, j]
+        m = M[:, j]
+        f = F[:, j]
         b = y[:, None] / m + f
         cm = chan_mask[k - 1]
         if cm.any():

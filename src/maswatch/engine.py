@@ -1,7 +1,7 @@
 """The Scenario type and the Monte Carlo simulation driver.
 
 A Scenario is valid by construction: __post_init__ checks every run rule
-(integer horizon, trials and master_seed, gains, initial states and
+(integer horizon, trials and master_seed, a real varsigma, gains, initial states and
 attack vectors of one component per state dimension among them) and
 raises ScenarioError at the field path the harness loader reports, so
 one built through dataclasses.replace fails alike. Its Topology checks
@@ -10,8 +10,9 @@ to its initial-state rule, and refuses a batch it cannot allocate, as a
 ScenarioError on run. It builds the dense arrays the step kernel
 consumes (the channel mask comes from attacks.activity, the schedules
 and Byzantine tables are filled from the window slices), splits trials
-into chunks, and returns the raw slabs (states and recovered message
-pairs) that the detector pipeline pools.
+into chunks and each chunk's steps into blocks, and returns the raw
+slabs (states and recovered message pairs) that the detector pipeline
+pools.
 The kernel reads the model, controller and topology from the Scenario
 itself, and the initial states from row 0 of its states slab. A zero
 horizon takes the same path: every draw and schedule has no steps, and
@@ -19,42 +20,60 @@ the kernel writes nothing.
 
 simulate can run one batch from several initial-state tables (inits).
 The random material does not depend on the initial states, so each
-chunk's material is drawn once and serves every table: the kernel runs
+tile's material is drawn once and serves every table: the kernel runs
 once per table on the same W, M, F and byz_rand.
 
 Every random stream is derived counter-style from
 (master_seed, trial, edge, stream tag), so the draws are a pure function
-of the scenario and seed: chunking trials across workers cannot change
-which numbers are drawn. Each stream yields one row per step, whether
-or not the step uses it.
+of the scenario and seed: chunking trials across workers, or a chunk's
+steps into blocks, cannot change which numbers are drawn. Each stream
+yields one row per step, whether or not the step uses it.
 
-Random material of a chunk of T trials, K steps, E edges, n dims:
+Random material of a block of Kb steps of a chunk of T trials, E edges,
+n dims:
 
     keys     stream_keys hashes the PCG64 seed words of all T x E
-             streams of one tag in a single vectorised pass
-    draws    one edge_stream per (trial, edge, tag) fills a per-trial
-             (E, K, ..., n) buffer; one transposed copy per trial moves
-             it into a step-contiguous slab
-    slabs    noise W (T, K, E, n); watermark z (T, K, 4, E, n), turned
+             streams of one tag in a single vectorised pass, once per
+             chunk
+    draws    one edge_stream per (trial, edge, tag) and chunk; each
+             block draws the stream's next Kb rows into a per-trial
+             (E, Kb, ..., n) buffer, and one transposed copy per trial
+             moves it into a step-contiguous slab
+    slabs    noise W (T, Kb, E, n); watermark z (T, Kb, 4, E, n), turned
              into the pair M, F = z[:, :, :2], z[:, :, 2:], each
-             (T, K, 2, E, n) with the copy on axis -3, by one in-place
-             watermark_blocks call; byz_rand (T, K, E, n) only when a
+             (T, Kb, 2, E, n) with the copy on axis -3, by one in-place
+             watermark_blocks call; byz_rand (T, Kb, E, n) only when a
              per_neighbor_random window falls inside the horizon,
              scaled per (step, edge) so it is 0 outside such windows.
              Unused material (noise at zero variance, byz_rand without
-             such a window) is a broadcast 0, never a slab.
+             such a window) is a broadcast 0, never a slab. A chunk
+             allocates its slabs once, at its longest block, and every
+             block overwrites them.
 
-Chunk rule: a batch of T trials whose material takes B bytes splits
-into min(ceil(B / CHUNK_BYTES), T // MIN_CHUNK_TRIALS) chunks, but at
-least ceil(B / MAX_CHUNK_BYTES) and 1, and at most T; the chunks are
-equal to within one trial. The split reads no worker count, so every
-worker count runs the same chunks; the threads only choose who runs
-which. A chunk holds at most CHUNK_BYTES of slabs plus one trial's
-worth, unless the floor binds: then it holds fewer than
-2 x MIN_CHUNK_TRIALS trials, and still at most MAX_CHUNK_BYTES plus one
-trial's worth. Only running chunks hold material, so a run's peak is
-its output slabs plus at most threads x (MAX_CHUNK_BYTES + one trial)
-of material.
+Tile rule: a batch of T trials and K steps whose material takes B bytes
+is worth tiles = ceil(B / CHUNK_BYTES). Its trials split into
+C = min(tiles, T // MIN_CHUNK_TRIALS) chunks, but at least 1 and at most
+T, equal to within one trial; each chunk splits its steps into
+ceil(tiles / C) blocks, at least 1 and at most K, equal to within one
+step. So every (chunk, block) tile holds about CHUNK_BYTES of material:
+less than CHUNK_BYTES plus one trial's material over a block and one
+step's over the chunk, unless a single step of a chunk takes more. Where the budget sets C, a chunk is
+one block; where the floor binds, a chunk holds fewer than
+2 x MIN_CHUNK_TRIALS trials and as many blocks as it takes, so material
+memory does not grow with the horizon. The split reads no worker count,
+so every worker count runs the same tiles; the threads only choose who
+runs which chunk.
+
+A chunk of one block opens each stream, draws it and drops it, so it
+holds one stream at a time. A chunk of several blocks keeps its
+T x E streams of each drawn tag open until its last block. An open
+stream costs about 0.9 kB of resident memory with its key, against
+0.14 kB for one dropped once drawn (ru_maxrss growth over 1.1e5 streams
+drawn through _draw_streams, numpy 2.4.6): 0.8 MB for a chunk of 40
+trials over 11 edges and 2 tags. Each block also pays about 0.8 us per
+stream for the standard_normal call. Only running chunks hold material,
+so a run's peak is its output slabs plus threads x (one tile + open
+streams).
 
 Bit-compatibility invariant: stream (trial, j, i, tag) draws exactly the
 numbers of default_rng(SeedSequence([master_seed, trial, j, i, tag])),
@@ -70,7 +89,9 @@ Environment knob:
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -93,15 +114,12 @@ from .watermark import (
 
 WORKERS_ENV = "MASWATCH_WORKERS"
 
-# Byte budget of one trial chunk's random material.
+# Byte budget of one tile, a trial chunk's block of steps, of random material.
 CHUNK_BYTES = 4 * 2**20
 # Fewest trials a split puts in a chunk. The step kernel pays about 25
 # numpy calls per step for each chunk; below 64 trials per chunk that
 # overhead shows in its time (README, Memory).
 MIN_CHUNK_TRIALS = 64
-# Byte ceiling of one chunk's material that the floor cannot push past,
-# so a long horizon still splits.
-MAX_CHUNK_BYTES = 32 * 2**20
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -169,14 +187,17 @@ class Scenario:
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):  # numpy ints pass, bool not
                 raise ScenarioError(f"run.{key}", f"expected an integer, got {value!r}")
             object.__setattr__(self, key, int(value))
+        if not isinstance(self.varsigma, numbers.Real) or isinstance(self.varsigma, bool):  # numpy floats pass
+            raise ScenarioError("run.varsigma", f"expected a real number, got {self.varsigma!r}")
         for key, ok, message in (
             ("horizon", self.horizon >= 0, "horizon must be nonnegative"),
             ("trials", self.trials >= 1, "need at least one trial"),
             ("master_seed", self.master_seed >= 0, "master_seed must be nonnegative"),
-            ("varsigma", 0 < self.varsigma < math.inf, "varsigma must be positive and finite"),
+            ("varsigma", 0 < self.varsigma <= sys.float_info.max, "varsigma must be positive and finite"),
         ):
             if not ok:
                 raise ScenarioError(f"run.{key}", message)
+        object.__setattr__(self, "varsigma", float(self.varsigma))
         object.__setattr__(self, "init_states", _init_table(self.init_states, (self.topology.n_agents, n)))
         # A schedule always has n coefficients; an offset only when given.
         vectors = [
@@ -261,51 +282,88 @@ def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int)
     return chan_mask, xi, lam, send_row, byz_coeff, scale
 
 
-def _draw_streams(slab, master_seed, trial_ids, edges, tag, rows=slice(None)) -> None:
-    """Write the standard-normal draws of each (trial, edge) stream into slab.
+def _tiling(s: Scenario, scale: np.ndarray) -> tuple[int, int]:
+    """(chunks, blocks) of the module's tile rule: how many trial chunks
+    the batch splits into and how many step blocks each chunk does."""
+    slabs = 4 + (s.controller.noise_var > 0) + bool(scale.any())  # as _pregenerate allocates them
+    material = s.trials * 8 * s.horizon * s.topology.n_edges * s.model.n * slabs
+    tiles = -(-material // CHUNK_BYTES)
+    chunks = min(s.trials, max(1, min(tiles, s.trials // MIN_CHUNK_TRIALS)))
+    return chunks, max(1, min(s.horizon, -(-tiles // chunks)))
 
-    slab is step-contiguous, (T, K, ..., E, n) with the edge axis at -2.
-    Each stream draws its (K, ..., n) block into a per-trial buffer with
-    one edge_stream call, and one transposed copy per trial moves the
-    buffer to slab[t][..., rows, :], rows being the edge slots of edges.
+
+def _open_streams(s: Scenario, trial_ids: np.ndarray, edges, tag: int, blocks: int) -> list:
+    """Per trial, the edge_stream of each (trial, edge) stream of one tag.
+
+    A chunk of several blocks holds every stream open for all of them. A
+    chunk of one block gets lazy iterators instead, so each stream opens
+    when it is drawn and is dropped once drawn.
     """
-    keys = stream_keys(master_seed, trial_ids, edges, tag)
-    buf = np.empty((len(edges),) + slab.shape[1:-2] + slab.shape[-1:])
+    keys = stream_keys(s.master_seed, trial_ids, edges, tag)
+    if blocks == 1:
+        return [map(edge_stream, row) for row in keys]
+    return [[edge_stream(key) for key in row] for row in keys]
+
+
+def _draw_streams(slab, streams, rows=slice(None)) -> None:
+    """Write the next slab.shape[1] standard-normal rows of each stream into slab.
+
+    slab is step-contiguous, (T, Kb, ..., E, n) with the edge axis at -2,
+    and streams is _open_streams' list. Each stream draws its
+    (Kb, ..., n) block into a per-trial buffer, and one transposed copy
+    per trial moves the buffer to slab[t][..., rows, :], rows being the
+    edge slots of the streams.
+    """
+    n_edges = slab.shape[-2] if isinstance(rows, slice) else len(rows)
+    buf = np.empty((n_edges,) + slab.shape[1:-2] + slab.shape[-1:])
     step_major = np.moveaxis(buf, 0, -2)
-    for ti in range(len(trial_ids)):
-        for r in range(len(edges)):
-            edge_stream(keys[ti, r]).standard_normal(out=buf[r])
+    outs = list(buf)
+    for ti, row in enumerate(streams):
+        for stream, out in zip(row, outs):
+            stream.standard_normal(out=out)
         slab[ti][..., rows, :] = step_major
 
 
 def _pregenerate(s: Scenario, trial_ids: np.ndarray, scale: np.ndarray):
-    """The chunk's random material W, M, F, byz_rand.
+    """The chunk's random material, one block of steps at a time.
 
-    W and byz_rand are (T, K, E, n). M and F are the (T, K, 2, E, n)
-    views z[:, :, :2] and z[:, :, 2:] of one (T, K, 4, E, n) slab that
+    Yields (first_step, W, M, F, byz_rand) for each step block of the
+    tile rule, first_step being the block's first step index (0-based).
+    W and byz_rand are (T, Kb, E, n). M and F are the (T, Kb, 2, E, n)
+    views z[:, :, :2] and z[:, :, 2:] of one (T, Kb, 4, E, n) slab that
     watermark_blocks transforms in place. byz_rand holds the draws of
     the edges with a nonzero entry in the (K, E) scale, multiplied by
     it. Material a run does not use (noise at zero variance, byz_rand
     with an all-zero scale) is a read-only broadcast of 0, not a slab.
+    Every block's slabs are views of the same buffers, so a block is
+    valid only until the next one is drawn.
     """
     t, noise_var = s.topology, s.controller.noise_var
-    shape = (trial_ids.shape[0], s.horizon, t.n_edges, s.model.n)
-    zeros = np.broadcast_to(0.0, shape)
-    W = zeros
-    if noise_var > 0:
-        W = np.empty(shape)
-        _draw_streams(W, s.master_seed, trial_ids, t.edges, STREAM_NOISE)
-        W *= np.sqrt(noise_var)
-    z = np.empty(shape[:2] + (4,) + shape[2:])
-    _draw_streams(z, s.master_seed, trial_ids, t.edges, STREAM_WATERMARK)
-    M, F = watermark_blocks(z, s.watermark)
-    byz_rand = zeros
+    blocks = _tiling(s, scale)[1]
+    cuts = [s.horizon * b // blocks for b in range(blocks + 1)]
+    shape = (trial_ids.shape[0], -(-s.horizon // blocks), t.n_edges, s.model.n)
+    noise = _open_streams(s, trial_ids, t.edges, STREAM_NOISE, blocks) if noise_var > 0 else None
+    W_buf = np.empty(shape) if noise_var > 0 else None
+    marks = _open_streams(s, trial_ids, t.edges, STREAM_WATERMARK, blocks)
+    z_buf = np.empty(shape[:2] + (4,) + shape[2:])
     rows = np.flatnonzero(scale.any(axis=0))
-    if rows.size:
-        byz_rand = np.zeros(shape)
-        _draw_streams(byz_rand, s.master_seed, trial_ids, [t.edges[e] for e in rows], STREAM_BYZANTINE, rows)
-        byz_rand *= scale[:, :, None]
-    return W, M, F, byz_rand
+    byz = _open_streams(s, trial_ids, [t.edges[e] for e in rows], STREAM_BYZANTINE, blocks) if rows.size else None
+    byz_buf = np.zeros(shape) if rows.size else None
+    for k0, k1 in zip(cuts, cuts[1:]):
+        zeros = np.broadcast_to(0.0, (shape[0], k1 - k0) + shape[2:])
+        W = byz_rand = zeros
+        if noise is not None:
+            W = W_buf[:, : k1 - k0]
+            _draw_streams(W, noise)
+            W *= np.sqrt(noise_var)
+        z = z_buf[:, : k1 - k0]
+        _draw_streams(z, marks)
+        M, F = watermark_blocks(z, s.watermark)
+        if byz is not None:
+            byz_rand = byz_buf[:, : k1 - k0]
+            _draw_streams(byz_rand, byz, rows)
+            byz_rand *= scale[k0:k1, :, None]
+        yield k0, W, M, F, byz_rand
 
 
 def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None = None) -> SimData:
@@ -320,12 +378,12 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
     allocated is a ScenarioError on run naming the trials, steps and
     bytes of the output slabs.
 
-    Trials are split into chunks by the module's chunk rule: at most
-    CHUNK_BYTES of random material each, and at least MIN_CHUNK_TRIALS
-    trials unless the batch has fewer, or unless the floor would take a
-    chunk past MAX_CHUNK_BYTES. The threads number min(workers, chunks,
-    cpu count), the calling thread among them, and each takes every
-    threads-th chunk. The chunking never changes a number.
+    Trials split into chunks, and each chunk's steps into blocks, by the
+    module's tile rule: about CHUNK_BYTES of random material per tile,
+    and at least MIN_CHUNK_TRIALS trials per chunk unless the batch has
+    fewer. The threads number min(workers, chunks, cpu count), the
+    calling thread among them, and each takes every threads-th chunk and
+    runs its blocks in step order. The tiling never changes a number.
     """
     t, trials = s.topology, s.trials
     workers = resolve_workers(workers)
@@ -343,13 +401,13 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
         states[b, :, 0] = table
 
     def run_chunk(trial_ids: np.ndarray) -> None:
-        W, M, F, byz_rand = _pregenerate(s, trial_ids, scale)
         lo, hi = int(trial_ids[0]), int(trial_ids[-1]) + 1
-        # A diverging run overflows silently here; harness rejects its
-        # non-finite states. errstate is per thread, so it is set here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for b in range(len(tables)):
-                _kernels._simulate_numpy(s, W, M, F, *schedules, byz_rand, states[b, lo:hi], ys[b, lo:hi])
+        for k0, W, M, F, byz_rand in _pregenerate(s, trial_ids, scale):
+            # A diverging run overflows silently here; harness rejects its
+            # non-finite states. errstate is per thread, so it is set here.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for b in range(len(tables)):
+                    _kernels._simulate_numpy(s, k0, W, M, F, *schedules, byz_rand, states[b, lo:hi], ys[b, lo:hi])
 
     def run_share(first: int) -> None:
         for chunk in chunks[first::threads]:
@@ -357,10 +415,7 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
 
     try:
         *schedules, scale = _schedule_arrays(t, s.attacks, K, n)
-        slabs = 4 + (s.controller.noise_var > 0) + bool(scale.any())  # as _pregenerate allocates them
-        material = trials * 8 * K * E * n * slabs
-        budget, ceiling = (-(-material // limit) for limit in (CHUNK_BYTES, MAX_CHUNK_BYTES))
-        n_chunks = min(trials, max(1, ceiling, min(budget, trials // MIN_CHUNK_TRIALS)))
+        n_chunks = _tiling(s, scale)[0]
         chunks = np.array_split(np.arange(trials), n_chunks)
         threads = min(workers, n_chunks, os.cpu_count() or 1)
         if threads == 1:

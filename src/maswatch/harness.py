@@ -60,6 +60,7 @@ from .detectors import (
     kl_verdict,
 )
 from .dynamics import (
+    ETA_BLOCK_BYTES,
     ControllerParams,
     StateBounds,
     companion_model,
@@ -424,17 +425,22 @@ def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
     E, K = t.n_edges, s.horizon
     residuals = np.empty((2, E, K))
     kl_stats = np.zeros((E, K))
+    # Residual steps go in blocks of about ETA_BLOCK_BYTES of recovered
+    # copies, as eta_curve takes its steps.
+    block = max(1, ETA_BLOCK_BYTES // max(1, 8 * s.trials * 2 * E * s.model.n))
     # A tampered copy can overflow here while the states stay finite;
-    # the check after the loop rejects it.
+    # the check after the loops rejects it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, K + 1):
+        for k0 in range(0, K, block):
             # Residuals of both copies against the receiver state at send
             # time. With the copy axis the trial reduction is never over a
             # 1-D array, which numpy would sum pairwise rather than in order.
-            y = sim.ystar[:, k - 1]  # (T, 2, E, n)
-            own = sim.states[:, k - 1][:, None, t.dst]  # (T, 1, E, n)
-            residuals[:, :, k - 1] = edge_residual(y, np.broadcast_to(own, y.shape))
-            if s.trials >= s.kl.min_samples:
+            y = sim.ystar[:, k0 : k0 + block]  # (T, B, 2, E, n)
+            own = sim.states[:, k0 : k0 + y.shape[1]][:, :, None, t.dst]  # (T, B, 1, E, n)
+            residuals[:, :, k0 : k0 + block] = np.moveaxis(edge_residual(y, np.broadcast_to(own, y.shape)), 0, -1)
+        if s.trials >= s.kl.min_samples:
+            for k in range(1, K + 1):
+                y = sim.ystar[:, k - 1]  # (T, 2, E, n)
                 for e in range(E):
                     kl_stats[e, k - 1] = estimate_kl(y[:, 0, e], y[:, 1, e])
     _require_finite(kl_stats, residuals)

@@ -50,6 +50,17 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     assert "scenario validation failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["x", None, True], ids=["str", "none", "bool"])
+def test_run_exits_2_on_a_varsigma_that_is_not_a_real_number(tmp_path, capsys, value):
+    doc = small_doc()
+    doc["run"]["varsigma"] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("scenario validation failed: run.varsigma: ")
+    assert not (tmp_path / "out").exists()
+
+
 def _eps2_zero(doc):
     doc["detectors"]["bounds"] = {"eps1": -1, "eps2": 0}
 

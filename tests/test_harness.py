@@ -181,6 +181,9 @@ def _frozen_agent_1(d):
         ("varsigma", -1.0, lambda d: d["run"].update(varsigma=-1.0), "run.varsigma"),
         ("varsigma", math.nan, lambda d: d["run"].update(varsigma=math.nan), "run.varsigma"),
         ("varsigma", math.inf, lambda d: d["run"].update(varsigma=math.inf), "run.varsigma"),
+        ("varsigma", "x", lambda d: d["run"].update(varsigma="x"), "run.varsigma"),
+        ("varsigma", None, lambda d: d["run"].update(varsigma=None), "run.varsigma"),
+        ("varsigma", True, lambda d: d["run"].update(varsigma=True), "run.varsigma"),
         ("trials", 0, lambda d: d["run"].update(trials=0), "run.trials"),
         ("horizon", -1, lambda d: d["run"].update(horizon=-1), "run.horizon"),
         ("master_seed", -1, lambda d: d["run"].update(master_seed=-1), "run.master_seed"),
@@ -219,7 +222,8 @@ def _frozen_agent_1(d):
         ),
     ],
     ids=[
-        "varsigma_negative", "varsigma_nan", "varsigma_inf", "trials_zero", "horizon_negative", "master_seed_negative",
+        "varsigma_negative", "varsigma_nan", "varsigma_inf", "varsigma_str", "varsigma_none", "varsigma_bool",
+        "trials_zero", "horizon_negative", "master_seed_negative",
         "master_seed_float", "trials_float", "horizon_float", "trials_bool",
         "K1_length", "K2_length",
         "init_nan", "init_shape", "init_ragged", "over_budget", "unknown_edge", "offset_length", "coeffs_length",

@@ -9,8 +9,8 @@ with simulate to float64 round-off. It carries no Byzantine state from
 step to step: a frozen_state window's capture is read back from the
 states the oracle has already computed. The oracle seeds each stream
 with numpy's own SeedSequence, so it also checks the engine's
-vectorised stream_keys. Neither worker chunking nor the byte budget of
-trial chunks may change results at all.
+vectorised stream_keys. Neither worker chunking nor the byte budget's
+trial chunks and step blocks may change results at all.
 """
 
 from __future__ import annotations
@@ -334,8 +334,8 @@ def test_chunk_budget_is_invisible(case, monkeypatch):
 # (trials, horizon): chunks. The watermarked case draws 240 bytes of
 # material per trial and step. One chunk below the floor, the budget or
 # both; 2 and 12 chunks set by the 4 MiB budget; 15 set by the floor,
-# where the budget alone would make 18 chunks of 56 trials; 3 set by the
-# 32 MiB ceiling, where the floor alone would make 2 chunks of 46 MB.
+# where the budget alone would make 18 chunks of 56 trials; 2 set by the
+# floor at 3000 steps, each chunk in 11 step blocks (22 tiles).
 SPLIT_CASES = {
     (1, 12): 1,
     (63, 100): 1,
@@ -343,29 +343,30 @@ SPLIT_CASES = {
     (200, 100): 2,
     (2000, 100): 12,
     (1000, 300): 15,
-    (128, 3000): 3,
+    (128, 3000): 2,
 }
 
 
 @pytest.mark.parametrize("trials, horizon", SPLIT_CASES)
 def test_trial_split_reads_no_worker_count(trials, horizon, monkeypatch):
     """Workers 1, 3 and 4 run the same trial ranges. Each chunk holds at
-    most MAX_CHUNK_BYTES of material plus one trial's worth; at least
-    MIN_CHUNK_TRIALS trials unless the batch has fewer or one fewer chunk
-    would break that ceiling; and at most CHUNK_BYTES plus one trial's
-    worth unless one more chunk would break the floor. Only the split
-    runs: the material and the kernel are stand-ins, and the output slabs
-    stay untouched zero pages."""
+    least MIN_CHUNK_TRIALS trials unless the batch has fewer, and at
+    most CHUNK_BYTES of material plus one trial's worth unless one more
+    chunk would break the floor. Each of its step blocks holds less than
+    CHUNK_BYTES plus one trial's and one step's worth. Only the split
+    runs: the material is an empty stand-in, so the kernel never runs,
+    and the output slabs stay untouched zero pages."""
     s = replace(_random_material_case(), trials=trials, horizon=horizon)
-    per_trial = 8 * horizon * s.topology.n_edges * s.model.n * SLAB_CASES["watermarked"][1]
-    chunks = []  # list.append is atomic across worker threads
+    per_step = 8 * s.topology.n_edges * s.model.n * SLAB_CASES["watermarked"][1]
+    per_trial = per_step * horizon
+    chunks, blocks = [], []  # list.append is atomic across worker threads
 
     def recorded(s, trial_ids, scale):
         chunks.append(trial_ids.tolist())
-        return (None,) * 4
+        blocks.append(engine._tiling(s, scale)[1])
+        return iter(())
 
     monkeypatch.setattr(engine, "_pregenerate", recorded)
-    monkeypatch.setattr(_kernels, "_simulate_numpy", lambda *args: None)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     splits = []
     for workers in (1, 3, 4):
@@ -377,11 +378,11 @@ def test_trial_split_reads_no_worker_count(trials, horizon, monkeypatch):
     assert len(split) == SPLIT_CASES[trials, horizon]
     assert sum(split, []) == list(range(trials))
     at_floor = trials < (len(split) + 1) * engine.MIN_CHUNK_TRIALS
-    at_ceiling = trials * per_trial > (len(split) - 1) * engine.MAX_CHUNK_BYTES
+    steps = -(-horizon // blocks[0])  # the longest block
     for chunk in split:
-        assert (len(chunk) - 1) * per_trial < engine.MAX_CHUNK_BYTES
-        assert len(chunk) >= min(trials, engine.MIN_CHUNK_TRIALS) or at_ceiling
+        assert len(chunk) >= min(trials, engine.MIN_CHUNK_TRIALS)
         assert (len(chunk) - 1) * per_trial < engine.CHUNK_BYTES or at_floor
+        assert len(chunk) * steps * per_step < engine.CHUNK_BYTES + (len(chunk) + steps) * per_step
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -478,6 +479,92 @@ def test_simulate_holds_one_chunk_of_material_at_a_time(monkeypatch):
     # The schedules and the other per-run arrays stay below half a slab,
     # as in test_simulate_allocates_only_the_slabs_it_uses.
     assert peak <= outputs + engine.CHUNK_BYTES + slab / 2, (peak - outputs) / slab
+
+
+def _block_case():
+    """small_doc at 20 trials x 30 steps with a window of each kind that a
+    step block can cut: agent 1 frozen over steps 4..19 and then
+    per_neighbor_random over steps 20..27, and a channel attack on edge
+    (0, 2) over steps 10..15."""
+    doc = small_doc(horizon=30, trials=20)
+    doc["attacks"]["byzantine"] = [
+        {"agent": 1, "window": [4, 20], "kind": "frozen_state"},
+        {"agent": 1, "window": [20, 28], "kind": "per_neighbor_random", "scale": 2.5},
+    ]
+    one, zero = {"kind": "const", "coeffs": [1.0, 1.0]}, {"kind": "const", "coeffs": [0.0, 0.0]}
+    tamper = {"kind": "const", "coeffs": [1.5, -2.0]}
+    channel = {"edge": [0, 2], "window": [10, 16], "xi1": one, "lam1": zero, "xi2": tamper, "lam2": tamper}
+    doc["attacks"]["channel"] = [channel]
+    return scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_step_blocks_change_no_number(workers, monkeypatch):
+    """A budget of a tenth of the material and a floor of 8 trials make
+    10 tiles: 2 chunks of 10 trials, each in 5 step blocks, whose first
+    rows are 0, 6, 12, 18 and 24. The frozen window reads row 3 from the
+    blocks at 6, 12 and 18; the channel window (rows 9..14) crosses row
+    12 and the per_neighbor_random window (rows 19..26) row 24. The
+    slabs are those of the run in one tile, from the scenario's table
+    and from an inits stack."""
+    s = _block_case()
+    leader = s.init_states[0]
+    stack = np.stack([leader + scale * (s.init_states - leader) for scale in (0.5, 3.0)])
+    want, want_stack = simulate(s, workers=workers), simulate(s, workers=workers, inits=stack)
+    material = 6 * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8
+    chunks, starts = [], []  # list.append is atomic across worker threads
+    pregenerate, kernel = engine._pregenerate, _kernels._simulate_numpy
+
+    def counted_pregenerate(*args):
+        chunks.append(1)
+        return pregenerate(*args)
+
+    def counted_kernel(*args):
+        starts.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(engine, "CHUNK_BYTES", material // 10)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 8)
+    monkeypatch.setattr(engine, "_pregenerate", counted_pregenerate)
+    monkeypatch.setattr(_kernels, "_simulate_numpy", counted_kernel)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _assert_same_arrays(simulate(s, workers=workers), want)
+    assert len(chunks) == 2 and len(starts) == 10 > len(chunks)
+    assert sorted(set(starts)) == [0, 6, 12, 18, 24]
+    chunks.clear()
+    starts.clear()
+    _assert_same_arrays(simulate(s, workers=workers, inits=stack), want_stack)
+    assert len(chunks) == 2 and len(starts) == 10 * len(stack)
+
+
+# tracemalloc's size of one edge_stream generator that has drawn is
+# about 0.63 kB (numpy 2.4.6); an open stream is allowed 1 kB.
+STREAM_BYTES = 1000
+
+
+def test_material_memory_does_not_grow_with_the_horizon(monkeypatch):
+    """At 100 trials, below 2 x MIN_CHUNK_TRIALS, the floor keeps the run
+    in one chunk, and a 1 MiB budget splits its steps into 6 blocks at
+    250 steps and 23 at 1000. Above the output slabs the peak stays
+    within one tile, the chunk's 600 open streams and the schedules,
+    which have no trial axis, at both horizons; the material is 6 and
+    24 MB. Half a MiB covers the stream keys, the draw buffers and the
+    kernel's per-step temporaries."""
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 2**20)
+    for horizon in (250, 1000):
+        s = replace(_random_material_case(), horizon=horizon)
+        T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
+        outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 8 * T * K * 2 * E * n
+        schedules = sum(a.nbytes for a in engine._schedule_arrays(s.topology, s.attacks, K, n))
+        streams = T * E * 2  # noise and watermark
+        tracemalloc.start()
+        try:
+            simulate(s, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = engine.CHUNK_BYTES + streams * STREAM_BYTES + schedules + 2**19
+        assert peak - outputs <= bound, (horizon, peak - outputs, bound)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
