@@ -64,10 +64,7 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        return _usage_error(f"--trials must be at least 1, got {args.trials}")
-    if args.seed is not None and args.seed < 0:
-        return _usage_error(f"--seed must be nonnegative, got {args.seed}")
+    # Scenario checks the overrides as run.trials and run.master_seed.
     s = load_scenario(args.scenario, variant=args.variant)
     if args.trials is not None:
         s = replace(s, trials=args.trials)

@@ -3,12 +3,15 @@
 A scenario JSON has sections topology / model / controller / watermark
 / detectors / attacks / run, plus an optional variants table whose
 entries swap in alternative attack sections. Validation failures name
-the offending field by path (for example "detectors.kl.theta"). The
-loader checks the document's types; graph.Topology checks the graph
-rules and engine.Scenario every run rule (the gain lengths, the
-integers and ranges of the run section, the run.init.states rows, the
-attacks and their local budget), so one built through
-dataclasses.replace fails as the same ScenarioError.
+the offending field by path (for example "detectors.kl.theta"). Each
+object of the document has one {key: reader} table, and the loader
+reads every key through it or refuses it, naming the known keys; each
+model type has its own keys. The loader checks only the document's
+JSON types and keys; graph.Topology checks the graph rules and
+engine.Scenario every run rule (the gain lengths, the integers and
+ranges of the run section, the run.init.states rows, the attacks and
+their local budget), so one built through dataclasses.replace fails as
+the same ScenarioError.
 
 run_monte_carlo simulates the batch, rejects a run whose states are
 not finite, and pools each step over trials: the KL statistic of every
@@ -37,6 +40,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -111,46 +115,6 @@ def _is_finite(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _get(section, key, path, kind=None, default=None):
-    """section[key] checked against kind; required when no default is
-    given. A bool passes only as bool and a float only when finite."""
-    if key not in section:
-        if default is None:
-            raise ScenarioError(f"{path}.{key}", "missing required field")
-        return default
-    value = section[key]
-    if kind is not None and (
-        not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
-    ):
-        kname = kind[0].__name__ if isinstance(kind, tuple) else kind.__name__
-        raise ScenarioError(f"{path}.{key}", f"expected {kname}, got {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ScenarioError(f"{path}.{key}", f"expected a finite number, got {value!r}")
-    return value
-
-
-def _num(section, key, path, default=None) -> float:
-    """A finite number; required when no default is given."""
-    value = _get(section, key, path, (int, float), default)
-    if not _is_finite(value):
-        raise ScenarioError(f"{path}.{key}", "expected a number within the float range")
-    return float(value)
-
-
-def _vector(value, path) -> list[float]:
-    """A list of finite numbers."""
-    if not isinstance(value, list) or not all(_is_finite(v) for v in value):
-        raise ScenarioError(path, "expected a list of finite numbers")
-    return [float(v) for v in value]
-
-
-def _given(section, path, keys, kind=None) -> dict:
-    """{key: value} for those keys that section names, each checked by
-    _get (a finite float without a kind). A key it leaves out is not
-    passed on, so the type's own default applies."""
-    return {k: _get(section, k, path, kind) if kind else _num(section, k, path) for k in keys if k in section}
-
-
 def _build(path, factory, *args, **kwargs):
     """factory(*args, **kwargs), its ValueError reported at path."""
     try:
@@ -159,174 +123,198 @@ def _build(path, factory, *args, **kwargs):
         raise ScenarioError(path, str(err)) from None
 
 
-def _section(doc, key, path=""):
-    prefix = f"{path}.{key}" if path else key
-    sec = doc.get(key)
+# A reader takes (value, path) and returns what the types take from
+# value, or raises a ScenarioError at path.
+
+
+def _of(ok, expected, convert=None):
+    """A reader of a value that ok accepts, passed on through convert. A
+    refused null, bool, string or float is shown, any other by its type."""
+
+    def read(v, path):
+        if not ok(v):
+            got = repr(v) if v is None or isinstance(v, (bool, str, float)) else type(v).__name__
+            raise ScenarioError(path, f"expected {expected}, got {got}")
+        return convert(v) if convert else v
+
+    return read
+
+
+_integer = _of(_is_int, "an integer")
+_number = _of(_is_finite, "a finite number", float)
+_string = _of(lambda v: isinstance(v, str), "a string")
+_object = _of(lambda v: isinstance(v, dict), "an object")
+_list = _of(lambda v: isinstance(v, list), "a list")
+_unchecked = _of(lambda v: True, "")  # a value its type checks
+_edge = _of(
+    lambda v: isinstance(v, list) and len(v) in (2, 3) and all(map(_is_int, v[:2])) and all(map(_is_finite, v[2:])),
+    "an edge [j, i] or [j, i, weight], ids integer",
+)
+_pair = _of(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)), "an edge [j, i] of integers", tuple)
+_window = _of(
+    lambda v: isinstance(v, list) and len(v) == 2 and _is_int(v[0]) and (v[1] is None or _is_int(v[1])),
+    "a window [start, stop], integers or a null stop",
+    tuple,
+)
+
+
+def _list_of(reader):
+    """A reader of a list, each entry read by reader at path[i]."""
+    return lambda v, path: [reader(x, f"{path}[{i}]") for i, x in enumerate(_list(v, path))]
+
+
+_vector = _list_of(_number)
+
+
+def _or_null(reader):
+    """reader, except that null reads as None."""
+    return lambda v, path: None if v is None else reader(v, path)
+
+
+_DROPPED = object()
+
+
+def _only(value):
+    """A reader of a key that takes value alone, of value's type, and
+    passes nothing on: a retired setting, or a model's type."""
+    return _of(lambda v: type(v) is type(value) and v == value, f"only {value!r}", lambda v: _DROPPED)
+
+
+def _fields(sec, path, readers, required=()) -> dict:
+    """{key: readers[key](sec[key], path.key)} over the keys sec names,
+    in table order, less those _only reads. sec must be an object naming
+    every required key (given a table: all its keys) and no key outside
+    readers; each refusal names the known keys."""
+    known = list(readers)
     if not isinstance(sec, dict):
-        raise ScenarioError(prefix, "missing or malformed section")
-    return sec, prefix
+        raise ScenarioError(path, f"expected an object with keys {known}, got {type(sec).__name__}")
+    prefix = f"{path}." if path else ""
+    for key in sec:
+        if key not in readers:
+            raise ScenarioError(f"{prefix}{key}", f"unknown key, the known keys are {known}")
+    for key in required:
+        if key not in sec:
+            raise ScenarioError(f"{prefix}{key}", f"missing required key, the known keys are {known}")
+    values = {key: readers[key](sec[key], f"{prefix}{key}") for key in readers if key in sec}
+    return {key: v for key, v in values.items() if v is not _DROPPED}
 
 
-def _entries(sec, key, path):
-    """The list sec[key], empty when absent; every entry an object."""
-    items = _get(sec, key, path, list, default=[])
-    for idx, d in enumerate(items):
-        if not isinstance(d, dict):
-            raise ScenarioError(f"{path}.{key}[{idx}]", "expected an object")
-    return items
+def _built(factory, readers, required=()):
+    """A reader of an object with the keys of readers, passed by name to
+    factory; a ValueError from factory is reported at the object."""
+    return lambda sec, path: _build(path, factory, **_fields(sec, path, readers, required))
 
 
-def _schedule_from(d, path) -> Schedule:
-    if not isinstance(d, dict):
-        raise ScenarioError(path, "schedule must be an object with kind and coeffs")
-    kind = _get(d, "kind", path, str)
-    coeffs = _vector(_get(d, "coeffs", path, list), f"{path}.coeffs")
-    return _build(path, Schedule, kind=kind, coeffs=tuple(coeffs))
+# One key table per object of the document. A key the types default is
+# optional and, when absent, not passed on.
+
+_schedule = _built(Schedule, {"kind": _string, "coeffs": _vector}, ("kind", "coeffs"))
+_CHANNEL = {"edge": _pair, "window": _window, "xi1": _schedule, "lam1": _schedule, "xi2": _schedule, "lam2": _schedule}
+_BYZANTINE = {"agent": _integer, "window": _window, "kind": _string, "offset": _vector, "scale": _number}
+_BUDGET = {"L": "max_byzantine_neighbors", "P": "max_attacked_channels"}
 
 
-def _window_from(d, path):
-    w = _get(d, "window", path, list)
-    if len(w) != 2 or not _is_int(w[0]) or not (w[1] is None or _is_int(w[1])):
-        raise ScenarioError(f"{path}.window", "window must be [start, stop], integers or a null stop")
-    return (w[0], w[1])
+def _budget(sec, path) -> LocalAttackBudget:
+    given = _fields(sec, path, dict.fromkeys(_BUDGET, _integer))
+    return _build(path, LocalAttackBudget, **{_BUDGET[key]: v for key, v in given.items()})
 
 
-def _attacks_from(sec, path) -> AttackScenario:
-    if not isinstance(sec, dict):
-        raise ScenarioError(path, "missing or malformed section")
-    bp = f"{path}.budget"
-    bud = _get(sec, "budget", path, dict, default={})
-    names = {"L": "max_byzantine_neighbors", "P": "max_attacked_channels"}
-    budget = _build(bp, LocalAttackBudget, **{names[k]: v for k, v in _given(bud, bp, names, int).items()})
-    channel = []
-    for idx, d in enumerate(_entries(sec, "channel", path)):
-        p = f"{path}.channel[{idx}]"
-        edge = _get(d, "edge", p, list)
-        if len(edge) != 2 or not all(_is_int(v) for v in edge):
-            raise ScenarioError(f"{p}.edge", "edge must be [j, i] with integer agent ids")
-        channel.append(
-            _build(
-                p,
-                ChannelAttack,
-                edge=(edge[0], edge[1]),
-                window=_window_from(d, p),
-                xi1=_schedule_from(_get(d, "xi1", p), f"{p}.xi1"),
-                lam1=_schedule_from(_get(d, "lam1", p), f"{p}.lam1"),
-                xi2=_schedule_from(_get(d, "xi2", p), f"{p}.xi2"),
-                lam2=_schedule_from(_get(d, "lam2", p), f"{p}.lam2"),
-            )
-        )
-    byzantine = []
-    for idx, d in enumerate(_entries(sec, "byzantine", path)):
-        p = f"{path}.byzantine[{idx}]"
-        offset = _vector(d.get("offset", []), f"{p}.offset")
-        byzantine.append(
-            _build(
-                p,
-                ByzantineBehavior,
-                agent=_get(d, "agent", p, int),
-                window=_window_from(d, p),
-                kind=_get(d, "kind", p, str),
-                offset=tuple(offset),
-                **_given(d, p, ("scale",)),
-            )
-        )
-    return AttackScenario(channel=tuple(channel), byzantine=tuple(byzantine), budget=budget)
+# null, like an absent section, means no attacks.
+_attacks = _or_null(
+    _built(
+        AttackScenario,
+        {
+            "budget": _budget,
+            "channel": _list_of(_built(ChannelAttack, _CHANNEL, _CHANNEL)),
+            "byzantine": _list_of(_built(ByzantineBehavior, _BYZANTINE, ("agent", "window", "kind"))),
+        },
+    )
+)
+
+
+def _variants(sec, path) -> dict:
+    """{name: attacks} of the named variants; a variant names its
+    attacks alone."""
+    return {
+        name: _fields(v, f"{path}.{name}", {"attacks": _attacks}).get("attacks")
+        for name, v in _object(sec, path).items()
+    }
+
+
+def _topology(sec, path):
+    given = _fields(sec, path, {"n_agents": _integer, "edges": _list_of(_edge)}, ("n_agents", "edges"))
+    return _build(path, build_topology, given["n_agents"], given["edges"])
+
+
+# model type: (factory, that type's keys, its required keys)
+_MODELS = {
+    "platoon": (platoon_model, {"delta": _number, "T": _number}, ()),
+    "companion": (companion_model, {"rho": _vector}, ("rho",)),
+}
+_model_type = _of(lambda v: isinstance(v, str) and v in _MODELS, f"a model type, one of {list(_MODELS)}")
+
+
+def _model(sec, path):
+    """The model that sec's type names, read from that type's keys."""
+    mtype = _model_type(_object(sec, path).get("type"), f"{path}.type")
+    factory, readers, required = _MODELS[mtype]
+    return _build(path, factory, **_fields(sec, path, {"type": _only(mtype), **readers}, required))
+
+
+_CONTROLLER = {"K1": _vector, "K2": _vector, **dict.fromkeys(("gain_mu", "gain_lambda", "noise_var"), _number)}
+_WATERMARK = dict.fromkeys(("lambda1", "lambda2", "sigma2_m1", "sigma2_m2", "sigma2_f1", "sigma2_f2"), _number)
+_BOUNDS = dict.fromkeys(("eps1", "eps2"), _number)
+_KL = {"theta": _number, "min_samples": _integer, "estimator": _only("gaussian_fit")}
+_ENVELOPE = {**dict.fromkeys(("M_r", "phi", "lambda_min", "delta"), _number), "factor_mode": _only("algorithm2")}
+_DETECTORS = {
+    "kl": _built(KlDetectorConfig, _KL, ("theta",)),
+    "envelope": _built(EnvelopeConfig, _ENVELOPE),
+    # null, like an absent entry, derives the bounds from a nominal run.
+    "bounds": _or_null(_built(StateBounds, _BOUNDS, _BOUNDS)),
+}
+_RUN = {
+    **dict.fromkeys(("horizon", "trials", "master_seed", "varsigma"), _unchecked),
+    "init": partial(_fields, readers={"states": _list_of(_vector)}, required=("states",)),
+}
+_ROOT = {
+    "topology": _topology,
+    "model": _model,
+    "controller": _built(ControllerParams, _CONTROLLER, ("K1", "K2")),
+    "watermark": _built(WatermarkParams, {**_WATERMARK, "identity": _only(False)}, _WATERMARK),
+    "detectors": partial(_fields, readers=_DETECTORS, required=("kl", "envelope")),
+    "attacks": _attacks,
+    "run": partial(_fields, readers=_RUN, required=("horizon", "trials", "master_seed", "init")),
+    "variants": _variants,
+}
 
 
 def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scenario") -> Scenario:
-    """Validate a scenario document's JSON types and build the typed
-    Scenario, which applies every run rule (module docstring)."""
+    """Read every key of a scenario document through its key table and
+    build the typed Scenario, which applies every run rule (module
+    docstring)."""
+    given = _fields(doc, "", _ROOT, ("topology", "model", "controller", "watermark", "detectors", "run"))
+    attacks = given.get("attacks")
     if variant is not None:
-        variants = doc.get("variants")
-        if not isinstance(variants, dict) or variant not in (variants or {}):
-            known = sorted(variants) if isinstance(variants, dict) else []
-            raise ScenarioError("variants", f"unknown variant {variant!r}, available: {known}")
-        override = variants[variant]
-        if not isinstance(override, dict):
-            raise ScenarioError(f"variants.{variant}", "expected an object")
-        extra = set(override) - {"attacks"}
-        if extra:
-            raise ScenarioError(f"variants.{variant}", f"only 'attacks' may be overridden, got {sorted(extra)}")
-        doc = {**doc, "attacks": override.get("attacks", {})}
-        name = f"{name}:{variant}"
-
-    sec, p = _section(doc, "topology")
-    edges = _get(sec, "edges", p, list)
-    for idx, e in enumerate(edges):
-        ok = isinstance(e, list) and len(e) in (2, 3)
-        if not ok or not all(map(_is_int, e[:2])) or not all(map(_is_finite, e[2:])):
-            raise ScenarioError(f"{p}.edges[{idx}]", "edge must be [j, i] or [j, i, weight], ids integer")
-    topology = _build(p, build_topology, _get(sec, "n_agents", p, int), edges)
-
-    sec, p = _section(doc, "model")
-    mtype = _get(sec, "type", p, str)
-    if mtype == "platoon":
-        model = _build(p, platoon_model, **_given(sec, p, ("delta", "T")))
-    elif mtype == "companion":
-        model = _build(p, companion_model, _vector(_get(sec, "rho", p, list), f"{p}.rho"))
-    else:
-        raise ScenarioError(f"{p}.type", f"unknown model type {mtype!r}")
-
-    sec, p = _section(doc, "controller")
-    controller = _build(
-        p,
-        ControllerParams,
-        K1=_vector(_get(sec, "K1", p, list), f"{p}.K1"),
-        K2=_vector(_get(sec, "K2", p, list), f"{p}.K2"),
-        **_given(sec, p, ("gain_mu", "gain_lambda", "noise_var")),
-    )
-
-    wmsec, wmp = _section(doc, "watermark")
-    keys = ("lambda1", "lambda2", "sigma2_m1", "sigma2_m2", "sigma2_f1", "sigma2_f2")
-    wm = _build(wmp, WatermarkParams, **{key: _num(wmsec, key, wmp) for key in keys})
-
-    sec, p = _section(doc, "detectors")
-    klsec, klp = _section(sec, "kl", p)
-    envsec, envp = _section(sec, "envelope", p)
-    # Retired settings: a document may still name their one remaining value.
-    for rsec, rpath, key, only in (
-        (wmsec, wmp, "identity", False),
-        (klsec, klp, "estimator", "gaussian_fit"),
-        (envsec, envp, "factor_mode", "algorithm2"),
-    ):
-        value = rsec.get(key, only)
-        if type(value) is not type(only) or value != only:
-            raise ScenarioError(f"{rpath}.{key}", f"only {only!r} is supported, got {value!r}")
-    kl_cfg = _build(
-        klp,
-        KlDetectorConfig,
-        theta=_num(klsec, "theta", klp),
-        **_given(klsec, klp, ("min_samples",), int),
-    )
-    env_cfg = _build(envp, EnvelopeConfig, **_given(envsec, envp, ("M_r", "phi", "lambda_min", "delta")))
-    bounds = None
-    if sec.get("bounds") is not None:
-        bsec, bp = _section(sec, "bounds", p)
-        bounds = _build(bp, StateBounds, eps1=_num(bsec, "eps1", bp), eps2=_num(bsec, "eps2", bp))
-
-    attacks = _attacks_from(doc.get("attacks") or {}, "attacks")
-
-    sec, p = _section(doc, "run")
-    init, ip = _section(sec, "init", p)
-    rows = _get(init, "states", ip, list)
-    init_states = [_vector(row, f"{ip}.states[{i}]") for i, row in enumerate(rows)]
-
+        variants = given.get("variants", {})
+        if variant not in variants:
+            raise ScenarioError("variants", f"unknown variant {variant!r}, available: {sorted(variants)}")
+        attacks, name = variants[variant], f"{name}:{variant}"
+    detectors, run = given["detectors"], given["run"]
     return Scenario(
         name=name,
-        topology=topology,
-        model=model,
-        controller=controller,
-        watermark=wm,
-        kl=kl_cfg,
-        envelope=env_cfg,
-        bounds=bounds,
-        attacks=attacks,
-        horizon=_get(sec, "horizon", p),
-        trials=_get(sec, "trials", p),
-        master_seed=_get(sec, "master_seed", p),
-        varsigma=_num(sec, "varsigma", p, 0.05),
-        init_states=init_states,
+        topology=given["topology"],
+        model=given["model"],
+        controller=given["controller"],
+        watermark=given["watermark"],
+        kl=detectors["kl"],
+        envelope=detectors["envelope"],
+        bounds=detectors.get("bounds"),
+        attacks=attacks or AttackScenario(),
+        horizon=run["horizon"],
+        trials=run["trials"],
+        master_seed=run["master_seed"],
+        varsigma=run.get("varsigma", 0.05),
+        init_states=run["init"]["states"],
     )
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
+from importlib import resources
 
 import pytest
 
@@ -153,18 +156,43 @@ def test_sweep_rejects_malformed_grid(scenario_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ["run", "--trials", "0", "--out", "unused"],
-        ["sweep", "--probe-step", "0", "--grid", "1"],
-        ["sweep", "--grid", "-1"],
-        ["check-graph", "--L", "-1", "--P", "1"],
+        (["run", "--trials", "0", "--out", "unused"], "scenario validation failed: run.trials: "),
+        (["run", "--seed", "-1", "--out", "unused"], "scenario validation failed: run.master_seed: "),
+        (["sweep", "--probe-step", "0", "--grid", "1"], "maswatch: "),
+        (["sweep", "--grid", "-1"], "maswatch: "),
+        (["check-graph", "--L", "-1", "--P", "1"], "maswatch: "),
     ],
-    ids=["run_trials", "sweep_probe_step", "sweep_grid", "check_graph_L"],
+    ids=["run_trials", "run_seed", "sweep_probe_step", "sweep_grid", "check_graph_L"],
 )
-def test_out_of_range_override_exits_2(scenario_file, capsys, args):
+def test_out_of_range_override_exits_2(scenario_file, tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)
     assert main([args[0], "--scenario", str(scenario_file), *args[1:]]) == 2
-    assert capsys.readouterr().err.startswith("maswatch: ")
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (("detectors", "envelope"), "M_R", 5.0),
+        (("run", "init"), "leader", [0.0, 20.0, 0.0]),
+        ((), "detector", {}),
+        (("variants", "clean"), "run", {"horizon": 5}),
+        (("model",), "rho", [0.0, 0.0, 0.0]),
+    ],
+    ids=["M_R", "init_leader", "root", "variant_run", "platoon_rho"],
+)
+def test_run_exits_2_on_an_unknown_key(tmp_path, capsys, section, key, value):
+    doc = json.loads((resources.files("maswatch") / "presets" / "platoon.json").read_text())
+    functools.reduce(operator.getitem, section, doc)[key] = value
+    p = tmp_path / "typo.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")]) == 2
+    path = ".".join(section + (key,))
+    assert capsys.readouterr().err.startswith(f"scenario validation failed: {path}: unknown key, the known keys are [")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

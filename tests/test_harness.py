@@ -123,8 +123,9 @@ def test_unknown_variant_lists_available():
 def test_variant_may_only_override_attacks():
     doc = preset_doc()
     doc["variants"]["clean"]["run"] = {"horizon": 5}
-    with pytest.raises(ScenarioError, match="only 'attacks'"):
+    with pytest.raises(ScenarioError, match=r"unknown key, the known keys are \['attacks'\]$") as err:
         scenario_from_dict(doc, variant="clean")
+    assert err.value.path == "variants.clean.run"
 
 
 def _channel_attack(**fields):
@@ -253,6 +254,22 @@ def test_loaded_init_states_are_read_only():
         s.init_states[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("value", [[], 0, False, "", [1]], ids=["empty_list", "zero", "false", "empty_string", "list"])
+def test_attacks_that_are_not_an_object_are_refused(value):
+    doc = small_doc()
+    doc["attacks"] = value
+    with pytest.raises(ScenarioError, match="expected an object") as err:
+        scenario_from_dict(doc)
+    assert err.value.path == "attacks"
+
+
+def test_null_or_absent_attacks_mean_no_attacks():
+    null, absent = small_doc(), small_doc()
+    null["attacks"] = None
+    del absent["attacks"]
+    assert scenario_from_dict(null).attacks == scenario_from_dict(absent).attacks == AttackScenario()
+
+
 def test_retired_settings_still_load_at_their_remaining_value():
     doc = small_doc()
     doc["watermark"]["identity"] = False
@@ -292,6 +309,11 @@ def _nodes(node, prefix=()):
     for key, child in items:
         yield prefix, key
         yield from _nodes(child, prefix + (key,))
+
+
+def _loader_path(keys) -> str:
+    """keys as the loader names them: "attacks.channel[0].xi1"."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
 
 
 def _attacked_small_doc() -> dict:
@@ -346,6 +368,18 @@ def test_every_single_field_fault_gives_scenario_or_scenario_error(make, variant
                 pass
             except Exception as err:  # noqa: BLE001 - report which field let it through
                 pytest.fail(f"{'.'.join(map(str, prefix + (key,)))} <- {fault!r}: {err!r}")
+    # A key no table knows, added to any object the load reads (all but
+    # the variants map, whose keys are names), is refused at its path.
+    objects = [()] + [prefix + (key,) for prefix, key in _nodes(make())]
+    for keys in objects:
+        doc = make()
+        obj = functools.reduce(operator.getitem, keys, doc)
+        if not isinstance(obj, dict) or keys == ("variants",):
+            continue
+        obj["typo"] = 0
+        with pytest.raises(ScenarioError, match=r"unknown key, the known keys are \[") as err:
+            scenario_from_dict(doc, variant=variant)
+        assert err.value.path == _loader_path(keys + ("typo",))
 
 
 def test_load_scenario_file_errors(tmp_path):
