@@ -46,7 +46,8 @@ material by its row in the block.
 
 A Byzantine sender's plaintext is the gathered row plus byz_coeff
 plus byz_rand, with no branch on the behavior: an honest step adds 0.
-Each masking statement covers both copies; consensus reads the first.
+Both copies of an honest channel's message are y, plaintext plus noise;
+only chan_mask edges run the watermark round trip. Consensus reads copy 1.
 
 The leader is agent 0 and never consumes neighbor messages.
 """
@@ -74,16 +75,15 @@ def _simulate_numpy(s, k0, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz
         plain += byz_coeff[k - 1]
         plain += byz_rand[:, j]
         y = plain + W[:, j]
-        m = M[:, j]
-        f = F[:, j]
-        b = y[:, None] / m + f
+        out = ys[:, k - 1]
+        out[:] = y[:, None]
         cm = chan_mask[k - 1]
         if cm.any():
-            b[:, :, cm] = Xi[k - 1][:, cm] * b[:, :, cm] + Lam[k - 1][:, cm]
-        ys[:, k - 1] = m * (b - f)
+            m, f = M[:, j][:, :, cm], F[:, j][:, :, cm]
+            out[:, :, cm] = m * ((Xi[k - 1][:, cm] * (y[:, None, cm] / m + f) + Lam[k - 1][:, cm]) - f)
         flat = x.reshape(T * N, n)  # the step's states, one row per (trial, agent)
         u = flat @ ctrl.K1
-        diff = (ys[:, k - 1, 0] - x[:, edge_dst, :]).reshape(T * E, n)
+        diff = (out[:, 0] - x[:, edge_dst, :]).reshape(T * E, n)
         per_edge = (diff @ ctrl.K2) * weight
         cons = np.bincount(slot, weights=per_edge, minlength=T * N)
         cons[::N] = 0.0  # the leader, agent 0

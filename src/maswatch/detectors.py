@@ -4,7 +4,7 @@ Two detectors run per edge, on different signals:
 
 KL channel detector. After watermark removal the two copies of a
 message set are identical on a clean channel, so the KL divergence
-between their empirical distributions sits at zero. Channel tampering
+between their empirical distributions is 0. Channel tampering
 enters the two copies through two independent watermark secrets and
 decoheres them; the detector fits per-component Gaussians to samples
 pooled across Monte Carlo trials at a fixed step and flags the edge
@@ -43,14 +43,10 @@ import numpy as np
 
 from .dynamics import StateBounds
 
-# Variance floors applied by estimate_kl so that degenerate sample sets
-# (identical copies, zero-noise runs) yield a KL near 0 instead of a
-# division error. The floor is relative to the means, because on a
-# zero-noise run the watermark round trip leaves the two copies about
-# 1e-13 apart, which an absolute floor alone turns into a KL of order
-# 1e3; VAR_FLOOR keeps it positive when both means are zero.
+# Variance floor applied by estimate_kl, so that a degenerate sample
+# set (a zero-noise run, where every trial is the same) yields a KL
+# instead of a division error: 0 for identical copies.
 VAR_FLOOR = 1e-30
-VAR_FLOOR_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,9 +99,17 @@ def gaussian_kl(mu_a, var_a, mu_b, var_b) -> float | np.ndarray:
 
 def _kl_sum(mu_a, var_a, mu_b, var_b) -> float | np.ndarray:
     """gaussian_kl's formula on checked arrays."""
-    terms = 0.5 * np.log(var_b / var_a) + (var_a + (mu_a - mu_b) ** 2) / (2.0 * var_b) - 0.5
+    terms = 0.5 * _log(var_b / var_a) + (var_a + (mu_a - mu_b) ** 2) / (2.0 * var_b) - 0.5
     kl = np.add.reduce(terms, axis=-1)
     return float(kl) if kl.ndim == 0 else kl
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """np.log through math.log, one element at a time: numpy's own may
+    differ from libm in the last bit. 0 gives -inf and a negative or
+    nan input nan, as np.log gives them, where math.log would raise."""
+    logs = [math.log(v) if v > 0 else (-math.inf if v == 0 else math.nan) for v in x.ravel().tolist()]
+    return np.array(logs, dtype=float).reshape(x.shape)
 
 
 def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray) -> float | np.ndarray:
@@ -116,9 +120,9 @@ def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray) -> float | np.ndar
     over the T samples and sums the per-component divergences, so the
     result has the shape of the axes in between: a Python float for a
     (T, n) pair, a (K, E) array for (T, K, E, n) slabs. Sample variances
-    are floored at (VAR_FLOOR_REL * max(|mu_a|, |mu_b|))^2, and at least
-    VAR_FLOOR, so that sets equal up to round-off report a KL near zero.
-    The statistic needs no detector config: kl_verdict applies theta.
+    are floored at VAR_FLOOR, so equal sets report a KL of exactly 0,
+    even when every sample is the same. The statistic needs no detector
+    config: kl_verdict applies theta.
 
     One pass takes the moments of both sets, stacked on a new leading
     axis, by the operations np.mean and np.var run, in their order. The
@@ -139,9 +143,7 @@ def estimate_kl(samples_a: np.ndarray, samples_b: np.ndarray) -> float | np.ndar
     x -= mu[:, None]
     x *= x
     var = np.add.reduce(x, axis=1) / a.shape[0]
-    size = np.abs(mu)
-    floor = np.maximum((VAR_FLOOR_REL * np.maximum(size[0], size[1])) ** 2, VAR_FLOOR)
-    (mu_a, mu_b), (var_a, var_b) = mu, np.maximum(var, floor)
+    (mu_a, mu_b), (var_a, var_b) = mu, np.maximum(var, VAR_FLOOR)
     return _kl_sum(mu_a, var_a, mu_b, var_b)
 
 

@@ -168,13 +168,17 @@ def two_hop_relays(t: Topology, j: int, i: int) -> tuple[int, ...]:
 
 
 def check_hybrid_detectability(t: Topology, budget: LocalAttackBudget) -> tuple[int, list[tuple[int, int]]]:
-    """Check the two-hop redundancy condition for flag arbitration.
+    """Count the two-hop paths the flag arbitration draws relays from.
 
-    Every communication edge (j, i) needs at least L + P + 1 directed
-    two-hop paths from j to i so that a clean relay survives any
-    admissible placement of Byzantine agents and channel attacks.
-    Returns (need, short_edges): the path count L + P + 1 and the edges
-    with fewer paths; the condition holds when short_edges is empty.
+    The condition asks every communication edge (j, i) for at least
+    L + P + 1 directed two-hop paths j -> h -> i, and this counts paths
+    only. It does not show that a clean relay survives every admissible
+    placement: a relay h also needs (j, h) clean, which the budget
+    charges to h, not to i. On the platoon graph with budget (1, 1),
+    tampering (5, 2), (5, 1), (5, 3) and (5, 4) is admissible and cuts
+    all three paths of (5, 2). Returns (need, short_edges): the path
+    count L + P + 1 and the edges with fewer paths; the condition holds
+    when short_edges is empty.
     """
     need = budget.max_byzantine_neighbors + budget.max_attacked_channels + 1
     return need, [e for e in t.edges if len(two_hop_relays(t, *e)) < need]

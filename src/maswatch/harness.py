@@ -27,10 +27,10 @@ formatted once and shared by the three detector traces, and every
 value goes through tolist, so a float is written as its shortest
 round-trip repr. All exported numbers are pure functions of (scenario,
 master_seed) per machine, independent of worker count. Across machines
-two operations may move their last bits: detectors._kl_sum's np.log,
-which numpy dispatches to SIMD code picked for the CPU, and the step
-kernel's BLAS contraction diff @ K2, whose rounding follows the OpenBLAS
-core picked at run time.
+one operation may move their last bits: the step kernel's BLAS
+contraction diff @ K2, whose rounding follows the OpenBLAS core picked
+at run time. The KL statistic takes its log through math.log, not
+numpy's SIMD code picked for the CPU.
 """
 
 from __future__ import annotations
@@ -322,10 +322,10 @@ def load_scenario(path, variant: str | None = None) -> Scenario:
     """Load and validate a scenario JSON file."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as err:
         raise ScenarioError(str(path), f"cannot read scenario: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, an integer past Python's digit limit, or not UTF-8
         raise ScenarioError(str(path), f"invalid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(str(path), "scenario root must be an object")
@@ -547,9 +547,9 @@ def transient_sweep(
                     fitted residual (ystar1 - x_i) distribution and the
                     nominal N(0, sigma_1^2 I)
 
-    On a clean channel the recovered copy equals plaintext plus noise up
-    to round-off, so the residual is the one an unwatermarked run would
-    see. The watermark statistic is transient-blind by construction; the
+    On a clean channel the recovered copy is plaintext plus noise, so
+    the residual is the one an unwatermarked run would see, and the two
+    copies are equal. The watermark statistic is 0 by construction; the
     ablation statistic grows with the initial disagreement. Every scale
     is checked before anything is drawn: it must be positive and finite
     (a ValueError), and one that overflows the initial states is a

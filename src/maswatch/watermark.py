@@ -12,10 +12,11 @@ and the receiver undoes it with
 
 where the stored diagonal is m_r = lambda_r + M_r^2 with
 M_r ~ N(0, sigma_Mr^2) drawn fresh per component and step, and
-F_r ~ N(0, sigma_Fr^2). On a clean channel the round trip returns the
-plaintext up to float64 round-off, so a recovered copy also carries
-the consensus residual an unwatermarked message would. A channel
-attack ybar -> Xi * ybar + Lam leaks through removal as
+F_r ~ N(0, sigma_Fr^2). On a clean channel removal returns the
+plaintext, so both recovered copies are the plaintext itself and carry
+the consensus residual an unwatermarked message would; the step kernel
+runs the round trip only on tampered messages. A channel attack
+ybar -> Xi * ybar + Lam leaks through removal as
 
     ystar_r = Xi ytilde + m_r * ((Xi - 1) F_r + Lam)
 
@@ -213,6 +214,5 @@ def apply_watermark(plain: np.ndarray, m: np.ndarray, f: np.ndarray) -> np.ndarr
 
 
 def remove_watermark(y: np.ndarray, m: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Undo both masks of a (2, n) pair; the plaintext in each row up to
-    round-off when the channel was clean."""
+    """Undo both masks of a (2, n) pair, the copy r in row r-1."""
     return m * (np.asarray(y, dtype=float) - f)

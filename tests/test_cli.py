@@ -38,9 +38,24 @@ def test_run_seed_override_changes_numbers(scenario_file, tmp_path, capsys):
     main(["run", "--scenario", str(scenario_file), "--seed", "1", "--out", str(tmp_path / "a")])
     main(["run", "--scenario", str(scenario_file), "--seed", "1", "--out", str(tmp_path / "b")])
     main(["run", "--scenario", str(scenario_file), "--seed", "2", "--out", str(tmp_path / "c")])
-    read = lambda d: (tmp_path / d / "kl_trace.csv").read_bytes()
+    # A clean run's KL is 0 whatever the seed; its residuals carry the noise.
+    read = lambda d: (tmp_path / d / "residual_trace.csv").read_bytes()
     assert read("a") == read("b")
     assert read("a") != read("c")
+
+
+@pytest.mark.parametrize(
+    "data", [b'{"topology": ' + b"1" * 5000 + b"}", b'{"topology": "\xff"}'], ids=["huge_integer", "not_utf8"]
+)
+def test_run_exits_2_on_a_file_json_cannot_read(tmp_path, capsys, data):
+    """An integer of more than 4300 digits, past Python's int-string
+    limit, and bytes that are not UTF-8 each raise a ValueError that is
+    not a JSONDecodeError."""
+    p = tmp_path / "bad.json"
+    p.write_bytes(data)
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"scenario validation failed: {p}: invalid JSON: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_bad_scenario(tmp_path, capsys):

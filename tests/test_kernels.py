@@ -5,12 +5,16 @@ oracle below steps the same simulation one message at a time through
 the public per-message API (rows of watermark_blocks, apply_watermark
 and remove_watermark, tamper_channel, byzantine_emit, compute_control,
 step_system), reading the same counter-style streams, and must agree
-with simulate to float64 round-off. It carries no Byzantine state from
-step to step: a frozen_state window's capture is read back from the
-states the oracle has already computed. The oracle seeds each stream
-with numpy's own SeedSequence, so it also checks the engine's
-vectorised stream_keys. Neither worker chunking nor the byte budget's
-trial chunks and step blocks may change results at all.
+with simulate to float64 round-off. An honest channel delivers the
+message exactly, so the oracle masks, tampers and unmasks only a
+message whose channel is tampered at that step, and a property test
+pins the kernel's copies to the same model bit for bit. The oracle
+carries no Byzantine state from step to step: a frozen_state window's
+capture is read back from the states the oracle has already computed.
+The oracle seeds each stream with numpy's own SeedSequence, so it also
+checks the engine's vectorised stream_keys. Neither worker chunking nor
+the byte budget's trial chunks and step blocks may change results at
+all.
 """
 
 from __future__ import annotations
@@ -24,9 +28,12 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maswatch import _kernels, engine
-from maswatch.attacks import byzantine_emit, tamper_channel
+from maswatch.attacks import ByzantineBehavior, byzantine_emit, tamper_channel
+from maswatch.detectors import estimate_kl
 from maswatch.dynamics import compute_control, noise_gain, step_system
 from maswatch.engine import ScenarioError, resolve_workers, simulate
 from maswatch.graph import LEADER
@@ -78,12 +85,13 @@ def _oracle(s):
                     if bz.agent == j and bz.active(k):
                         frozen = states[trial, bz.window[0] - 1, j]  # what a frozen_state window sends
                         plain = byzantine_emit(bz, k, x[j], frozen, byz_draws[edge][k - 1])
-                m, f = (block[k - 1, :, 0] for block in marks[edge])  # (2, n), copy r in row r-1
-                y = apply_watermark(plain + noise[edge][k - 1], m, f)
+                y = plain + noise[edge][k - 1]
+                ys1[trial, k - 1, e] = ys2[trial, k - 1, e] = y
                 for a in s.attacks.channel:
-                    if a.edge == edge:
-                        y = tamper_channel(y, a, k)
-                ys1[trial, k - 1, e], ys2[trial, k - 1, e] = remove_watermark(y, m, f)
+                    if a.edge == edge and a.active(k):
+                        m, f = (block[k - 1, :, 0] for block in marks[edge])  # (2, n), copy r in row r-1
+                        tampered = tamper_channel(apply_watermark(y, m, f), a, k)
+                        ys1[trial, k - 1, e], ys2[trial, k - 1, e] = remove_watermark(tampered, m, f)
                 received[i][j] = ys1[trial, k - 1, e]
             u = [compute_control(i, x[i], received[i], k, t, s.controller) for i in range(t.n_agents)]
             x = step_system(x, np.array(u), s.model)
@@ -165,6 +173,51 @@ def test_each_byzantine_window_sends_its_own_capture_and_scale():
                 assert np.max(np.abs(sent - want)) <= RTOL * np.max(np.abs(want)), k
             elif kind == "per_neighbor_random":
                 assert np.allclose((sent - true) / z[:, k - 1], scale, rtol=1e-6), k
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["clean", "channel", "byzantine", "hybrid"]),
+    st.sampled_from([0.0, 0.25, 4.0]),
+    st.integers(2, 40),
+    st.integers(8, 12),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+def test_recovered_copies_are_the_message_unless_tampered(variant, noise_var, trials, start, frozen, rand):
+    """An honest channel delivers the message exactly: a clean (step,
+    edge) pair's two copies are bitwise equal and their KL is exactly 0.
+    A tampered pair is m * ((Xi * (y / m + f) + Lam) - f) bit for bit,
+    from the same material block and the same message y. Agent 5 also
+    sends a frozen_state window from step start and a per_neighbor_random
+    one right after it, both before the byzantine variant's window."""
+    s = replace(platoon_preset(variant), horizon=24, trials=trials)
+    windows = (
+        ByzantineBehavior(5, (start, start + frozen), "frozen_state"),
+        ByzantineBehavior(5, (start + frozen, start + frozen + rand), "per_neighbor_random", scale=3.0),
+    )
+    s = replace(
+        s,
+        controller=replace(s.controller, noise_var=noise_var),
+        attacks=replace(s.attacks, byzantine=s.attacks.byzantine + windows),
+    )
+    sim = simulate(s)
+    chan_mask, Xi, Lam, send_row, byz_coeff, scale = engine._schedule_arrays(s.topology, s.attacks, s.horizon, s.model.n)
+    clean = ~chan_mask
+    assert np.array_equal(sim.ystar1[:, clean], sim.ystar2[:, clean])
+    assert np.all(estimate_kl(sim.ystar1, sim.ystar2)[clean] == 0.0)
+    assert chan_mask.any() == (variant in ("channel", "hybrid"))
+    src = s.topology.src
+    for k0, W, M, F, byz_rand in engine._pregenerate(s, np.arange(trials), scale):
+        for j in range(W.shape[1]):
+            k = k0 + j + 1
+            for e in np.flatnonzero(chan_mask[k - 1]):
+                y = sim.states[:, send_row[k - 1, e], src[e]] + byz_coeff[k - 1, e]
+                y += byz_rand[:, j, e]
+                y += W[:, j, e]
+                m, f = M[:, j, :, e], F[:, j, :, e]  # (T, 2, n), the copy on axis 1
+                want = m * ((Xi[k - 1, :, e] * (y[:, None] / m + f) + Lam[k - 1, :, e]) - f)
+                assert np.array_equal(sim.ystar[:, k - 1, :, e], want), (k, e)
 
 
 def test_resolve_workers(monkeypatch):
