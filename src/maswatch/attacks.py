@@ -49,6 +49,8 @@ class Schedule:
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError("schedule coefficients must be finite")
 
     def eval(self, k) -> np.ndarray:
         """c * g(k): (n,) for one step, (S, n) for an array of S steps."""
@@ -131,9 +133,13 @@ class ByzantineBehavior:
             raise ValueError(f"unknown byzantine kind {self.kind!r}, expected one of {BYZANTINE_KINDS}")
         if self.kind in ("constant_offset", "divergent_ramp") and not self.offset:
             raise ValueError(f"{self.kind} needs an offset vector")
+        if not math.isfinite(self.scale):
+            raise ValueError("the scale must be finite")
         if self.kind == "per_neighbor_random" and self.scale <= 0:
             raise ValueError("per_neighbor_random needs a positive scale")
         object.__setattr__(self, "offset", tuple(float(c) for c in self.offset))
+        if not all(map(math.isfinite, self.offset)):
+            raise ValueError("the offset must be finite")
 
     def active(self, k: int) -> bool:
         start, stop = self.window

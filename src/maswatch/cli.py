@@ -70,7 +70,7 @@ def _cmd_run(args) -> int:
         s = replace(s, trials=args.trials)
     if args.seed is not None:
         s = replace(s, master_seed=args.seed)
-    report = run_monte_carlo(s, workers=args.workers)
+    report = run_monte_carlo(s)
     paths = export_report(report, args.out)
     print(f"scenario {s.name}: {s.trials} trials, horizon {s.horizon}")
     for name, value in report.summary.items():
@@ -114,7 +114,7 @@ def _cmd_sweep(args) -> int:
     s = load_scenario(args.scenario)
     if args.probe_step > s.horizon:
         return _usage_error(f"--probe-step {args.probe_step} is beyond the horizon {s.horizon}")
-    rows = transient_sweep(s, grid, probe_step=args.probe_step, workers=args.workers)
+    rows = transient_sweep(s, grid, probe_step=args.probe_step)
     print("scale,watermark_kl,ablation_kl,probe_step")
     for row in rows:
         print(f"{row['scale']!r},{row['watermark_kl']!r},{row['ablation_kl']!r},{row['probe_step']}")
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "check-graph": _cmd_check_graph, "sweep": _cmd_sweep}
     if args.command in ("run", "sweep"):
         try:
-            args.workers = resolve_workers()
+            resolve_workers()  # simulate reads it; a bad value exits 2 before any loading
         except ValueError as err:
             return _usage_error(str(err))
     try:

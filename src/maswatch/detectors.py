@@ -55,10 +55,10 @@ class KlDetectorConfig:
     min_samples: int = 30
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-        if self.min_samples < 2:
-            raise ValueError("min_samples must be at least 2")
+        if not 0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
+        if not isinstance(self.min_samples, (int, np.integer)) or self.min_samples < 2:
+            raise ValueError("min_samples must be an integer of at least 2")
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,12 @@ class EnvelopeConfig:
     delta: float = 6.0
 
     def __post_init__(self):
-        if self.M_r <= 0 or self.delta < 0:
-            raise ValueError("M_r must be positive and delta nonnegative")
+        if not (0 < self.M_r < math.inf and 0 <= self.delta < math.inf):
+            raise ValueError("M_r must be positive and delta nonnegative, both finite")
         if not 0 < self.phi < 1:
             raise ValueError("phi must lie in (0, 1)")
-        if self.lambda_min <= 0:
-            raise ValueError("lambda_min must be positive")
+        if not 0 < self.lambda_min < math.inf:
+            raise ValueError("lambda_min must be positive and finite")
 
 
 def gaussian_kl(mu_a, var_a, mu_b, var_b) -> float | np.ndarray:

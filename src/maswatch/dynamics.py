@@ -44,6 +44,8 @@ class AgentModel:
             raise ValueError("A must be square")
         if b.shape[0] != a.shape[0]:
             raise ValueError("B length must match A")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("A and B must be finite")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
 
@@ -71,12 +73,14 @@ class ControllerParams:
     def __post_init__(self):
         object.__setattr__(self, "K1", np.asarray(self.K1, dtype=float).reshape(-1))
         object.__setattr__(self, "K2", np.asarray(self.K2, dtype=float).reshape(-1))
-        if self.gain_mu <= 0:
-            raise ValueError("gain_mu must be positive")
+        if not (np.isfinite(self.K1).all() and np.isfinite(self.K2).all()):
+            raise ValueError("K1 and K2 must be finite")
+        if not 0 < self.gain_mu < math.inf:
+            raise ValueError("gain_mu must be positive and finite")
         if not 0 < self.gain_lambda < 1:
             raise ValueError("gain_lambda must lie in (0, 1)")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be nonnegative")
+        if not 0 <= self.noise_var < math.inf:
+            raise ValueError("noise_var must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,8 @@ class StateBounds:
     eps2: float
 
     def __post_init__(self):
-        if not self.eps1 <= self.eps2:
-            raise ValueError("eps1 must not exceed eps2")
+        if not -math.inf < self.eps1 <= self.eps2 < math.inf:
+            raise ValueError("eps1 must not exceed eps2, both finite")
         if self.eps2 == 0:
             raise ValueError("eps2 = 0 leaves the residual growth factor undefined")
 
@@ -121,8 +125,8 @@ def platoon_model(delta: float = 1.2, T: float = 1.0) -> AgentModel:
 
         A = I + T * [[0,1,0],[0,0,1],[0,0,-1/delta]],  B = (0,0,1).
     """
-    if delta <= 0 or T <= 0:
-        raise ValueError("delta and T must be positive")
+    if not (0 < delta < math.inf and 0 < T < math.inf):
+        raise ValueError("delta and T must be positive and finite")
     a = np.eye(3) + T * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0 / delta]])
     return AgentModel(a, np.array([0.0, 0.0, 1.0]))
 

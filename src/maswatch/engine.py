@@ -83,7 +83,9 @@ seeds its streams through SeedSequence itself.
 
 Environment knob:
     MASWATCH_WORKERS = <int>   upper bound on worker threads (default 1);
-                               no more threads than chunks or CPUs run
+                               no more threads than chunks or CPUs run.
+                               The only worker setting: simulate reads
+                               it on every call.
 """
 
 from __future__ import annotations
@@ -122,17 +124,15 @@ CHUNK_BYTES = 4 * 2**20
 MIN_CHUNK_TRIALS = 64
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """workers, else the integer in MASWATCH_WORKERS, else 1; at least 1."""
-    name = "worker count"
-    if workers is None:
-        name, raw = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+def resolve_workers() -> int:
+    """The integer in MASWATCH_WORKERS, else 1; at least 1."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if workers < 1:
-        raise ValueError(f"{name} must be at least 1, got {workers}")
+        raise ValueError(f"{WORKERS_ENV} must be at least 1, got {workers}")
     return workers
 
 
@@ -173,8 +173,8 @@ class Scenario:
     horizon: int
     trials: int
     master_seed: int
-    varsigma: float
     init_states: np.ndarray
+    varsigma: float = 0.05
 
     def __post_init__(self):
         n = self.model.n
@@ -366,7 +366,7 @@ def _pregenerate(s: Scenario, trial_ids: np.ndarray, scale: np.ndarray):
         yield k0, W, M, F, byz_rand
 
 
-def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None = None) -> SimData:
+def simulate(s: Scenario, inits: np.ndarray | None = None) -> SimData:
     """Run the scenario's Monte Carlo batch and return the raw slabs.
 
     inits, a (B, agents, n) stack of initial-state tables, replaces
@@ -381,12 +381,11 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
     Trials split into chunks, and each chunk's steps into blocks, by the
     module's tile rule: about CHUNK_BYTES of random material per tile,
     and at least MIN_CHUNK_TRIALS trials per chunk unless the batch has
-    fewer. The threads number min(workers, chunks, cpu count), the
-    calling thread among them, and each takes every threads-th chunk and
-    runs its blocks in step order. The tiling never changes a number.
+    fewer. The threads number min(MASWATCH_WORKERS, chunks, cpu count),
+    the calling thread among them, and each takes every threads-th chunk
+    and runs its blocks in step order. The tiling never changes a number.
     """
     t, trials = s.topology, s.trials
-    workers = resolve_workers(workers)
     n, N, E, K = s.model.n, t.n_agents, t.n_edges, s.horizon
     tables = [s.init_states] if inits is None else [_init_table(x, (N, n)) for x in inits]
     shapes = ((len(tables), trials, K + 1, N, n), (len(tables), trials, K, 2, E, n))
@@ -417,7 +416,7 @@ def simulate(s: Scenario, workers: int | None = None, inits: np.ndarray | None =
         *schedules, scale = _schedule_arrays(t, s.attacks, K, n)
         n_chunks = _tiling(s, scale)[0]
         chunks = np.array_split(np.arange(trials), n_chunks)
-        threads = min(workers, n_chunks, os.cpu_count() or 1)
+        threads = min(resolve_workers(), n_chunks, os.cpu_count() or 1)
         if threads == 1:
             run_share(0)
         else:

@@ -30,8 +30,8 @@ class LocalAttackBudget:
     max_attacked_channels: int = 1
 
     def __post_init__(self):
-        if self.max_byzantine_neighbors < 0 or self.max_attacked_channels < 0:
-            raise ValueError("attack budget entries must be nonnegative")
+        if not (0 <= self.max_byzantine_neighbors < math.inf and 0 <= self.max_attacked_channels < math.inf):
+            raise ValueError("attack budget entries must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

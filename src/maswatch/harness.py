@@ -14,17 +14,17 @@ their local budget), so one built through dataclasses.replace fails as
 the same ScenarioError.
 
 run_monte_carlo simulates the batch, rejects a run whose states are
-not finite, and pools each step over trials: the KL statistic of every
-edge and the residuals of both copies, reduced as one (trials, 2,
-edges) block read in place from the recovered-copy slab. A KL or
-residual that is not finite, from a tampered copy that overflows,
-rejects the run too. Whole (edge, step) arrays then pass between stages:
-envelope ratios against each edge's frozen reference, one
-flag-protocol round per step into a (K, E) flag and label array,
-scored against attacks.activity in one comparison. export_report
-writes the traces as CSV: each (step, edge) row key "k,j,i" is
-formatted once and shared by the three detector traces, and every
-value goes through tolist, so a float is written as its shortest
+not finite, and pools over trials, reading the recovered-copy slab in
+place: the residuals of both copies in blocks of steps of about
+ETA_BLOCK_BYTES, and the KL statistic by one estimate_kl call per
+(step, edge). A KL or residual that is not finite, from a tampered
+copy that overflows, rejects the run too. Whole (edge, step) arrays
+then pass between stages: envelope ratios against each edge's frozen
+reference, one flag-protocol round per step into a (K, E) flag and
+label array, scored against attacks.activity in one comparison.
+export_report writes the traces as CSV: each (step, edge) row key
+"k,j,i" is formatted once and shared by the three detector traces, and
+every value goes through tolist, so a float is written as its shortest
 round-trip repr. All exported numbers are pure functions of (scenario,
 master_seed) per machine, independent of worker count. Across machines
 one operation may move their last bits: the step kernel's BLAS
@@ -310,11 +310,8 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
         envelope=detectors["envelope"],
         bounds=detectors.get("bounds"),
         attacks=attacks or AttackScenario(),
-        horizon=run["horizon"],
-        trials=run["trials"],
-        master_seed=run["master_seed"],
-        varsigma=run.get("varsigma", 0.05),
-        init_states=run["init"]["states"],
+        init_states=run.pop("init")["states"],
+        **run,  # horizon, trials, master_seed, and varsigma when given
     )
 
 
@@ -383,12 +380,12 @@ def _require_finite_states(states: np.ndarray) -> None:
         raise ScenarioError("run", f"the states diverge: not finite from step {int(finite.argmin())} on")
 
 
-def _nominal_bounds(s: Scenario, workers) -> tuple[StateBounds, SimData | None]:
+def _nominal_bounds(s: Scenario) -> tuple[StateBounds, SimData | None]:
     """Bounds from the scenario, else from a clean nominal run."""
     if s.bounds is not None:
         return s.bounds, None
     clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget))
-    sim = simulate(clean, workers=workers)
+    sim = simulate(clean)
     _require_finite_states(sim.states)
     bounds = _build("detectors.bounds", compute_state_bounds, sim.states)
     return bounds, sim if not s.attacks.channel and not s.attacks.byzantine else None
@@ -403,11 +400,11 @@ def _require_finite(*stats: np.ndarray, first_step: int = 1, at: str = "") -> No
         raise ScenarioError("run", f"the recovered messages overflow the detectors{at}: first not finite at step {step}")
 
 
-def run_monte_carlo(s: Scenario, workers: int | None = None) -> RunReport:
+def run_monte_carlo(s: Scenario) -> RunReport:
     """Simulate, detect, arbitrate; returns the full report."""
-    bounds, sim = _nominal_bounds(s, workers)
+    bounds, sim = _nominal_bounds(s)
     if sim is None:
-        sim = simulate(s, workers=workers)
+        sim = simulate(s)
         _require_finite_states(sim.states)
     t = s.topology
     E, K = t.n_edges, s.horizon
@@ -525,12 +522,7 @@ def _summarize(s: Scenario, eta, kl_attacked, env_attacked, classifications) -> 
 # ---------------------------------------------------------------------------
 
 
-def transient_sweep(
-    s: Scenario,
-    initial_error_grid,
-    probe_step: int = 4,
-    workers: int | None = None,
-) -> list[dict]:
+def transient_sweep(s: Scenario, initial_error_grid, probe_step: int = 4) -> list[dict]:
     """Transient false-alarm probe across initial error scales.
 
     For each scale the follower offsets from the leader are multiplied
@@ -565,6 +557,8 @@ def transient_sweep(
     if probe_step > s.horizon:
         raise ValueError(f"probe step {probe_step} beyond horizon {s.horizon}")
     grid = list(initial_error_grid)
+    if not grid:
+        return []
     leader = s.init_states[LEADER]
     inits = np.empty((len(grid),) + s.init_states.shape)
     for b, scale in enumerate(grid):
@@ -575,7 +569,7 @@ def transient_sweep(
         if not np.isfinite(inits[b]).all():
             raise ScenarioError("run", f"initial error scale {scale!r} overflows the initial states")
     clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget), horizon=probe_step)
-    sim = simulate(clean, workers=workers, inits=inits)
+    sim = simulate(clean, inits=inits)
     nominal_var = max(s.controller.noise_var, VAR_FLOOR)
     rows = []
     for b, scale in enumerate(grid):

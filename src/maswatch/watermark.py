@@ -62,11 +62,11 @@ class WatermarkParams:
     sigma2_f2: float
 
     def __post_init__(self):
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ValueError("lambda_r must be positive; zero would make removal singular")
+        if not (0 < self.lambda1 < np.inf and 0 < self.lambda2 < np.inf):
+            raise ValueError("lambda_r must be positive and finite; zero would make removal singular")
         for name in ("sigma2_m1", "sigma2_m2", "sigma2_f1", "sigma2_f2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator); stream_keys

@@ -329,15 +329,16 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
         return pregenerate(s, trial_ids, scale)
 
     def export(scenario, workers, tag):
-        paths = export_report(run_monte_carlo(scenario, workers=workers), tmp_path / tag)
+        monkeypatch.setenv("MASWATCH_WORKERS", workers)
+        paths = export_report(run_monte_carlo(scenario), tmp_path / tag)
         return [p.name for p in paths], [p.read_bytes() for p in paths]
 
-    names, a = export(s, 1, "a")
-    _, b = export(s, 1, "b")
-    _, c = export(s, 4, "c")
-    _, d = export(threaded, 1, "d")
+    names, a = export(s, "1", "a")
+    _, b = export(s, "1", "b")
+    _, c = export(s, "4", "c")
+    _, d = export(threaded, "1", "d")
     monkeypatch.setattr(engine, "_pregenerate", recorded)
-    _, e = export(threaded, 4, "e")
+    _, e = export(threaded, "4", "e")
     chunks, threads = len(runs), len(set(runs))
     same_seed = a == b
     across_workers = a == c and d == e

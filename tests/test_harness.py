@@ -7,7 +7,9 @@ import functools
 import json
 import math
 import operator
-from dataclasses import FrozenInstanceError, replace
+import os
+import threading
+from dataclasses import FrozenInstanceError, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -17,10 +19,10 @@ from hypothesis import strategies as st
 
 from maswatch import engine, harness
 from maswatch.attacks import AttackScenario, ByzantineBehavior, ChannelAttack, Schedule
-from maswatch.detectors import envelope_verdict, estimate_kl, gaussian_kl
-from maswatch.dynamics import ControllerParams, StateBounds
+from maswatch.detectors import EnvelopeConfig, KlDetectorConfig, envelope_verdict, estimate_kl, gaussian_kl
+from maswatch.dynamics import AgentModel, ControllerParams, StateBounds, companion_model, platoon_model
 from maswatch.engine import simulate
-from maswatch.graph import LEADER, LocalAttackBudget
+from maswatch.graph import LEADER, LocalAttackBudget, Topology
 from maswatch.harness import (
     RunReport,
     Scenario,
@@ -33,7 +35,7 @@ from maswatch.harness import (
     transient_sweep,
 )
 from maswatch.hybrid import Classification
-from maswatch.watermark import edge_stream
+from maswatch.watermark import WatermarkParams, edge_stream
 
 from _scenarios import overflowing_tamper_doc, small_doc
 
@@ -248,6 +250,42 @@ def test_a_scenario_built_through_the_api_fails_as_the_loader_does(field, value,
     assert f"{err.value.path}.".startswith(f"{path}.")
 
 
+# Every numeric field of the config types: (factory, valid keyword
+# arguments, the field). A list field's last entry takes the bad value.
+_CONFIG_ARGS = {
+    KlDetectorConfig: {"theta": 4.61, "min_samples": 30},
+    EnvelopeConfig: {"M_r": 100.0, "phi": 0.16, "lambda_min": 1.0, "delta": 6.0},
+    StateBounds: {"eps1": -200.0, "eps2": 1230.0},
+    WatermarkParams: {"lambda1": 2.0, "lambda2": 5.0, "sigma2_m1": 7.2, "sigma2_m2": 4.3, "sigma2_f1": 2.0, "sigma2_f2": 3.5},
+    ControllerParams: {"K1": [0.5, 0.5], "K2": [0.5, 1.0], "gain_mu": 0.5, "gain_lambda": 0.6, "noise_var": 1.0},
+    AgentModel: {"A": [[1.0, 1.0], [0.0, 1.0]], "B": [0.0, 1.0]},
+    platoon_model: {"delta": 1.2, "T": 1.0},
+    companion_model: {"rho": [0.0, 0.5]},
+    Schedule: {"kind": "sin", "coeffs": [1.0, 2.0]},
+    ByzantineBehavior: {"agent": 1, "window": (3, None), "kind": "per_neighbor_random", "offset": [1.0], "scale": 2.5},
+    LocalAttackBudget: {"max_byzantine_neighbors": 1, "max_attacked_channels": 1},
+    Topology: {"n_agents": 2, "edges": [(0, 1)], "weights": [1.0]},
+}
+_NOT_NUMBERS = {"kind", "agent", "window", "n_agents", "edges"}
+_NUMERIC_FIELDS = [(f, key) for f, args in _CONFIG_ARGS.items() for key in args if key not in _NOT_NUMBERS]
+
+
+def _with_last(value, bad):
+    """value with its last scalar (the value itself, if scalar) set to bad."""
+    return [*value[:-1], _with_last(value[-1], bad)] if isinstance(value, list) else bad
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("factory, key", _NUMERIC_FIELDS, ids=[f"{f.__name__}.{key}" for f, key in _NUMERIC_FIELDS])
+def test_config_types_refuse_values_that_are_not_finite(factory, key, bad):
+    """A NaN or an infinity set through the Python API is a ValueError,
+    as the loader's finite-number rule makes it for a document."""
+    args = _CONFIG_ARGS[factory]
+    factory(**args)
+    with pytest.raises(ValueError):
+        factory(**{**args, key: _with_last(args[key], bad)})
+
+
 def test_loaded_init_states_are_read_only():
     s = scenario_from_dict(small_doc())
     with pytest.raises(ValueError, match="read-only"):
@@ -268,6 +306,17 @@ def test_null_or_absent_attacks_mean_no_attacks():
     null["attacks"] = None
     del absent["attacks"]
     assert scenario_from_dict(null).attacks == scenario_from_dict(absent).attacks == AttackScenario()
+
+
+def test_scenario_owns_the_varsigma_default():
+    """The type defaults varsigma; a document that leaves it out (as
+    small_doc does) gets that default, and one that gives it, its value."""
+    s = scenario_from_dict(small_doc())
+    assert s.varsigma == 0.05
+    assert Scenario(**{f.name: getattr(s, f.name) for f in fields(s) if f.name != "varsigma"}).varsigma == 0.05
+    doc = small_doc()
+    doc["run"]["varsigma"] = 0.2
+    assert scenario_from_dict(doc).varsigma == 0.2
 
 
 def test_retired_settings_still_load_at_their_remaining_value():
@@ -660,10 +709,39 @@ def test_transient_sweep_matches_full_horizon_per_edge_reference():
     assert want[1]["ablation_kl"] > want[0]["ablation_kl"] > 0.0
 
 
-def test_transient_sweep_rows_do_not_depend_on_workers():
+def test_transient_sweep_rows_do_not_depend_on_workers(monkeypatch):
+    """The preset's 100-trial sweep is one chunk, so a floor of 25 trials
+    and a 1-byte budget split it into 4 chunks, and 4 CPUs are reported:
+    at 3 workers at least 2 threads share them, and the rows are those
+    of the one-chunk run on one thread."""
     s = platoon_preset()
     grid = [0.5, 1.0, 2.0, 5.0]
-    assert transient_sweep(s, grid, probe_step=4, workers=1) == transient_sweep(s, grid, probe_step=4, workers=3)
+    monkeypatch.setenv("MASWATCH_WORKERS", "1")
+    want = transient_sweep(s, grid, probe_step=4)
+    runs, pregenerate = [], engine._pregenerate  # list.append is atomic across worker threads
+
+    def recorded(s, trial_ids, scale):
+        runs.append(threading.get_ident())
+        return pregenerate(s, trial_ids, scale)
+
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 25)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(engine, "_pregenerate", recorded)
+    for workers in ("1", "3"):
+        runs.clear()
+        monkeypatch.setenv("MASWATCH_WORKERS", workers)
+        assert transient_sweep(s, grid, probe_step=4) == want
+        assert len(runs) == 4
+    assert len(set(runs)) >= 2
+
+
+def test_transient_sweep_of_an_empty_grid_draws_nothing(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("an empty grid needs no simulation")
+
+    monkeypatch.setattr(harness, "simulate", no_simulation)
+    assert transient_sweep(platoon_preset(), []) == []
 
 
 def test_transient_sweep_rejects_a_scale_that_overflows_the_statistics():

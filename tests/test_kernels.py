@@ -221,13 +221,13 @@ def test_recovered_copies_are_the_message_unless_tampered(variant, noise_var, tr
 
 
 def test_resolve_workers(monkeypatch):
-    assert resolve_workers(4) == 4
     monkeypatch.setenv("MASWATCH_WORKERS", "3")
     assert resolve_workers() == 3
     monkeypatch.delenv("MASWATCH_WORKERS")
     assert resolve_workers() == 1
-    with pytest.raises(ValueError, match="at least 1"):
-        resolve_workers(0)
+    monkeypatch.setenv("MASWATCH_WORKERS", "0")
+    with pytest.raises(ValueError, match="^MASWATCH_WORKERS must be at least 1, got 0$"):
+        resolve_workers()
 
 
 def test_worker_chunking_is_invisible(monkeypatch):
@@ -244,8 +244,10 @@ def test_worker_chunking_is_invisible(monkeypatch):
         return pregenerate(s, trial_ids, scale)
 
     monkeypatch.setattr(engine, "_pregenerate", recorded)
-    a = simulate(s, workers=1)
-    b = simulate(s, workers=4)
+    monkeypatch.setenv("MASWATCH_WORKERS", "1")
+    a = simulate(s)
+    monkeypatch.setenv("MASWATCH_WORKERS", "4")
+    b = simulate(s)
     assert chunks == [2] * 10
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.ystar1, b.ystar1)
@@ -272,35 +274,41 @@ def test_thread_count_is_bounded_by_trials_and_cpus(monkeypatch):
             return map(fn, items)
 
     s = scenario_from_dict(small_doc(horizon=6, trials=5))
-    want = simulate(s, workers=1)
+    monkeypatch.setenv("MASWATCH_WORKERS", "1")
+    want = simulate(s)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    simulate(s, workers=5000)  # 5 trials are one chunk: one thread, no pool
+    monkeypatch.setenv("MASWATCH_WORKERS", "5000")
+    simulate(s)  # 5 trials are one chunk: one thread, no pool
     # Every trial its own chunk.
     monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
     monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
-    for workers in (5000, 3):
-        got = simulate(s, workers=workers)
+    for workers in ("5000", "3"):
+        monkeypatch.setenv("MASWATCH_WORKERS", workers)
+        got = simulate(s)
         assert np.array_equal(got.states, want.states)
         assert np.array_equal(got.ystar1, want.ystar1)
-    simulate(replace(s, trials=2), workers=5000)
+    monkeypatch.setenv("MASWATCH_WORKERS", "5000")
+    simulate(replace(s, trials=2))
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one thread, no pool
-    simulate(s, workers=5000)
+    simulate(s)
     assert pools == [3, 2, 1]  # the calling thread runs a share too
 
 
-def test_surplus_workers_cost_nothing():
+def test_surplus_workers_cost_nothing(monkeypatch):
     """Workers beyond the chunk count get no chunk, so they cost neither
     time nor memory."""
     s = scenario_from_dict(small_doc(horizon=6, trials=2))
+    monkeypatch.setenv("MASWATCH_WORKERS", str(10**6))
     tracemalloc.start()
     try:
-        sim = simulate(s, workers=10**6)
+        sim = simulate(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1e6, peak
-    assert np.array_equal(sim.states, simulate(s, workers=1).states)
+    monkeypatch.setenv("MASWATCH_WORKERS", "1")
+    assert np.array_equal(sim.states, simulate(s).states)
 
 
 def test_trial_slabs_are_independent_of_trial_count():
@@ -330,7 +338,7 @@ SLAB_CASES = {
 
 
 @pytest.mark.parametrize("case", SLAB_CASES)
-def test_simulate_allocates_only_the_slabs_it_uses(case):
+def test_simulate_allocates_only_the_slabs_it_uses(case, monkeypatch):
     # At most 3.5 MB of material, below engine.CHUNK_BYTES, and 100
     # trials, below 2 x engine.MIN_CHUNK_TRIALS: every case runs as one
     # chunk that holds all its slabs at once.
@@ -339,9 +347,10 @@ def test_simulate_allocates_only_the_slabs_it_uses(case):
     T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
     slab = T * K * E * n * 8
     outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 2 * slab
+    monkeypatch.setenv("MASWATCH_WORKERS", "1")
     tracemalloc.start()
     try:
-        simulate(s, workers=1)
+        simulate(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -368,7 +377,8 @@ def test_chunk_budget_is_invisible(case, monkeypatch):
     kwargs, slabs = SLAB_CASES[case]
     s = _random_material_case(**kwargs)
     chunks = -(-slabs * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8 // 100_000)
-    sim, report = simulate(s, workers=1), run_monte_carlo(s, workers=1)
+    monkeypatch.setenv("MASWATCH_WORKERS", "1")
+    sim, report = simulate(s), run_monte_carlo(s)
     calls, kernel = [], _kernels._simulate_numpy
 
     def counted(*args):
@@ -378,9 +388,9 @@ def test_chunk_budget_is_invisible(case, monkeypatch):
     monkeypatch.setattr(engine, "CHUNK_BYTES", 100_000)
     monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
     monkeypatch.setattr(_kernels, "_simulate_numpy", counted)
-    _assert_same_arrays(simulate(s, workers=1), sim)
+    _assert_same_arrays(simulate(s), sim)
     assert len(calls) == chunks
-    _assert_same_arrays(run_monte_carlo(s, workers=1), report)
+    _assert_same_arrays(run_monte_carlo(s), report)
     assert len(calls) == 2 * chunks
 
 
@@ -422,9 +432,10 @@ def test_trial_split_reads_no_worker_count(trials, horizon, monkeypatch):
     monkeypatch.setattr(engine, "_pregenerate", recorded)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     splits = []
-    for workers in (1, 3, 4):
+    for workers in ("1", "3", "4"):
         chunks.clear()
-        simulate(s, workers=workers)
+        monkeypatch.setenv("MASWATCH_WORKERS", workers)
+        simulate(s)
         splits.append(sorted(chunks))
     split = splits[0]
     assert splits[1] == split and splits[2] == split
@@ -438,7 +449,7 @@ def test_trial_split_reads_no_worker_count(trials, horizon, monkeypatch):
         assert len(chunk) * steps * per_step < engine.CHUNK_BYTES + (len(chunk) + steps) * per_step
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", ["1", "3"])
 def test_each_initial_state_table_matches_its_own_run(workers, monkeypatch):
     """simulate(s, inits=stack) gives, table by table, the numbers of a
     run from that table alone. Under a 100 kB budget and a floor of one
@@ -447,7 +458,8 @@ def test_each_initial_state_table_matches_its_own_run(workers, monkeypatch):
     s = _random_material_case(random_byzantine=True)
     leader = s.init_states[0]
     stack = np.stack([leader + scale * (s.init_states - leader) for scale in (0.5, 1.0, 3.0)])
-    want = [simulate(replace(s, init_states=table), workers=workers) for table in stack]
+    monkeypatch.setenv("MASWATCH_WORKERS", workers)
+    want = [simulate(replace(s, init_states=table)) for table in stack]
     chunks = -(-6 * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8 // 100_000)
     draws, steps = [], []  # list.append is atomic across worker threads
     pregenerate, kernel = engine._pregenerate, _kernels._simulate_numpy
@@ -464,7 +476,7 @@ def test_each_initial_state_table_matches_its_own_run(workers, monkeypatch):
     monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
     monkeypatch.setattr(engine, "_pregenerate", counted_pregenerate)
     monkeypatch.setattr(_kernels, "_simulate_numpy", counted_kernel)
-    got = simulate(s, workers=workers, inits=stack)
+    got = simulate(s, inits=stack)
     assert chunks == 35 and len(draws) == chunks and len(steps) == chunks * len(stack)
     assert got.states.shape == (len(stack),) + want[0].states.shape
     for b, one in enumerate(want):
@@ -523,9 +535,10 @@ def test_simulate_holds_one_chunk_of_material_at_a_time(monkeypatch):
     outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 2 * slab
     monkeypatch.setattr(engine, "CHUNK_BYTES", 5 * slab // 4)
     monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
+    monkeypatch.setenv("MASWATCH_WORKERS", "1")
     tracemalloc.start()
     try:
-        simulate(s, workers=1)
+        simulate(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -551,7 +564,7 @@ def _block_case():
     return scenario_from_dict(doc)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", ["1", "3"])
 def test_step_blocks_change_no_number(workers, monkeypatch):
     """A budget of a tenth of the material and a floor of 8 trials make
     10 tiles: 2 chunks of 10 trials, each in 5 step blocks, whose first
@@ -563,7 +576,8 @@ def test_step_blocks_change_no_number(workers, monkeypatch):
     s = _block_case()
     leader = s.init_states[0]
     stack = np.stack([leader + scale * (s.init_states - leader) for scale in (0.5, 3.0)])
-    want, want_stack = simulate(s, workers=workers), simulate(s, workers=workers, inits=stack)
+    monkeypatch.setenv("MASWATCH_WORKERS", workers)
+    want, want_stack = simulate(s), simulate(s, inits=stack)
     material = 6 * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8
     chunks, starts = [], []  # list.append is atomic across worker threads
     pregenerate, kernel = engine._pregenerate, _kernels._simulate_numpy
@@ -581,12 +595,12 @@ def test_step_blocks_change_no_number(workers, monkeypatch):
     monkeypatch.setattr(engine, "_pregenerate", counted_pregenerate)
     monkeypatch.setattr(_kernels, "_simulate_numpy", counted_kernel)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    _assert_same_arrays(simulate(s, workers=workers), want)
+    _assert_same_arrays(simulate(s), want)
     assert len(chunks) == 2 and len(starts) == 10 > len(chunks)
     assert sorted(set(starts)) == [0, 6, 12, 18, 24]
     chunks.clear()
     starts.clear()
-    _assert_same_arrays(simulate(s, workers=workers, inits=stack), want_stack)
+    _assert_same_arrays(simulate(s, inits=stack), want_stack)
     assert len(chunks) == 2 and len(starts) == 10 * len(stack)
 
 
@@ -604,6 +618,7 @@ def test_material_memory_does_not_grow_with_the_horizon(monkeypatch):
     24 MB. Half a MiB covers the stream keys, the draw buffers and the
     kernel's per-step temporaries."""
     monkeypatch.setattr(engine, "CHUNK_BYTES", 2**20)
+    monkeypatch.setenv("MASWATCH_WORKERS", "1")
     for horizon in (250, 1000):
         s = replace(_random_material_case(), horizon=horizon)
         T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
@@ -612,7 +627,7 @@ def test_material_memory_does_not_grow_with_the_horizon(monkeypatch):
         streams = T * E * 2  # noise and watermark
         tracemalloc.start()
         try:
-            simulate(s, workers=1)
+            simulate(s)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -620,7 +635,7 @@ def test_material_memory_does_not_grow_with_the_horizon(monkeypatch):
         assert peak - outputs <= bound, (horizon, peak - outputs, bound)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", ["1", "3"])
 def test_chunk_material_beyond_memory_is_a_scenario_error(workers, monkeypatch):
     """A MemoryError while drawing a chunk's material, in the calling
     thread or a helper, is refused as a batch that cannot be allocated."""
@@ -630,9 +645,10 @@ def test_chunk_material_beyond_memory_is_a_scenario_error(workers, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(engine, "_pregenerate", no_memory)
+    monkeypatch.setenv("MASWATCH_WORKERS", workers)
     # states (6, 9, 3, 2) and ystar (6, 8, 2, 3, 2): 900 float64
     with pytest.raises(ScenarioError, match=r"^run: 6 trials x 8 steps need 7200 bytes of output slabs, more") as err:
-        simulate(s, workers=workers)
+        simulate(s)
     assert err.value.path == "run"
 
 
