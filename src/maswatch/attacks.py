@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import integer, real
 from .graph import LocalAttackBudget, Topology
 
 SCHEDULE_KINDS = ("sin", "const", "ramp")
@@ -48,9 +49,7 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not all(map(math.isfinite, self.coeffs)):
-            raise ValueError("schedule coefficients must be finite")
+        object.__setattr__(self, "coeffs", tuple(real(c, f"coeffs[{k}]") for k, c in enumerate(self.coeffs)))
 
     def eval(self, k) -> np.ndarray:
         """c * g(k): (n,) for one step, (S, n) for an array of S steps."""
@@ -73,12 +72,11 @@ def window_rows(window, horizon: int) -> slice:
     return slice(start - 1, horizon if stop is None else min(stop - 1, horizon))
 
 
-def _window_ok(window):
+def _window(window) -> tuple[int, int | None]:
+    """window as integers (start, stop), stop None or after start >= 1."""
     start, stop = window
-    if start < 1:
-        raise ValueError("attack windows start at step 1 or later")
-    if stop is not None and stop <= start:
-        raise ValueError("attack window must be nonempty")
+    start = integer(start, "window start", 1)
+    return start, None if stop is None else integer(stop, "window stop", start + 1)
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,8 @@ class ChannelAttack:
     lam2: Schedule
 
     def __post_init__(self):
-        _window_ok(self.window)
+        object.__setattr__(self, "edge", tuple(integer(v, f"edge[{k}]", 0) for k, v in enumerate(self.edge)))
+        object.__setattr__(self, "window", _window(self.window))
 
     def active(self, k: int) -> bool:
         start, stop = self.window
@@ -128,18 +127,16 @@ class ByzantineBehavior:
     scale: float = 0.0
 
     def __post_init__(self):
-        _window_ok(self.window)
+        object.__setattr__(self, "agent", integer(self.agent, "agent", 0))
+        object.__setattr__(self, "window", _window(self.window))
+        object.__setattr__(self, "offset", tuple(real(c, f"offset[{k}]") for k, c in enumerate(self.offset)))
+        object.__setattr__(self, "scale", real(self.scale, "scale"))
         if self.kind not in BYZANTINE_KINDS:
             raise ValueError(f"unknown byzantine kind {self.kind!r}, expected one of {BYZANTINE_KINDS}")
         if self.kind in ("constant_offset", "divergent_ramp") and not self.offset:
             raise ValueError(f"{self.kind} needs an offset vector")
-        if not math.isfinite(self.scale):
-            raise ValueError("the scale must be finite")
         if self.kind == "per_neighbor_random" and self.scale <= 0:
             raise ValueError("per_neighbor_random needs a positive scale")
-        object.__setattr__(self, "offset", tuple(float(c) for c in self.offset))
-        if not all(map(math.isfinite, self.offset)):
-            raise ValueError("the offset must be finite")
 
     def active(self, k: int) -> bool:
         start, stop = self.window

@@ -14,10 +14,10 @@ also exit 2.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
+from ._checks import real
 from .engine import resolve_workers
 from .graph import (
     LocalAttackBudget,
@@ -81,14 +81,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check_graph(args) -> int:
-    if args.L < 0 or args.P < 0:
-        return _usage_error(f"--L and --P must be nonnegative, got {args.L} and {args.P}")
+    try:
+        budget = LocalAttackBudget(args.L, args.P)
+    except ValueError as err:
+        return _usage_error(f"--L / --P: {err}")
     s = load_scenario(args.scenario)
     t = s.topology
     print(f"agents: {t.n_agents}, edges: {t.n_edges}")
     print(f"spanning tree from leader: {has_spanning_tree(t)}")
     print(f"grounded laplacian min eigenvalue: {grounded_laplacian_min_eigenvalue(t)}")
-    need, short = check_hybrid_detectability(t, LocalAttackBudget(args.L, args.P))
+    need, short = check_hybrid_detectability(t, budget)
     for j, i in t.edges:
         count = len(two_hop_relays(t, j, i))
         status = "short" if (j, i) in short else "ok"
@@ -104,13 +106,11 @@ def _cmd_sweep(args) -> int:
     if args.probe_step < 1:
         return _usage_error(f"--probe-step must be at least 1, got {args.probe_step}")
     try:
-        grid = [float(v) for v in args.grid.split(",") if v.strip()]
-    except ValueError:
-        return _usage_error(f"invalid grid {args.grid!r}")
+        grid = [real(float(v), "--grid", 0) for v in args.grid.split(",") if v.strip()]
+    except ValueError as err:
+        return _usage_error(f"invalid grid {args.grid!r}: {err}")
     if not grid:
         return _usage_error("empty grid")
-    if not all(0 < v < math.inf for v in grid):
-        return _usage_error(f"grid scales must be positive and finite, got {args.grid!r}")
     s = load_scenario(args.scenario)
     if args.probe_step > s.horizon:
         return _usage_error(f"--probe-step {args.probe_step} is beyond the horizon {s.horizon}")

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, real
 from .dynamics import StateBounds
 
 # Variance floor applied by estimate_kl, so that a degenerate sample
@@ -55,10 +56,8 @@ class KlDetectorConfig:
     min_samples: int = 30
 
     def __post_init__(self):
-        if not 0 < self.theta < math.inf:
-            raise ValueError("theta must be positive and finite")
-        if not isinstance(self.min_samples, (int, np.integer)) or self.min_samples < 2:
-            raise ValueError("min_samples must be an integer of at least 2")
+        object.__setattr__(self, "theta", real(self.theta, "theta", 0))
+        object.__setattr__(self, "min_samples", integer(self.min_samples, "min_samples", 2))
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,10 @@ class EnvelopeConfig:
     delta: float = 6.0
 
     def __post_init__(self):
-        if not (0 < self.M_r < math.inf and 0 <= self.delta < math.inf):
-            raise ValueError("M_r must be positive and delta nonnegative, both finite")
-        if not 0 < self.phi < 1:
-            raise ValueError("phi must lie in (0, 1)")
-        if not 0 < self.lambda_min < math.inf:
-            raise ValueError("lambda_min must be positive and finite")
+        object.__setattr__(self, "M_r", real(self.M_r, "M_r", 0))
+        object.__setattr__(self, "phi", real(self.phi, "phi", 0, 1))
+        object.__setattr__(self, "lambda_min", real(self.lambda_min, "lambda_min", 0))
+        object.__setattr__(self, "delta", real(self.delta, "delta", 0, closed=True))
 
 
 def gaussian_kl(mu_a, var_a, mu_b, var_b) -> float | np.ndarray:

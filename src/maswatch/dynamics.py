@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import real, reals
 from .graph import LEADER, Topology
 
 # Bytes of states eta_curve reads per block of steps.
@@ -38,14 +39,12 @@ class AgentModel:
     B: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.B, dtype=float).reshape(-1)
+        a = np.array(reals(self.A, "A"))
+        b = np.array(reals(self.B, "B")).reshape(-1)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("A must be square")
         if b.shape[0] != a.shape[0]:
             raise ValueError("B length must match A")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("A and B must be finite")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
 
@@ -71,16 +70,11 @@ class ControllerParams:
     noise_var: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "K1", np.asarray(self.K1, dtype=float).reshape(-1))
-        object.__setattr__(self, "K2", np.asarray(self.K2, dtype=float).reshape(-1))
-        if not (np.isfinite(self.K1).all() and np.isfinite(self.K2).all()):
-            raise ValueError("K1 and K2 must be finite")
-        if not 0 < self.gain_mu < math.inf:
-            raise ValueError("gain_mu must be positive and finite")
-        if not 0 < self.gain_lambda < 1:
-            raise ValueError("gain_lambda must lie in (0, 1)")
-        if not 0 <= self.noise_var < math.inf:
-            raise ValueError("noise_var must be nonnegative and finite")
+        object.__setattr__(self, "K1", np.array(reals(self.K1, "K1")).reshape(-1))
+        object.__setattr__(self, "K2", np.array(reals(self.K2, "K2")).reshape(-1))
+        object.__setattr__(self, "gain_mu", real(self.gain_mu, "gain_mu", 0))
+        object.__setattr__(self, "gain_lambda", real(self.gain_lambda, "gain_lambda", 0, 1))
+        object.__setattr__(self, "noise_var", real(self.noise_var, "noise_var", 0, closed=True))
 
 
 @dataclass(frozen=True)
@@ -96,15 +90,15 @@ class StateBounds:
     eps2: float
 
     def __post_init__(self):
-        if not -math.inf < self.eps1 <= self.eps2 < math.inf:
-            raise ValueError("eps1 must not exceed eps2, both finite")
+        object.__setattr__(self, "eps1", real(self.eps1, "eps1"))
+        object.__setattr__(self, "eps2", real(self.eps2, "eps2", self.eps1, closed=True))
         if self.eps2 == 0:
             raise ValueError("eps2 = 0 leaves the residual growth factor undefined")
 
 
 def companion_model(rho) -> AgentModel:
     """Companion-form pair: superdiagonal ones, last row rho, B = e_n."""
-    rho = np.asarray(rho, dtype=float).reshape(-1)
+    rho = np.array(reals(rho, "rho")).reshape(-1)
     n = rho.shape[0]
     if n < 1:
         raise ValueError("need at least one coefficient")
@@ -125,8 +119,7 @@ def platoon_model(delta: float = 1.2, T: float = 1.0) -> AgentModel:
 
         A = I + T * [[0,1,0],[0,0,1],[0,0,-1/delta]],  B = (0,0,1).
     """
-    if not (0 < delta < math.inf and 0 < T < math.inf):
-        raise ValueError("delta and T must be positive and finite")
+    delta, T = real(delta, "delta", 0), real(T, "T", 0)
     a = np.eye(3) + T * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0 / delta]])
     return AgentModel(a, np.array([0.0, 0.0, 1.0]))
 

@@ -91,15 +91,14 @@ Environment knob:
 from __future__ import annotations
 
 import math
-import numbers
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._checks import integer, real, reals
 from .attacks import AttackScenario, activity, validate_attacks, window_rows
 from .detectors import EnvelopeConfig, KlDetectorConfig
 from .dynamics import AgentModel, ControllerParams, StateBounds
@@ -145,16 +144,14 @@ class ScenarioError(ValueError):
 
 
 def _init_table(table, shape: tuple[int, int]) -> np.ndarray:
-    """The initial-state rule: a read-only float copy of table, of the
-    (agents, n) shape and finite, else a ScenarioError at run.init."""
+    """The initial-state rule: a read-only float copy of table, reals of
+    the (agents, n) shape, else a ScenarioError at run.init."""
     try:
-        init = np.array(table, dtype=float)
-    except (TypeError, ValueError) as err:  # ragged rows, or not numbers
+        init = np.array(reals(table, "init"))
+    except ValueError as err:  # not reals, or ragged rows
         raise ScenarioError("run.init", str(err)) from None
     if init.shape != shape:
         raise ScenarioError("run.init", f"expected shape {shape}, got {init.shape}")
-    if not np.isfinite(init).all():
-        raise ScenarioError("run.init", "initial states must be finite")
     init.flags.writeable = False
     return init
 
@@ -182,22 +179,12 @@ class Scenario:
             gain = getattr(self.controller, key)
             if len(gain) != n:
                 raise ScenarioError(f"controller.{key}", f"expected {n} components, got {len(gain)}")
-        for key in ("horizon", "trials", "master_seed"):
-            value = getattr(self, key)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):  # numpy ints pass, bool not
-                raise ScenarioError(f"run.{key}", f"expected an integer, got {value!r}")
-            object.__setattr__(self, key, int(value))
-        if not isinstance(self.varsigma, numbers.Real) or isinstance(self.varsigma, bool):  # numpy floats pass
-            raise ScenarioError("run.varsigma", f"expected a real number, got {self.varsigma!r}")
-        for key, ok, message in (
-            ("horizon", self.horizon >= 0, "horizon must be nonnegative"),
-            ("trials", self.trials >= 1, "need at least one trial"),
-            ("master_seed", self.master_seed >= 0, "master_seed must be nonnegative"),
-            ("varsigma", 0 < self.varsigma <= sys.float_info.max, "varsigma must be positive and finite"),
-        ):
-            if not ok:
-                raise ScenarioError(f"run.{key}", message)
-        object.__setattr__(self, "varsigma", float(self.varsigma))
+        run = (("horizon", integer, 0), ("trials", integer, 1), ("master_seed", integer, 0), ("varsigma", real, 0))
+        for key, check, low in run:
+            try:
+                object.__setattr__(self, key, check(getattr(self, key), key, low))
+            except ValueError as err:
+                raise ScenarioError(f"run.{key}", str(err)) from None
         object.__setattr__(self, "init_states", _init_table(self.init_states, (self.topology.n_agents, n)))
         # A schedule always has n coefficients; an offset only when given.
         vectors = [

@@ -13,10 +13,11 @@ parameterizes the decay envelope used by the residual detector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._checks import integer, real
 
 LEADER = 0
 
@@ -30,8 +31,8 @@ class LocalAttackBudget:
     max_attacked_channels: int = 1
 
     def __post_init__(self):
-        if not (0 <= self.max_byzantine_neighbors < math.inf and 0 <= self.max_attacked_channels < math.inf):
-            raise ValueError("attack budget entries must be nonnegative and finite")
+        for key in ("max_byzantine_neighbors", "max_attacked_channels"):
+            object.__setattr__(self, key, integer(getattr(self, key), key, 0))
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,11 @@ class Topology:
     used everywhere downstream (simulation slabs, CSV exports).
 
     A Topology is valid by construction: __post_init__ raises ValueError
-    for fewer than 2 agents or more than an intp holds, an unknown agent
-    id, a self-loop, a duplicate edge, a weight that is not positive and
-    finite, or a weight count other than the edge count. It then derives the
-    read-only tables below, so one built through dataclasses.replace
-    derives them again.
+    for an agent count that is not an integer of at least 2 or exceeds an
+    intp, an id that is not an integer of a known agent, a self-loop, a
+    duplicate edge, a weight that is not a positive real, or a weight
+    count other than the edge count. It then derives the read-only tables
+    below, so one built through dataclasses.replace derives them again.
 
     src and dst are (E,) intp arrays of each edge's sender j and
     receiver i; in_neighbors and out_neighbors read them in edge order.
@@ -66,27 +67,25 @@ class Topology:
     relay_js: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        edges, weights = tuple(map(tuple, self.edges)), tuple(map(float, self.weights))
-        if self.n_agents < 2:
-            raise ValueError("need at least a leader and one follower")
-        if self.n_agents > np.iinfo(np.intp).max:  # the src / dst arrays hold agent ids
-            raise ValueError(f"{self.n_agents} agents exceed numpy's index range")
+        n = integer(self.n_agents, "n_agents", 2)
+        if n > np.iinfo(np.intp).max:  # the src / dst arrays hold agent ids
+            raise ValueError(f"{n} agents exceed numpy's index range")
+        edges = tuple(tuple(integer(v, f"edges[{e}]", 0) for v in pair) for e, pair in enumerate(self.edges))
+        weights = tuple(real(w, f"weights[{e}]", 0) for e, w in enumerate(self.weights))
         if len(weights) != len(edges):
             raise ValueError(f"{len(weights)} weights for {len(edges)} edges")
         seen = set()
-        for (j, i), w in zip(edges, weights):
-            if not (0 <= j < self.n_agents and 0 <= i < self.n_agents):
+        for j, i in edges:
+            if not (j < n and i < n):
                 raise ValueError(f"edge ({j}, {i}) references an unknown agent")
             if j == i:
                 raise ValueError(f"self-loop on agent {j} is not allowed")
             if (j, i) in seen:
                 raise ValueError(f"duplicate edge ({j}, {i})")
-            if not 0 < w < math.inf:
-                raise ValueError(f"edge ({j}, {i}) has weight {w}, not positive and finite")
             seen.add((j, i))
         ends = np.array(edges, dtype=np.intp).reshape(-1, 2).T.copy()
         ends.flags.writeable = False
-        for name, value in (("edges", edges), ("weights", weights), ("src", ends[0]), ("dst", ends[1])):
+        for name, value in (("n_agents", n), ("edges", edges), ("weights", weights), ("src", ends[0]), ("dst", ends[1])):
             object.__setattr__(self, name, value)
         index = {e: k for k, e in enumerate(edges)}
         relays = [two_hop_relays(self, j, i) for j, i in edges]

@@ -7,11 +7,11 @@ the offending field by path (for example "detectors.kl.theta"). Each
 object of the document has one {key: reader} table, and the loader
 reads every key through it or refuses it, naming the known keys; each
 model type has its own keys. The loader checks only the document's
-JSON types and keys; graph.Topology checks the graph rules and
-engine.Scenario every run rule (the gain lengths, the integers and
-ranges of the run section, the run.init.states rows, the attacks and
-their local budget), so one built through dataclasses.replace fails as
-the same ScenarioError.
+JSON types, keys and numbers, by the types' own number rule (_checks);
+graph.Topology checks the graph rules and engine.Scenario every run
+rule (the gain lengths, the run section's integers and ranges, the
+run.init.states rows, the attacks and their local budget), so one
+built through dataclasses.replace fails as the same ScenarioError.
 
 run_monte_carlo simulates the batch, rejects a run whose states are
 not finite, and pools over trials, reading the recovered-copy slab in
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
@@ -45,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import integer, real
 from .attacks import (
     AttackScenario,
     ByzantineBehavior,
@@ -105,16 +105,6 @@ class RunReport:
         return self.kl_stats.shape[1]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
-    """A number that is a finite float; compared exactly, so an integer
-    beyond the float range is not one (math.isfinite would raise)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
 def _build(path, factory, *args, **kwargs):
     """factory(*args, **kwargs), its ValueError reported at path."""
     try:
@@ -140,22 +130,18 @@ def _of(ok, expected, convert=None):
     return read
 
 
-_integer = _of(_is_int, "an integer")
-_number = _of(_is_finite, "a finite number", float)
+def _checked(check, *bounds):
+    """A reader of check(value, last part of path, *bounds), reported at path."""
+    return lambda v, path: _build(path, check, v, path.rpartition(".")[2], *bounds)
+
+
+# A document's integers are counts, ids and steps: none is negative.
+_integer = _checked(integer, 0)
+_number = _checked(real)
 _string = _of(lambda v: isinstance(v, str), "a string")
 _object = _of(lambda v: isinstance(v, dict), "an object")
 _list = _of(lambda v: isinstance(v, list), "a list")
 _unchecked = _of(lambda v: True, "")  # a value its type checks
-_edge = _of(
-    lambda v: isinstance(v, list) and len(v) in (2, 3) and all(map(_is_int, v[:2])) and all(map(_is_finite, v[2:])),
-    "an edge [j, i] or [j, i, weight], ids integer",
-)
-_pair = _of(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)), "an edge [j, i] of integers", tuple)
-_window = _of(
-    lambda v: isinstance(v, list) and len(v) == 2 and _is_int(v[0]) and (v[1] is None or _is_int(v[1])),
-    "a window [start, stop], integers or a null stop",
-    tuple,
-)
 
 
 def _list_of(reader):
@@ -169,6 +155,17 @@ _vector = _list_of(_number)
 def _or_null(reader):
     """reader, except that null reads as None."""
     return lambda v, path: None if v is None else reader(v, path)
+
+
+def _row(expected, sizes, *readers):
+    """A reader of a list of one of sizes entries, each read at path by its reader."""
+    shape = _of(lambda v: isinstance(v, list) and len(v) in sizes, expected)
+    return lambda v, path: tuple(read(x, path) for read, x in zip(readers, shape(v, path)))
+
+
+_edge = _row("an edge [j, i] or [j, i, weight]", (2, 3), _integer, _integer, _number)
+_pair = _row("an edge [j, i]", (2,), _integer, _integer)
+_window = _row("a window [start, stop]", (2,), _integer, _or_null(_integer))
 
 
 _DROPPED = object()
@@ -542,30 +539,27 @@ def transient_sweep(s: Scenario, initial_error_grid, probe_step: int = 4) -> lis
     On a clean channel the recovered copy is plaintext plus noise, so
     the residual is the one an unwatermarked run would see, and the two
     copies are equal. The watermark statistic is 0 by construction; the
-    ablation statistic grows with the initial disagreement. Every scale
-    is checked before anything is drawn: it must be positive and finite
-    (a ValueError), and one that overflows the initial states is a
-    ScenarioError. A scale whose states diverge or whose statistics
-    overflow is a ScenarioError too, reported in grid order. Both
-    statistics fit a distribution per edge, so a sweep needs at least 2
-    trials; fewer is a ScenarioError on run.trials.
+    ablation statistic grows with the initial disagreement. Before
+    anything is drawn, a scale that is not a positive real or a
+    probe_step that is not an integer of at least 1 is a ValueError
+    naming it, and a scale that overflows the initial states a
+    ScenarioError; so is one whose states or statistics overflow, in
+    grid order. Both statistics fit a distribution per edge, so a sweep
+    needs at least 2 trials; fewer is a ScenarioError on run.trials.
     """
     if s.trials < 2:
         raise ScenarioError("run.trials", f"a sweep needs at least 2 trials, got {s.trials}")
-    if probe_step < 1:
-        raise ValueError("probe_step must be at least 1")
+    probe_step = integer(probe_step, "probe_step", 1)
     if probe_step > s.horizon:
         raise ValueError(f"probe step {probe_step} beyond horizon {s.horizon}")
-    grid = list(initial_error_grid)
+    grid = [real(v, f"initial_error_grid[{b}]", 0) for b, v in enumerate(initial_error_grid)]
     if not grid:
         return []
     leader = s.init_states[LEADER]
     inits = np.empty((len(grid),) + s.init_states.shape)
     for b, scale in enumerate(grid):
-        if not 0 < scale < math.inf:
-            raise ValueError(f"initial error scales must be positive and finite, got {scale!r}")
         with np.errstate(over="ignore", invalid="ignore"):
-            inits[b] = leader + float(scale) * (s.init_states - leader)
+            inits[b] = leader + scale * (s.init_states - leader)
         if not np.isfinite(inits[b]).all():
             raise ScenarioError("run", f"initial error scale {scale!r} overflows the initial states")
     clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget), horizon=probe_step)
@@ -586,10 +580,10 @@ def transient_sweep(s: Scenario, initial_error_grid, probe_step: int = 4) -> lis
         _require_finite(wm_kl[:, None], ab_kl[:, None], first_step=probe_step, at=f" at initial error scale {scale!r}")
         rows.append(
             {
-                "scale": float(scale),
+                "scale": scale,
                 "watermark_kl": float(np.max(wm_kl, initial=0.0)),
                 "ablation_kl": float(np.max(ab_kl, initial=0.0)),
-                "probe_step": int(probe_step),
+                "probe_step": probe_step,
             }
         )
     return rows

@@ -39,9 +39,11 @@ material pair (m, f), each with the copy r along its axis -3.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from ._checks import real
 
 # Stream tags for per-edge generators; the simulation engine derives
 # its pregenerated blocks from the same (seed, trial, j, i, tag) tuple.
@@ -52,7 +54,8 @@ STREAM_BYZANTINE = 2
 
 @dataclass(frozen=True)
 class WatermarkParams:
-    """Secret distribution parameters shared by sender and receiver."""
+    """Secret distribution parameters shared by sender and receiver,
+    each a positive real; a zero lambda_r would make removal singular."""
 
     lambda1: float
     lambda2: float
@@ -62,11 +65,8 @@ class WatermarkParams:
     sigma2_f2: float
 
     def __post_init__(self):
-        if not (0 < self.lambda1 < np.inf and 0 < self.lambda2 < np.inf):
-            raise ValueError("lambda_r must be positive and finite; zero would make removal singular")
-        for name in ("sigma2_m1", "sigma2_m2", "sigma2_f1", "sigma2_f2"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        for f in fields(self):
+            object.__setattr__(self, f.name, real(getattr(self, f.name), f.name, 0))
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator); stream_keys

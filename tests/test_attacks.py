@@ -65,9 +65,9 @@ def test_schedule_kinds():
 
 
 def test_window_validation():
-    with pytest.raises(ValueError, match="start at step 1"):
+    with pytest.raises(ValueError, match=r"^window start must be an integer of at least 1, got 0$"):
         ChannelAttack((0, 1), (0, 5), _const(1.0), _const(0.0), _const(1.0), _const(0.0))
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(ValueError, match=r"^window stop must be an integer of at least 6, got 5$"):
         ByzantineBehavior(1, (5, 5), "constant_offset", offset=(1.0,))
 
 

@@ -219,5 +219,5 @@ def test_compute_state_bounds():
     traj = np.arange(24.0).reshape(1, 2, 3, 4) - 5.0
     b = compute_state_bounds(traj)
     assert b.eps1 == -5.0 and b.eps2 == 18.0
-    with pytest.raises(ValueError, match="eps1"):
+    with pytest.raises(ValueError, match=r"^eps2 must lie in \[2\.0, inf\), got 1\.0$"):
         StateBounds(2.0, 1.0)

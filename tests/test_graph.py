@@ -68,7 +68,7 @@ def test_build_topology_neighbors_and_weights():
 
 
 def test_build_topology_rejects_bad_edges():
-    with pytest.raises(ValueError, match="at least a leader"):
+    with pytest.raises(ValueError, match=r"^n_agents must be an integer of at least 2, got 1$"):
         build_topology(1, [])
     with pytest.raises(ValueError, match="self-loop"):
         build_topology(3, [(1, 1)])
@@ -79,8 +79,8 @@ def test_build_topology_rejects_bad_edges():
     # an id beyond intp would not fit the src / dst arrays
     with pytest.raises(ValueError, match="index range"):
         build_topology(2**70, [(0, 1), (2**65, 0)])
-    for w in (0.0, math.inf):
-        with pytest.raises(ValueError, match="not positive and finite"):
+    for w, rule in ((0.0, r"lie in \(0, inf\)"), (math.inf, "be a finite real number")):
+        with pytest.raises(ValueError, match=rf"^weights\[0\] must {rule}, got {w}$"):
             build_topology(3, [(0, 1, w)])
 
 
@@ -92,10 +92,10 @@ def test_a_topology_built_through_replace_checks_and_derives_its_tables_again():
     for name in ("src", "dst", "relay_si", "relay_js"):
         assert np.array_equal(getattr(cut, name), getattr(want, name)), name
     for edges, weights, match in (
-        (t.edges, (-1.0,) + t.weights[1:], "not positive and finite"),
-        (t.edges, (0.0,) + t.weights[1:], "not positive and finite"),
-        (t.edges, (math.nan,) + t.weights[1:], "not positive and finite"),
-        (t.edges, (math.inf,) + t.weights[1:], "not positive and finite"),
+        (t.edges, (-1.0,) + t.weights[1:], r"^weights\[0\] must lie in \(0, inf\), got -1\.0$"),
+        (t.edges, (0.0,) + t.weights[1:], r"^weights\[0\] must lie in \(0, inf\), got 0\.0$"),
+        (t.edges, (math.nan,) + t.weights[1:], r"^weights\[0\] must be a finite real number, got nan$"),
+        (t.edges, (math.inf,) + t.weights[1:], r"^weights\[0\] must be a finite real number, got inf$"),
         (((1, 1),) + t.edges[1:], t.weights, "self-loop"),
         (t.edges + t.edges[:1], t.weights + t.weights[:1], "duplicate"),
         (((0, 7),) + t.edges[1:], t.weights, "unknown agent"),
@@ -103,7 +103,7 @@ def test_a_topology_built_through_replace_checks_and_derives_its_tables_again():
     ):
         with pytest.raises(ValueError, match=match):
             replace(t, edges=edges, weights=weights)
-    with pytest.raises(ValueError, match="at least a leader"):
+    with pytest.raises(ValueError, match=r"^n_agents must be an integer of at least 2, got 1$"):
         replace(t, n_agents=1, edges=(), weights=())
 
 

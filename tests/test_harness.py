@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import os
+import re
 import threading
 from dataclasses import FrozenInstanceError, fields, replace
 from importlib import resources
@@ -194,6 +195,8 @@ def _frozen_agent_1(d):
         ("trials", 2.5, lambda d: d["run"].update(trials=2.5), "run.trials"),
         ("horizon", 3.0, lambda d: d["run"].update(horizon=3.0), "run.horizon"),
         ("trials", True, lambda d: d["run"].update(trials=True), "run.trials"),
+        ("horizon", True, lambda d: d["run"].update(horizon=True), "run.horizon"),
+        ("varsigma", 10**400, lambda d: d["run"].update(varsigma=10**400), "run.varsigma"),
         ("controller", ControllerParams([0.5] * 3, [0.5, 1.0]), lambda d: d["controller"].update(K1=[0.5] * 3), "controller.K1"),
         ("controller", ControllerParams([0.5, 0.5], [0.5] * 3), lambda d: d["controller"].update(K2=[0.5] * 3), "controller.K2"),
         ("init_states", np.full((3, 2), np.nan), lambda d: d["run"]["init"].update(states=[[math.nan] * 2] * 3), "run.init"),
@@ -227,7 +230,7 @@ def _frozen_agent_1(d):
     ids=[
         "varsigma_negative", "varsigma_nan", "varsigma_inf", "varsigma_str", "varsigma_none", "varsigma_bool",
         "trials_zero", "horizon_negative", "master_seed_negative",
-        "master_seed_float", "trials_float", "horizon_float", "trials_bool",
+        "master_seed_float", "trials_float", "horizon_float", "trials_bool", "horizon_bool", "varsigma_huge",
         "K1_length", "K2_length",
         "init_nan", "init_shape", "init_ragged", "over_budget", "unknown_edge", "offset_length", "coeffs_length",
     ],
@@ -265,9 +268,14 @@ _CONFIG_ARGS = {
     ByzantineBehavior: {"agent": 1, "window": (3, None), "kind": "per_neighbor_random", "offset": [1.0], "scale": 2.5},
     LocalAttackBudget: {"max_byzantine_neighbors": 1, "max_attacked_channels": 1},
     Topology: {"n_agents": 2, "edges": [(0, 1)], "weights": [1.0]},
+    ChannelAttack: {"edge": (0, 1), "window": (3, None), **dict.fromkeys(("xi1", "lam1", "xi2", "lam2"), _CONST)},
 }
-_NOT_NUMBERS = {"kind", "agent", "window", "n_agents", "edges"}
+_NOT_NUMBERS = {"kind", "agent", "window", "n_agents", "edges", "edge", "xi1", "lam1", "xi2", "lam2"}
 _NUMERIC_FIELDS = [(f, key) for f, args in _CONFIG_ARGS.items() for key in args if key not in _NOT_NUMBERS]
+# Values no real field takes, by test id. 10**400 is an integer, so the
+# integer fields among them (min_samples, L and P) do take it.
+_NOT_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "huge": 10**400, "-huge": -(10**400), "bool": True, "str": "1"}
+_INTEGER_KEYS = {"min_samples", "max_byzantine_neighbors", "max_attacked_channels"}
 
 
 def _with_last(value, bad):
@@ -275,15 +283,55 @@ def _with_last(value, bad):
     return [*value[:-1], _with_last(value[-1], bad)] if isinstance(value, list) else bad
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("factory, key", _NUMERIC_FIELDS, ids=[f"{f.__name__}.{key}" for f, key in _NUMERIC_FIELDS])
+@pytest.mark.parametrize(
+    "factory, key, bad",
+    [
+        pytest.param(f, key, bad, id=f"{f.__name__}.{key}-{name}")
+        for f, key in _NUMERIC_FIELDS
+        for name, bad in _NOT_FINITE.items()
+        if not (name == "huge" and key in _INTEGER_KEYS)
+    ],
+)
 def test_config_types_refuse_values_that_are_not_finite(factory, key, bad):
-    """A NaN or an infinity set through the Python API is a ValueError,
-    as the loader's finite-number rule makes it for a document."""
+    """A NaN, an infinity, a number beyond the float range, a bool or a
+    string set through the Python API is a ValueError naming the field
+    and the value, never an OverflowError or a TypeError, as the loader
+    makes it a ScenarioError for a document."""
     args = _CONFIG_ARGS[factory]
     factory(**args)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         factory(**{**args, key: _with_last(args[key], bad)})
+    assert str(err.value).startswith(key) and repr(bad) in str(err.value)
+
+
+# Every integer field: (factory, field, its value around x, the name
+# the refusal gives).
+_INTEGER_FIELDS = {
+    "L": (LocalAttackBudget, "max_byzantine_neighbors", lambda x: x, "max_byzantine_neighbors"),
+    "P": (LocalAttackBudget, "max_attacked_channels", lambda x: x, "max_attacked_channels"),
+    "n_agents": (Topology, "n_agents", lambda x: x, "n_agents"),
+    "min_samples": (KlDetectorConfig, "min_samples", lambda x: x, "min_samples"),
+    "agent": (ByzantineBehavior, "agent", lambda x: x, "agent"),
+    "topology_edge": (Topology, "edges", lambda x: [(0, x)], "edges[0]"),
+    "channel_edge": (ChannelAttack, "edge", lambda x: (x, 1), "edge[0]"),
+    "byzantine_window_start": (ByzantineBehavior, "window", lambda x: (x, None), "window start"),
+    "byzantine_window_stop": (ByzantineBehavior, "window", lambda x: (3, x), "window stop"),
+    "channel_window_start": (ChannelAttack, "window", lambda x: (x, None), "window start"),
+    "channel_window_stop": (ChannelAttack, "window", lambda x: (3, x), "window stop"),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 5.0], ids=["fraction", "bool", "float"])
+@pytest.mark.parametrize("field", _INTEGER_FIELDS)
+def test_config_types_refuse_integer_fields_that_are_not_integers(field, bad):
+    """A count, an id or a window end that is a fraction, a bool or a
+    float is a ValueError naming the field and the value: a budget of
+    1.5 would ask for fractional paths, an agent of 5.0 would name its
+    summary keys ttd_byzantine_5.0, and a window end would slice."""
+    factory, key, place, name = _INTEGER_FIELDS[field]
+    args = _CONFIG_ARGS[factory]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer of at least \d+, got {bad!r}$"):
+        factory(**{**args, key: place(bad)})
 
 
 def test_loaded_init_states_are_read_only():
@@ -775,7 +823,7 @@ def test_transient_sweep_checks_the_whole_grid_before_drawing(monkeypatch):
     # rejected first, before anything is simulated.
     monkeypatch.setattr(harness, "simulate", None)
     s = scenario_from_dict(small_doc())
-    with pytest.raises(ValueError, match="positive and finite, got nan") as err:
+    with pytest.raises(ValueError, match=r"^initial_error_grid\[1\] must be a finite real number, got nan$") as err:
         transient_sweep(s, [1e160, math.nan], probe_step=4)
     assert not isinstance(err.value, ScenarioError)
     with pytest.raises(ScenarioError, match=r"^run: initial error scale 1\.7e\+308 overflows the initial states$"):
@@ -789,13 +837,24 @@ def test_transient_sweep_checks_the_whole_grid_before_drawing(monkeypatch):
 
 def test_transient_sweep_rejects_bad_grid():
     s = scenario_from_dict(small_doc())
-    for scale in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
+    for scale, rule in (
+        (0.0, r"lie in \(0, inf\), got 0\.0"),
+        (-1.0, r"lie in \(0, inf\), got -1\.0"),
+        (math.nan, "be a finite real number, got nan"),
+        (math.inf, "be a finite real number, got inf"),
+        (10**400, "be a finite real number, got 1000"),
+        (True, "be a finite real number, got True"),
+    ):
+        with pytest.raises(ValueError, match=rf"^initial_error_grid\[1\] must {rule}"):
             transient_sweep(s, [1.0, scale])
     with pytest.raises(ValueError, match="beyond horizon"):
         transient_sweep(s, [1.0], probe_step=99)
-    with pytest.raises(ValueError, match="at least 1"):
-        transient_sweep(s, [1.0], probe_step=0)
+    # probe_step is read as an integer of at least 1, before the run's
+    # own horizon rule sees it.
+    for step in (0, 2.5, True):
+        with pytest.raises(ValueError, match=rf"^probe_step must be an integer of at least 1, got {step}$") as err:
+            transient_sweep(s, [1.0], probe_step=step)
+        assert not isinstance(err.value, ScenarioError)
 
 
 # --- export -----------------------------------------------------------------

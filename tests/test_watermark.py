@@ -27,9 +27,9 @@ PARAMS = WatermarkParams(
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="lambda_r"):
+    with pytest.raises(ValueError, match=r"^lambda1 must lie in \(0, inf\), got 0\.0$"):
         WatermarkParams(0.0, 5.0, 7.2, 4.3, 2.0, 3.5)
-    with pytest.raises(ValueError, match="sigma2_f2"):
+    with pytest.raises(ValueError, match=r"^sigma2_f2 must lie in \(0, inf\), got -1\.0$"):
         WatermarkParams(2.0, 5.0, 7.2, 4.3, 2.0, -1.0)
 
 
