@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import integer, real
+from ._checks import integer, real, sequence
 from .graph import LocalAttackBudget, Topology
 
 SCHEDULE_KINDS = ("sin", "const", "ramp")
@@ -49,7 +49,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}")
-        object.__setattr__(self, "coeffs", tuple(real(c, f"coeffs[{k}]") for k, c in enumerate(self.coeffs)))
+        coeffs = sequence(self.coeffs, "coeffs")
+        object.__setattr__(self, "coeffs", tuple(real(c, f"coeffs[{k}]") for k, c in enumerate(coeffs)))
 
     def eval(self, k) -> np.ndarray:
         """c * g(k): (n,) for one step, (S, n) for an array of S steps."""
@@ -74,7 +75,7 @@ def window_rows(window, horizon: int) -> slice:
 
 def _window(window) -> tuple[int, int | None]:
     """window as integers (start, stop), stop None or after start >= 1."""
-    start, stop = window
+    start, stop = sequence(window, "window", (2,))
     start = integer(start, "window start", 1)
     return start, None if stop is None else integer(stop, "window stop", start + 1)
 
@@ -95,7 +96,8 @@ class ChannelAttack:
     lam2: Schedule
 
     def __post_init__(self):
-        object.__setattr__(self, "edge", tuple(integer(v, f"edge[{k}]", 0) for k, v in enumerate(self.edge)))
+        edge = sequence(self.edge, "edge", (2,))
+        object.__setattr__(self, "edge", tuple(integer(v, f"edge[{k}]", 0) for k, v in enumerate(edge)))
         object.__setattr__(self, "window", _window(self.window))
 
     def active(self, k: int) -> bool:
@@ -129,7 +131,8 @@ class ByzantineBehavior:
     def __post_init__(self):
         object.__setattr__(self, "agent", integer(self.agent, "agent", 0))
         object.__setattr__(self, "window", _window(self.window))
-        object.__setattr__(self, "offset", tuple(real(c, f"offset[{k}]") for k, c in enumerate(self.offset)))
+        offset = sequence(self.offset, "offset")
+        object.__setattr__(self, "offset", tuple(real(c, f"offset[{k}]") for k, c in enumerate(offset)))
         object.__setattr__(self, "scale", real(self.scale, "scale"))
         if self.kind not in BYZANTINE_KINDS:
             raise ValueError(f"unknown byzantine kind {self.kind!r}, expected one of {BYZANTINE_KINDS}")
@@ -158,7 +161,7 @@ class AttackScenario:
 
 def tamper_channel(y: np.ndarray, a: ChannelAttack, k: int) -> np.ndarray:
     """Apply the attack to one (2, n) pair of copies, copy r in row r-1;
-    identity outside the window."""
+    unchanged outside the window."""
     if not a.active(k):
         return y
     xi = np.stack([a.xi1.eval(k), a.xi2.eval(k)])
@@ -264,9 +267,9 @@ def validate_attacks(
         exposed = {a.edge[1] for a in chan_k} | {i for j in byz_agents for i in t.out_neighbors(j)}
         for i in sorted(exposed):
             n_byz = sum(1 for j in t.in_neighbors(i) if j in byz_agents)
-            if n_byz > s.budget.max_byzantine_neighbors:
+            if n_byz > s.budget.L:
                 return (i, k)
             n_chan = sum(1 for a in chan_k if a.edge[1] == i)
-            if n_chan > s.budget.max_attacked_channels:
+            if n_chan > s.budget.P:
                 return (i, k)
     return None

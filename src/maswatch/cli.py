@@ -84,7 +84,7 @@ def _cmd_check_graph(args) -> int:
     try:
         budget = LocalAttackBudget(args.L, args.P)
     except ValueError as err:
-        return _usage_error(f"--L / --P: {err}")
+        return _usage_error(f"--{err}")  # the fields are named L and P
     s = load_scenario(args.scenario)
     t = s.topology
     print(f"agents: {t.n_agents}, edges: {t.n_edges}")
@@ -103,8 +103,6 @@ def _cmd_check_graph(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.probe_step < 1:
-        return _usage_error(f"--probe-step must be at least 1, got {args.probe_step}")
     try:
         grid = [real(float(v), "--grid", 0) for v in args.grid.split(",") if v.strip()]
     except ValueError as err:
@@ -112,8 +110,12 @@ def _cmd_sweep(args) -> int:
     if not grid:
         return _usage_error("empty grid")
     s = load_scenario(args.scenario)
-    if args.probe_step > s.horizon:
-        return _usage_error(f"--probe-step {args.probe_step} is beyond the horizon {s.horizon}")
+    try:
+        transient_sweep(s, [], probe_step=args.probe_step)  # checks the probe step, simulates nothing
+    except ScenarioError:
+        raise
+    except ValueError as err:
+        return _usage_error(f"--probe-step: {err}")
     rows = transient_sweep(s, grid, probe_step=args.probe_step)
     print("scale,watermark_kl,ablation_kl,probe_step")
     for row in rows:

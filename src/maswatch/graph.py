@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import integer, real
+from ._checks import integer, real, sequence
 
 LEADER = 0
 
@@ -25,13 +25,14 @@ LEADER = 0
 @dataclass(frozen=True)
 class LocalAttackBudget:
     """Per-agent attack budget: at most L Byzantine in-neighbors and at
-    most P attacked incoming channels at any step."""
+    most P attacked incoming channels at any step. The scenario document
+    (attacks.budget) and check-graph (--L / --P) name them the same way."""
 
-    max_byzantine_neighbors: int = 1
-    max_attacked_channels: int = 1
+    L: int = 1
+    P: int = 1
 
     def __post_init__(self):
-        for key in ("max_byzantine_neighbors", "max_attacked_channels"):
+        for key in ("L", "P"):
             object.__setattr__(self, key, integer(getattr(self, key), key, 0))
 
 
@@ -45,10 +46,12 @@ class Topology:
 
     A Topology is valid by construction: __post_init__ raises ValueError
     for an agent count that is not an integer of at least 2 or exceeds an
-    intp, an id that is not an integer of a known agent, a self-loop, a
-    duplicate edge, a weight that is not a positive real, or a weight
-    count other than the edge count. It then derives the read-only tables
-    below, so one built through dataclasses.replace derives them again.
+    intp, edges or weights that are not a list or tuple, an edge that is
+    not a pair, an id that is not an integer of a known agent, a
+    self-loop, a duplicate edge, a weight that is not a positive real,
+    or a weight count other than the edge count. It then derives the
+    read-only tables below, so one built through dataclasses.replace
+    derives them again.
 
     src and dst are (E,) intp arrays of each edge's sender j and
     receiver i; in_neighbors and out_neighbors read them in edge order.
@@ -70,8 +73,11 @@ class Topology:
         n = integer(self.n_agents, "n_agents", 2)
         if n > np.iinfo(np.intp).max:  # the src / dst arrays hold agent ids
             raise ValueError(f"{n} agents exceed numpy's index range")
-        edges = tuple(tuple(integer(v, f"edges[{e}]", 0) for v in pair) for e, pair in enumerate(self.edges))
-        weights = tuple(real(w, f"weights[{e}]", 0) for e, w in enumerate(self.weights))
+        edges = tuple(
+            tuple(integer(v, f"edges[{e}]", 0) for v in sequence(pair, f"edges[{e}]", (2,)))
+            for e, pair in enumerate(sequence(self.edges, "edges"))
+        )
+        weights = tuple(real(w, f"weights[{e}]", 0) for e, w in enumerate(sequence(self.weights, "weights")))
         if len(weights) != len(edges):
             raise ValueError(f"{len(weights)} weights for {len(edges)} edges")
         seen = set()
@@ -116,11 +122,11 @@ class Topology:
         return self.weights[self.edge_index(j, i)]
 
 
-def build_topology(n_agents: int, edge_list) -> Topology:
+def build_topology(n_agents: int, edges) -> Topology:
     """A Topology from (j, i) or (j, i, weight) entries; weight
     defaults to 1.0. Topology itself checks the result."""
-    entries = [(*e, 1.0) if len(e) == 2 else e for e in edge_list]
-    return Topology(n_agents, tuple((j, i) for j, i, _ in entries), tuple(w for *_, w in entries))
+    rows = [sequence(e, f"edges[{k}]", (2, 3)) + (1.0,) for k, e in enumerate(sequence(edges, "edges"))]
+    return Topology(n_agents, tuple(row[:2] for row in rows), tuple(row[2] for row in rows))
 
 
 def laplacian(t: Topology) -> np.ndarray:
@@ -179,5 +185,5 @@ def check_hybrid_detectability(t: Topology, budget: LocalAttackBudget) -> tuple[
     count L + P + 1 and the edges with fewer paths; the condition holds
     when short_edges is empty.
     """
-    need = budget.max_byzantine_neighbors + budget.max_attacked_channels + 1
+    need = budget.L + budget.P + 1
     return need, [e for e in t.edges if len(two_hop_relays(t, *e)) < need]

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import integer, real
+from ._checks import integer, real, sequence
 from .attacks import (
     AttackScenario,
     ByzantineBehavior,
@@ -117,15 +117,15 @@ def _build(path, factory, *args, **kwargs):
 # value, or raises a ScenarioError at path.
 
 
-def _of(ok, expected, convert=None):
-    """A reader of a value that ok accepts, passed on through convert. A
-    refused null, bool, string or float is shown, any other by its type."""
+def _of(ok, expected):
+    """A reader of a value that ok accepts. A refused null, bool, string
+    or float is shown, any other by its type."""
 
     def read(v, path):
         if not ok(v):
             got = repr(v) if v is None or isinstance(v, (bool, str, float)) else type(v).__name__
             raise ScenarioError(path, f"expected {expected}, got {got}")
-        return convert(v) if convert else v
+        return v
 
     return read
 
@@ -157,31 +157,22 @@ def _or_null(reader):
     return lambda v, path: None if v is None else reader(v, path)
 
 
-def _row(expected, sizes, *readers):
+def _row(sizes, *readers):
     """A reader of a list of one of sizes entries, each read at path by its reader."""
-    shape = _of(lambda v: isinstance(v, list) and len(v) in sizes, expected)
+    shape = _checked(sequence, sizes)
     return lambda v, path: tuple(read(x, path) for read, x in zip(readers, shape(v, path)))
 
 
-_edge = _row("an edge [j, i] or [j, i, weight]", (2, 3), _integer, _integer, _number)
-_pair = _row("an edge [j, i]", (2,), _integer, _integer)
-_window = _row("a window [start, stop]", (2,), _integer, _or_null(_integer))
-
-
-_DROPPED = object()
-
-
-def _only(value):
-    """A reader of a key that takes value alone, of value's type, and
-    passes nothing on: a retired setting, or a model's type."""
-    return _of(lambda v: type(v) is type(value) and v == value, f"only {value!r}", lambda v: _DROPPED)
+_edge = _row((2, 3), _integer, _integer, _number)
+_pair = _row((2,), _integer, _integer)
+_window = _row((2,), _integer, _or_null(_integer))
 
 
 def _fields(sec, path, readers, required=()) -> dict:
     """{key: readers[key](sec[key], path.key)} over the keys sec names,
-    in table order, less those _only reads. sec must be an object naming
-    every required key (given a table: all its keys) and no key outside
-    readers; each refusal names the known keys."""
+    in table order. sec must be an object naming every required key
+    (given a table: all its keys) and no key outside readers; each
+    refusal names the known keys."""
     known = list(readers)
     if not isinstance(sec, dict):
         raise ScenarioError(path, f"expected an object with keys {known}, got {type(sec).__name__}")
@@ -192,8 +183,7 @@ def _fields(sec, path, readers, required=()) -> dict:
     for key in required:
         if key not in sec:
             raise ScenarioError(f"{prefix}{key}", f"missing required key, the known keys are {known}")
-    values = {key: readers[key](sec[key], f"{prefix}{key}") for key in readers if key in sec}
-    return {key: v for key, v in values.items() if v is not _DROPPED}
+    return {key: readers[key](sec[key], f"{prefix}{key}") for key in readers if key in sec}
 
 
 def _built(factory, readers, required=()):
@@ -208,12 +198,6 @@ def _built(factory, readers, required=()):
 _schedule = _built(Schedule, {"kind": _string, "coeffs": _vector}, ("kind", "coeffs"))
 _CHANNEL = {"edge": _pair, "window": _window, "xi1": _schedule, "lam1": _schedule, "xi2": _schedule, "lam2": _schedule}
 _BYZANTINE = {"agent": _integer, "window": _window, "kind": _string, "offset": _vector, "scale": _number}
-_BUDGET = {"L": "max_byzantine_neighbors", "P": "max_attacked_channels"}
-
-
-def _budget(sec, path) -> LocalAttackBudget:
-    given = _fields(sec, path, dict.fromkeys(_BUDGET, _integer))
-    return _build(path, LocalAttackBudget, **{_BUDGET[key]: v for key, v in given.items()})
 
 
 # null, like an absent section, means no attacks.
@@ -221,7 +205,7 @@ _attacks = _or_null(
     _built(
         AttackScenario,
         {
-            "budget": _budget,
+            "budget": _built(LocalAttackBudget, dict.fromkeys(("L", "P"), _integer)),
             "channel": _list_of(_built(ChannelAttack, _CHANNEL, _CHANNEL)),
             "byzantine": _list_of(_built(ByzantineBehavior, _BYZANTINE, ("agent", "window", "kind"))),
         },
@@ -238,11 +222,6 @@ def _variants(sec, path) -> dict:
     }
 
 
-def _topology(sec, path):
-    given = _fields(sec, path, {"n_agents": _integer, "edges": _list_of(_edge)}, ("n_agents", "edges"))
-    return _build(path, build_topology, given["n_agents"], given["edges"])
-
-
 # model type: (factory, that type's keys, its required keys)
 _MODELS = {
     "platoon": (platoon_model, {"delta": _number, "T": _number}, ()),
@@ -253,16 +232,18 @@ _model_type = _of(lambda v: isinstance(v, str) and v in _MODELS, f"a model type,
 
 def _model(sec, path):
     """The model that sec's type names, read from that type's keys."""
-    mtype = _model_type(_object(sec, path).get("type"), f"{path}.type")
-    factory, readers, required = _MODELS[mtype]
-    return _build(path, factory, **_fields(sec, path, {"type": _only(mtype), **readers}, required))
+    factory, readers, required = _MODELS[_model_type(_object(sec, path).get("type"), f"{path}.type")]
+    given = _fields(sec, path, {"type": _model_type, **readers}, required)
+    del given["type"]
+    return _build(path, factory, **given)
 
 
+_TOPOLOGY = {"n_agents": _integer, "edges": _list_of(_edge)}
 _CONTROLLER = {"K1": _vector, "K2": _vector, **dict.fromkeys(("gain_mu", "gain_lambda", "noise_var"), _number)}
 _WATERMARK = dict.fromkeys(("lambda1", "lambda2", "sigma2_m1", "sigma2_m2", "sigma2_f1", "sigma2_f2"), _number)
 _BOUNDS = dict.fromkeys(("eps1", "eps2"), _number)
-_KL = {"theta": _number, "min_samples": _integer, "estimator": _only("gaussian_fit")}
-_ENVELOPE = {**dict.fromkeys(("M_r", "phi", "lambda_min", "delta"), _number), "factor_mode": _only("algorithm2")}
+_KL = {"theta": _number, "min_samples": _integer}
+_ENVELOPE = dict.fromkeys(("M_r", "phi", "lambda_min", "delta"), _number)
 _DETECTORS = {
     "kl": _built(KlDetectorConfig, _KL, ("theta",)),
     "envelope": _built(EnvelopeConfig, _ENVELOPE),
@@ -274,10 +255,10 @@ _RUN = {
     "init": partial(_fields, readers={"states": _list_of(_vector)}, required=("states",)),
 }
 _ROOT = {
-    "topology": _topology,
+    "topology": _built(build_topology, _TOPOLOGY, _TOPOLOGY),
     "model": _model,
     "controller": _built(ControllerParams, _CONTROLLER, ("K1", "K2")),
-    "watermark": _built(WatermarkParams, {**_WATERMARK, "identity": _only(False)}, _WATERMARK),
+    "watermark": _built(WatermarkParams, _WATERMARK, _WATERMARK),
     "detectors": partial(_fields, readers=_DETECTORS, required=("kl", "envelope")),
     "attacks": _attacks,
     "run": partial(_fields, readers=_RUN, required=("horizon", "trials", "master_seed", "init")),

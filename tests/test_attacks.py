@@ -188,9 +188,9 @@ def _brute_force_validate(s, t, horizon):
         chan_k = [a for a in s.channel if a.active(k)]
         byz_agents = {b.agent for b in s.byzantine if b.active(k)}
         for i in range(t.n_agents):
-            if sum(1 for j in t.in_neighbors(i) if j in byz_agents) > s.budget.max_byzantine_neighbors:
+            if sum(1 for j in t.in_neighbors(i) if j in byz_agents) > s.budget.L:
                 return (i, k)
-            if sum(1 for a in chan_k if a.edge[1] == i) > s.budget.max_attacked_channels:
+            if sum(1 for a in chan_k if a.edge[1] == i) > s.budget.P:
                 return (i, k)
     return None
 

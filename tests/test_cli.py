@@ -9,6 +9,7 @@ from importlib import resources
 
 import pytest
 
+from maswatch import harness
 from maswatch.cli import main
 
 from _scenarios import overflowing_tamper_doc, small_doc
@@ -156,6 +157,18 @@ def test_sweep_exits_2_when_a_scale_overflows_the_initial_states(scenario_file, 
     assert err == "scenario validation failed: run: initial error scale 1.7e+308 overflows the initial states\n"
 
 
+def test_sweep_passes_on_a_value_error_raised_while_simulating(scenario_file, monkeypatch):
+    """Only transient_sweep's refusal of the probe step, made before
+    anything is simulated, is an out-of-range option."""
+
+    def fail(*args, **kwargs):
+        raise ValueError("raised while simulating")
+
+    monkeypatch.setattr(harness, "simulate", fail)
+    with pytest.raises(ValueError, match="^raised while simulating$"):
+        main(["sweep", "--scenario", str(scenario_file), "--grid", "1", "--probe-step", "4"])
+
+
 def test_one_trial_sweep_exits_2(tmp_path, capsys):
     p = tmp_path / "one.json"
     p.write_text(json.dumps(small_doc(trials=1)))
@@ -175,11 +188,12 @@ def test_sweep_rejects_malformed_grid(scenario_file, capsys):
     [
         (["run", "--trials", "0", "--out", "unused"], "scenario validation failed: run.trials: "),
         (["run", "--seed", "-1", "--out", "unused"], "scenario validation failed: run.master_seed: "),
-        (["sweep", "--probe-step", "0", "--grid", "1"], "maswatch: "),
+        (["sweep", "--probe-step", "0", "--grid", "1"], "maswatch: --probe-step: probe_step must be an integer of at least 1"),
+        (["sweep", "--probe-step", "9", "--grid", "1"], "maswatch: --probe-step: probe step 9 beyond horizon 8\n"),
         (["sweep", "--grid", "-1"], "maswatch: "),
-        (["check-graph", "--L", "-1", "--P", "1"], "maswatch: "),
+        (["check-graph", "--L", "-1", "--P", "1"], "maswatch: --L must be an integer of at least 0, got -1\n"),
     ],
-    ids=["run_trials", "run_seed", "sweep_probe_step", "sweep_grid", "check_graph_L"],
+    ids=["run_trials", "run_seed", "sweep_probe_step", "sweep_probe_step_past_horizon", "sweep_grid", "check_graph_L"],
 )
 def test_out_of_range_override_exits_2(scenario_file, tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)
@@ -196,8 +210,12 @@ def test_out_of_range_override_exits_2(scenario_file, tmp_path, monkeypatch, cap
         ((), "detector", {}),
         (("variants", "clean"), "run", {"horizon": 5}),
         (("model",), "rho", [0.0, 0.0, 0.0]),
+        # retired keys, refused at any value
+        (("watermark",), "identity", False),
+        (("detectors", "kl"), "estimator", "gaussian_fit"),
+        (("detectors", "envelope"), "factor_mode", "algorithm2"),
     ],
-    ids=["M_R", "init_leader", "root", "variant_run", "platoon_rho"],
+    ids=["M_R", "init_leader", "root", "variant_run", "platoon_rho", "identity", "estimator", "factor_mode"],
 )
 def test_run_exits_2_on_an_unknown_key(tmp_path, capsys, section, key, value):
     doc = json.loads((resources.files("maswatch") / "presets" / "platoon.json").read_text())

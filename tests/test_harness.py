@@ -23,7 +23,7 @@ from maswatch.attacks import AttackScenario, ByzantineBehavior, ChannelAttack, S
 from maswatch.detectors import EnvelopeConfig, KlDetectorConfig, envelope_verdict, estimate_kl, gaussian_kl
 from maswatch.dynamics import AgentModel, ControllerParams, StateBounds, companion_model, platoon_model
 from maswatch.engine import simulate
-from maswatch.graph import LEADER, LocalAttackBudget, Topology
+from maswatch.graph import LEADER, LocalAttackBudget, Topology, build_topology
 from maswatch.harness import (
     RunReport,
     Scenario,
@@ -266,16 +266,23 @@ _CONFIG_ARGS = {
     companion_model: {"rho": [0.0, 0.5]},
     Schedule: {"kind": "sin", "coeffs": [1.0, 2.0]},
     ByzantineBehavior: {"agent": 1, "window": (3, None), "kind": "per_neighbor_random", "offset": [1.0], "scale": 2.5},
-    LocalAttackBudget: {"max_byzantine_neighbors": 1, "max_attacked_channels": 1},
+    LocalAttackBudget: {"L": 1, "P": 1},
     Topology: {"n_agents": 2, "edges": [(0, 1)], "weights": [1.0]},
     ChannelAttack: {"edge": (0, 1), "window": (3, None), **dict.fromkeys(("xi1", "lam1", "xi2", "lam2"), _CONST)},
 }
 _NOT_NUMBERS = {"kind", "agent", "window", "n_agents", "edges", "edge", "xi1", "lam1", "xi2", "lam2"}
 _NUMERIC_FIELDS = [(f, key) for f, args in _CONFIG_ARGS.items() for key in args if key not in _NOT_NUMBERS]
-# Values no real field takes, by test id. 10**400 is an integer, so the
-# integer fields among them (min_samples, L and P) do take it.
-_NOT_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "huge": 10**400, "-huge": -(10**400), "bool": True, "str": "1"}
-_INTEGER_KEYS = {"min_samples", "max_byzantine_neighbors", "max_attacked_channels"}
+# Values no real field takes, by test id. 10**400 and 10**5000 are
+# integers, so the integer fields among them (min_samples, L and P) do
+# take them.
+_NOT_FINITE = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "huge": 10**400, "-huge": -(10**400), "huger": 10**5000,
+    "bool": True, "str": "1",
+}
+_INTEGER_KEYS = {"min_samples", "L", "P"}
+# A refusal shows an integer beyond the float range by its digit count,
+# since Python refuses to print one of more than 4300 digits.
+_SHOWN = {"huge": "an integer of 401 digits", "-huge": "an integer of 401 digits", "huger": "an integer of 5001 digits"}
 
 
 def _with_last(value, bad):
@@ -284,31 +291,32 @@ def _with_last(value, bad):
 
 
 @pytest.mark.parametrize(
-    "factory, key, bad",
+    "factory, key, bad, shown",
     [
-        pytest.param(f, key, bad, id=f"{f.__name__}.{key}-{name}")
+        pytest.param(f, key, bad, _SHOWN[name] if name in _SHOWN else repr(bad), id=f"{f.__name__}.{key}-{name}")
         for f, key in _NUMERIC_FIELDS
         for name, bad in _NOT_FINITE.items()
-        if not (name == "huge" and key in _INTEGER_KEYS)
+        if not (name in ("huge", "huger") and key in _INTEGER_KEYS)
     ],
 )
-def test_config_types_refuse_values_that_are_not_finite(factory, key, bad):
+def test_config_types_refuse_values_that_are_not_finite(factory, key, bad, shown):
     """A NaN, an infinity, a number beyond the float range, a bool or a
     string set through the Python API is a ValueError naming the field
     and the value, never an OverflowError or a TypeError, as the loader
-    makes it a ScenarioError for a document."""
+    makes it a ScenarioError for a document. Showing the value never
+    fails: an integer beyond the float range is shown by its digit count."""
     args = _CONFIG_ARGS[factory]
     factory(**args)
     with pytest.raises(ValueError) as err:
         factory(**{**args, key: _with_last(args[key], bad)})
-    assert str(err.value).startswith(key) and repr(bad) in str(err.value)
+    assert str(err.value).startswith(key) and str(err.value).endswith(f", got {shown}")
 
 
 # Every integer field: (factory, field, its value around x, the name
 # the refusal gives).
 _INTEGER_FIELDS = {
-    "L": (LocalAttackBudget, "max_byzantine_neighbors", lambda x: x, "max_byzantine_neighbors"),
-    "P": (LocalAttackBudget, "max_attacked_channels", lambda x: x, "max_attacked_channels"),
+    "L": (LocalAttackBudget, "L", lambda x: x, "L"),
+    "P": (LocalAttackBudget, "P", lambda x: x, "P"),
     "n_agents": (Topology, "n_agents", lambda x: x, "n_agents"),
     "min_samples": (KlDetectorConfig, "min_samples", lambda x: x, "min_samples"),
     "agent": (ByzantineBehavior, "agent", lambda x: x, "agent"),
@@ -332,6 +340,34 @@ def test_config_types_refuse_integer_fields_that_are_not_integers(field, bad):
     args = _CONFIG_ARGS[factory]
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer of at least \d+, got {bad!r}$"):
         factory(**{**args, key: place(bad)})
+
+
+@pytest.mark.parametrize(
+    "build, name, shown",
+    [
+        pytest.param(lambda: Schedule("const", 5), "coeffs", "5", id="coeffs_scalar"),
+        pytest.param(lambda: ByzantineBehavior(1, (3, None), "constant_offset", offset=5), "offset", "5", id="offset_scalar"),
+        pytest.param(lambda: ByzantineBehavior(1, 5, "frozen_state"), "window", "5", id="byzantine_window_scalar"),
+        pytest.param(lambda: ChannelAttack(5, (1, None), *[_CONST] * 4), "edge", "5", id="channel_edge_scalar"),
+        pytest.param(lambda: build_topology(3, [5]), "edges[0]", "5", id="build_topology_row_scalar"),
+        pytest.param(lambda: Topology(3, (5,), (1.0,)), "edges[0]", "5", id="topology_edge_scalar"),
+        pytest.param(lambda: Topology(3, ((0, 1),), 5), "weights", "5", id="topology_weights_scalar"),
+        pytest.param(lambda: ByzantineBehavior(1, (1, 2, 3), "frozen_state"), "window", "(1, 2, 3)", id="byzantine_window_3"),
+        pytest.param(
+            lambda: ChannelAttack((0, 1), (1, None, 3), *[_CONST] * 4), "window", "(1, None, 3)", id="channel_window_3"
+        ),
+        pytest.param(lambda: build_topology(3, [(0, 1, 2, 3)]), "edges[0]", "(0, 1, 2, 3)", id="build_topology_row_4"),
+        pytest.param(lambda: Topology(3, ((0, 1, 2),), (1.0,)), "edges[0]", "(0, 1, 2)", id="topology_edge_3"),
+        pytest.param(lambda: ChannelAttack((1, 2, 3), (1, None), *[_CONST] * 4), "edge", "(1, 2, 3)", id="channel_edge_3"),
+    ],
+)
+def test_sequence_fields_refuse_a_value_of_the_wrong_shape(build, name, shown):
+    """A window, an edge, a row of build_topology or a vector field that
+    is not a list or tuple of the right number of entries is a ValueError
+    naming the field and the value, never a TypeError from unpacking it
+    and never a type built from it."""
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a list or tuple\b.*, got {re.escape(shown)}$"):
+        build()
 
 
 def test_loaded_init_states_are_read_only():
@@ -365,14 +401,6 @@ def test_scenario_owns_the_varsigma_default():
     doc = small_doc()
     doc["run"]["varsigma"] = 0.2
     assert scenario_from_dict(doc).varsigma == 0.2
-
-
-def test_retired_settings_still_load_at_their_remaining_value():
-    doc = small_doc()
-    doc["watermark"]["identity"] = False
-    doc["detectors"]["kl"]["estimator"] = "gaussian_fit"
-    doc["detectors"]["envelope"]["factor_mode"] = "algorithm2"
-    assert isinstance(scenario_from_dict(doc), Scenario)
 
 
 # Values a mutation may write: usually one of the JSON type it replaces
@@ -842,7 +870,7 @@ def test_transient_sweep_rejects_bad_grid():
         (-1.0, r"lie in \(0, inf\), got -1\.0"),
         (math.nan, "be a finite real number, got nan"),
         (math.inf, "be a finite real number, got inf"),
-        (10**400, "be a finite real number, got 1000"),
+        (10**400, "be a finite real number, got an integer of 401 digits"),
         (True, "be a finite real number, got True"),
     ):
         with pytest.raises(ValueError, match=rf"^initial_error_grid\[1\] must {rule}"):
