@@ -1,6 +1,6 @@
-"""The number and shape rule of the config types, Scenario and the loader,
-in the standard library alone. A bool is neither a real nor an integer,
-and a refusal is a ValueError that names the field and the value."""
+"""The number and shape rule of the config types and Scenario, in the standard
+library alone. A bool is neither a real nor an integer; a refusal is a ValueError
+naming the field and the value, which the loader reports at the field's object."""
 
 import math
 import numbers
@@ -45,6 +45,13 @@ def sequence(v, name: str, sizes=None) -> tuple:
         what = "" if sizes is None else f" of {' or '.join(map(str, sizes))} entries"
         raise ValueError(f"{name} must be a list or tuple{what}, got {_shown(v)}")
     return tuple(v)
+
+
+def vector(values, name: str, *bounds) -> list:
+    """values, a list, tuple or 1-D array, as a list of floats; each entry
+    is read by real at name[i] within bounds, so a scalar is refused."""
+    values = values.tolist() if hasattr(values, "tolist") else values
+    return [real(v, f"{name}[{i}]", *bounds) for i, v in enumerate(sequence(values, name))]
 
 
 def reals(values, name: str):

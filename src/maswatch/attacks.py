@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import integer, real, sequence
+from ._checks import integer, real, sequence, vector
 from .graph import LocalAttackBudget, Topology
 
 SCHEDULE_KINDS = ("sin", "const", "ramp")
@@ -49,8 +49,7 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}")
-        coeffs = sequence(self.coeffs, "coeffs")
-        object.__setattr__(self, "coeffs", tuple(real(c, f"coeffs[{k}]") for k, c in enumerate(coeffs)))
+        object.__setattr__(self, "coeffs", tuple(vector(self.coeffs, "coeffs")))
 
     def eval(self, k) -> np.ndarray:
         """c * g(k): (n,) for one step, (S, n) for an array of S steps."""
@@ -131,8 +130,7 @@ class ByzantineBehavior:
     def __post_init__(self):
         object.__setattr__(self, "agent", integer(self.agent, "agent", 0))
         object.__setattr__(self, "window", _window(self.window))
-        offset = sequence(self.offset, "offset")
-        object.__setattr__(self, "offset", tuple(real(c, f"offset[{k}]") for k, c in enumerate(offset)))
+        object.__setattr__(self, "offset", tuple(vector(self.offset, "offset")))
         object.__setattr__(self, "scale", real(self.scale, "scale"))
         if self.kind not in BYZANTINE_KINDS:
             raise ValueError(f"unknown byzantine kind {self.kind!r}, expected one of {BYZANTINE_KINDS}")

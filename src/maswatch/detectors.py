@@ -52,7 +52,7 @@ VAR_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class KlDetectorConfig:
-    theta: float = 4.61
+    theta: float
     min_samples: int = 30
 
     def __post_init__(self):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import real, reals
+from ._checks import real, reals, vector
 from .graph import LEADER, Topology
 
 # Bytes of states eta_curve reads per block of steps.
@@ -70,8 +70,8 @@ class ControllerParams:
     noise_var: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "K1", np.array(reals(self.K1, "K1")).reshape(-1))
-        object.__setattr__(self, "K2", np.array(reals(self.K2, "K2")).reshape(-1))
+        object.__setattr__(self, "K1", np.array(vector(self.K1, "K1")))
+        object.__setattr__(self, "K2", np.array(vector(self.K2, "K2")))
         object.__setattr__(self, "gain_mu", real(self.gain_mu, "gain_mu", 0))
         object.__setattr__(self, "gain_lambda", real(self.gain_lambda, "gain_lambda", 0, 1))
         object.__setattr__(self, "noise_var", real(self.noise_var, "noise_var", 0, closed=True))
@@ -98,7 +98,7 @@ class StateBounds:
 
 def companion_model(rho) -> AgentModel:
     """Companion-form pair: superdiagonal ones, last row rho, B = e_n."""
-    rho = np.array(reals(rho, "rho")).reshape(-1)
+    rho = np.array(vector(rho, "rho"))
     n = rho.shape[0]
     if n < 1:
         raise ValueError("need at least one coefficient")

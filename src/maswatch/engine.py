@@ -147,11 +147,15 @@ def _init_table(table, shape: tuple[int, int]) -> np.ndarray:
     """The initial-state rule: a read-only float copy of table, reals of
     the (agents, n) shape, else a ScenarioError at run.init."""
     try:
-        init = np.array(reals(table, "init"))
-    except ValueError as err:  # not reals, or ragged rows
+        rows = reals(table, "init")
+    except ValueError as err:
         raise ScenarioError("run.init", str(err)) from None
-    if init.shape != shape:
-        raise ScenarioError("run.init", f"expected shape {shape}, got {init.shape}")
+    try:
+        init = np.array(rows)
+    except ValueError:  # ragged rows, which numpy refuses
+        init = None
+    if init is None or init.shape != shape:
+        raise ScenarioError("run.init", f"expected shape {shape}, got {'ragged rows' if init is None else init.shape}")
     init.flags.writeable = False
     return init
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import integer, real, sequence
+from ._checks import integer, sequence, vector
 
 LEADER = 0
 
@@ -46,10 +46,10 @@ class Topology:
 
     A Topology is valid by construction: __post_init__ raises ValueError
     for an agent count that is not an integer of at least 2 or exceeds an
-    intp, edges or weights that are not a list or tuple, an edge that is
-    not a pair, an id that is not an integer of a known agent, a
-    self-loop, a duplicate edge, a weight that is not a positive real,
-    or a weight count other than the edge count. It then derives the
+    intp, edges that are not a list or tuple, an edge that is not a
+    pair, an id that is not an integer of a known agent, a self-loop, a
+    duplicate edge, weights that are not a vector of positive reals, or
+    a weight count other than the edge count. It then derives the
     read-only tables below, so one built through dataclasses.replace
     derives them again.
 
@@ -77,7 +77,7 @@ class Topology:
             tuple(integer(v, f"edges[{e}]", 0) for v in sequence(pair, f"edges[{e}]", (2,)))
             for e, pair in enumerate(sequence(self.edges, "edges"))
         )
-        weights = tuple(real(w, f"weights[{e}]", 0) for e, w in enumerate(sequence(self.weights, "weights")))
+        weights = tuple(vector(self.weights, "weights", 0))
         if len(weights) != len(edges):
             raise ValueError(f"{len(weights)} weights for {len(edges)} edges")
         seen = set()

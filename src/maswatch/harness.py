@@ -2,16 +2,16 @@
 
 A scenario JSON has sections topology / model / controller / watermark
 / detectors / attacks / run, plus an optional variants table whose
-entries swap in alternative attack sections. Validation failures name
-the offending field by path (for example "detectors.kl.theta"). Each
-object of the document has one {key: reader} table, and the loader
-reads every key through it or refuses it, naming the known keys; each
-model type has its own keys. The loader checks only the document's
-JSON types, keys and numbers, by the types' own number rule (_checks);
-graph.Topology checks the graph rules and engine.Scenario every run
-rule (the gain lengths, the run section's integers and ranges, the
-run.init.states rows, the attacks and their local budget), so one
-built through dataclasses.replace fails as the same ScenarioError.
+entries swap in alternative attack sections. The loader checks keys and
+nesting only: an object of a config type has the keys of that type's
+signature (a model: type, then its factory's), the ones without a
+default required, and an unknown or missing key is refused at its path,
+naming the known keys. Each leaf goes to its type as written; the type
+checks every value by the number rule (_checks), and its refusal is
+reported at the object, as "detectors.kl: theta must ...". engine.Scenario
+checks every run rule (the gain lengths, the run section's values, the
+run.init.states rows, the attacks and their local budget), so one built
+through dataclasses.replace fails as the same ScenarioError.
 
 run_monte_carlo simulates the batch, rejects a run whose states are
 not finite, and pools over trials, reading the recovered-copy slab in
@@ -35,6 +35,7 @@ numpy's SIMD code picked for the CPU.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from collections import Counter
@@ -44,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import integer, real, sequence
+from ._checks import integer, real
 from .attacks import (
     AttackScenario,
     ByzantineBehavior,
@@ -115,8 +116,6 @@ def _build(path, factory, *args, **kwargs):
 
 # A reader takes (value, path) and returns what the types take from
 # value, or raises a ScenarioError at path.
-
-
 def _of(ok, expected):
     """A reader of a value that ok accepts. A refused null, bool, string
     or float is shown, any other by its type."""
@@ -130,18 +129,8 @@ def _of(ok, expected):
     return read
 
 
-def _checked(check, *bounds):
-    """A reader of check(value, last part of path, *bounds), reported at path."""
-    return lambda v, path: _build(path, check, v, path.rpartition(".")[2], *bounds)
-
-
-# A document's integers are counts, ids and steps: none is negative.
-_integer = _checked(integer, 0)
-_number = _checked(real)
-_string = _of(lambda v: isinstance(v, str), "a string")
 _object = _of(lambda v: isinstance(v, dict), "an object")
 _list = _of(lambda v: isinstance(v, list), "a list")
-_unchecked = _of(lambda v: True, "")  # a value its type checks
 
 
 def _list_of(reader):
@@ -149,30 +138,16 @@ def _list_of(reader):
     return lambda v, path: [reader(x, f"{path}[{i}]") for i, x in enumerate(_list(v, path))]
 
 
-_vector = _list_of(_number)
-
-
 def _or_null(reader):
     """reader, except that null reads as None."""
     return lambda v, path: None if v is None else reader(v, path)
 
 
-def _row(sizes, *readers):
-    """A reader of a list of one of sizes entries, each read at path by its reader."""
-    shape = _checked(sequence, sizes)
-    return lambda v, path: tuple(read(x, path) for read, x in zip(readers, shape(v, path)))
-
-
-_edge = _row((2, 3), _integer, _integer, _number)
-_pair = _row((2,), _integer, _integer)
-_window = _row((2,), _integer, _or_null(_integer))
-
-
 def _fields(sec, path, readers, required=()) -> dict:
-    """{key: readers[key](sec[key], path.key)} over the keys sec names,
-    in table order. sec must be an object naming every required key
-    (given a table: all its keys) and no key outside readers; each
-    refusal names the known keys."""
+    """{key: value} over the keys sec names, in table order, a value read
+    by readers[key] at path.key, or as written when that is None. sec
+    must be an object naming every required key and no key outside
+    readers; each refusal names the known keys."""
     known = list(readers)
     if not isinstance(sec, dict):
         raise ScenarioError(path, f"expected an object with keys {known}, got {type(sec).__name__}")
@@ -183,32 +158,30 @@ def _fields(sec, path, readers, required=()) -> dict:
     for key in required:
         if key not in sec:
             raise ScenarioError(f"{prefix}{key}", f"missing required key, the known keys are {known}")
-    return {key: readers[key](sec[key], f"{prefix}{key}") for key in readers if key in sec}
+    return {key: sec[key] if read is None else read(sec[key], f"{prefix}{key}") for key, read in readers.items() if key in sec}
 
 
-def _built(factory, readers, required=()):
-    """A reader of an object with the keys of readers, passed by name to
-    factory; a ValueError from factory is reported at the object."""
-    return lambda sec, path: _build(path, factory, **_fields(sec, path, readers, required))
+def _keys(factory, readers) -> tuple[dict, list]:
+    """factory's parameters in order with their readers (None for a leaf), and those without a default."""
+    params = inspect.signature(factory).parameters.values()
+    return {p.name: readers.get(p.name) for p in params}, [p.name for p in params if p.default is p.empty]
 
 
-# One key table per object of the document. A key the types default is
-# optional and, when absent, not passed on.
-
-_schedule = _built(Schedule, {"kind": _string, "coeffs": _vector}, ("kind", "coeffs"))
-_CHANNEL = {"edge": _pair, "window": _window, "xi1": _schedule, "lam1": _schedule, "xi2": _schedule, "lam2": _schedule}
-_BYZANTINE = {"agent": _integer, "window": _window, "kind": _string, "offset": _vector, "scale": _number}
+def _built(factory, **readers):
+    """A reader of an object whose keys are factory's parameters, those
+    without a default required, passed to factory by name: a sub-object read
+    by its reader, a leaf as written. The type's ValueError is reported at the object."""
+    table, required = _keys(factory, readers)
+    return lambda sec, path: _build(path, factory, **_fields(sec, path, table, required))
 
 
 # null, like an absent section, means no attacks.
 _attacks = _or_null(
     _built(
         AttackScenario,
-        {
-            "budget": _built(LocalAttackBudget, dict.fromkeys(("L", "P"), _integer)),
-            "channel": _list_of(_built(ChannelAttack, _CHANNEL, _CHANNEL)),
-            "byzantine": _list_of(_built(ByzantineBehavior, _BYZANTINE, ("agent", "window", "kind"))),
-        },
+        channel=_list_of(_built(ChannelAttack, **dict.fromkeys(("xi1", "lam1", "xi2", "lam2"), _built(Schedule)))),
+        byzantine=_list_of(_built(ByzantineBehavior)),
+        budget=_built(LocalAttackBudget),
     )
 )
 
@@ -222,43 +195,33 @@ def _variants(sec, path) -> dict:
     }
 
 
-# model type: (factory, that type's keys, its required keys)
-_MODELS = {
-    "platoon": (platoon_model, {"delta": _number, "T": _number}, ()),
-    "companion": (companion_model, {"rho": _vector}, ("rho",)),
-}
+_MODELS = {"platoon": platoon_model, "companion": companion_model}
 _model_type = _of(lambda v: isinstance(v, str) and v in _MODELS, f"a model type, one of {list(_MODELS)}")
 
 
 def _model(sec, path):
-    """The model that sec's type names, read from that type's keys."""
-    factory, readers, required = _MODELS[_model_type(_object(sec, path).get("type"), f"{path}.type")]
-    given = _fields(sec, path, {"type": _model_type, **readers}, required)
-    del given["type"]
-    return _build(path, factory, **given)
+    """The model that sec's type names; its keys are type and the factory's parameters."""
+    factory = _MODELS[_model_type(_object(sec, path).get("type"), f"{path}.type")]
+    table, required = _keys(factory, {})
+    given = _fields(sec, path, {"type": None, **table}, required)
+    return _build(path, factory, **{key: v for key, v in given.items() if key != "type"})
 
 
-_TOPOLOGY = {"n_agents": _integer, "edges": _list_of(_edge)}
-_CONTROLLER = {"K1": _vector, "K2": _vector, **dict.fromkeys(("gain_mu", "gain_lambda", "noise_var"), _number)}
-_WATERMARK = dict.fromkeys(("lambda1", "lambda2", "sigma2_m1", "sigma2_m2", "sigma2_f1", "sigma2_f2"), _number)
-_BOUNDS = dict.fromkeys(("eps1", "eps2"), _number)
-_KL = {"theta": _number, "min_samples": _integer}
-_ENVELOPE = dict.fromkeys(("M_r", "phi", "lambda_min", "delta"), _number)
 _DETECTORS = {
-    "kl": _built(KlDetectorConfig, _KL, ("theta",)),
-    "envelope": _built(EnvelopeConfig, _ENVELOPE),
+    "kl": _built(KlDetectorConfig),
+    "envelope": _built(EnvelopeConfig),
     # null, like an absent entry, derives the bounds from a nominal run.
-    "bounds": _or_null(_built(StateBounds, _BOUNDS, _BOUNDS)),
+    "bounds": _or_null(_built(StateBounds)),
 }
 _RUN = {
-    **dict.fromkeys(("horizon", "trials", "master_seed", "varsigma"), _unchecked),
-    "init": partial(_fields, readers={"states": _list_of(_vector)}, required=("states",)),
+    **dict.fromkeys(("horizon", "trials", "master_seed", "varsigma")),
+    "init": partial(_fields, readers={"states": None}, required=("states",)),
 }
 _ROOT = {
-    "topology": _built(build_topology, _TOPOLOGY, _TOPOLOGY),
+    "topology": _built(build_topology),
     "model": _model,
-    "controller": _built(ControllerParams, _CONTROLLER, ("K1", "K2")),
-    "watermark": _built(WatermarkParams, _WATERMARK, _WATERMARK),
+    "controller": _built(ControllerParams),
+    "watermark": _built(WatermarkParams),
     "detectors": partial(_fields, readers=_DETECTORS, required=("kl", "envelope")),
     "attacks": _attacks,
     "run": partial(_fields, readers=_RUN, required=("horizon", "trials", "master_seed", "init")),
@@ -267,10 +230,9 @@ _ROOT = {
 
 
 def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scenario") -> Scenario:
-    """Read every key of a scenario document through its key table and
-    build the typed Scenario, which applies every run rule (module
-    docstring)."""
-    given = _fields(doc, "", _ROOT, ("topology", "model", "controller", "watermark", "detectors", "run"))
+    """Read every key of the scenario document named name and build the
+    typed Scenario, which applies every run rule (module docstring)."""
+    given = _fields(_object(doc, name), "", _ROOT, ("topology", "model", "controller", "watermark", "detectors", "run"))
     attacks = given.get("attacks")
     if variant is not None:
         variants = given.get("variants", {})
@@ -302,8 +264,6 @@ def load_scenario(path, variant: str | None = None) -> Scenario:
         raise ScenarioError(str(path), f"cannot read scenario: {err}") from None
     except ValueError as err:  # JSONDecodeError, an integer past Python's digit limit, or not UTF-8
         raise ScenarioError(str(path), f"invalid JSON: {err}") from None
-    if not isinstance(doc, dict):
-        raise ScenarioError(str(path), "scenario root must be an object")
     return scenario_from_dict(doc, variant=variant, name=path.stem)
 
 
@@ -532,7 +492,7 @@ def transient_sweep(s: Scenario, initial_error_grid, probe_step: int = 4) -> lis
         raise ScenarioError("run.trials", f"a sweep needs at least 2 trials, got {s.trials}")
     probe_step = integer(probe_step, "probe_step", 1)
     if probe_step > s.horizon:
-        raise ValueError(f"probe step {probe_step} beyond horizon {s.horizon}")
+        raise ValueError(f"probe_step must be at most the horizon {s.horizon}, got {probe_step}")
     grid = [real(v, f"initial_error_grid[{b}]", 0) for b, v in enumerate(initial_error_grid)]
     if not grid:
         return []

@@ -189,7 +189,7 @@ def test_sweep_rejects_malformed_grid(scenario_file, capsys):
         (["run", "--trials", "0", "--out", "unused"], "scenario validation failed: run.trials: "),
         (["run", "--seed", "-1", "--out", "unused"], "scenario validation failed: run.master_seed: "),
         (["sweep", "--probe-step", "0", "--grid", "1"], "maswatch: --probe-step: probe_step must be an integer of at least 1"),
-        (["sweep", "--probe-step", "9", "--grid", "1"], "maswatch: --probe-step: probe step 9 beyond horizon 8\n"),
+        (["sweep", "--probe-step", "9", "--grid", "1"], "maswatch: --probe-step: probe_step must be at most the horizon 8, got 9\n"),
         (["sweep", "--grid", "-1"], "maswatch: "),
         (["check-graph", "--L", "-1", "--P", "1"], "maswatch: --L must be an integer of at least 0, got -1\n"),
     ],

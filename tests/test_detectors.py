@@ -188,7 +188,7 @@ def test_kl_config_validation():
     with pytest.raises(ValueError):
         KlDetectorConfig(theta=0.0)
     with pytest.raises(ValueError):
-        KlDetectorConfig(min_samples=1)
+        KlDetectorConfig(theta=4.61, min_samples=1)
 
 
 def test_kl_verdict_boundary_stays_secure():

@@ -144,31 +144,38 @@ def _channel_attack(**fields):
 
 
 @pytest.mark.parametrize(
-    "edit, path",
+    "edit, path, message",
     [
-        (lambda d: d["attacks"].update(channel=[_channel_attack(window=[[1], None])]), "attacks.channel[0].window"),
-        (lambda d: d["topology"].update(edges=[["a", 2], [0, 1]]), "topology.edges[0]"),
-        (lambda d: d["attacks"].update(budget=[1, 1]), "attacks.budget"),
-        (lambda d: d["detectors"]["kl"].update(theta=math.nan), "detectors.kl.theta"),
-        (lambda d: d["controller"].update(noise_var=math.inf), "controller.noise_var"),
-        (lambda d: d["run"].update(trials=True), "run.trials"),
-        (lambda d: d["detectors"]["kl"].update(estimator="histogram"), "detectors.kl.estimator"),
-        (lambda d: d["detectors"]["envelope"].update(factor_mode="proposition3"), "detectors.envelope.factor_mode"),
-        (lambda d: d["watermark"].update(identity=True), "watermark.identity"),
-        (lambda d: d["topology"].update(n_agents=2**62), "run.init"),
-        (lambda d: d["detectors"]["bounds"].update(eps1=-1, eps2=0), "detectors.bounds"),
+        (
+            lambda d: d["attacks"].update(channel=[_channel_attack(window=[[1], None])]),
+            "attacks.channel[0]",
+            r"window start must be an integer of at least 1, got \[1\]",
+        ),
+        (lambda d: d["topology"].update(edges=[["a", 2], [0, 1]]), "topology", r"edges\[0\] must be an integer .*, got 'a'"),
+        (lambda d: d["attacks"].update(budget=[1, 1]), "attacks.budget", r"an object with keys \['L', 'P'\], got list"),
+        (lambda d: d["detectors"]["kl"].update(theta=math.nan), "detectors.kl", "theta must be a finite real number, got nan"),
+        (lambda d: d["controller"].update(noise_var=math.inf), "controller", "noise_var must be a finite real number, got inf"),
+        (lambda d: d["run"].update(trials=True), "run.trials", "trials must be an integer of at least 1, got True"),
+        (lambda d: d["detectors"]["kl"].update(estimator="histogram"), "detectors.kl.estimator", "unknown key"),
+        (lambda d: d["detectors"]["envelope"].update(factor_mode="proposition3"), "detectors.envelope.factor_mode", "unknown key"),
+        (lambda d: d["watermark"].update(identity=True), "watermark.identity", "unknown key"),
+        (lambda d: d["topology"].update(n_agents=2**62), "run.init", r"expected shape \(4611686018427387904, 2\)"),
+        (lambda d: d["detectors"]["bounds"].update(eps1=-1, eps2=0), "detectors.bounds", "eps2 = 0"),
     ],
     ids=[
         "window", "edge", "budget", "theta_nan", "noise_var_inf", "trials_bool", "estimator", "factor_mode",
         "identity", "n_agents_huge", "eps2_zero",
     ],
 )
-def test_bad_input_raises_scenario_error_with_path(edit, path):
+def test_bad_input_raises_scenario_error_with_path(edit, path, message):
+    """A leaf's value is refused by its type, at the object that holds it,
+    and the message names the leaf."""
     doc = small_doc()
     edit(doc)
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(json.loads(json.dumps(doc)))
     assert err.value.path == path
+    assert re.search(message, str(err.value))
 
 
 _CONST = Schedule("const", (1.0, 1.0))
@@ -180,51 +187,85 @@ def _frozen_agent_1(d):
 
 
 @pytest.mark.parametrize(
-    "field, value, edit, path",
+    "field, value, edit, path, rule",
     [
-        ("varsigma", -1.0, lambda d: d["run"].update(varsigma=-1.0), "run.varsigma"),
-        ("varsigma", math.nan, lambda d: d["run"].update(varsigma=math.nan), "run.varsigma"),
-        ("varsigma", math.inf, lambda d: d["run"].update(varsigma=math.inf), "run.varsigma"),
-        ("varsigma", "x", lambda d: d["run"].update(varsigma="x"), "run.varsigma"),
-        ("varsigma", None, lambda d: d["run"].update(varsigma=None), "run.varsigma"),
-        ("varsigma", True, lambda d: d["run"].update(varsigma=True), "run.varsigma"),
-        ("trials", 0, lambda d: d["run"].update(trials=0), "run.trials"),
-        ("horizon", -1, lambda d: d["run"].update(horizon=-1), "run.horizon"),
-        ("master_seed", -1, lambda d: d["run"].update(master_seed=-1), "run.master_seed"),
-        ("master_seed", 1.5, lambda d: d["run"].update(master_seed=1.5), "run.master_seed"),
-        ("trials", 2.5, lambda d: d["run"].update(trials=2.5), "run.trials"),
-        ("horizon", 3.0, lambda d: d["run"].update(horizon=3.0), "run.horizon"),
-        ("trials", True, lambda d: d["run"].update(trials=True), "run.trials"),
-        ("horizon", True, lambda d: d["run"].update(horizon=True), "run.horizon"),
-        ("varsigma", 10**400, lambda d: d["run"].update(varsigma=10**400), "run.varsigma"),
-        ("controller", ControllerParams([0.5] * 3, [0.5, 1.0]), lambda d: d["controller"].update(K1=[0.5] * 3), "controller.K1"),
-        ("controller", ControllerParams([0.5, 0.5], [0.5] * 3), lambda d: d["controller"].update(K2=[0.5] * 3), "controller.K2"),
-        ("init_states", np.full((3, 2), np.nan), lambda d: d["run"]["init"].update(states=[[math.nan] * 2] * 3), "run.init"),
-        ("init_states", np.zeros((2, 2)), lambda d: d["run"]["init"].update(states=[[0.0] * 2] * 2), "run.init"),
-        ("init_states", _RAGGED, lambda d: d["run"]["init"].update(states=_RAGGED), "run.init"),
+        ("varsigma", -1.0, lambda d: d["run"].update(varsigma=-1.0), "run.varsigma", r"lie in \(0, inf\), got -1.0"),
+        ("varsigma", math.nan, lambda d: d["run"].update(varsigma=math.nan), "run.varsigma", r"finite real number, got nan"),
+        ("varsigma", math.inf, lambda d: d["run"].update(varsigma=math.inf), "run.varsigma", r"finite real number, got inf"),
+        ("varsigma", "x", lambda d: d["run"].update(varsigma="x"), "run.varsigma", r"finite real number, got 'x'"),
+        ("varsigma", None, lambda d: d["run"].update(varsigma=None), "run.varsigma", r"finite real number, got None"),
+        ("varsigma", True, lambda d: d["run"].update(varsigma=True), "run.varsigma", r"finite real number, got True"),
+        ("trials", 0, lambda d: d["run"].update(trials=0), "run.trials", r"at least 1, got 0"),
+        ("horizon", -1, lambda d: d["run"].update(horizon=-1), "run.horizon", r"at least 0, got -1"),
+        ("master_seed", -1, lambda d: d["run"].update(master_seed=-1), "run.master_seed", r"at least 0, got -1"),
+        ("master_seed", 1.5, lambda d: d["run"].update(master_seed=1.5), "run.master_seed", r"at least 0, got 1.5"),
+        ("trials", 2.5, lambda d: d["run"].update(trials=2.5), "run.trials", r"at least 1, got 2.5"),
+        ("horizon", 3.0, lambda d: d["run"].update(horizon=3.0), "run.horizon", r"at least 0, got 3.0"),
+        ("trials", True, lambda d: d["run"].update(trials=True), "run.trials", r"at least 1, got True"),
+        ("horizon", True, lambda d: d["run"].update(horizon=True), "run.horizon", r"at least 0, got True"),
+        ("varsigma", 10**400, lambda d: d["run"].update(varsigma=10**400), "run.varsigma", r"got an integer of 401 digits"),
+        (
+            "controller",
+            ControllerParams([0.5] * 3, [0.5, 1.0]),
+            lambda d: d["controller"].update(K1=[0.5] * 3),
+            "controller.K1",
+            r"expected 2 components, got 3",
+        ),
+        (
+            "controller",
+            ControllerParams([0.5, 0.5], [0.5] * 3),
+            lambda d: d["controller"].update(K2=[0.5] * 3),
+            "controller.K2",
+            r"expected 2 components, got 3",
+        ),
+        (
+            "init_states",
+            np.full((3, 2), np.nan),
+            lambda d: d["run"]["init"].update(states=[[math.nan] * 2] * 3),
+            "run.init",
+            r"init\[0\]\[0\] must be a finite real number, got nan",
+        ),
+        (
+            "init_states",
+            np.zeros((2, 2)),
+            lambda d: d["run"]["init"].update(states=[[0.0] * 2] * 2),
+            "run.init",
+            r"expected shape \(3, 2\), got \(2, 2\)",
+        ),
+        (
+            "init_states",
+            _RAGGED,
+            lambda d: d["run"]["init"].update(states=_RAGGED),
+            "run.init",
+            r"expected shape \(3, 2\), got ragged rows",
+        ),
         (
             "attacks",
             AttackScenario(byzantine=(ByzantineBehavior(1, (3, None), "frozen_state"),), budget=LocalAttackBudget(0, 1)),
             _frozen_agent_1,
             "attacks.budget",
+            r"local budget exceeded at agent 2, step 3",
         ),
         (
             "attacks",
             AttackScenario(channel=(ChannelAttack((2, 0), (1, None), _CONST, _CONST, _CONST, _CONST),)),
             lambda d: d["attacks"].update(channel=[_channel_attack(edge=[2, 0])]),
             "attacks",
+            r"unknown edge \(2, 0\)",
         ),
         (
             "attacks",
             AttackScenario(byzantine=(ByzantineBehavior(1, (3, None), "constant_offset", offset=(1000.0,)),)),
             lambda d: d["attacks"].update(byzantine=[{"agent": 1, "window": [3, None], "kind": "constant_offset", "offset": [1000.0]}]),
             "attacks.byzantine[0].offset",
+            r"expected 2 components, got 1",
         ),
         (
             "attacks",
             AttackScenario(channel=(ChannelAttack((0, 1), (1, None), _CONST, _CONST, _CONST, Schedule("const", (0.0,) * 3)),)),
             lambda d: d["attacks"].update(channel=[_channel_attack(lam2={"kind": "const", "coeffs": [0.0] * 3})]),
             "attacks.channel[0].lam2.coeffs",
+            r"expected 2 components, got 3",
         ),
     ],
     ids=[
@@ -235,22 +276,21 @@ def _frozen_agent_1(d):
         "init_nan", "init_shape", "init_ragged", "over_budget", "unknown_edge", "offset_length", "coeffs_length",
     ],
 )
-def test_a_scenario_built_through_the_api_fails_as_the_loader_does(field, value, edit, path):
+def test_a_scenario_built_through_the_api_fails_as_the_loader_does(field, value, edit, path, rule):
     """A fault set through replace is the ScenarioError the loader reports
-    for it, at the same field. The loader's own type checks may name a
-    more specific path inside it. Setting the field of a loaded Scenario
-    is refused."""
+    for it, at the same field and with the same message, which states the
+    broken rule. Setting the field of a loaded Scenario is refused."""
     s = scenario_from_dict(small_doc())
     with pytest.raises(FrozenInstanceError):
         setattr(s, field, value)
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(ScenarioError, match=rule) as api:
         replace(s, **{field: value})
-    assert err.value.path == path
+    assert api.value.path == path
     doc = small_doc()
     edit(doc)
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
-    assert f"{err.value.path}.".startswith(f"{path}.")
+    assert str(err.value) == str(api.value)
 
 
 # Every numeric field of the config types: (factory, valid keyword
@@ -359,6 +399,9 @@ def test_config_types_refuse_integer_fields_that_are_not_integers(field, bad):
         pytest.param(lambda: build_topology(3, [(0, 1, 2, 3)]), "edges[0]", "(0, 1, 2, 3)", id="build_topology_row_4"),
         pytest.param(lambda: Topology(3, ((0, 1, 2),), (1.0,)), "edges[0]", "(0, 1, 2)", id="topology_edge_3"),
         pytest.param(lambda: ChannelAttack((1, 2, 3), (1, None), *[_CONST] * 4), "edge", "(1, 2, 3)", id="channel_edge_3"),
+        pytest.param(lambda: ControllerParams(0.5, [0.5]), "K1", "0.5", id="K1_scalar"),
+        pytest.param(lambda: ControllerParams([0.5], 0.5), "K2", "0.5", id="K2_scalar"),
+        pytest.param(lambda: companion_model(0.5), "rho", "0.5", id="rho_scalar"),
     ],
 )
 def test_sequence_fields_refuse_a_value_of_the_wrong_shape(build, name, shown):
@@ -507,6 +550,62 @@ def test_every_single_field_fault_gives_scenario_or_scenario_error(make, variant
         assert err.value.path == _loader_path(keys + ("typo",))
 
 
+# Each config type's object in a document: (document, type, its keys from the root).
+_DOCUMENT_OBJECTS = [
+    (_attacked_small_doc, build_topology, ("topology",)),
+    (_attacked_small_doc, companion_model, ("model",)),
+    (preset_doc, platoon_model, ("model",)),
+    (_attacked_small_doc, ControllerParams, ("controller",)),
+    (_attacked_small_doc, WatermarkParams, ("watermark",)),
+    (_attacked_small_doc, KlDetectorConfig, ("detectors", "kl")),
+    (preset_doc, EnvelopeConfig, ("detectors", "envelope")),
+    (_attacked_small_doc, StateBounds, ("detectors", "bounds")),
+    (_attacked_small_doc, LocalAttackBudget, ("attacks", "budget")),
+    (_attacked_small_doc, ChannelAttack, ("attacks", "channel", 0)),
+    (_attacked_small_doc, Schedule, ("attacks", "channel", 0, "xi1")),
+    (_attacked_small_doc, ByzantineBehavior, ("attacks", "byzantine", 0)),
+]
+
+
+@pytest.mark.parametrize("make, factory, keys", _DOCUMENT_OBJECTS, ids=[f.__name__ for _, f, _ in _DOCUMENT_OBJECTS])
+def test_the_loader_reports_the_type_refusal_at_its_object(make, factory, keys):
+    """Every leaf of a document goes to its type as written. Each bad value
+    of _NOT_FINITE, written to each leaf (a list's last entry), that the
+    type refuses is refused by the loader with exactly the type's own
+    ValueError, at the path of the object that holds the leaf."""
+    obj = functools.reduce(operator.getitem, keys, make())
+    leaves = {key for key, v in obj.items() if key != "type" and not isinstance(v, dict)}
+    refused = set()
+    for key in leaves:
+        for bad in _NOT_FINITE.values():
+            doc = make()
+            sec = functools.reduce(operator.getitem, keys, doc)
+            sec[key] = _with_last(sec[key], bad)
+            try:
+                factory(**{k: v for k, v in sec.items() if k != "type"})
+                continue  # a value the type takes, such as a huge count
+            except ValueError as err:
+                expected = f"{_loader_path(keys)}: {err}"
+            with pytest.raises(ScenarioError) as got:
+                scenario_from_dict(doc)
+            assert str(got.value) == expected
+            refused.add(key)
+    assert refused == leaves
+
+
+@pytest.mark.parametrize("value", [0.5, [[0.5, 0.5]]], ids=["scalar", "nested"])
+@pytest.mark.parametrize("section, key", [("controller", "K1"), ("controller", "K2"), ("model", "rho")])
+def test_the_loader_refuses_a_gain_or_rho_that_is_not_a_vector(section, key, value):
+    """K1, K2 and rho are vectors, so a scalar is not read as a one-state
+    model; their types refuse it, and the loader reports it at the object."""
+    doc = small_doc()
+    doc[section][key] = value
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    shown = f"{key} must be a list or tuple, got 0.5" if value == 0.5 else f"{key}[0] must be a finite real number, got [0.5, 0.5]"
+    assert str(err.value) == f"{section}: {shown}"
+
+
 def test_load_scenario_file_errors(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario(tmp_path / "missing.json")
@@ -516,7 +615,7 @@ def test_load_scenario_file_errors(tmp_path):
         load_scenario(bad)
     root = tmp_path / "list.json"
     root.write_text("[1, 2]")
-    with pytest.raises(ScenarioError, match="root must be an object"):
+    with pytest.raises(ScenarioError, match=r"^list: expected an object, got list$"):
         load_scenario(root)
 
 
@@ -875,7 +974,7 @@ def test_transient_sweep_rejects_bad_grid():
     ):
         with pytest.raises(ValueError, match=rf"^initial_error_grid\[1\] must {rule}"):
             transient_sweep(s, [1.0, scale])
-    with pytest.raises(ValueError, match="beyond horizon"):
+    with pytest.raises(ValueError, match=f"^probe_step must be at most the horizon {s.horizon}, got 99$"):
         transient_sweep(s, [1.0], probe_step=99)
     # probe_step is read as an integer of at least 1, before the run's
     # own horizon rule sees it.
