@@ -6,8 +6,7 @@ the row before its first step, consumes one block of steps of
 pregenerated random material and the run's attack schedules, and fills
 preallocated output slabs, so a block of steps of a chunk of trials
 from one initial-state table is a single kernel call and results do
-not depend on how trials are chunked across workers or steps into
-blocks.
+not depend on how trials are chunked or steps split into blocks.
 Each step's contractions run on flat operands, one row per (trial,
 agent) or (trial, edge), so x @ K1, the per-edge @ K2 and x @ A.T are
 one matrix product each, not one per trial. The arithmetic order is

@@ -6,9 +6,7 @@
     maswatch sweep --scenario platoon.json --grid 0.5,1,2,5 --probe-step 4
 
 Exit code 0 on success, 2 on scenario validation failure or an
-out-of-range option. run and sweep take their worker count from
-MASWATCH_WORKERS; a value that is not an integer of at least 1 is
-also exit 2.
+out-of-range option.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-from ._checks import real
-from .engine import resolve_workers
 from .graph import (
     LocalAttackBudget,
     check_hybrid_detectability,
@@ -104,19 +100,13 @@ def _cmd_check_graph(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        grid = [real(float(v), "--grid", 0) for v in args.grid.split(",") if v.strip()]
+        grid = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError as err:
         return _usage_error(f"invalid grid {args.grid!r}: {err}")
     if not grid:
         return _usage_error("empty grid")
-    s = load_scenario(args.scenario)
-    try:
-        transient_sweep(s, [], probe_step=args.probe_step)  # checks the probe step, simulates nothing
-    except ScenarioError:
-        raise
-    except ValueError as err:
-        return _usage_error(f"--probe-step: {err}")
-    rows = transient_sweep(s, grid, probe_step=args.probe_step)
+    # transient_sweep checks the scales and the probe step before it draws.
+    rows = transient_sweep(load_scenario(args.scenario), grid, probe_step=args.probe_step)
     print("scale,watermark_kl,ablation_kl,probe_step")
     for row in rows:
         print(f"{row['scale']!r},{row['watermark_kl']!r},{row['ablation_kl']!r},{row['probe_step']}")
@@ -126,11 +116,6 @@ def _cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "check-graph": _cmd_check_graph, "sweep": _cmd_sweep}
-    if args.command in ("run", "sweep"):
-        try:
-            resolve_workers()  # simulate reads it; a bad value exits 2 before any loading
-        except ValueError as err:
-            return _usage_error(str(err))
     try:
         return handlers[args.command](args)
     except ScenarioError as err:

@@ -25,7 +25,7 @@ once per table on the same W, M, F and byz_rand.
 
 Every random stream is derived counter-style from
 (master_seed, trial, edge, stream tag), so the draws are a pure function
-of the scenario and seed: chunking trials across workers, or a chunk's
+of the scenario and seed: splitting trials into chunks, or a chunk's
 steps into blocks, cannot change which numbers are drawn. Each stream
 yields one row per step, whether or not the step uses it.
 
@@ -60,9 +60,8 @@ less than CHUNK_BYTES plus one trial's material over a block and one
 step's over the chunk, unless a single step of a chunk takes more. Where the budget sets C, a chunk is
 one block; where the floor binds, a chunk holds fewer than
 2 x MIN_CHUNK_TRIALS trials and as many blocks as it takes, so material
-memory does not grow with the horizon. The split reads no worker count,
-so every worker count runs the same tiles; the threads only choose who
-runs which chunk.
+memory does not grow with the horizon. Chunks run in trial order on the
+calling thread.
 
 A chunk of one block opens each stream, draws it and drops it, so it
 holds one stream at a time. A chunk of several blocks keeps its
@@ -71,28 +70,20 @@ stream costs about 0.9 kB of resident memory with its key, against
 0.14 kB for one dropped once drawn (ru_maxrss growth over 1.1e5 streams
 drawn through _draw_streams, numpy 2.4.6): 0.8 MB for a chunk of 40
 trials over 11 edges and 2 tags. Each block also pays about 0.8 us per
-stream for the standard_normal call. Only running chunks hold material,
-so a run's peak is its output slabs plus threads x (one tile + open
-streams).
+stream for the standard_normal call. Only the running chunk holds
+material, so a run's peak is its output slabs plus one tile and its open
+streams.
 
 Bit-compatibility invariant: stream (trial, j, i, tag) draws exactly the
 numbers of default_rng(SeedSequence([master_seed, trial, j, i, tag])),
 and a step's row does not depend on K. tests/test_watermark.py checks
 the keys against SeedSequence, and the oracle in tests/test_kernels.py
 seeds its streams through SeedSequence itself.
-
-Environment knob:
-    MASWATCH_WORKERS = <int>   upper bound on worker threads (default 1);
-                               no more threads than chunks or CPUs run.
-                               The only worker setting: simulate reads
-                               it on every call.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,26 +104,12 @@ from .watermark import (
     watermark_blocks,
 )
 
-WORKERS_ENV = "MASWATCH_WORKERS"
-
 # Byte budget of one tile, a trial chunk's block of steps, of random material.
 CHUNK_BYTES = 4 * 2**20
 # Fewest trials a split puts in a chunk. The step kernel pays about 25
 # numpy calls per step for each chunk; below 64 trials per chunk that
 # overhead shows in its time (README, Memory).
 MIN_CHUNK_TRIALS = 64
-
-
-def resolve_workers() -> int:
-    """The integer in MASWATCH_WORKERS, else 1; at least 1."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be at least 1, got {workers}")
-    return workers
 
 
 class ScenarioError(ValueError):
@@ -372,9 +349,8 @@ def simulate(s: Scenario, inits: np.ndarray | None = None) -> SimData:
     Trials split into chunks, and each chunk's steps into blocks, by the
     module's tile rule: about CHUNK_BYTES of random material per tile,
     and at least MIN_CHUNK_TRIALS trials per chunk unless the batch has
-    fewer. The threads number min(MASWATCH_WORKERS, chunks, cpu count),
-    the calling thread among them, and each takes every threads-th chunk
-    and runs its blocks in step order. The tiling never changes a number.
+    fewer. The chunks run in trial order on the calling thread, each its
+    blocks in step order. The tiling never changes a number.
     """
     t, trials = s.topology, s.trials
     n, N, E, K = s.model.n, t.n_agents, t.n_edges, s.horizon
@@ -394,27 +370,17 @@ def simulate(s: Scenario, inits: np.ndarray | None = None) -> SimData:
         lo, hi = int(trial_ids[0]), int(trial_ids[-1]) + 1
         for k0, W, M, F, byz_rand in _pregenerate(s, trial_ids, scale):
             # A diverging run overflows silently here; harness rejects its
-            # non-finite states. errstate is per thread, so it is set here.
+            # non-finite states.
             with np.errstate(over="ignore", invalid="ignore"):
                 for b in range(len(tables)):
                     _kernels._simulate_numpy(s, k0, W, M, F, *schedules, byz_rand, states[b, lo:hi], ys[b, lo:hi])
 
-    def run_share(first: int) -> None:
-        for chunk in chunks[first::threads]:
-            run_chunk(chunk)
-
     try:
         *schedules, scale = _schedule_arrays(t, s.attacks, K, n)
-        n_chunks = _tiling(s, scale)[0]
-        chunks = np.array_split(np.arange(trials), n_chunks)
-        threads = min(resolve_workers(), n_chunks, os.cpu_count() or 1)
-        if threads == 1:
-            run_share(0)
-        else:
-            with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-                helpers = pool.map(run_share, range(1, threads))
-                run_share(0)
-                list(helpers)
+        # A chunk's material is freed when run_chunk returns, before the
+        # next chunk draws its own.
+        for chunk in np.array_split(np.arange(trials), _tiling(s, scale)[0]):
+            run_chunk(chunk)
     except MemoryError:
         raise refused from None
     if inits is None:

@@ -26,7 +26,7 @@ export_report writes the traces as CSV: each (step, edge) row key
 "k,j,i" is formatted once and shared by the three detector traces, and
 every value goes through tolist, so a float is written as its shortest
 round-trip repr. All exported numbers are pure functions of (scenario,
-master_seed) per machine, independent of worker count. Across machines
+master_seed) per machine, independent of the chunking. Across machines
 one operation may move their last bits: the step kernel's BLAS
 contraction diff @ K2, whose rounding follows the OpenBLAS core picked
 at run time. The KL statistic takes its log through math.log, not
@@ -482,18 +482,22 @@ def transient_sweep(s: Scenario, initial_error_grid, probe_step: int = 4) -> lis
     copies are equal. The watermark statistic is 0 by construction; the
     ablation statistic grows with the initial disagreement. Before
     anything is drawn, a scale that is not a positive real or a
-    probe_step that is not an integer of at least 1 is a ValueError
-    naming it, and a scale that overflows the initial states a
-    ScenarioError; so is one whose states or statistics overflow, in
-    grid order. Both statistics fit a distribution per edge, so a sweep
-    needs at least 2 trials; fewer is a ScenarioError on run.trials.
+    probe_step that is not an integer from 1 to the horizon is a
+    ScenarioError on sweep naming it, and a scale that overflows the
+    initial states one on run; so is one whose states or statistics
+    overflow, in grid order. Both statistics fit a distribution per
+    edge, so a sweep needs at least 2 trials; fewer is a ScenarioError
+    on run.trials.
     """
     if s.trials < 2:
         raise ScenarioError("run.trials", f"a sweep needs at least 2 trials, got {s.trials}")
-    probe_step = integer(probe_step, "probe_step", 1)
-    if probe_step > s.horizon:
-        raise ValueError(f"probe_step must be at most the horizon {s.horizon}, got {probe_step}")
-    grid = [real(v, f"initial_error_grid[{b}]", 0) for b, v in enumerate(initial_error_grid)]
+    try:
+        probe_step = integer(probe_step, "probe_step", 1)
+        if probe_step > s.horizon:
+            raise ValueError(f"probe_step must be at most the horizon {s.horizon}, got {probe_step}")
+        grid = [real(v, f"initial_error_grid[{b}]", 0) for b, v in enumerate(initial_error_grid)]
+    except ValueError as err:
+        raise ScenarioError("sweep", str(err)) from None
     if not grid:
         return []
     leader = s.init_states[LEADER]

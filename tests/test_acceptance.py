@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -314,42 +312,40 @@ def test_criterion_7_oracle_suites():
 
 
 def test_criterion_8_determinism(tmp_path, monkeypatch):
-    """The preset's CSVs repeat byte for byte on one seed and across 1
-    and 4 workers. The preset's 100 trials are one trial chunk, so the
-    worker comparison runs again at 2 x MIN_CHUNK_TRIALS trials, where
-    the split gives at least 2 chunks, with 4 CPUs reported, so that at
-    least 2 threads share them."""
+    """The preset's CSVs repeat byte for byte on one seed and across
+    trial-chunk splits. The preset's 100 trials are one tile, so the
+    split comparison runs at 2 x MIN_CHUNK_TRIALS trials, which the tile
+    rule splits into 2 chunks of 2 step blocks, against the same run with
+    CHUNK_BYTES raised to hold the whole batch in one tile."""
     s = platoon_preset("channel")
-    threaded = replace(s, trials=2 * engine.MIN_CHUNK_TRIALS)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    runs, pregenerate = [], engine._pregenerate  # list.append is atomic across worker threads
+    split = replace(s, trials=2 * engine.MIN_CHUNK_TRIALS)
+    blocks, pregenerate = [], engine._pregenerate
 
     def recorded(s, trial_ids, scale):
-        runs.append(threading.get_ident())
+        blocks.append(engine._tiling(s, scale)[1])
         return pregenerate(s, trial_ids, scale)
 
-    def export(scenario, workers, tag):
-        monkeypatch.setenv("MASWATCH_WORKERS", workers)
+    def export(scenario, tag):
+        blocks.clear()
         paths = export_report(run_monte_carlo(scenario), tmp_path / tag)
-        return [p.name for p in paths], [p.read_bytes() for p in paths]
+        return [p.name for p in paths], [p.read_bytes() for p in paths], (len(blocks), blocks[0])
 
-    names, a = export(s, "1", "a")
-    _, b = export(s, "1", "b")
-    _, c = export(s, "4", "c")
-    _, d = export(threaded, "1", "d")
     monkeypatch.setattr(engine, "_pregenerate", recorded)
-    _, e = export(threaded, "4", "e")
-    chunks, threads = len(runs), len(set(runs))
+    names, a, _ = export(s, "a")
+    _, b, _ = export(s, "b")
+    _, c, tiled = export(split, "c")
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 2**40)
+    _, d, whole = export(split, "d")
     same_seed = a == b
-    across_workers = a == c and d == e
-    ok = same_seed and across_workers and chunks >= 2 and threads >= 2
+    across_splits = c == d
+    ok = same_seed and across_splits and tiled == (2, 2) and whole == (1, 1)
     _line(
         8,
         ok,
         f"{len(names)} CSV files byte-identical across repeat runs ({same_seed}) "
-        f"and across 1 vs 4 workers ({across_workers}), at {threaded.trials} trials "
-        f"in {chunks} chunks on {threads} threads",
+        f"and across trial-chunk splits ({across_splits}): {split.trials} trials "
+        f"in {tiled[0]} chunks x {tiled[1]} blocks against {whole[0]} x {whole[1]}",
     )
     assert same_seed
-    assert across_workers
-    assert chunks >= 2 and threads >= 2
+    assert across_splits
+    assert tiled == (2, 2) and whole == (1, 1)

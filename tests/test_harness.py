@@ -7,9 +7,7 @@ import functools
 import json
 import math
 import operator
-import os
 import re
-import threading
 from dataclasses import FrozenInstanceError, fields, replace
 from importlib import resources
 
@@ -884,31 +882,26 @@ def test_transient_sweep_matches_full_horizon_per_edge_reference():
     assert want[1]["ablation_kl"] > want[0]["ablation_kl"] > 0.0
 
 
-def test_transient_sweep_rows_do_not_depend_on_workers(monkeypatch):
-    """The preset's 100-trial sweep is one chunk, so a floor of 25 trials
-    and a 1-byte budget split it into 4 chunks, and 4 CPUs are reported:
-    at 3 workers at least 2 threads share them, and the rows are those
-    of the one-chunk run on one thread."""
+def test_transient_sweep_rows_do_not_depend_on_the_chunks(monkeypatch):
+    """The preset's 100-trial sweep is one chunk; a floor of 25 trials
+    and a 1-byte budget split it into 4 chunks, and the rows are those
+    of the one-chunk run."""
     s = platoon_preset()
     grid = [0.5, 1.0, 2.0, 5.0]
-    monkeypatch.setenv("MASWATCH_WORKERS", "1")
-    want = transient_sweep(s, grid, probe_step=4)
-    runs, pregenerate = [], engine._pregenerate  # list.append is atomic across worker threads
+    chunks, pregenerate = [], engine._pregenerate
 
     def recorded(s, trial_ids, scale):
-        runs.append(threading.get_ident())
+        chunks.append(len(trial_ids))
         return pregenerate(s, trial_ids, scale)
 
+    monkeypatch.setattr(engine, "_pregenerate", recorded)
+    want = transient_sweep(s, grid, probe_step=4)
+    assert chunks == [100]
+    chunks.clear()
     monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
     monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 25)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(engine, "_pregenerate", recorded)
-    for workers in ("1", "3"):
-        runs.clear()
-        monkeypatch.setenv("MASWATCH_WORKERS", workers)
-        assert transient_sweep(s, grid, probe_step=4) == want
-        assert len(runs) == 4
-    assert len(set(runs)) >= 2
+    assert transient_sweep(s, grid, probe_step=4) == want
+    assert chunks == [25] * 4
 
 
 def test_transient_sweep_of_an_empty_grid_draws_nothing(monkeypatch):
@@ -950,9 +943,9 @@ def test_transient_sweep_checks_the_whole_grid_before_drawing(monkeypatch):
     # rejected first, before anything is simulated.
     monkeypatch.setattr(harness, "simulate", None)
     s = scenario_from_dict(small_doc())
-    with pytest.raises(ValueError, match=r"^initial_error_grid\[1\] must be a finite real number, got nan$") as err:
+    with pytest.raises(ScenarioError, match=r"^sweep: initial_error_grid\[1\] must be a finite real number, got nan$") as err:
         transient_sweep(s, [1e160, math.nan], probe_step=4)
-    assert not isinstance(err.value, ScenarioError)
+    assert err.value.path == "sweep"
     with pytest.raises(ScenarioError, match=r"^run: initial error scale 1\.7e\+308 overflows the initial states$"):
         transient_sweep(s, [1e160, 1.7e308], probe_step=4)
     # Both statistics fit a distribution over trials, so one trial is
@@ -963,6 +956,8 @@ def test_transient_sweep_checks_the_whole_grid_before_drawing(monkeypatch):
 
 
 def test_transient_sweep_rejects_bad_grid():
+    """Each refusal of an argument is a ScenarioError on sweep that names
+    the argument, so the command line reports it with exit 2."""
     s = scenario_from_dict(small_doc())
     for scale, rule in (
         (0.0, r"lie in \(0, inf\), got 0\.0"),
@@ -972,16 +967,16 @@ def test_transient_sweep_rejects_bad_grid():
         (10**400, "be a finite real number, got an integer of 401 digits"),
         (True, "be a finite real number, got True"),
     ):
-        with pytest.raises(ValueError, match=rf"^initial_error_grid\[1\] must {rule}"):
+        with pytest.raises(ScenarioError, match=rf"^sweep: initial_error_grid\[1\] must {rule}"):
             transient_sweep(s, [1.0, scale])
-    with pytest.raises(ValueError, match=f"^probe_step must be at most the horizon {s.horizon}, got 99$"):
+    with pytest.raises(ScenarioError, match=f"^sweep: probe_step must be at most the horizon {s.horizon}, got 99$"):
         transient_sweep(s, [1.0], probe_step=99)
     # probe_step is read as an integer of at least 1, before the run's
     # own horizon rule sees it.
     for step in (0, 2.5, True):
-        with pytest.raises(ValueError, match=rf"^probe_step must be an integer of at least 1, got {step}$") as err:
+        with pytest.raises(ScenarioError, match=rf"^sweep: probe_step must be an integer of at least 1, got {step}$") as err:
             transient_sweep(s, [1.0], probe_step=step)
-        assert not isinstance(err.value, ScenarioError)
+        assert err.value.path == "sweep"
 
 
 # --- export -----------------------------------------------------------------

@@ -12,9 +12,8 @@ pins the kernel's copies to the same model bit for bit. The oracle
 carries no Byzantine state from step to step: a frozen_state window's
 capture is read back from the states the oracle has already computed.
 The oracle seeds each stream with numpy's own SeedSequence, so it also
-checks the engine's vectorised stream_keys. Neither worker chunking nor
-the byte budget's trial chunks and step blocks may change results at
-all.
+checks the engine's vectorised stream_keys. Neither the byte budget's
+trial chunks nor its step blocks may change results at all.
 """
 
 from __future__ import annotations
@@ -22,6 +21,9 @@ from __future__ import annotations
 import json
 import operator
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 from functools import reduce
@@ -35,7 +37,7 @@ from maswatch import _kernels, engine
 from maswatch.attacks import ByzantineBehavior, byzantine_emit, tamper_channel
 from maswatch.detectors import estimate_kl
 from maswatch.dynamics import compute_control, noise_gain, step_system
-from maswatch.engine import ScenarioError, resolve_workers, simulate
+from maswatch.engine import ScenarioError, simulate
 from maswatch.graph import LEADER
 from maswatch.harness import RunReport, platoon_preset, run_monte_carlo, scenario_from_dict
 from maswatch.watermark import (
@@ -220,23 +222,10 @@ def test_recovered_copies_are_the_message_unless_tampered(variant, noise_var, tr
                 assert np.array_equal(sim.ystar[:, k - 1, :, e], want), (k, e)
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.setenv("MASWATCH_WORKERS", "3")
-    assert resolve_workers() == 3
-    monkeypatch.delenv("MASWATCH_WORKERS")
-    assert resolve_workers() == 1
-    monkeypatch.setenv("MASWATCH_WORKERS", "0")
-    with pytest.raises(ValueError, match="^MASWATCH_WORKERS must be at least 1, got 0$"):
-        resolve_workers()
-
-
-def test_worker_chunking_is_invisible(monkeypatch):
-    """With a 1-byte budget and the floor at 2 trials, the 10 trials run
-    as 5 chunks, on one thread and on up to 4."""
+def test_trial_chunking_is_invisible(monkeypatch):
+    """The 10 trials run as one chunk, and with a 1-byte budget and the
+    floor at 2 trials as 5 chunks; no number changes."""
     s = replace(platoon_preset("channel"), horizon=12, trials=10)
-    monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
-    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 2)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     chunks, pregenerate = [], engine._pregenerate
 
     def recorded(s, trial_ids, scale):
@@ -244,71 +233,44 @@ def test_worker_chunking_is_invisible(monkeypatch):
         return pregenerate(s, trial_ids, scale)
 
     monkeypatch.setattr(engine, "_pregenerate", recorded)
-    monkeypatch.setenv("MASWATCH_WORKERS", "1")
     a = simulate(s)
-    monkeypatch.setenv("MASWATCH_WORKERS", "4")
+    assert chunks == [10]
+    chunks.clear()
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 2)
     b = simulate(s)
-    assert chunks == [2] * 10
+    assert chunks == [2] * 5
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.ystar1, b.ystar1)
     assert np.array_equal(a.ystar2, b.ystar2)
 
 
-def test_thread_count_is_bounded_by_trials_and_cpus(monkeypatch):
-    """MASWATCH_WORKERS=5000 must not start 5000 threads: no more run
-    than chunks or CPUs. A stand-in for ThreadPoolExecutor records
-    max_workers and maps serially."""
-    pools = []
+def test_chunks_run_on_the_calling_thread(monkeypatch):
+    """simulate starts no thread: with MASWATCH_WORKERS=4 and 4 CPUs
+    reported, every chunk of a 6-chunk batch draws its material on the
+    calling thread."""
+    s = scenario_from_dict(small_doc())
+    runs, pregenerate = [], engine._pregenerate
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def recorded(s, trial_ids, scale):
+        runs.append(threading.get_ident())
+        return pregenerate(s, trial_ids, scale)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    s = scenario_from_dict(small_doc(horizon=6, trials=5))
-    monkeypatch.setenv("MASWATCH_WORKERS", "1")
-    want = simulate(s)
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setenv("MASWATCH_WORKERS", "4")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("MASWATCH_WORKERS", "5000")
-    simulate(s)  # 5 trials are one chunk: one thread, no pool
-    # Every trial its own chunk.
     monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
     monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
-    for workers in ("5000", "3"):
-        monkeypatch.setenv("MASWATCH_WORKERS", workers)
-        got = simulate(s)
-        assert np.array_equal(got.states, want.states)
-        assert np.array_equal(got.ystar1, want.ystar1)
-    monkeypatch.setenv("MASWATCH_WORKERS", "5000")
-    simulate(replace(s, trials=2))
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one thread, no pool
+    monkeypatch.setattr(engine, "_pregenerate", recorded)
     simulate(s)
-    assert pools == [3, 2, 1]  # the calling thread runs a share too
+    assert runs == [threading.get_ident()] * s.trials
 
 
-def test_surplus_workers_cost_nothing(monkeypatch):
-    """Workers beyond the chunk count get no chunk, so they cost neither
-    time nor memory."""
-    s = scenario_from_dict(small_doc(horizon=6, trials=2))
-    monkeypatch.setenv("MASWATCH_WORKERS", str(10**6))
-    tracemalloc.start()
-    try:
-        sim = simulate(s)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6, peak
-    monkeypatch.setenv("MASWATCH_WORKERS", "1")
-    assert np.array_equal(sim.states, simulate(s).states)
+def test_importing_maswatch_loads_no_thread_pool():
+    """No module of the package imports concurrent.futures. A fresh
+    interpreter is used, since this one may have loaded it already."""
+    code = "import sys, maswatch, maswatch.cli; assert 'concurrent.futures' not in sys.modules"
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
 
 
 def test_trial_slabs_are_independent_of_trial_count():
@@ -338,7 +300,7 @@ SLAB_CASES = {
 
 
 @pytest.mark.parametrize("case", SLAB_CASES)
-def test_simulate_allocates_only_the_slabs_it_uses(case, monkeypatch):
+def test_simulate_allocates_only_the_slabs_it_uses(case):
     # At most 3.5 MB of material, below engine.CHUNK_BYTES, and 100
     # trials, below 2 x engine.MIN_CHUNK_TRIALS: every case runs as one
     # chunk that holds all its slabs at once.
@@ -347,7 +309,6 @@ def test_simulate_allocates_only_the_slabs_it_uses(case, monkeypatch):
     T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
     slab = T * K * E * n * 8
     outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 2 * slab
-    monkeypatch.setenv("MASWATCH_WORKERS", "1")
     tracemalloc.start()
     try:
         simulate(s)
@@ -377,7 +338,6 @@ def test_chunk_budget_is_invisible(case, monkeypatch):
     kwargs, slabs = SLAB_CASES[case]
     s = _random_material_case(**kwargs)
     chunks = -(-slabs * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8 // 100_000)
-    monkeypatch.setenv("MASWATCH_WORKERS", "1")
     sim, report = simulate(s), run_monte_carlo(s)
     calls, kernel = [], _kernels._simulate_numpy
 
@@ -411,18 +371,18 @@ SPLIT_CASES = {
 
 
 @pytest.mark.parametrize("trials, horizon", SPLIT_CASES)
-def test_trial_split_reads_no_worker_count(trials, horizon, monkeypatch):
-    """Workers 1, 3 and 4 run the same trial ranges. Each chunk holds at
-    least MIN_CHUNK_TRIALS trials unless the batch has fewer, and at
-    most CHUNK_BYTES of material plus one trial's worth unless one more
-    chunk would break the floor. Each of its step blocks holds less than
+def test_trial_split_follows_the_tile_rule(trials, horizon, monkeypatch):
+    """The chunks cover the trials in order. Each chunk holds at least
+    MIN_CHUNK_TRIALS trials unless the batch has fewer, and at most
+    CHUNK_BYTES of material plus one trial's worth unless one more chunk
+    would break the floor. Each of its step blocks holds less than
     CHUNK_BYTES plus one trial's and one step's worth. Only the split
     runs: the material is an empty stand-in, so the kernel never runs,
     and the output slabs stay untouched zero pages."""
     s = replace(_random_material_case(), trials=trials, horizon=horizon)
     per_step = 8 * s.topology.n_edges * s.model.n * SLAB_CASES["watermarked"][1]
     per_trial = per_step * horizon
-    chunks, blocks = [], []  # list.append is atomic across worker threads
+    chunks, blocks = [], []
 
     def recorded(s, trial_ids, scale):
         chunks.append(trial_ids.tolist())
@@ -430,38 +390,31 @@ def test_trial_split_reads_no_worker_count(trials, horizon, monkeypatch):
         return iter(())
 
     monkeypatch.setattr(engine, "_pregenerate", recorded)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    splits = []
-    for workers in ("1", "3", "4"):
-        chunks.clear()
-        monkeypatch.setenv("MASWATCH_WORKERS", workers)
-        simulate(s)
-        splits.append(sorted(chunks))
-    split = splits[0]
-    assert splits[1] == split and splits[2] == split
-    assert len(split) == SPLIT_CASES[trials, horizon]
-    assert sum(split, []) == list(range(trials))
-    at_floor = trials < (len(split) + 1) * engine.MIN_CHUNK_TRIALS
+    simulate(s)
+    assert len(chunks) == SPLIT_CASES[trials, horizon]
+    assert sum(chunks, []) == list(range(trials))
+    at_floor = trials < (len(chunks) + 1) * engine.MIN_CHUNK_TRIALS
     steps = -(-horizon // blocks[0])  # the longest block
-    for chunk in split:
+    for chunk in chunks:
         assert len(chunk) >= min(trials, engine.MIN_CHUNK_TRIALS)
         assert (len(chunk) - 1) * per_trial < engine.CHUNK_BYTES or at_floor
         assert len(chunk) * steps * per_step < engine.CHUNK_BYTES + (len(chunk) + steps) * per_step
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
-def test_each_initial_state_table_matches_its_own_run(workers, monkeypatch):
+@pytest.mark.parametrize("floor, chunks, blocks", [(1, 35, 1), (100, 1, 35)], ids=["35_chunks", "35_blocks"])
+def test_each_initial_state_table_matches_its_own_run(floor, chunks, blocks, monkeypatch):
     """simulate(s, inits=stack) gives, table by table, the numbers of a
-    run from that table alone. Under a 100 kB budget and a floor of one
-    trial each of the 35 chunks draws its noise, watermark and byz_rand
-    material once and runs the kernel once per table."""
+    run from that table alone. Under a 100 kB budget the batch is 35
+    tiles: at a floor of one trial, 35 chunks of one block, and at a
+    floor of all 100 trials, one chunk of 35 step blocks. Each chunk
+    draws its noise, watermark and byz_rand material once, and each
+    block runs the kernel once per table."""
     s = _random_material_case(random_byzantine=True)
     leader = s.init_states[0]
     stack = np.stack([leader + scale * (s.init_states - leader) for scale in (0.5, 1.0, 3.0)])
-    monkeypatch.setenv("MASWATCH_WORKERS", workers)
     want = [simulate(replace(s, init_states=table)) for table in stack]
-    chunks = -(-6 * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8 // 100_000)
-    draws, steps = [], []  # list.append is atomic across worker threads
+    assert -(-6 * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8 // 100_000) == chunks * blocks
+    draws, steps = [], []
     pregenerate, kernel = engine._pregenerate, _kernels._simulate_numpy
 
     def counted_pregenerate(*args):
@@ -473,11 +426,11 @@ def test_each_initial_state_table_matches_its_own_run(workers, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(engine, "CHUNK_BYTES", 100_000)
-    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", floor)
     monkeypatch.setattr(engine, "_pregenerate", counted_pregenerate)
     monkeypatch.setattr(_kernels, "_simulate_numpy", counted_kernel)
     got = simulate(s, inits=stack)
-    assert chunks == 35 and len(draws) == chunks and len(steps) == chunks * len(stack)
+    assert len(draws) == chunks and len(steps) == chunks * blocks * len(stack)
     assert got.states.shape == (len(stack),) + want[0].states.shape
     for b, one in enumerate(want):
         for name in ("states", "ystar1", "ystar2"):
@@ -535,7 +488,6 @@ def test_simulate_holds_one_chunk_of_material_at_a_time(monkeypatch):
     outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 2 * slab
     monkeypatch.setattr(engine, "CHUNK_BYTES", 5 * slab // 4)
     monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
-    monkeypatch.setenv("MASWATCH_WORKERS", "1")
     tracemalloc.start()
     try:
         simulate(s)
@@ -564,44 +516,46 @@ def _block_case():
     return scenario_from_dict(doc)
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
-def test_step_blocks_change_no_number(workers, monkeypatch):
-    """A budget of a tenth of the material and a floor of 8 trials make
-    10 tiles: 2 chunks of 10 trials, each in 5 step blocks, whose first
-    rows are 0, 6, 12, 18 and 24. The frozen window reads row 3 from the
-    blocks at 6, 12 and 18; the channel window (rows 9..14) crosses row
-    12 and the per_neighbor_random window (rows 19..26) row 24. The
-    slabs are those of the run in one tile, from the scenario's table
-    and from an inits stack."""
+@pytest.mark.parametrize(
+    "floor, chunks, starts",
+    [(8, 2, [0, 6, 12, 18, 24]), (20, 1, [0, 3, 6, 9, 12, 15, 18, 21, 24, 27])],
+    ids=["2_chunks", "1_chunk"],
+)
+def test_step_blocks_change_no_number(floor, chunks, starts, monkeypatch):
+    """A budget of a tenth of the material makes 10 tiles. A floor of 8
+    trials gives 2 chunks of 10 trials, each in 5 step blocks, whose
+    first rows are 0, 6, 12, 18 and 24; a floor of all 20 trials gives
+    one chunk in 10 blocks of 3 steps. The frozen window reads row 3 from
+    the later blocks; the channel window (rows 9..14) crosses row 12 and
+    the per_neighbor_random window (rows 19..26) row 24. The slabs are
+    those of the run in one tile, from the scenario's table and from an
+    inits stack."""
     s = _block_case()
     leader = s.init_states[0]
     stack = np.stack([leader + scale * (s.init_states - leader) for scale in (0.5, 3.0)])
-    monkeypatch.setenv("MASWATCH_WORKERS", workers)
     want, want_stack = simulate(s), simulate(s, inits=stack)
     material = 6 * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8
-    chunks, starts = [], []  # list.append is atomic across worker threads
+    draws, runs = [], []
     pregenerate, kernel = engine._pregenerate, _kernels._simulate_numpy
 
     def counted_pregenerate(*args):
-        chunks.append(1)
+        draws.append(1)
         return pregenerate(*args)
 
     def counted_kernel(*args):
-        starts.append(args[1])
+        runs.append(args[1])
         return kernel(*args)
 
     monkeypatch.setattr(engine, "CHUNK_BYTES", material // 10)
-    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 8)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", floor)
     monkeypatch.setattr(engine, "_pregenerate", counted_pregenerate)
     monkeypatch.setattr(_kernels, "_simulate_numpy", counted_kernel)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     _assert_same_arrays(simulate(s), want)
-    assert len(chunks) == 2 and len(starts) == 10 > len(chunks)
-    assert sorted(set(starts)) == [0, 6, 12, 18, 24]
-    chunks.clear()
-    starts.clear()
+    assert len(draws) == chunks and runs == starts * chunks
+    draws.clear()
+    runs.clear()
     _assert_same_arrays(simulate(s, inits=stack), want_stack)
-    assert len(chunks) == 2 and len(starts) == 10 * len(stack)
+    assert len(draws) == chunks and len(runs) == 10 * len(stack)
 
 
 # tracemalloc's size of one edge_stream generator that has drawn is
@@ -618,7 +572,6 @@ def test_material_memory_does_not_grow_with_the_horizon(monkeypatch):
     24 MB. Half a MiB covers the stream keys, the draw buffers and the
     kernel's per-step temporaries."""
     monkeypatch.setattr(engine, "CHUNK_BYTES", 2**20)
-    monkeypatch.setenv("MASWATCH_WORKERS", "1")
     for horizon in (250, 1000):
         s = replace(_random_material_case(), horizon=horizon)
         T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
@@ -635,21 +588,28 @@ def test_material_memory_does_not_grow_with_the_horizon(monkeypatch):
         assert peak - outputs <= bound, (horizon, peak - outputs, bound)
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
-def test_chunk_material_beyond_memory_is_a_scenario_error(workers, monkeypatch):
-    """A MemoryError while drawing a chunk's material, in the calling
-    thread or a helper, is refused as a batch that cannot be allocated."""
+@pytest.mark.parametrize("failing", [0, 3], ids=["first_chunk", "later_chunk"])
+def test_chunk_material_beyond_memory_is_a_scenario_error(failing, monkeypatch):
+    """A MemoryError while drawing a chunk's material, in the first of
+    the 6 one-trial chunks or after earlier chunks have run, is refused
+    as a batch that cannot be allocated."""
     s = scenario_from_dict(small_doc())
+    calls, pregenerate = [], engine._pregenerate
 
     def no_memory(*args):
-        raise MemoryError
+        calls.append(1)
+        if len(calls) > failing:
+            raise MemoryError
+        return pregenerate(*args)
 
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
     monkeypatch.setattr(engine, "_pregenerate", no_memory)
-    monkeypatch.setenv("MASWATCH_WORKERS", workers)
     # states (6, 9, 3, 2) and ystar (6, 8, 2, 3, 2): 900 float64
     with pytest.raises(ScenarioError, match=r"^run: 6 trials x 8 steps need 7200 bytes of output slabs, more") as err:
         simulate(s)
     assert err.value.path == "run"
+    assert len(calls) == failing + 1
 
 
 def _consensus_order_case():
