@@ -38,15 +38,18 @@ k0, N agents, E edges, n state dims:
     states (T, K+1, N, n) in/out: rows 0..k0 hold the states up to the
                          block on entry, row 0 the initial states, and
                          the kernel writes rows k0+1 .. k0+Kb
-    ys (T, K, 2, E, n)   out, rows k0 .. k0+Kb-1
+    ys1 (T, K, E, n)     out: recovered copy 1, rows k0 .. k0+Kb-1
+    ys2 (T, P, n)        out: copy 2 of the P chan_mask pairs in the
+                         order of np.argwhere(chan_mask), the block's rows
 
-The schedules, states and ys are indexed by absolute step, the
+The schedules, states and ys1 are indexed by absolute step, the
 material by its row in the block.
 
 A Byzantine sender's plaintext is the gathered row plus byz_coeff
 plus byz_rand, with no branch on the behavior: an honest step adds 0.
 Both copies of an honest channel's message are y, plaintext plus noise;
-only chan_mask edges run the watermark round trip. Consensus reads copy 1.
+only chan_mask edges run the round trip and store copy 2. Consensus
+reads copy 1.
 
 The leader is agent 0 and never consumes neighbor messages.
 """
@@ -58,7 +61,7 @@ import numpy as np
 from .dynamics import noise_gain
 
 
-def _simulate_numpy(s, k0, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz_rand, states, ys):
+def _simulate_numpy(s, k0, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz_rand, states, ys1, ys2):
     t, A, Bv, ctrl = s.topology, s.model.A, s.model.B, s.controller
     edge_src, edge_dst = t.src, t.dst
     T, Kb, E, n = W.shape
@@ -67,22 +70,23 @@ def _simulate_numpy(s, k0, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz
     # row in the flat (T * N,) control vector, in trial-major edge order.
     slot = (np.arange(T)[:, None] * N + edge_dst).ravel()
     weight = np.tile(t.weights, T)
+    ends = np.cumsum(chan_mask.sum(axis=1))  # ys2 rows of steps 1..k end at ends[k-1]
     for j in range(Kb):
         k = k0 + j + 1
         x = states[:, k - 1]
         plain = states[:, send_row[k - 1], edge_src]  # a gather: already a new array
         plain += byz_coeff[k - 1]
         plain += byz_rand[:, j]
-        y = plain + W[:, j]
-        out = ys[:, k - 1]
-        out[:] = y[:, None]
+        y = np.add(plain, W[:, j], out=ys1[:, k - 1])
         cm = chan_mask[k - 1]
         if cm.any():
             m, f = M[:, j][:, :, cm], F[:, j][:, :, cm]
-            out[:, :, cm] = m * ((Xi[k - 1][:, cm] * (y[:, None, cm] / m + f) + Lam[k - 1][:, cm]) - f)
+            both = m * ((Xi[k - 1][:, cm] * (y[:, None, cm] / m + f) + Lam[k - 1][:, cm]) - f)
+            y[:, cm] = both[:, 0]
+            ys2[:, ends[k - 1] - both.shape[2] : ends[k - 1]] = both[:, 1]
         flat = x.reshape(T * N, n)  # the step's states, one row per (trial, agent)
         u = flat @ ctrl.K1
-        diff = (out[:, 0] - x[:, edge_dst, :]).reshape(T * E, n)
+        diff = (y - x[:, edge_dst, :]).reshape(T * E, n)
         per_edge = (diff @ ctrl.K2) * weight
         cons = np.bincount(slot, weights=per_edge, minlength=T * N)
         cons[::N] = 0.0  # the leader, agent 0

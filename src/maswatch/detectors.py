@@ -161,12 +161,16 @@ def edge_residual(y_samples: np.ndarray, x_samples: np.ndarray) -> np.ndarray:
 
     Blocks are (T, ..., n): trials first, state components last. The
     result has the shape of the axes in between, a scalar for (T, n).
+    The trials are summed in order whatever that shape, so each entry of
+    a block is bitwise its own (T, n) residual: a mean would sum a lone
+    (T,) column pairwise and a wider block row by row.
     """
     y = np.atleast_2d(np.asarray(y_samples, dtype=float))
     x = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if y.shape != x.shape:
         raise ValueError("y and x sample blocks must have matching shapes")
-    return np.linalg.norm(y - x, axis=-1).mean(axis=0)
+    d = np.linalg.norm(y - x, axis=-1)
+    return np.add.accumulate(d, axis=0)[-1] / d.shape[0]
 
 
 def envelope_factor(bounds: StateBounds) -> float:

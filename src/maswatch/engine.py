@@ -11,8 +11,8 @@ ScenarioError on run. It builds the dense arrays the step kernel
 consumes (the channel mask comes from attacks.activity, the schedules
 and Byzantine tables are filled from the window slices), splits trials
 into chunks and each chunk's steps into blocks, and returns the raw
-slabs (states and recovered message pairs) that the detector pipeline
-pools.
+slabs (states, recovered copy 1, and copy 2 where a channel is tampered)
+that the detector pipeline pools.
 The kernel reads the model, controller and topology from the Scenario
 itself, and the initial states from row 0 of its states slab. A zero
 horizon takes the same path: every draw and schedule has no steps, and
@@ -192,20 +192,23 @@ class SimData:
     """Raw simulation output.
 
     states  (trials, steps+1, agents, n)  agent states, index 0 initial
-    ystar   (trials, steps, 2, edges, n)  recovered copy r of the step-k
-                                          message at [:, k-1, r-1]
-    ystar1, ystar2 are properties giving the two copies as (trials,
-    steps, edges, n) views. Edge axis order follows Topology.edges.
-    The message at step index k-1 carries the sender state of snapshot
-    k-1; the controller that consumes it produces snapshot k. A run
-    from a stack of B initial-state tables puts a leading (B,) axis on
-    both slabs, table b at [b].
+    ystar1  (trials, steps, edges, n)     recovered copy 1 of the step-k
+                                          message at [:, k-1]
+    ystar2  (trials, P, n)                copy 2 at the P tampered pairs
+    pairs   (P, 2)                        their (k-1, edge), step-major
+
+    An untampered channel delivers copy 2 bitwise equal to copy 1, so it
+    is stored only at pairs, np.argwhere of the channel mask. Edge axis
+    order follows Topology.edges. The message at step index k-1 carries
+    the sender state of snapshot k-1; the controller that consumes it
+    produces snapshot k. A run from a stack of B initial-state tables
+    puts a leading (B,) axis on the three slabs, table b at [b].
     """
 
     states: np.ndarray
-    ystar: np.ndarray
-    ystar1 = property(lambda self: self.ystar[..., 0, :, :])
-    ystar2 = property(lambda self: self.ystar[..., 1, :, :])
+    ystar1: np.ndarray
+    ystar2: np.ndarray
+    pairs: np.ndarray
 
 
 def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int):
@@ -338,9 +341,9 @@ def simulate(s: Scenario, inits: np.ndarray | None = None) -> SimData:
     """Run the scenario's Monte Carlo batch and return the raw slabs.
 
     inits, a (B, agents, n) stack of initial-state tables, replaces
-    s.init_states: the batch then runs once per table and both slabs
-    gain a leading (B,) axis. One chunk's material is drawn once and
-    serves every table. Every table must pass the rule of s.init_states
+    s.init_states: the batch then runs once per table and the three
+    slabs gain a leading (B,) axis. One chunk's material is drawn once
+    and serves every table. Every table must pass the rule of s.init_states
     before anything is allocated or drawn, else a ScenarioError on
     run.init. A batch whose output slabs or chunk material cannot be
     allocated is a ScenarioError on run naming the trials, steps and
@@ -355,12 +358,14 @@ def simulate(s: Scenario, inits: np.ndarray | None = None) -> SimData:
     t, trials = s.topology, s.trials
     n, N, E, K = s.model.n, t.n_agents, t.n_edges, s.horizon
     tables = [s.init_states] if inits is None else [_init_table(x, (N, n)) for x in inits]
-    shapes = ((len(tables), trials, K + 1, N, n), (len(tables), trials, K, 2, E, n))
+    # The tampered (step, edge) pairs; no two channel attacks share one.
+    P = sum(max(0, r.stop - r.start) for r in (window_rows(a.window, K) for a in s.attacks.channel))
+    shapes = ((len(tables), trials, K + 1, N, n), (len(tables), trials, K, E, n), (len(tables), trials, P, n))
     batch = f"{trials} trials x {K} steps" + (f" x {len(tables)} initial states" if len(tables) > 1 else "")
     nbytes = 8 * sum(map(math.prod, shapes))
     refused = ScenarioError("run", f"{batch} need {nbytes} bytes of output slabs, more than can be allocated")
     try:
-        states, ys = np.zeros(shapes[0]), np.zeros(shapes[1])
+        states, ys1, ys2 = outputs = tuple(map(np.zeros, shapes))
     except (ValueError, MemoryError):  # numpy's ValueError: a shape beyond intp
         raise refused from None
     for b, table in enumerate(tables):
@@ -373,7 +378,7 @@ def simulate(s: Scenario, inits: np.ndarray | None = None) -> SimData:
             # non-finite states.
             with np.errstate(over="ignore", invalid="ignore"):
                 for b in range(len(tables)):
-                    _kernels._simulate_numpy(s, k0, W, M, F, *schedules, byz_rand, states[b, lo:hi], ys[b, lo:hi])
+                    _kernels._simulate_numpy(s, k0, W, M, F, *schedules, byz_rand, *(a[b, lo:hi] for a in outputs))
 
     try:
         *schedules, scale = _schedule_arrays(t, s.attacks, K, n)
@@ -383,6 +388,7 @@ def simulate(s: Scenario, inits: np.ndarray | None = None) -> SimData:
             run_chunk(chunk)
     except MemoryError:
         raise refused from None
+    pairs = np.argwhere(schedules[0])
     if inits is None:
-        return SimData(states=states[0], ystar=ys[0])
-    return SimData(states=states, ystar=ys)
+        return SimData(states=states[0], ystar1=ys1[0], ystar2=ys2[0], pairs=pairs)
+    return SimData(states=states, ystar1=ys1, ystar2=ys2, pairs=pairs)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import integer, sequence, vector
+from ._checks import integer, real, sequence, vector
 
 LEADER = 0
 
@@ -124,9 +124,11 @@ class Topology:
 
 def build_topology(n_agents: int, edges) -> Topology:
     """A Topology from (j, i) or (j, i, weight) entries; weight
-    defaults to 1.0. Topology itself checks the result."""
-    rows = [sequence(e, f"edges[{k}]", (2, 3)) + (1.0,) for k, e in enumerate(sequence(edges, "edges"))]
-    return Topology(n_agents, tuple(row[:2] for row in rows), tuple(row[2] for row in rows))
+    defaults to 1.0. Each weight is checked at its entry, as
+    edges[k][2]; Topology itself checks the rest."""
+    rows = [sequence(e, f"edges[{k}]", (2, 3)) for k, e in enumerate(sequence(edges, "edges"))]
+    weights = tuple(real(row[2], f"edges[{k}][2]", 0) if row[2:] else 1.0 for k, row in enumerate(rows))
+    return Topology(n_agents, tuple(row[:2] for row in rows), weights)
 
 
 def laplacian(t: Topology) -> np.ndarray:

@@ -14,11 +14,12 @@ run.init.states rows, the attacks and their local budget), so one built
 through dataclasses.replace fails as the same ScenarioError.
 
 run_monte_carlo simulates the batch, rejects a run whose states are
-not finite, and pools over trials, reading the recovered-copy slab in
-place: the residuals of both copies in blocks of steps of about
-ETA_BLOCK_BYTES, and the KL statistic by one estimate_kl call per
-(step, edge). A KL or residual that is not finite, from a tampered
-copy that overflows, rejects the run too. Whole (edge, step) arrays
+not finite, and pools over trials, reading the recovered copies in
+place: copy 1's residuals in blocks of steps of about ETA_BLOCK_BYTES,
+copy 2's at the tampered pairs alone (elsewhere it is copy 1), and the
+KL statistic by one estimate_kl call per (step, edge). A KL or
+residual that is not finite, from a tampered copy that overflows,
+rejects the run too. Whole (edge, step) arrays
 then pass between stages: envelope ratios against each edge's frozen
 reference, one flag-protocol round per step into a (K, E) flag and
 label array, scored against attacks.activity in one comparison.
@@ -350,22 +351,23 @@ def run_monte_carlo(s: Scenario) -> RunReport:
     kl_stats = np.zeros((E, K))
     # Residual steps go in blocks of about ETA_BLOCK_BYTES of recovered
     # copies, as eta_curve takes its steps.
-    block = max(1, ETA_BLOCK_BYTES // max(1, 8 * s.trials * 2 * E * s.model.n))
+    block = max(1, ETA_BLOCK_BYTES // max(1, 8 * s.trials * E * s.model.n))
+    pk, pe = sim.pairs.T
+    copy2 = dict(zip(zip(pk.tolist(), pe.tolist()), sim.ystar2.swapaxes(0, 1)))  # (k-1, e): (T, n)
     # A tampered copy can overflow here while the states stay finite;
     # the check after the loops rejects it.
     with np.errstate(over="ignore", invalid="ignore"):
+        # Residuals against the receiver state at send time.
         for k0 in range(0, K, block):
-            # Residuals of both copies against the receiver state at send
-            # time. With the copy axis the trial reduction is never over a
-            # 1-D array, which numpy would sum pairwise rather than in order.
-            y = sim.ystar[:, k0 : k0 + block]  # (T, B, 2, E, n)
-            own = sim.states[:, k0 : k0 + y.shape[1]][:, :, None, t.dst]  # (T, B, 1, E, n)
-            residuals[:, :, k0 : k0 + block] = np.moveaxis(edge_residual(y, np.broadcast_to(own, y.shape)), 0, -1)
+            y = sim.ystar1[:, k0 : k0 + block]  # (T, B, E, n)
+            residuals[0, :, k0 : k0 + block] = edge_residual(y, sim.states[:, k0 : k0 + y.shape[1]][:, :, t.dst]).T
+        residuals[1] = residuals[0]
+        residuals[1, pe, pk] = edge_residual(sim.ystar2, sim.states[:, pk, t.dst[pe]])
         if s.trials >= s.kl.min_samples:
-            for k in range(1, K + 1):
-                y = sim.ystar[:, k - 1]  # (T, 2, E, n)
+            for k in range(K):
                 for e in range(E):
-                    kl_stats[e, k - 1] = estimate_kl(y[:, 0, e], y[:, 1, e])
+                    y = sim.ystar1[:, k, e]
+                    kl_stats[e, k] = estimate_kl(y, copy2.get((k, e), y))
     _require_finite(kl_stats, residuals)
     kl_attacked = kl_verdict(kl_stats, s.kl)
 
@@ -516,8 +518,9 @@ def transient_sweep(s: Scenario, initial_error_grid, probe_step: int = 4) -> lis
         # A scale this large can overflow the statistics; the check
         # below names it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            y1, y2 = sim.ystar[b, :, -1, 0], sim.ystar[b, :, -1, 1]  # (T, E, n) at the probe step
-            wm_kl = estimate_kl(y1, y2)
+            # The clean run tampers no pair, so copy 2 is copy 1.
+            y1 = sim.ystar1[b, :, -1]  # (T, E, n) at the probe step
+            wm_kl = estimate_kl(y1, y1)
             resid = y1 - sim.states[b, :, -2][:, s.topology.dst]
             mu = resid.mean(axis=0)
             var = np.maximum(resid.var(axis=0), VAR_FLOOR)

@@ -2,7 +2,8 @@
 run_monte_carlo is checked against bit for bit.
 
 reference_report simulates the batch, takes the bounds from the scenario
-or from a clean run, and then pools one step at a time: the residuals of
+or from a clean run, rebuilds both recovered copies of every message
+(recovered_copies), and then pools one step at a time: the residuals of
 both copies in one reduction per step, and one estimate_kl call per
 (step, edge). Each edge's envelope reference is frozen at its first
 clean step. The flag protocol is arbitrated edge by edge through
@@ -18,9 +19,18 @@ import numpy as np
 from maswatch.attacks import AttackScenario
 from maswatch.detectors import edge_residual, envelope_verdict, estimate_kl, kl_verdict
 from maswatch.dynamics import compute_state_bounds, transient_metric
-from maswatch.engine import Scenario, simulate
+from maswatch.engine import Scenario, SimData, simulate
 from maswatch.harness import RunReport
 from maswatch.hybrid import FlagPair, classify, select_trusted
+
+
+def recovered_copies(sim: SimData) -> np.ndarray:
+    """Both recovered copies of every message, (..., T, K, 2, E, n) with
+    the copy on axis -3: copy 2 is copy 1 except at sim.pairs."""
+    y = np.stack((sim.ystar1, sim.ystar1), axis=-3)
+    pk, pe = sim.pairs.T
+    y[..., pk, 1, pe, :] = sim.ystar2
+    return y
 
 
 def reference_step(chan, env, t):
@@ -48,6 +58,7 @@ def reference_report(s: Scenario) -> RunReport:
         clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget))
         bounds = compute_state_bounds(simulate(clean).states)
     sim = simulate(s)
+    ystar = recovered_copies(sim)
     t = s.topology
     E, K = t.n_edges, s.horizon
     residuals = np.empty((2, E, K))
@@ -56,7 +67,7 @@ def reference_report(s: Scenario) -> RunReport:
         for k in range(1, K + 1):
             # The copy axis keeps the trial reduction off 1-D arrays,
             # which numpy would sum pairwise rather than in order.
-            y = sim.ystar[:, k - 1]  # (T, 2, E, n)
+            y = ystar[:, k - 1]  # (T, 2, E, n)
             own = sim.states[:, k - 1][:, None, t.dst]  # (T, 1, E, n)
             residuals[:, :, k - 1] = edge_residual(y, np.broadcast_to(own, y.shape))
             if s.trials >= s.kl.min_samples:

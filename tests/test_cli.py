@@ -80,6 +80,17 @@ def test_run_exits_2_on_a_varsigma_that_is_not_a_real_number(tmp_path, capsys, v
     assert not (tmp_path / "out").exists()
 
 
+def test_run_exits_2_on_an_edge_weight_that_is_not_positive(tmp_path, capsys):
+    # the weight is named by its place in the document, edges[1][2]
+    doc = small_doc()
+    doc["topology"]["edges"][1] = [1, 2, -1]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "scenario validation failed: topology: edges[1][2] must lie in (0, inf), got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _eps2_zero(doc):
     doc["detectors"]["bounds"] = {"eps1": -1, "eps2": 0}
 
@@ -285,18 +296,25 @@ def test_sweep_has_no_variant_option(scenario_file, capsys):
     assert "--variant" in capsys.readouterr().err
 
 
+# Output bytes of small_doc's batch: 3 agents, 3 untampered edges, n = 2,
+# so float64 states (T, K+1, 3, 2) and copy 1 (T, K, 3, 2) per table, and
+# no copy 2.
+def _output_bytes(trials, steps, tables=1):
+    return 8 * tables * trials * ((steps + 1) * 6 + steps * 6)
+
+
 @pytest.mark.parametrize("size", [10**12, 10**18], ids=["beyond_memory", "beyond_address_space"])
 @pytest.mark.parametrize(
-    "args, field, batch",
+    "args, field, batch, nbytes",
     [
-        (["run", "--out", "unused"], "horizon", "6 trials x {} steps"),
-        (["sweep", "--grid", "1"], "trials", "{} trials x 4 steps"),
-        (["sweep", "--grid", "1,2"], "trials", "{} trials x 4 steps x 2 initial states"),
+        (["run", "--out", "unused"], "horizon", "6 trials x {} steps", lambda x: _output_bytes(6, x)),
+        (["sweep", "--grid", "1"], "trials", "{} trials x 4 steps", lambda x: _output_bytes(x, 4)),
+        (["sweep", "--grid", "1,2"], "trials", "{} trials x 4 steps x 2 initial states", lambda x: _output_bytes(x, 4, 2)),
     ],
     ids=["run", "sweep", "sweep_two_scales"],
 )
-def test_huge_horizon_is_a_scenario_error(tmp_path, capsys, args, field, batch, size):
-    # numpy refuses either allocation at once, so nothing is allocated.
+def test_huge_horizon_is_a_scenario_error(tmp_path, capsys, args, field, batch, nbytes, size):
+    # numpy refuses each allocation at once, so nothing is allocated.
     # A sweep simulates only up to its probe step (4), so its batch is
     # made huge through the trial count instead; a grid of two scales
     # runs as one batch of two initial-state tables.
@@ -306,4 +324,4 @@ def test_huge_horizon_is_a_scenario_error(tmp_path, capsys, args, field, batch, 
     assert main([args[0], "--scenario", str(p), *args[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("scenario validation failed: run: ")
-    assert batch.format(size) in err
+    assert f"{batch.format(size)} need {nbytes(size)} bytes of output slabs" in err

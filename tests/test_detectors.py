@@ -32,6 +32,8 @@ from maswatch.dynamics import StateBounds
 from maswatch.engine import simulate
 from maswatch.harness import platoon_preset
 
+from _reference import recovered_copies
+
 
 def kl_by_quadrature(mu_a, var_a, mu_b, var_b) -> float:
     sa, sb = math.sqrt(var_a), math.sqrt(var_b)
@@ -109,11 +111,12 @@ def test_estimate_kl_blocks_match_per_pair_calls():
     """One call on (T, K, E, n) slabs equals the per-(step, edge) calls
     bit for bit, each of which gives a Python float."""
     s = replace(platoon_preset("hybrid"), trials=40, horizon=12)
-    sim = simulate(s)
+    copies = recovered_copies(simulate(s))
+    y1, y2 = copies[:, :, 0], copies[:, :, 1]
     K, E = s.horizon, s.topology.n_edges
-    pairs = [[estimate_kl(sim.ystar1[:, k, e], sim.ystar2[:, k, e]) for e in range(E)] for k in range(K)]
+    pairs = [[estimate_kl(y1[:, k, e], y2[:, k, e]) for e in range(E)] for k in range(K)]
     assert all(type(v) is float for row in pairs for v in row)
-    block = estimate_kl(sim.ystar1, sim.ystar2)
+    block = estimate_kl(y1, y2)
     assert block.shape == (K, E)
     assert np.array_equal(block, np.array(pairs))
     assert kl_verdict(block, s.kl).any()  # the channel attack shows
@@ -133,12 +136,13 @@ def test_estimate_kl_moments_match_np_mean_and_var():
     s = replace(platoon_preset("hybrid"), trials=40, horizon=12)
     noiseless = replace(platoon_preset(), trials=40, horizon=12)
     noiseless = replace(noiseless, controller=replace(noiseless.controller, noise_var=0.0))
-    sims = [simulate(s), simulate(noiseless)]
-    for sim in sims:
-        pairs = [(sim.ystar1[:, k, e], sim.ystar2[:, k, e]) for k in range(12) for e in range(s.topology.n_edges)]
-        for a, b in pairs + [(sim.ystar1, sim.ystar2), (sim.ystar1[:, ::3], sim.ystar2[:, ::3])]:
+    sims = [recovered_copies(simulate(s)), recovered_copies(simulate(noiseless))]
+    for copies in sims:
+        y1, y2 = copies[:, :, 0], copies[:, :, 1]
+        pairs = [(y1[:, k, e], y2[:, k, e]) for k in range(12) for e in range(s.topology.n_edges)]
+        for a, b in pairs + [(y1, y2), (y1[:, ::3], y2[:, ::3])]:
             assert np.array_equal(estimate_kl(a, b), _kl_by_np_moments(a, b))
-    assert np.all(estimate_kl(sims[1].ystar1, sims[1].ystar2) == 0.0)
+    assert np.all(estimate_kl(sims[1][:, :, 0], sims[1][:, :, 1]) == 0.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -79,9 +79,12 @@ def test_build_topology_rejects_bad_edges():
     # an id beyond intp would not fit the src / dst arrays
     with pytest.raises(ValueError, match="index range"):
         build_topology(2**70, [(0, 1), (2**65, 0)])
-    for w, rule in ((0.0, r"lie in \(0, inf\)"), (math.inf, "be a finite real number")):
-        with pytest.raises(ValueError, match=rf"^weights\[0\] must {rule}, got {w}$"):
-            build_topology(3, [(0, 1, w)])
+    # a weight is refused at its row, a Topology's at its weights entry
+    for w, rule in ((0.0, r"lie in \(0, inf\)"), (math.inf, "be a finite real number"), (-1, r"lie in \(0, inf\)")):
+        with pytest.raises(ValueError, match=rf"^edges\[1\]\[2\] must {rule}, got {w}$"):
+            build_topology(3, [(0, 1), (0, 2, w)])
+        with pytest.raises(ValueError, match=rf"^weights\[1\] must {rule}, got {w}$"):
+            Topology(3, ((0, 1), (0, 2)), (1.0, w))
 
 
 def test_a_topology_built_through_replace_checks_and_derives_its_tables_again():

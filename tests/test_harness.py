@@ -36,6 +36,7 @@ from maswatch.harness import (
 from maswatch.hybrid import Classification
 from maswatch.watermark import WatermarkParams, edge_stream
 
+from _reference import recovered_copies
 from _scenarios import overflowing_tamper_doc, small_doc
 
 
@@ -591,6 +592,17 @@ def test_the_loader_reports_the_type_refusal_at_its_object(make, factory, keys):
     assert refused == leaves
 
 
+@pytest.mark.parametrize("weight", [-1, 0, "1"], ids=["negative", "zero", "string"])
+def test_the_loader_refuses_an_edge_weight_at_its_row(weight):
+    """A topology document has no weights key: each weight is the third
+    entry of its edge row, and a bad one is refused there."""
+    doc = small_doc()
+    doc["topology"]["edges"][2] = [0, 2, weight]
+    with pytest.raises(ScenarioError, match=rf"^topology: edges\[2\]\[2\] must .*, got {re.escape(repr(weight))}$") as err:
+        scenario_from_dict(doc)
+    assert err.value.path == "topology"
+
+
 @pytest.mark.parametrize("value", [0.5, [[0.5, 0.5]]], ids=["scalar", "nested"])
 @pytest.mark.parametrize("section, key", [("controller", "K1"), ("controller", "K2"), ("model", "rho")])
 def test_the_loader_refuses_a_gain_or_rho_that_is_not_a_vector(section, key, value):
@@ -870,9 +882,10 @@ def test_transient_sweep_matches_full_horizon_per_edge_reference():
     want = []
     for scale in grid:
         sim = simulate(replace(clean, init_states=leader + scale * (s.init_states - leader)))
+        copies = recovered_copies(sim)
         wm_kl = ab_kl = 0.0
         for e, (_, i) in enumerate(s.topology.edges):
-            y1, y2 = sim.ystar1[:, probe_step - 1, e], sim.ystar2[:, probe_step - 1, e]
+            y1, y2 = copies[:, probe_step - 1, 0, e], copies[:, probe_step - 1, 1, e]
             wm_kl = max(wm_kl, estimate_kl(y1, y2))
             resid = y1 - sim.states[:, probe_step - 1, i]
             mu, var = resid.mean(axis=0), np.maximum(resid.var(axis=0), 1e-30)

@@ -34,8 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maswatch import _kernels, engine
-from maswatch.attacks import ByzantineBehavior, byzantine_emit, tamper_channel
-from maswatch.detectors import estimate_kl
+from maswatch.attacks import ByzantineBehavior, activity, byzantine_emit, tamper_channel
 from maswatch.dynamics import compute_control, noise_gain, step_system
 from maswatch.engine import ScenarioError, simulate
 from maswatch.graph import LEADER
@@ -49,6 +48,7 @@ from maswatch.watermark import (
     watermark_blocks,
 )
 
+from _reference import recovered_copies
 from _scenarios import small_doc
 
 # Largest relative difference allowed between simulate and the oracle,
@@ -58,7 +58,8 @@ RTOL = 1e-12
 
 
 def _oracle(s):
-    """simulate's (states, ystar1, ystar2), one message at a time."""
+    """simulate's states and the two recovered copies of every message,
+    (T, K, E, n) each, one message at a time."""
     t, K, n = s.topology, s.horizon, s.model.n
     states = np.zeros((s.trials, K + 1, t.n_agents, n))
     ys1 = np.zeros((s.trials, K, t.n_edges, n))
@@ -153,7 +154,8 @@ ORACLE_CASES = {
 def test_simulate_matches_per_message_oracle(case):
     s = ORACLE_CASES[case]()
     sim = simulate(s)
-    for name, got, want in zip(("states", "ystar1", "ystar2"), (sim.states, sim.ystar1, sim.ystar2), _oracle(s)):
+    copies = recovered_copies(sim)
+    for name, got, want in zip(("states", "copy 1", "copy 2"), (sim.states, copies[:, :, 0], copies[:, :, 1]), _oracle(s)):
         err = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert err <= RTOL, (name, err)
 
@@ -188,11 +190,13 @@ def test_each_byzantine_window_sends_its_own_capture_and_scale():
 )
 def test_recovered_copies_are_the_message_unless_tampered(variant, noise_var, trials, start, frozen, rand):
     """An honest channel delivers the message exactly: a clean (step,
-    edge) pair's two copies are bitwise equal and their KL is exactly 0.
-    A tampered pair is m * ((Xi * (y / m + f) + Lam) - f) bit for bit,
-    from the same material block and the same message y. Agent 5 also
-    sends a frozen_state window from step start and a per_neighbor_random
-    one right after it, both before the byzantine variant's window."""
+    edge) pair's copy 1 is the message y bit for bit, and its copy 2,
+    equal to it, is not stored: ystar2 holds the tampered pairs alone,
+    np.argwhere(chan_mask) in step-major order. A tampered pair's copies
+    are m * ((Xi * (y / m + f) + Lam) - f) bit for bit, from the same
+    material block and the same message y. Agent 5 also sends a
+    frozen_state window from step start and a per_neighbor_random one
+    right after it, both before the byzantine variant's window."""
     s = replace(platoon_preset(variant), horizon=24, trials=trials)
     windows = (
         ByzantineBehavior(5, (start, start + frozen), "frozen_state"),
@@ -205,21 +209,25 @@ def test_recovered_copies_are_the_message_unless_tampered(variant, noise_var, tr
     )
     sim = simulate(s)
     chan_mask, Xi, Lam, send_row, byz_coeff, scale = engine._schedule_arrays(s.topology, s.attacks, s.horizon, s.model.n)
-    clean = ~chan_mask
-    assert np.array_equal(sim.ystar1[:, clean], sim.ystar2[:, clean])
-    assert np.all(estimate_kl(sim.ystar1, sim.ystar2)[clean] == 0.0)
+    assert np.array_equal(sim.pairs, np.argwhere(chan_mask))
+    assert sim.ystar2.shape == (trials, len(sim.pairs), s.model.n)
     assert chan_mask.any() == (variant in ("channel", "hybrid"))
+    row = {(k, e): p for p, (k, e) in enumerate(sim.pairs.tolist())}
     src = s.topology.src
     for k0, W, M, F, byz_rand in engine._pregenerate(s, np.arange(trials), scale):
         for j in range(W.shape[1]):
             k = k0 + j + 1
-            for e in np.flatnonzero(chan_mask[k - 1]):
+            for e in range(s.topology.n_edges):
                 y = sim.states[:, send_row[k - 1, e], src[e]] + byz_coeff[k - 1, e]
                 y += byz_rand[:, j, e]
                 y += W[:, j, e]
+                if not chan_mask[k - 1, e]:
+                    assert np.array_equal(sim.ystar1[:, k - 1, e], y), (k, e)
+                    continue
                 m, f = M[:, j, :, e], F[:, j, :, e]  # (T, 2, n), the copy on axis 1
                 want = m * ((Xi[k - 1, :, e] * (y[:, None] / m + f) + Lam[k - 1, :, e]) - f)
-                assert np.array_equal(sim.ystar[:, k - 1, :, e], want), (k, e)
+                assert np.array_equal(sim.ystar1[:, k - 1, e], want[:, 0]), (k, e)
+                assert np.array_equal(sim.ystar2[:, row[k - 1, e]], want[:, 1]), (k, e)
 
 
 def test_trial_chunking_is_invisible(monkeypatch):
@@ -308,7 +316,8 @@ def test_simulate_allocates_only_the_slabs_it_uses(case):
     s = _random_material_case(**kwargs)
     T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
     slab = T * K * E * n * 8
-    outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 2 * slab
+    P = int(activity(s.attacks, s.topology, K)[0].sum())  # tampered (step, edge) pairs
+    outputs = 8 * T * (K + 1) * s.topology.n_agents * n + slab + 8 * T * P * n
     tracemalloc.start()
     try:
         simulate(s)
@@ -458,18 +467,21 @@ def test_a_bad_initial_state_table_is_refused_before_anything_is_allocated(stack
         assert err.value.path == "run.init"
 
 
-def test_one_edge_residuals_sum_trials_in_order():
+@pytest.mark.parametrize("horizon", [1, 7])
+def test_one_edge_residuals_sum_trials_in_order(horizon):
     """Each residual is the in-order sum over trials divided by their
-    count. Reduced alone, one edge's step would be a 1-D array, which
-    numpy sums pairwise; the copy axis keeps the reduction in order."""
-    doc = small_doc(horizon=7, trials=200)
+    count. One edge's block of one step is a (T, 1) column, which a mean
+    would sum pairwise: at horizon 1 every block is one, at horizon 7
+    none is."""
+    doc = small_doc(horizon=horizon, trials=200)
     doc["topology"] = {"n_agents": 2, "edges": [[0, 1]]}
     doc["run"]["init"]["states"] = doc["run"]["init"]["states"][:2]
     s = scenario_from_dict(doc)
     sim, r = simulate(s), run_monte_carlo(s)
     want = np.empty((2, s.horizon))
-    for c, ys in enumerate((sim.ystar1, sim.ystar2)):
-        norms = np.linalg.norm(ys[:, :, 0] - sim.states[:, :-1, 1], axis=-1)  # (T, K)
+    copies = recovered_copies(sim)
+    for c in range(2):
+        norms = np.linalg.norm(copies[:, :, c, 0] - sim.states[:, :-1, 1], axis=-1)  # (T, K)
         for k in range(s.horizon):
             total = 0.0
             for d in norms[:, k].tolist():
@@ -485,7 +497,7 @@ def test_simulate_holds_one_chunk_of_material_at_a_time(monkeypatch):
     s = _random_material_case()
     T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
     slab = T * K * E * n * 8
-    outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 2 * slab
+    outputs = 8 * T * (K + 1) * s.topology.n_agents * n + slab  # no channel attack: ystar2 is empty
     monkeypatch.setattr(engine, "CHUNK_BYTES", 5 * slab // 4)
     monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
     tracemalloc.start()
@@ -497,6 +509,32 @@ def test_simulate_holds_one_chunk_of_material_at_a_time(monkeypatch):
     # The schedules and the other per-run arrays stay below half a slab,
     # as in test_simulate_allocates_only_the_slabs_it_uses.
     assert peak <= outputs + engine.CHUNK_BYTES + slab / 2, (peak - outputs) / slab
+
+
+def test_a_run_holds_one_recovered_copy_slab(monkeypatch):
+    """run_monte_carlo keeps copy 1 of every message and copy 2 of the
+    tampered (step, edge) pairs alone: its peak lies below the states,
+    one copy slab, copy 2, one tile and half a slab. Edge (0, 2) is
+    tampered at 20 of 800 steps, and the 512 kiB tile is a fifteenth of
+    the 7.7 MB copy slab, so a second whole copy would break the bound."""
+    doc = small_doc(horizon=800, trials=200)
+    one, zero = {"kind": "const", "coeffs": [1.0, 1.0]}, {"kind": "const", "coeffs": [0.0, 0.0]}
+    tamper = {"kind": "const", "coeffs": [1.5, -2.0]}
+    doc["attacks"]["channel"] = [{"edge": [0, 2], "window": [10, 30], "xi1": one, "lam1": zero, "xi2": tamper, "lam2": tamper}]
+    s = scenario_from_dict(doc)
+    T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
+    slab = 8 * T * K * E * n
+    outputs = 8 * T * (K + 1) * s.topology.n_agents * n + slab + 8 * T * 20 * n
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 2**19)
+    tracemalloc.start()
+    try:
+        run_monte_carlo(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The chunk's open streams, the schedules and the detector stages'
+    # blocks of about dynamics.ETA_BLOCK_BYTES stay below half a slab.
+    assert peak < outputs + engine.CHUNK_BYTES + slab / 2, (peak - outputs) / slab
 
 
 def _block_case():
@@ -575,7 +613,7 @@ def test_material_memory_does_not_grow_with_the_horizon(monkeypatch):
     for horizon in (250, 1000):
         s = replace(_random_material_case(), horizon=horizon)
         T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
-        outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 8 * T * K * 2 * E * n
+        outputs = 8 * T * (K + 1) * s.topology.n_agents * n + 8 * T * K * E * n  # ystar2 is empty
         schedules = sum(a.nbytes for a in engine._schedule_arrays(s.topology, s.attacks, K, n))
         streams = T * E * 2  # noise and watermark
         tracemalloc.start()
@@ -605,8 +643,8 @@ def test_chunk_material_beyond_memory_is_a_scenario_error(failing, monkeypatch):
     monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
     monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 1)
     monkeypatch.setattr(engine, "_pregenerate", no_memory)
-    # states (6, 9, 3, 2) and ystar (6, 8, 2, 3, 2): 900 float64
-    with pytest.raises(ScenarioError, match=r"^run: 6 trials x 8 steps need 7200 bytes of output slabs, more") as err:
+    # states (6, 9, 3, 2), ystar1 (6, 8, 3, 2) and ystar2 (6, 0, 2): 612 float64
+    with pytest.raises(ScenarioError, match=r"^run: 6 trials x 8 steps need 4896 bytes of output slabs, more") as err:
         simulate(s)
     assert err.value.path == "run"
     assert len(calls) == failing + 1
@@ -648,7 +686,7 @@ def test_consensus_terms_add_in_edge_order():
     for k in (1, 2):
         want = np.empty((s.trials, t.n_agents, 1))
         for trial in range(s.trials):
-            x, ys = sim.states[trial, k - 1, :, 0].tolist(), sim.ystar[trial, k - 1, 0, :, 0].tolist()
+            x, ys = sim.states[trial, k - 1, :, 0].tolist(), sim.ystar1[trial, k - 1, :, 0].tolist()
             for i in range(t.n_agents):
                 acc = reduce(operator.add, terms(x, ys, i), 0.0) if i != LEADER else 0.0
                 u = x[i] * K1 + noise_gain(k, ctrl) * acc
@@ -658,7 +696,7 @@ def test_consensus_terms_add_in_edge_order():
     # The case is sensitive to association: reversed, pairwise and
     # two-lane sums of the follower's first-step terms all differ from
     # the in-order sum.
-    ts = terms(sim.states[0, 0, :, 0].tolist(), sim.ystar[0, 0, 0, :, 0].tolist(), t.n_agents - 1)
+    ts = terms(sim.states[0, 0, :, 0].tolist(), sim.ystar1[0, 0, :, 0].tolist(), t.n_agents - 1)
     in_order = reduce(operator.add, ts, 0.0)
     pairs = [a + b for a, b in zip(ts[0::2], ts[1::2])] + ts[len(ts) // 2 * 2 :]
     assert in_order != reduce(operator.add, ts[::-1], 0.0)
