@@ -8,13 +8,17 @@ preallocated output slabs, so a block of steps of a chunk of trials
 from one initial-state table is a single kernel call and results do
 not depend on how trials are chunked or steps split into blocks.
 Each step's contractions run on flat operands, one row per (trial,
-agent) or (trial, edge), so x @ K1, the per-edge @ K2 and x @ A.T are
-one matrix product each, not one per trial. The arithmetic order is
-fixed: one bincount over (trial, receiver) slots adds each follower's
-consensus terms in edge order, starting from 0.0, so repeated runs are
-bitwise reproducible. tests/test_kernels.py steps the same simulation
-message by message through the public per-message API and compares,
-and pins the consensus order bit for bit.
+agent) or (trial, edge), so x A^T with x K1 (one pass over the columns
+of [A^T | K1]) and the per-edge K2 term are two passes, not one per
+trial. The arithmetic order is fixed: each contraction adds its
+products over the n state components left to right, one elementwise
+ufunc over every row at a time, with no BLAS call, and one bincount
+over (trial, receiver) slots adds each follower's consensus terms in
+edge order, starting from 0.0. So repeated runs are bitwise
+reproducible, and no BLAS library or core decides a bit.
+tests/test_kernels.py steps the same simulation message by message
+through the public per-message API and compares, and pins both orders
+bit for bit.
 
 Arguments, with T trials, K steps, a block of Kb steps from step index
 k0, N agents, E edges, n state dims:
@@ -61,6 +65,17 @@ import numpy as np
 from .dynamics import noise_gain
 
 
+def _dot(rows, v):
+    """The product of (R, n) rows and a v of n scalars or rows,
+    transposed: rows[:, c] times v[c] added over c left to right, each
+    step one elementwise ufunc along the R rows."""
+    cols = rows.T.copy()  # one contiguous row of R values per component
+    acc = np.multiply.outer(v[0], cols[0])
+    for c in range(1, len(cols)):
+        acc += np.multiply.outer(v[c], cols[c])
+    return acc
+
+
 def _simulate_numpy(s, k0, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz_rand, states, ys1, ys2):
     t, A, Bv, ctrl = s.topology, s.model.A, s.model.B, s.controller
     edge_src, edge_dst = t.src, t.dst
@@ -70,6 +85,7 @@ def _simulate_numpy(s, k0, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz
     # row in the flat (T * N,) control vector, in trial-major edge order.
     slot = (np.arange(T)[:, None] * N + edge_dst).ravel()
     weight = np.tile(t.weights, T)
+    AK = np.column_stack([A.T, ctrl.K1])  # (n, n + 1): x AK is x A^T, then x K1
     ends = np.cumsum(chan_mask.sum(axis=1))  # ys2 rows of steps 1..k end at ends[k-1]
     for j in range(Kb):
         k = k0 + j + 1
@@ -84,11 +100,11 @@ def _simulate_numpy(s, k0, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz
             both = m * ((Xi[k - 1][:, cm] * (y[:, None, cm] / m + f) + Lam[k - 1][:, cm]) - f)
             y[:, cm] = both[:, 0]
             ys2[:, ends[k - 1] - both.shape[2] : ends[k - 1]] = both[:, 1]
-        flat = x.reshape(T * N, n)  # the step's states, one row per (trial, agent)
-        u = flat @ ctrl.K1
+        # x A^T and x K1 of the step's states, one column per (trial, agent)
+        xAK = _dot(x.reshape(T * N, n), AK)
         diff = (y - x[:, edge_dst, :]).reshape(T * E, n)
-        per_edge = (diff @ ctrl.K2) * weight
+        per_edge = _dot(diff, ctrl.K2) * weight
         cons = np.bincount(slot, weights=per_edge, minlength=T * N)
         cons[::N] = 0.0  # the leader, agent 0
-        u = u + noise_gain(k, ctrl) * cons
-        states[:, k] = (flat @ A.T + u[:, None] * Bv).reshape(T, N, n)
+        u = xAK[n] + noise_gain(k, ctrl) * cons
+        states[:, k] = (xAK[:n] + np.multiply.outer(Bv, u)).T.reshape(T, N, n)

@@ -5,15 +5,17 @@
     maswatch check-graph --scenario platoon.json --L 1 --P 1
     maswatch sweep --scenario platoon.json --grid 0.5,1,2,5 --probe-step 4
 
-Exit code 0 on success, 2 on scenario validation failure or an
-out-of-range option.
+Exit code 0 on success, 2 on scenario validation failure, an
+out-of-range option, or a run --out that cannot be made a directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .graph import (
     LocalAttackBudget,
@@ -59,6 +61,20 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _unwritable_dir(path: str) -> str | None:
+    """Why path cannot become a directory to write in, else None. It is
+    checked, not made, so a run that fails leaves nothing behind: the
+    nearest path at or above it that exists must be a writable
+    directory."""
+    p = Path(path).absolute()
+    nearest = next(q for q in (p, *p.parents) if q.exists())
+    if not nearest.is_dir():
+        return f"{nearest} is not a directory"
+    if not os.access(nearest, os.W_OK | os.X_OK):
+        return f"{nearest} is not writable"
+    return None
+
+
 def _cmd_run(args) -> int:
     # Scenario checks the overrides as run.trials and run.master_seed.
     s = load_scenario(args.scenario, variant=args.variant)
@@ -66,6 +82,9 @@ def _cmd_run(args) -> int:
         s = replace(s, trials=args.trials)
     if args.seed is not None:
         s = replace(s, master_seed=args.seed)
+    unwritable = _unwritable_dir(args.out)
+    if unwritable:
+        return _usage_error(f"cannot write --out {args.out}: {unwritable}")
     report = run_monte_carlo(s)
     paths = export_report(report, args.out)
     print(f"scenario {s.name}: {s.trials} trials, horizon {s.horizon}")

@@ -27,10 +27,9 @@ export_report writes the traces as CSV: each (step, edge) row key
 "k,j,i" is formatted once and shared by the three detector traces, and
 every value goes through tolist, so a float is written as its shortest
 round-trip repr. All exported numbers are pure functions of (scenario,
-master_seed) per machine, independent of the chunking. Across machines
-one operation may move their last bits: the step kernel's BLAS
-contraction diff @ K2, whose rounding follows the OpenBLAS core picked
-at run time. The KL statistic takes its log through math.log, not
+master_seed), given the numpy release and the SIMD targets it
+dispatches to, and independent of the chunking. The step kernel makes
+no BLAS call, and the KL statistic takes its log through math.log, not
 numpy's SIMD code picked for the CPU.
 """
 
@@ -256,14 +255,25 @@ def scenario_from_dict(doc: dict, variant: str | None = None, name: str = "scena
     )
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key written twice in it
+    rather than keeping its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is written twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path, variant: str | None = None) -> Scenario:
     """Load and validate a scenario JSON file."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ScenarioError(str(path), f"cannot read scenario: {err}") from None
-    except ValueError as err:  # JSONDecodeError, an integer past Python's digit limit, or not UTF-8
+    except ValueError as err:  # JSONDecodeError, a repeated key, an integer past Python's digit limit, or not UTF-8
         raise ScenarioError(str(path), f"invalid JSON: {err}") from None
     return scenario_from_dict(doc, variant=variant, name=path.stem)
 

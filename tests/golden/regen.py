@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
-import glob
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -103,34 +100,15 @@ def outputs() -> dict[str, dict]:
     return {"digests": digests, "decisions": decisions}
 
 
-def _openblas_core() -> str | None:
-    """The core OpenBLAS's DYNAMIC_ARCH picked at run time, when the
-    wheel's bundled library exports the query."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
-    for path in glob.glob(libs):
-        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
-        if fn is not None:
-            fn.restype = ctypes.c_char_p
-            return fn().decode()
-    return None
-
-
 def fingerprint() -> dict:
-    """What the exported bytes may depend on besides the source: numpy,
-    the BLAS build and core, and the SIMD targets numpy dispatches to."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        config = blas.get("openblas configuration")
-    except (TypeError, KeyError):  # numpy < 1.25 prints its config only
-        config = None
+    """What the exported bytes may depend on besides the source: numpy
+    and the SIMD targets it dispatches to."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_features__
     return {
         "numpy": np.__version__,
-        "openblas_configuration": config,
-        "openblas_core": _openblas_core(),
         "cpu_features": sorted(k for k, on in __cpu_features__.items() if on),
     }
 

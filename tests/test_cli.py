@@ -59,6 +59,40 @@ def test_run_exits_2_on_a_file_json_cannot_read(tmp_path, capsys, data):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "out, why",
+    [("taken", "taken is not a directory"), ("taken/sub", "taken is not a directory"), ("new/sub", "is not writable")],
+    ids=["a_file", "under_a_file", "read_only"],
+)
+def test_run_exits_2_on_an_out_it_cannot_write(scenario_file, tmp_path, monkeypatch, capsys, out, why):
+    """--out must be able to become a directory to write in; that is
+    checked before anything is simulated, and nothing is made."""
+    (tmp_path / "taken").write_text("kept")
+    monkeypatch.setattr("maswatch.cli.run_monte_carlo", lambda s: pytest.fail("simulated"))
+    # A root user may write in any directory, so a read-only one is faked.
+    writable = not out.startswith("new")
+    monkeypatch.setattr("maswatch.cli.os.access", lambda path, mode: writable)
+    out = tmp_path / out
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"maswatch: cannot write --out {out}: ") and err.endswith(f"{why}\n")
+    assert (tmp_path / "taken").read_text() == "kept"
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["small.json", "taken"]
+
+
+def test_run_exits_2_on_a_key_written_twice(tmp_path, capsys):
+    """JSON keeps the last of two values silently; the loader refuses
+    the second, so theta = 1e9 written before the preset's 4.61 is not
+    dropped unseen."""
+    text = (resources.files("maswatch") / "presets" / "platoon.json").read_text()
+    p = tmp_path / "twice.json"
+    p.write_text(text.replace('"theta":', '"theta": 1e9, "theta":', 1))
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"scenario validation failed: {p}: invalid JSON: key 'theta' is written twice in one object\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_bad_scenario(tmp_path, capsys):
     doc = small_doc()
     del doc["detectors"]["kl"]["theta"]

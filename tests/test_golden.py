@@ -4,10 +4,11 @@ golden/presets.json.
 The four variants' flags.csv hold decisions only, so they are compared
 on every machine, and so are the alarm steps of each variant's KL and
 envelope detectors. The other digests cover floats whose last bits may
-depend on numpy's SIMD dispatch and on the OpenBLAS core, so they are
-compared only on the platform the file was made on. A change that moves
-a digest or a decision regenerates the file with
-``python tests/golden/regen.py`` and says why in CHANGES.md.
+depend on the numpy release and the SIMD targets it dispatches to, so
+they are compared only where both match the file's fingerprint. No
+BLAS call is on the run path, so the BLAS build and core are not part
+of it. A change that moves a digest or a decision regenerates the file
+with ``python tests/golden/regen.py`` and says why in CHANGES.md.
 """
 
 from __future__ import annotations

@@ -629,6 +629,21 @@ def test_load_scenario_file_errors(tmp_path):
         load_scenario(root)
 
 
+@pytest.mark.parametrize("section", [(), ("detectors", "kl"), ("variants", "quiet")], ids=["root", "nested", "variant"])
+def test_load_scenario_refuses_a_key_written_twice(tmp_path, section):
+    doc = small_doc()
+    doc["variants"] = {"quiet": {"attacks": None}}
+    obj = functools.reduce(operator.getitem, section, doc)
+    key = next(iter(obj))
+    text = json.dumps(doc)
+    # the object's first key written once more, before it
+    at = text.index(json.dumps(obj)) + 1
+    p = tmp_path / "twice.json"
+    p.write_text(text[:at] + f"{json.dumps(key)}: null, " + text[at:])
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(str(p))}: invalid JSON: key '{key}' is written twice in one object$"):
+        load_scenario(p)
+
+
 # --- preset -----------------------------------------------------------------
 
 

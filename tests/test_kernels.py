@@ -702,3 +702,52 @@ def test_consensus_terms_add_in_edge_order():
     assert in_order != reduce(operator.add, ts[::-1], 0.0)
     assert in_order != reduce(operator.add, pairs, 0.0)
     assert in_order != reduce(operator.add, ts[0::2], 0.0) + reduce(operator.add, ts[1::2], 0.0)
+
+
+def test_contractions_sum_state_components_in_order():
+    """x K1, the per-edge K2 term and x A^T each add their products over
+    the state components left to right, bit for bit: the platoon's three
+    components, recomputed one Python float at a time from the kernel's
+    own states and copies. A BLAS product may split or fuse that sum."""
+    s = replace(platoon_preset("hybrid"), horizon=6, trials=8)
+    t, ctrl, A, B = s.topology, s.controller, s.model.A.tolist(), s.model.B.tolist()
+    K1, K2 = ctrl.K1.tolist(), ctrl.K2.tolist()
+    sim = simulate(s)
+
+    def dot(row, v):
+        return reduce(operator.add, [r * c for r, c in zip(row[1:], v[1:])], row[0] * v[0])
+
+    for k in range(1, s.horizon + 1):
+        want = np.empty((s.trials, t.n_agents, 3))
+        for trial in range(s.trials):
+            x, ys = sim.states[trial, k - 1].tolist(), sim.ystar1[trial, k - 1].tolist()
+            for i in range(t.n_agents):
+                terms = [
+                    dot([a - b for a, b in zip(ys[e], x[i])], K2) * t.weights[e]
+                    for e in range(t.n_edges)
+                    if t.dst[e] == i
+                ]
+                cons = reduce(operator.add, terms, 0.0) if i != LEADER else 0.0
+                u = dot(x[i], K1) + noise_gain(k, ctrl) * cons
+                want[trial, i] = [dot(x[i], row) + u * b for row, b in zip(A, B)]
+        assert np.array_equal(sim.states[:, k], want), k
+
+
+def test_outputs_do_not_depend_on_the_blas_core(tmp_path):
+    """The hybrid preset's six CSVs are byte-identical with OpenBLAS
+    forced to its Prescott core and with the core it picks itself: the
+    run path makes no BLAS call. Where OPENBLAS_CORETYPE has no effect
+    (numpy built against another BLAS, say), both runs take the same
+    path and the test passes trivially."""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    preset = os.path.join(src, "maswatch", "presets", "platoon.json")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    outputs = []
+    for core in (None, "Prescott"):
+        out = tmp_path / (core or "default")
+        argv = [sys.executable, "-m", "maswatch.cli", "run", "--scenario", preset, "--variant", "hybrid", "--out", str(out)]
+        core_env = {"OPENBLAS_CORETYPE": core} if core else {}
+        subprocess.run(argv, check=True, env={**env, **core_env, "PYTHONPATH": src}, capture_output=True, timeout=120)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 6
+    assert outputs[1] == outputs[0]
