@@ -26,14 +26,14 @@ k0, N agents, E edges, n state dims:
     s                    the Scenario
     k0                   the block's first step index: it runs steps
                          k0+1 .. k0+Kb
-    W, byz_rand (T, Kb, E, n), each step's (E, n) block contiguous,
-                         row j the material of step k0+j+1; unused
-                         material a read-only broadcast of 0; byz_rand
-                         is already scaled, and 0 outside
+    W, byz_rand (T, E, Kb, n), each (trial, edge) stream's rows
+                         contiguous, row j the material of step k0+j+1;
+                         unused material a read-only broadcast of 0;
+                         byz_rand is already scaled, and 0 outside
                          per_neighbor_random windows
-    M, F (T, Kb, 2, E, n) the material of copies r = 1, 2 on axis -3;
-                         may be strided views of one (T, Kb, 4, E, n) slab
-    chan_mask (K, E) bool   Xi, Lam (K, 2, E, n)
+    M, F (T, E, Kb, 2, n) the material of copies r = 1, 2 on axis -2;
+                         may be strided views of one (T, E, Kb, 4, n) slab
+    chan_mask (K, E) bool   Xi, Lam (K, E, 2, n)
     send_row (K, E) intp the states row each edge's sender reads at a
                          step: k-1, or start-1 in a frozen_state window,
                          which may lie before the block
@@ -79,7 +79,7 @@ def _dot(rows, v):
 def _simulate_numpy(s, k0, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz_rand, states, ys1, ys2):
     t, A, Bv, ctrl = s.topology, s.model.A, s.model.B, s.controller
     edge_src, edge_dst = t.src, t.dst
-    T, Kb, E, n = W.shape
+    T, E, Kb, n = W.shape
     N = t.n_agents
     # bincount slot of each (trial, edge) consensus term: its receiver's
     # row in the flat (T * N,) control vector, in trial-major edge order.
@@ -92,14 +92,14 @@ def _simulate_numpy(s, k0, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz
         x = states[:, k - 1]
         plain = states[:, send_row[k - 1], edge_src]  # a gather: already a new array
         plain += byz_coeff[k - 1]
-        plain += byz_rand[:, j]
-        y = np.add(plain, W[:, j], out=ys1[:, k - 1])
+        plain += byz_rand[:, :, j]
+        y = np.add(plain, W[:, :, j], out=ys1[:, k - 1])
         cm = chan_mask[k - 1]
         if cm.any():
-            m, f = M[:, j][:, :, cm], F[:, j][:, :, cm]
-            both = m * ((Xi[k - 1][:, cm] * (y[:, None, cm] / m + f) + Lam[k - 1][:, cm]) - f)
-            y[:, cm] = both[:, 0]
-            ys2[:, ends[k - 1] - both.shape[2] : ends[k - 1]] = both[:, 1]
+            m, f = M[:, cm, j], F[:, cm, j]
+            both = m * ((Xi[k - 1][cm] * (y[:, cm, None] / m + f) + Lam[k - 1][cm]) - f)
+            y[:, cm] = both[:, :, 0]
+            ys2[:, ends[k - 1] - both.shape[1] : ends[k - 1]] = both[:, :, 1]
         # x A^T and x K1 of the step's states, one column per (trial, agent)
         xAK = _dot(x.reshape(T * N, n), AK)
         diff = (y - x[:, edge_dst, :]).reshape(T * E, n)

@@ -36,19 +36,19 @@ n dims:
              streams of one tag in a single vectorised pass, once per
              chunk
     draws    one edge_stream per (trial, edge, tag) and chunk; each
-             block draws the stream's next Kb rows into a per-trial
-             (E, Kb, ..., n) buffer, and one transposed copy per trial
-             moves it into a step-contiguous slab
-    slabs    noise W (T, Kb, E, n); watermark z (T, Kb, 4, E, n), turned
-             into the pair M, F = z[:, :, :2], z[:, :, 2:], each
-             (T, Kb, 2, E, n) with the copy on axis -3, by one in-place
-             watermark_blocks call; byz_rand (T, Kb, E, n) only when a
+             block draws the stream's next Kb rows straight into its
+             own slab row slab[t, e], contiguous, with no buffer and no
+             copy
+    slabs    noise W (T, E, Kb, n); watermark z (T, E, Kb, 4, n), turned
+             into the pair M, F = z[..., :2, :], z[..., 2:, :], each
+             (T, E, Kb, 2, n) with the copy on axis -2, by one in-place
+             watermark_blocks call; byz_rand (T, E, Kb, n) only when a
              per_neighbor_random window falls inside the horizon,
              scaled per (step, edge) so it is 0 outside such windows.
              Unused material (noise at zero variance, byz_rand without
              such a window) is a broadcast 0, never a slab. A chunk
              allocates its slabs once, at its longest block, and every
-             block overwrites them.
+             block overwrites the first Kb rows of each stream's row.
 
 Tile rule: a batch of T trials and K steps whose material takes B bytes
 is worth tiles = ceil(B / CHUNK_BYTES). Its trials split into
@@ -214,8 +214,8 @@ class SimData:
 def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int):
     """Attack tables over (step, edge), filled from the window slices.
 
-    Returns the kernel's chan_mask, Xi, Lam (each (K, 2, E, n), the
-    copy on axis -3), send_row and byz_coeff in its argument order, then
+    Returns the kernel's chan_mask, Xi, Lam (each (K, E, 2, n), the
+    copy on axis -2), send_row and byz_coeff in its argument order, then
     the (K, E) scale of byz_rand. A Byzantine agent's behavior covers
     every edge it sends on, each behavior fills only its own window, and
     a step outside every window gets the honest entries: send_row k-1,
@@ -226,15 +226,15 @@ def _schedule_arrays(t: Topology, attacks: AttackScenario, horizon: int, n: int)
     """
     chan_mask = activity(attacks, t, horizon)[0]
     E = t.n_edges
-    xi = np.ones((horizon, 2, E, n))
-    lam = np.zeros((horizon, 2, E, n))
+    xi = np.ones((horizon, E, 2, n))
+    lam = np.zeros((horizon, E, 2, n))
     for a in attacks.channel:
         e = t.edge_index(*a.edge)
         rows = window_rows(a.window, horizon)
         steps = np.arange(rows.start + 1, rows.stop + 1)
         for r, (xi_r, lam_r) in enumerate(((a.xi1, a.lam1), (a.xi2, a.lam2))):
-            xi[rows, r, e] = xi_r.eval(steps)
-            lam[rows, r, e] = lam_r.eval(steps)
+            xi[rows, e, r] = xi_r.eval(steps)
+            lam[rows, e, r] = lam_r.eval(steps)
     send_row = np.repeat(np.arange(horizon)[:, None], E, axis=1)
     byz_coeff = np.zeros((horizon, E, n))
     scale = np.zeros((horizon, E))
@@ -276,23 +276,18 @@ def _open_streams(s: Scenario, trial_ids: np.ndarray, edges, tag: int, blocks: i
     return [[edge_stream(key) for key in row] for row in keys]
 
 
-def _draw_streams(slab, streams, rows=slice(None)) -> None:
-    """Write the next slab.shape[1] standard-normal rows of each stream into slab.
+def _draw_streams(slab, streams, rows) -> None:
+    """Write the next slab.shape[2] standard-normal rows of each stream into slab.
 
-    slab is step-contiguous, (T, Kb, ..., E, n) with the edge axis at -2,
-    and streams is _open_streams' list. Each stream draws its
-    (Kb, ..., n) block into a per-trial buffer, and one transposed copy
-    per trial moves the buffer to slab[t][..., rows, :], rows being the
-    edge slots of the streams.
+    slab is stream-major, (T, E, Kb, ..., n), and streams is
+    _open_streams' list; rows holds the edge indices of each trial's
+    streams. Each stream draws its (Kb, ..., n) block into its own
+    contiguous row slab[t, e].
     """
-    n_edges = slab.shape[-2] if isinstance(rows, slice) else len(rows)
-    buf = np.empty((n_edges,) + slab.shape[1:-2] + slab.shape[-1:])
-    step_major = np.moveaxis(buf, 0, -2)
-    outs = list(buf)
-    for ti, row in enumerate(streams):
-        for stream, out in zip(row, outs):
-            stream.standard_normal(out=out)
-        slab[ti][..., rows, :] = step_major
+    for out, row in zip(slab, streams):
+        # row first, so that zip exhausts a lazy row, which drops its keys
+        for stream, e in zip(row, rows):
+            stream.standard_normal(out=out[e])
 
 
 def _pregenerate(s: Scenario, trial_ids: np.ndarray, scale: np.ndarray):
@@ -300,40 +295,41 @@ def _pregenerate(s: Scenario, trial_ids: np.ndarray, scale: np.ndarray):
 
     Yields (first_step, W, M, F, byz_rand) for each step block of the
     tile rule, first_step being the block's first step index (0-based).
-    W and byz_rand are (T, Kb, E, n). M and F are the (T, Kb, 2, E, n)
-    views z[:, :, :2] and z[:, :, 2:] of one (T, Kb, 4, E, n) slab that
-    watermark_blocks transforms in place. byz_rand holds the draws of
-    the edges with a nonzero entry in the (K, E) scale, multiplied by
-    it. Material a run does not use (noise at zero variance, byz_rand
-    with an all-zero scale) is a read-only broadcast of 0, not a slab.
-    Every block's slabs are views of the same buffers, so a block is
-    valid only until the next one is drawn.
+    W and byz_rand are (T, E, Kb, n). M and F are the (T, E, Kb, 2, n)
+    views z[..., :2, :] and z[..., 2:, :] of one (T, E, Kb, 4, n) slab
+    that watermark_blocks transforms in place. Each slab's [t, e] is the
+    block's rows of stream (trial t, edge e), scaled. byz_rand holds the
+    draws of the edges with a nonzero entry in the (K, E) scale,
+    multiplied by it. Material a run does not use (noise at zero
+    variance, byz_rand with an all-zero scale) is a read-only broadcast
+    of 0, not a slab. Every block's slabs are views of the same buffers,
+    so a block is valid only until the next one is drawn.
     """
     t, noise_var = s.topology, s.controller.noise_var
     blocks = _tiling(s, scale)[1]
     cuts = [s.horizon * b // blocks for b in range(blocks + 1)]
-    shape = (trial_ids.shape[0], -(-s.horizon // blocks), t.n_edges, s.model.n)
+    shape = (trial_ids.shape[0], t.n_edges, -(-s.horizon // blocks), s.model.n)
     noise = _open_streams(s, trial_ids, t.edges, STREAM_NOISE, blocks) if noise_var > 0 else None
     W_buf = np.empty(shape) if noise_var > 0 else None
     marks = _open_streams(s, trial_ids, t.edges, STREAM_WATERMARK, blocks)
-    z_buf = np.empty(shape[:2] + (4,) + shape[2:])
+    z_buf = np.empty(shape[:3] + (4,) + shape[3:])
     rows = np.flatnonzero(scale.any(axis=0))
     byz = _open_streams(s, trial_ids, [t.edges[e] for e in rows], STREAM_BYZANTINE, blocks) if rows.size else None
     byz_buf = np.zeros(shape) if rows.size else None
     for k0, k1 in zip(cuts, cuts[1:]):
-        zeros = np.broadcast_to(0.0, (shape[0], k1 - k0) + shape[2:])
+        zeros = np.broadcast_to(0.0, shape[:2] + (k1 - k0,) + shape[3:])
         W = byz_rand = zeros
         if noise is not None:
-            W = W_buf[:, : k1 - k0]
-            _draw_streams(W, noise)
+            W = W_buf[:, :, : k1 - k0]
+            _draw_streams(W, noise, range(t.n_edges))
             W *= np.sqrt(noise_var)
-        z = z_buf[:, : k1 - k0]
-        _draw_streams(z, marks)
+        z = z_buf[:, :, : k1 - k0]
+        _draw_streams(z, marks, range(t.n_edges))
         M, F = watermark_blocks(z, s.watermark)
         if byz is not None:
-            byz_rand = byz_buf[:, : k1 - k0]
+            byz_rand = byz_buf[:, :, : k1 - k0]
             _draw_streams(byz_rand, byz, rows)
-            byz_rand *= scale[k0:k1, :, None]
+            byz_rand *= scale[k0:k1].T[:, :, None]
         yield k0, W, M, F, byz_rand
 
 

@@ -33,7 +33,7 @@ default_rng(SeedSequence([master_seed, trial, j, i, tag])); only the
 per-stream hashing cost is gone. A watermark stream's step-k draw is
 row k-1 of standard_normal((K, 4, n)), components m1, m2, f1, f2 in
 that order, and watermark_blocks turns such draws in place into one
-material pair (m, f), each with the copy r along its axis -3.
+material pair (m, f), each with the copy r along its axis -2.
 """
 
 from __future__ import annotations
@@ -185,22 +185,22 @@ def edge_stream(key: np.ndarray) -> np.random.Generator:
 def watermark_blocks(z: np.ndarray, params: WatermarkParams) -> tuple[np.ndarray, np.ndarray]:
     """Turn standard-normal draws into watermark material, in place.
 
-    z has shape (..., 4, E, n) with the components m1, m2, f1, f2 along
-    axis -3: a chunk's slab (T, K, 4, E, n), or one stream's draw
-    reshaped to (K, 4, 1, n). Returns the views m = z[..., :2, :, :] and
-    f = z[..., 2:, :, :], whose axis -3 is the copy r, with
+    z has shape (..., 4, n) with the components m1, m2, f1, f2 along
+    axis -2: one stream's draw (K, 4, n), or a chunk's slab of such
+    draws (T, E, Kb, 4, n). Returns the views m = z[..., :2, :] and
+    f = z[..., 2:, :], whose axis -2 is the copy r, with
     m_r = lambda_r + (sigma_Mr z)^2 and F_r = sigma_Fr z.
 
     A stream's step-k draw is row k-1 of standard_normal((K, 4, n)),
     which does not depend on K, so sender and receiver reconstruct the
     same material from the edge's stream without transmitting it.
     """
-    m, f = z[..., :2, :, :], z[..., 2:, :, :]
-    p = params
-    np.multiply(m, np.sqrt([p.sigma2_m1, p.sigma2_m2])[:, None, None], out=m)
+    p, n = params, z.shape[-1]
+    # Full (4, n) and (2, n) operands: a length-1 axis would cut numpy's inner loop to n.
+    z *= np.repeat(np.sqrt([[p.sigma2_m1], [p.sigma2_m2], [p.sigma2_f1], [p.sigma2_f2]]), n, axis=1)
+    m, f = z[..., :2, :], z[..., 2:, :]
     np.square(m, out=m)
-    np.add(m, np.array([p.lambda1, p.lambda2])[:, None, None], out=m)
-    np.multiply(f, np.sqrt([p.sigma2_f1, p.sigma2_f2])[:, None, None], out=f)
+    m += np.repeat([[p.lambda1], [p.lambda2]], n, axis=1)
     return m, f
 
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from maswatch import engine
 from maswatch.detectors import estimate_kl, gaussian_kl
@@ -123,8 +124,12 @@ LABELS_52 = (
 )
 
 
-def test_criterion_4_hybrid_classification(hybrid_report):
-    r = hybrid_report
+def _criterion_4(r):
+    """Criterion 4's predicate on a hybrid report: the flag mismatches
+    (edge, step, got, expected) against FLAG_TABLE over WINDOWS, where
+    the first step of a window whose flags change may still read the
+    previous window's (one step of latency), and (5, 2)'s labels at
+    steps 2..7, which must be LABELS_52."""
     t = r.scenario.topology
     failures = []
     for e, edge in enumerate(t.edges):
@@ -140,7 +145,11 @@ def test_criterion_4_hybrid_classification(hybrid_report):
                     continue  # one step of latency at a window transition
                 failures.append((edge, k, got, exp))
     e52 = t.edge_index(5, 2)
-    got_labels = tuple(r.classifications[k - 1][e52] for k in range(2, 8))
+    return failures, tuple(r.classifications[k - 1][e52] for k in range(2, 8))
+
+
+def test_criterion_4_hybrid_classification(hybrid_report):
+    failures, got_labels = _criterion_4(hybrid_report)
     labels_ok = got_labels == LABELS_52
     ok = not failures and labels_ok
     _line(
@@ -151,6 +160,52 @@ def test_criterion_4_hybrid_classification(hybrid_report):
     )
     assert not failures
     assert labels_ok, got_labels
+
+
+class Step3Miss(AssertionError):
+    """(5, 2) reads flags (0, 0) at step 3, where criterion 4 expects
+    (1, 2), and so is labelled normal there; that is the predicate's
+    only failure."""
+
+
+# (5, 2)'s labels at steps 2..7 under the step-3 miss.
+LABELS_52_STEP3_MISS = LABELS_52[:1] + (Classification.NORMAL,) + LABELS_52[2:]
+
+
+# Seeds of 1..100 on which criterion 4 misses, each with (5, 2)'s KL at
+# step 3, below THETA: sin(3) = 0.14 makes step 3 the weakest step of
+# the channel window [2, 6).
+STEP3_MISSES = {21: 4.14, 26: 4.38, 61: 3.52, 80: 3.98}
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(
+            seed,
+            marks=pytest.mark.xfail(
+                strict=True, raises=Step3Miss, reason=f"(5, 2) KL {STEP3_MISSES[seed]} at step 3, below theta {THETA}"
+            ),
+        )
+        if seed in STEP3_MISSES
+        else seed
+        for seed in range(1, 101)
+    ],
+)
+def test_criterion_4_across_seeds(seed):
+    """Criterion 4's predicate on the hybrid preset at master_seed 1..100.
+    The preset fixes its state bounds, so flags and labels at steps 1..8
+    are those of the full run, and horizon 8 suffices. A known miss must
+    be exactly the step-3 miss at its listed KL; any other failure, or a
+    pass, fails the test."""
+    r = run_monte_carlo(replace(platoon_preset("hybrid"), master_seed=seed, horizon=8))
+    failures, labels = _criterion_4(r)
+    kl = float(r.kl_stats[r.scenario.topology.edge_index(5, 2), 2])
+    miss = failures == [((5, 2), 3, (0, 0), (1, 2))] and labels == LABELS_52_STEP3_MISS
+    if miss and round(kl, 2) == STEP3_MISSES.get(seed):
+        raise Step3Miss(f"seed {seed}: (5, 2) KL {kl:.2f} at step 3, below theta {THETA}")
+    assert not failures, failures
+    assert labels == LABELS_52, labels
 
 
 def test_criterion_5_transient_flatness():
@@ -287,7 +342,7 @@ def test_criterion_7_oracle_suites():
     # watermark round trip on 1e4 random messages
     wp = WatermarkParams(2.0, 5.0, 7.2, 4.3, 2.0, 3.5)
     stream = edge_stream(stream_keys(7, [0], [(5, 2)], STREAM_WATERMARK)[0, 0])
-    m, f = (b[:, :, 0] for b in watermark_blocks(stream.standard_normal((10_000, 4, 1, 3)), wp))  # (10_000, 2, 3)
+    m, f = watermark_blocks(stream.standard_normal((10_000, 4, 3)), wp)  # (10_000, 2, 3)
     plains = rng.uniform(-200.0, 1230.0, size=(10_000, 1, 3))
     back = m * (plains / m + f - f)
     roundtrip_err = float(np.max(np.abs(back - plains)))

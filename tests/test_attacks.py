@@ -247,7 +247,7 @@ def test_activity_matches_per_step_scan(chan, byz, horizon):
     assert chan_mask.shape == byz_mask.shape == (horizon, t.n_edges)
     kernel_mask, xi, lam, send_row, byz_coeff, scale = engine._schedule_arrays(t, s, horizon, 1)
     assert np.array_equal(kernel_mask, chan_mask)
-    assert xi.shape == lam.shape == (horizon, 2, t.n_edges, 1)
+    assert xi.shape == lam.shape == (horizon, t.n_edges, 2, 1)
     honest = engine._schedule_arrays(t, AttackScenario(channel=s.channel), horizon, 1)[3:]
     assert np.array_equal(honest[0], np.repeat(np.arange(horizon)[:, None], t.n_edges, axis=1))
     assert not honest[1].any() and not honest[2].any()

@@ -74,8 +74,8 @@ def _oracle(s):
             noise[edge] = np.zeros((K, n))
             if s.controller.noise_var > 0:
                 noise[edge] = sig * stream(STREAM_NOISE).standard_normal((K, n))
-            z = stream(STREAM_WATERMARK).standard_normal((K, 4, 1, n))
-            marks[edge] = watermark_blocks(z, s.watermark)  # m, f, each (K, 2, 1, n)
+            z = stream(STREAM_WATERMARK).standard_normal((K, 4, n))
+            marks[edge] = watermark_blocks(z, s.watermark)  # m, f, each (K, 2, n)
             byz_draws[edge] = stream(STREAM_BYZANTINE).standard_normal((K, n))
         x = s.init_states.copy()
         states[trial, 0] = x
@@ -92,7 +92,7 @@ def _oracle(s):
                 ys1[trial, k - 1, e] = ys2[trial, k - 1, e] = y
                 for a in s.attacks.channel:
                     if a.edge == edge and a.active(k):
-                        m, f = (block[k - 1, :, 0] for block in marks[edge])  # (2, n), copy r in row r-1
+                        m, f = (block[k - 1] for block in marks[edge])  # (2, n), copy r in row r-1
                         tampered = tamper_channel(apply_watermark(y, m, f), a, k)
                         ys1[trial, k - 1, e], ys2[trial, k - 1, e] = remove_watermark(tampered, m, f)
                 received[i][j] = ys1[trial, k - 1, e]
@@ -215,17 +215,17 @@ def test_recovered_copies_are_the_message_unless_tampered(variant, noise_var, tr
     row = {(k, e): p for p, (k, e) in enumerate(sim.pairs.tolist())}
     src = s.topology.src
     for k0, W, M, F, byz_rand in engine._pregenerate(s, np.arange(trials), scale):
-        for j in range(W.shape[1]):
+        for j in range(W.shape[2]):
             k = k0 + j + 1
             for e in range(s.topology.n_edges):
                 y = sim.states[:, send_row[k - 1, e], src[e]] + byz_coeff[k - 1, e]
-                y += byz_rand[:, j, e]
-                y += W[:, j, e]
+                y += byz_rand[:, e, j]
+                y += W[:, e, j]
                 if not chan_mask[k - 1, e]:
                     assert np.array_equal(sim.ystar1[:, k - 1, e], y), (k, e)
                     continue
-                m, f = M[:, j, :, e], F[:, j, :, e]  # (T, 2, n), the copy on axis 1
-                want = m * ((Xi[k - 1, :, e] * (y[:, None] / m + f) + Lam[k - 1, :, e]) - f)
+                m, f = M[:, e, j], F[:, e, j]  # (T, 2, n), the copy on axis 1
+                want = m * ((Xi[k - 1, e] * (y[:, None] / m + f) + Lam[k - 1, e]) - f)
                 assert np.array_equal(sim.ystar1[:, k - 1, e], want[:, 0]), (k, e)
                 assert np.array_equal(sim.ystar2[:, row[k - 1, e]], want[:, 1]), (k, e)
 
@@ -324,8 +324,8 @@ def test_simulate_allocates_only_the_slabs_it_uses(case):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Schedules, stream keys, per-trial draw buffers and the kernel's
-    # per-step temporaries stay far below half a slab at this shape.
+    # Schedules, stream keys, numpy's ufunc buffers and the kernel's
+    # per-step temporaries stay below half a slab at this shape.
     assert outputs + (slabs - 0.5) * slab <= peak <= outputs + (slabs + 0.5) * slab, peak
 
 
@@ -596,6 +596,50 @@ def test_step_blocks_change_no_number(floor, chunks, starts, monkeypatch):
     assert len(draws) == chunks and len(runs) == 10 * len(stack)
 
 
+def test_material_rows_are_the_streams_own_draws(monkeypatch):
+    """Each block's W[t, e], M[t, e], F[t, e] and byz_rand[t, e] are rows
+    k0..k1 of stream (trial, edge)'s own draws, bit for bit: the noise
+    draws times sqrt(noise_var), the watermark draws through
+    watermark_blocks, and the Byzantine draws times the (K, E) scale, 0
+    on an edge whose scale is 0 throughout. As in
+    test_step_blocks_change_no_number, the run splits into 2 chunks of 5
+    step blocks, so every stream is read across block boundaries."""
+    s = _block_case()
+    t, K, n = s.topology, s.horizon, s.model.n
+    scale = engine._schedule_arrays(t, s.attacks, K, n)[-1]
+    material = 6 * s.trials * K * t.n_edges * n * 8
+    tiles, pregenerate = [], engine._pregenerate
+
+    def draws(trial, edge, tag, shape):
+        seed = np.random.SeedSequence([s.master_seed, trial, *edge, tag])
+        return np.random.default_rng(seed).standard_normal((K,) + shape)
+
+    def checked(s, trial_ids, scale):
+        for k0, W, M, F, byz_rand in pregenerate(s, trial_ids, scale):
+            k1 = k0 + W.shape[2]
+            tiles.append((int(trial_ids[0]), k0))
+            for ti, trial in enumerate(trial_ids.tolist()):
+                for e, edge in enumerate(t.edges):
+                    noise = np.sqrt(s.controller.noise_var) * draws(trial, edge, STREAM_NOISE, (n,))
+                    m, f = watermark_blocks(draws(trial, edge, STREAM_WATERMARK, (4, n)), s.watermark)
+                    byz = np.zeros((K, n))
+                    if scale[:, e].any():
+                        byz = scale[:, e, None] * draws(trial, edge, STREAM_BYZANTINE, (n,))
+                    assert W[ti, e].flags.c_contiguous and byz_rand[ti, e].flags.c_contiguous
+                    assert np.array_equal(W[ti, e], noise[k0:k1]), (trial, edge, k0)
+                    assert np.array_equal(M[ti, e], m[k0:k1]), (trial, edge, k0)
+                    assert np.array_equal(F[ti, e], f[k0:k1]), (trial, edge, k0)
+                    assert np.array_equal(byz_rand[ti, e], byz[k0:k1]), (trial, edge, k0)
+            yield k0, W, M, F, byz_rand
+
+    monkeypatch.setattr(engine, "CHUNK_BYTES", material // 10)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 8)
+    monkeypatch.setattr(engine, "_pregenerate", checked)
+    simulate(s)
+    assert tiles == [(lo, k0) for lo in (0, 10) for k0 in (0, 6, 12, 18, 24)]
+    assert scale.any() and not scale.all(axis=0).any()  # some edges draw byz_rand, none at every step
+
+
 # tracemalloc's size of one edge_stream generator that has drawn is
 # about 0.63 kB (numpy 2.4.6); an open stream is allowed 1 kB.
 STREAM_BYTES = 1000
@@ -607,7 +651,7 @@ def test_material_memory_does_not_grow_with_the_horizon(monkeypatch):
     250 steps and 23 at 1000. Above the output slabs the peak stays
     within one tile, the chunk's 600 open streams and the schedules,
     which have no trial axis, at both horizons; the material is 6 and
-    24 MB. Half a MiB covers the stream keys, the draw buffers and the
+    24 MB. Half a MiB covers the stream keys, numpy's ufunc buffers and the
     kernel's per-step temporaries."""
     monkeypatch.setattr(engine, "CHUNK_BYTES", 2**20)
     for horizon in (250, 1000):

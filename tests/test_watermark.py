@@ -39,9 +39,8 @@ def _stream(master_seed, trial, edge, tag):
 
 def _blocks(master_seed, trial, edge, steps, n=3):
     """(m, f) of one edge's watermark stream, each (steps, 2, n), copy r in column r-1."""
-    z = _stream(master_seed, trial, edge, STREAM_WATERMARK).standard_normal((steps, 4, 1, n))
-    m, f = watermark_blocks(z, PARAMS)
-    return m[:, :, 0], f[:, :, 0]
+    z = _stream(master_seed, trial, edge, STREAM_WATERMARK).standard_normal((steps, 4, n))
+    return watermark_blocks(z, PARAMS)
 
 
 def test_edge_stream_is_keyed_by_every_argument():
@@ -111,15 +110,15 @@ def test_removal_multipliers_exceed_lambda():
 
 
 def test_watermark_blocks_transform_in_place():
-    z = np.random.default_rng(4).standard_normal((5, 4, 2, 3))
+    z = np.random.default_rng(4).standard_normal((5, 2, 4, 3))
     raw = z.copy()
     m, f = watermark_blocks(z, PARAMS)
     assert m.shape == f.shape == (5, 2, 2, 3)
     assert np.shares_memory(m, z) and np.shares_memory(f, z)
-    assert np.array_equal(m[:, 0], PARAMS.lambda1 + (np.sqrt(PARAMS.sigma2_m1) * raw[:, 0]) ** 2)
-    assert np.array_equal(m[:, 1], PARAMS.lambda2 + (np.sqrt(PARAMS.sigma2_m2) * raw[:, 1]) ** 2)
-    assert np.array_equal(f[:, 0], np.sqrt(PARAMS.sigma2_f1) * raw[:, 2])
-    assert np.array_equal(f[:, 1], np.sqrt(PARAMS.sigma2_f2) * raw[:, 3])
+    assert np.array_equal(m[..., 0, :], PARAMS.lambda1 + (np.sqrt(PARAMS.sigma2_m1) * raw[..., 0, :]) ** 2)
+    assert np.array_equal(m[..., 1, :], PARAMS.lambda2 + (np.sqrt(PARAMS.sigma2_m2) * raw[..., 1, :]) ** 2)
+    assert np.array_equal(f[..., 0, :], np.sqrt(PARAMS.sigma2_f1) * raw[..., 2, :])
+    assert np.array_equal(f[..., 1, :], np.sqrt(PARAMS.sigma2_f2) * raw[..., 3, :])
 
 
 def test_apply_remove_hand_numbers():
