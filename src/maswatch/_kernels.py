@@ -4,9 +4,10 @@ One vectorized numpy implementation of the step loop. It reads the
 scenario's model, controller and topology, starts from the states in
 the row before its first step, consumes one block of steps of
 pregenerated random material and the run's attack schedules, and fills
-preallocated output slabs, so a block of steps of a chunk of trials
-from one initial-state table is a single kernel call and results do
-not depend on how trials are chunked or steps split into blocks.
+the block's rows of the states slab and of preallocated copy windows,
+so a block of steps of a chunk of trials from one initial-state table
+is a single kernel call and results do not depend on how trials are
+chunked or steps split into blocks.
 Each step's contractions run on flat operands, one row per (trial,
 agent) or (trial, edge), so x A^T with x K1 (one pass over the columns
 of [A^T | K1]) and the per-edge K2 term are two passes, not one per
@@ -42,12 +43,13 @@ k0, N agents, E edges, n state dims:
     states (T, K+1, N, n) in/out: rows 0..k0 hold the states up to the
                          block on entry, row 0 the initial states, and
                          the kernel writes rows k0+1 .. k0+Kb
-    ys1 (T, K, E, n)     out: recovered copy 1, rows k0 .. k0+Kb-1
-    ys2 (T, P, n)        out: copy 2 of the P chan_mask pairs in the
-                         order of np.argwhere(chan_mask), the block's rows
+    ys1 (T, Kb, E, n)    out: recovered copy 1, row j the message of
+                         step k0+j+1
+    ys2 (T, Pb, n)       out: copy 2 of the block's Pb chan_mask pairs,
+                         in the order of np.argwhere(chan_mask)
 
-The schedules, states and ys1 are indexed by absolute step, the
-material by its row in the block.
+The schedules and states are indexed by absolute step, the material
+and the copies by their row in the block.
 
 A Byzantine sender's plaintext is the gathered row plus byz_coeff
 plus byz_rand, with no branch on the behavior: an honest step adds 0.
@@ -86,20 +88,20 @@ def _simulate_numpy(s, k0, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz
     slot = (np.arange(T)[:, None] * N + edge_dst).ravel()
     weight = np.tile(t.weights, T)
     AK = np.column_stack([A.T, ctrl.K1])  # (n, n + 1): x AK is x A^T, then x K1
-    ends = np.cumsum(chan_mask.sum(axis=1))  # ys2 rows of steps 1..k end at ends[k-1]
+    ends = np.cumsum(chan_mask[k0 : k0 + Kb].sum(axis=1))  # ys2 rows of the block's first j+1 steps end at ends[j]
     for j in range(Kb):
         k = k0 + j + 1
         x = states[:, k - 1]
         plain = states[:, send_row[k - 1], edge_src]  # a gather: already a new array
         plain += byz_coeff[k - 1]
         plain += byz_rand[:, :, j]
-        y = np.add(plain, W[:, :, j], out=ys1[:, k - 1])
+        y = np.add(plain, W[:, :, j], out=ys1[:, j])
         cm = chan_mask[k - 1]
         if cm.any():
             m, f = M[:, cm, j], F[:, cm, j]
             both = m * ((Xi[k - 1][cm] * (y[:, cm, None] / m + f) + Lam[k - 1][cm]) - f)
             y[:, cm] = both[:, :, 0]
-            ys2[:, ends[k - 1] - both.shape[1] : ends[k - 1]] = both[:, :, 1]
+            ys2[:, ends[j] - both.shape[1] : ends[j]] = both[:, :, 1]
         # x A^T and x K1 of the step's states, one column per (trial, agent)
         xAK = _dot(x.reshape(T * N, n), AK)
         diff = (y - x[:, edge_dst, :]).reshape(T * E, n)

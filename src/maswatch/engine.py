@@ -12,7 +12,8 @@ consumes (the channel mask comes from attacks.activity, the schedules
 and Byzantine tables are filled from the window slices), splits trials
 into chunks and each chunk's steps into blocks, and returns the raw
 slabs (states, recovered copy 1, and copy 2 where a channel is tampered)
-that the detector pipeline pools.
+or, given a sink, hands the recovered copies to it one step block at a
+time, the way the detector pipeline pools them.
 The kernel reads the model, controller and topology from the Scenario
 itself, and the initial states from row 0 of its states slab. A zero
 horizon takes the same path: every draw and schedule has no steps, and
@@ -46,9 +47,9 @@ n dims:
              per_neighbor_random window falls inside the horizon,
              scaled per (step, edge) so it is 0 outside such windows.
              Unused material (noise at zero variance, byz_rand without
-             such a window) is a broadcast 0, never a slab. A chunk
-             allocates its slabs once, at its longest block, and every
-             block overwrites the first Kb rows of each stream's row.
+             such a window) is a broadcast 0, never a slab. Each tile
+             allocates its slabs C-contiguous at its block's own shape
+             and frees them once the kernel has run it.
 
 Tile rule: a batch of T trials and K steps whose material takes B bytes
 is worth tiles = ceil(B / CHUNK_BYTES). Its trials split into
@@ -60,19 +61,29 @@ less than CHUNK_BYTES plus one trial's material over a block and one
 step's over the chunk, unless a single step of a chunk takes more. Where the budget sets C, a chunk is
 one block; where the floor binds, a chunk holds fewer than
 2 x MIN_CHUNK_TRIALS trials and as many blocks as it takes, so material
-memory does not grow with the horizon. Chunks run in trial order on the
-calling thread.
+memory does not grow with the horizon. Every chunk has the same
+blocks, and the tiles run block-major on the calling thread: every
+chunk of block b, in trial order, runs before block b+1, and each
+tile's material is freed before the next tile is drawn.
 
-A chunk of one block opens each stream, draws it and drops it, so it
-holds one stream at a time. A chunk of several blocks keeps its
-T x E streams of each drawn tag open until its last block. An open
+In a run of one block, each chunk opens each stream, draws it and drops
+it, so the run holds one stream at a time. A run of several blocks
+keeps the streams of every chunk open across the chunks, each until its
+chunk's last tile: trials x edges streams of each drawn tag. An open
 stream costs about 0.9 kB of resident memory with its key, against
 0.14 kB for one dropped once drawn (ru_maxrss growth over 1.1e5 streams
-drawn through _draw_streams, numpy 2.4.6): 0.8 MB for a chunk of 40
-trials over 11 edges and 2 tags. Each block also pays about 0.8 us per
-stream for the standard_normal call. Only the running chunk holds
-material, so a run's peak is its output slabs plus one tile and its open
-streams.
+drawn through _draw_streams, numpy 2.4.6): 9.9 MB for 500 trials over
+11 edges and 2 tags. Each block also pays about 0.8 us per stream for
+the standard_normal call.
+
+Without a sink, the kernel writes each block's recovered copies into
+its rows of whole-run slabs, which simulate returns. With a sink, it
+writes them into one copy window, (trials, Kb, edges, n) for copy 1 and
+(trials, Pb, n) for copy 2 at the block's Pb tampered pairs, allocated
+once at the largest block and reused; once every chunk has run the
+block, the window goes to the sink with the whole states slab. So a
+sink run's peak is its states plus one copy window, one tile and the
+open streams; whatever the sink keeps comes on top.
 
 Bit-compatibility invariant: stream (trial, j, i, tag) draws exactly the
 numbers of default_rng(SeedSequence([master_seed, trial, j, i, tag])),
@@ -202,7 +213,9 @@ class SimData:
     order follows Topology.edges. The message at step index k-1 carries
     the sender state of snapshot k-1; the controller that consumes it
     produces snapshot k. A run from a stack of B initial-state tables
-    puts a leading (B,) axis on the three slabs, table b at [b].
+    puts a leading (B,) axis on the three slabs, table b at [b]. A run
+    that handed its copies to a sink keeps none: ystar1 and ystar2 have
+    no rows on axis 1, and pairs still lists the whole run's pairs.
     """
 
     states: np.ndarray
@@ -263,6 +276,12 @@ def _tiling(s: Scenario, scale: np.ndarray) -> tuple[int, int]:
     return chunks, max(1, min(s.horizon, -(-tiles // chunks)))
 
 
+def _cuts(s: Scenario, scale: np.ndarray) -> list[int]:
+    """The first step index of each step block of the tile rule, then the horizon."""
+    blocks = _tiling(s, scale)[1]
+    return [s.horizon * b // blocks for b in range(blocks + 1)]
+
+
 def _open_streams(s: Scenario, trial_ids: np.ndarray, edges, tag: int, blocks: int) -> list:
     """Per trial, the edge_stream of each (trial, edge) stream of one tag.
 
@@ -302,89 +321,131 @@ def _pregenerate(s: Scenario, trial_ids: np.ndarray, scale: np.ndarray):
     draws of the edges with a nonzero entry in the (K, E) scale,
     multiplied by it. Material a run does not use (noise at zero
     variance, byz_rand with an all-zero scale) is a read-only broadcast
-    of 0, not a slab. Every block's slabs are views of the same buffers,
-    so a block is valid only until the next one is drawn.
+    of 0, not a slab. Every tile's slabs are new C-contiguous arrays of
+    the block's own shape, and the generator keeps no reference to them
+    once yielded, so a tile lives only as long as its caller holds it.
     """
-    t, noise_var = s.topology, s.controller.noise_var
-    blocks = _tiling(s, scale)[1]
-    cuts = [s.horizon * b // blocks for b in range(blocks + 1)]
-    shape = (trial_ids.shape[0], t.n_edges, -(-s.horizon // blocks), s.model.n)
-    noise = _open_streams(s, trial_ids, t.edges, STREAM_NOISE, blocks) if noise_var > 0 else None
-    W_buf = np.empty(shape) if noise_var > 0 else None
+    t = s.topology
+    cuts = _cuts(s, scale)
+    blocks = len(cuts) - 1
+    noise = _open_streams(s, trial_ids, t.edges, STREAM_NOISE, blocks) if s.controller.noise_var > 0 else None
     marks = _open_streams(s, trial_ids, t.edges, STREAM_WATERMARK, blocks)
-    z_buf = np.empty(shape[:3] + (4,) + shape[3:])
     rows = np.flatnonzero(scale.any(axis=0))
     byz = _open_streams(s, trial_ids, [t.edges[e] for e in rows], STREAM_BYZANTINE, blocks) if rows.size else None
-    byz_buf = np.zeros(shape) if rows.size else None
     for k0, k1 in zip(cuts, cuts[1:]):
-        zeros = np.broadcast_to(0.0, shape[:2] + (k1 - k0,) + shape[3:])
-        W = byz_rand = zeros
-        if noise is not None:
-            W = W_buf[:, :, : k1 - k0]
-            _draw_streams(W, noise, range(t.n_edges))
-            W *= np.sqrt(noise_var)
-        z = z_buf[:, :, : k1 - k0]
-        _draw_streams(z, marks, range(t.n_edges))
-        M, F = watermark_blocks(z, s.watermark)
-        if byz is not None:
-            byz_rand = byz_buf[:, :, : k1 - k0]
-            _draw_streams(byz_rand, byz, rows)
-            byz_rand *= scale[k0:k1].T[:, :, None]
-        yield k0, W, M, F, byz_rand
+        shape = (trial_ids.shape[0], t.n_edges, k1 - k0, s.model.n)
+        yield (k0, *_draw_tile(s, shape, noise, marks, byz, rows, scale[k0:k1]))
 
 
-def simulate(s: Scenario, inits: np.ndarray | None = None) -> SimData:
+def _draw_tile(s: Scenario, shape: tuple, noise, marks, byz, rows, scale):
+    """W, M, F and byz_rand of one (T, E, Kb, n) tile, drawn from the
+    chunk's open streams; scale is the block's (Kb, E) rows."""
+    W = byz_rand = np.broadcast_to(0.0, shape)
+    if noise is not None:
+        W = np.empty(shape)
+        _draw_streams(W, noise, range(shape[1]))
+        W *= np.sqrt(s.controller.noise_var)
+    z = np.empty(shape[:3] + (4,) + shape[3:])
+    _draw_streams(z, marks, range(shape[1]))
+    M, F = watermark_blocks(z, s.watermark)
+    if byz is not None:
+        byz_rand = np.zeros(shape)
+        _draw_streams(byz_rand, byz, rows)
+        byz_rand *= scale.T[:, :, None]
+    return W, M, F, byz_rand
+
+
+def simulate(s: Scenario, inits: np.ndarray | None = None, sink=None) -> SimData:
     """Run the scenario's Monte Carlo batch and return the raw slabs.
 
     inits, a (B, agents, n) stack of initial-state tables, replaces
     s.init_states: the batch then runs once per table and the three
-    slabs gain a leading (B,) axis. One chunk's material is drawn once
+    slabs gain a leading (B,) axis. One tile's material is drawn once
     and serves every table. Every table must pass the rule of s.init_states
     before anything is allocated or drawn, else a ScenarioError on
-    run.init. A batch whose output slabs or chunk material cannot be
-    allocated is a ScenarioError on run naming the trials, steps and
-    bytes of the output slabs.
+    run.init. A batch whose output slabs or material cannot be allocated
+    is a ScenarioError on run naming the trials, steps and bytes of the
+    output slabs.
 
     Trials split into chunks, and each chunk's steps into blocks, by the
     module's tile rule: about CHUNK_BYTES of random material per tile,
     and at least MIN_CHUNK_TRIALS trials per chunk unless the batch has
-    fewer. The chunks run in trial order on the calling thread, each its
-    blocks in step order. The tiling never changes a number.
+    fewer. The tiles run on the calling thread block by block, each
+    block's chunks in trial order. The tiling never changes a number.
+
+    sink, when given, is called once per step block in step order, as
+    sink(k0, states, ys1, ys2, pairs), after every chunk has run the
+    block: ys1 (trials, Kb, edges, n) holds copy 1 of steps k0+1 ..
+    k0+Kb, ys2 (trials, Pb, n) copy 2 at the block's Pb tampered pairs,
+    which pairs (Pb, 2) lists as SimData.pairs does, and states is the
+    whole states slab, filled up to row k0+Kb; the arrays carry the
+    (B,) axis of an inits stack. The next block reuses the copy windows.
+    The returned SimData then holds the whole states and copies of no
+    step: ystar1 (trials, 0, edges, n) and ystar2 (trials, 0, n), with
+    the pairs of the whole run.
     """
     t, trials = s.topology, s.trials
     n, N, E, K = s.model.n, t.n_agents, t.n_edges, s.horizon
     tables = [s.init_states] if inits is None else [_init_table(x, (N, n)) for x in inits]
+    B = len(tables)
     # The tampered (step, edge) pairs; no two channel attacks share one.
     P = sum(max(0, r.stop - r.start) for r in (window_rows(a.window, K) for a in s.attacks.channel))
-    shapes = ((len(tables), trials, K + 1, N, n), (len(tables), trials, K, E, n), (len(tables), trials, P, n))
-    batch = f"{trials} trials x {K} steps" + (f" x {len(tables)} initial states" if len(tables) > 1 else "")
+    kept = (K, P) if sink is None else (0, 0)
+    shapes = ((B, trials, K + 1, N, n), (B, trials, kept[0], E, n), (B, trials, kept[1], n))
+    batch = f"{trials} trials x {K} steps" + (f" x {B} initial states" if B > 1 else "")
     nbytes = 8 * sum(map(math.prod, shapes))
     refused = ScenarioError("run", f"{batch} need {nbytes} bytes of output slabs, more than can be allocated")
     try:
-        states, ys1, ys2 = outputs = tuple(map(np.zeros, shapes))
+        states, ys1, ys2 = tuple(map(np.zeros, shapes))
     except (ValueError, MemoryError):  # numpy's ValueError: a shape beyond intp
         raise refused from None
     for b, table in enumerate(tables):
         states[b, :, 0] = table
+    one = (lambda a: a[0]) if inits is None else (lambda a: a)
 
-    def run_chunk(trial_ids: np.ndarray) -> None:
-        lo, hi = int(trial_ids[0]), int(trial_ids[-1]) + 1
-        for k0, W, M, F, byz_rand in _pregenerate(s, trial_ids, scale):
+    def run_tile(chunk, rows: slice, window1: np.ndarray, window2: np.ndarray) -> None:
+        """Draw the chunk's next tile and run the kernel on it once per
+        table; the tile's material is freed when this returns. After the
+        chunk's last tile its generator runs to its end, which drops the
+        chunk's streams and keys."""
+        for k0, W, M, F, byz_rand in chunk:
             # A diverging run overflows silently here; harness rejects its
             # non-finite states.
             with np.errstate(over="ignore", invalid="ignore"):
-                for b in range(len(tables)):
-                    _kernels._simulate_numpy(s, k0, W, M, F, *schedules, byz_rand, *(a[b, lo:hi] for a in outputs))
+                for b in range(B):
+                    _kernels._simulate_numpy(
+                        s, k0, W, M, F, *schedules, byz_rand, states[b, rows], window1[b, rows], window2[b, rows]
+                    )
+            if k0 + W.shape[2] < K:
+                break  # one tile per call
 
     try:
         *schedules, scale = _schedule_arrays(t, s.attacks, K, n)
-        # A chunk's material is freed when run_chunk returns, before the
-        # next chunk draws its own.
-        for chunk in np.array_split(np.arange(trials), _tiling(s, scale)[0]):
-            run_chunk(chunk)
+        pairs = np.argwhere(schedules[0])
+        ends = np.concatenate(([0], np.cumsum(schedules[0].sum(axis=1))))  # ends[k]: pairs of steps 1..k
+        cuts = _cuts(s, scale)
+        blocks = [(k0, k1, ends[k0], ends[k1]) for k0, k1 in zip(cuts, cuts[1:])]
+        if sink is not None:
+            flat1 = np.empty(B * trials * max(k1 - k0 for k0, k1, _, _ in blocks) * E * n)
+            flat2 = np.empty(B * trials * max(p1 - p0 for _, _, p0, p1 in blocks) * n)
+        # A generator per chunk; each draws one tile per block when run_tile asks.
+        chunks = [
+            (_pregenerate(s, ids, scale), slice(ids[0], ids[-1] + 1))
+            for ids in np.array_split(np.arange(trials), _tiling(s, scale)[0])
+        ]
     except MemoryError:
         raise refused from None
-    pairs = np.argwhere(schedules[0])
-    if inits is None:
-        return SimData(states=states[0], ystar1=ys1[0], ystar2=ys2[0], pairs=pairs)
-    return SimData(states=states, ystar1=ys1, ystar2=ys2, pairs=pairs)
+    for k0, k1, p0, p1 in blocks:
+        if sink is None:
+            window1, window2 = ys1[:, :, k0:k1], ys2[:, :, p0:p1]
+        else:
+            window1 = flat1[: B * trials * (k1 - k0) * E * n].reshape(B, trials, k1 - k0, E, n)
+            window2 = flat2[: B * trials * (p1 - p0) * n].reshape(B, trials, p1 - p0, n)
+        try:
+            for chunk, rows in chunks:
+                run_tile(chunk, rows, window1, window2)
+        except MemoryError:
+            raise refused from None
+        if sink is not None:
+            sink(k0, one(states), one(window1), one(window2), pairs[p0:p1])
+    return SimData(states=one(states), ystar1=one(ys1), ystar2=one(ys2), pairs=pairs)

@@ -13,11 +13,14 @@ checks every run rule (the gain lengths, the run section's values, the
 run.init.states rows, the attacks and their local budget), so one built
 through dataclasses.replace fails as the same ScenarioError.
 
-run_monte_carlo simulates the batch, rejects a run whose states are
-not finite, and pools over trials, reading the recovered copies in
-place: copy 1's residuals in blocks of steps of about ETA_BLOCK_BYTES,
-copy 2's at the tampered pairs alone (elsewhere it is copy 1), and the
-KL statistic by one estimate_kl call per (step, edge). A KL or
+run_monte_carlo simulates the batch with a sink, so it never holds the
+recovered copies of the whole run: simulate hands them over one step
+block at a time, and the sink pools each block over trials in place:
+copy 1's residuals in sub-blocks of steps of about ETA_BLOCK_BYTES,
+copy 2's at the block's tampered pairs alone (elsewhere it is copy 1),
+and the KL statistic by one estimate_kl call per (step, edge). The run
+keeps the whole states, and rejects them if they are not finite; a
+run without attacks or bounds takes its bounds from them. A KL or
 residual that is not finite, from a tampered copy that overflows,
 rejects the run too. Whole (edge, step) arrays
 then pass between stages: envelope ratios against each edge's frozen
@@ -74,7 +77,7 @@ from .dynamics import (
     platoon_model,
     settling_step,
 )
-from .engine import Scenario, ScenarioError, SimData, simulate
+from .engine import Scenario, ScenarioError, simulate
 from .graph import LEADER, LocalAttackBudget, build_topology
 from .hybrid import Classification, run_protocol_step
 from .watermark import WatermarkParams
@@ -329,15 +332,17 @@ def _require_finite_states(states: np.ndarray) -> None:
         raise ScenarioError("run", f"the states diverge: not finite from step {int(finite.argmin())} on")
 
 
-def _nominal_bounds(s: Scenario) -> tuple[StateBounds, SimData | None]:
-    """Bounds from the scenario, else from a clean nominal run."""
+def _nominal_bounds(s: Scenario) -> StateBounds | None:
+    """Bounds from the scenario, else from a clean nominal run; None for a
+    run without attacks, which is its own nominal run."""
     if s.bounds is not None:
-        return s.bounds, None
+        return s.bounds
+    if not s.attacks.channel and not s.attacks.byzantine:
+        return None
     clean = replace(s, attacks=AttackScenario(budget=s.attacks.budget))
-    sim = simulate(clean)
-    _require_finite_states(sim.states)
-    bounds = _build("detectors.bounds", compute_state_bounds, sim.states)
-    return bounds, sim if not s.attacks.channel and not s.attacks.byzantine else None
+    states = simulate(clean, sink=lambda *block: None).states  # the copies are not needed
+    _require_finite_states(states)
+    return _build("detectors.bounds", compute_state_bounds, states)
 
 
 def _require_finite(*stats: np.ndarray, first_step: int = 1, at: str = "") -> None:
@@ -351,33 +356,44 @@ def _require_finite(*stats: np.ndarray, first_step: int = 1, at: str = "") -> No
 
 def run_monte_carlo(s: Scenario) -> RunReport:
     """Simulate, detect, arbitrate; returns the full report."""
-    bounds, sim = _nominal_bounds(s)
-    if sim is None:
-        sim = simulate(s)
-        _require_finite_states(sim.states)
+    bounds = _nominal_bounds(s)
     t = s.topology
     E, K = t.n_edges, s.horizon
-    residuals = np.empty((2, E, K))
-    kl_stats = np.zeros((E, K))
-    # Residual steps go in blocks of about ETA_BLOCK_BYTES of recovered
-    # copies, as eta_curve takes its steps.
-    block = max(1, ETA_BLOCK_BYTES // max(1, 8 * s.trials * E * s.model.n))
-    pk, pe = sim.pairs.T
-    copy2 = dict(zip(zip(pk.tolist(), pe.tolist()), sim.ystar2.swapaxes(0, 1)))  # (k-1, e): (T, n)
-    # A tampered copy can overflow here while the states stay finite;
-    # the check after the loops rejects it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Residuals against the receiver state at send time.
-        for k0 in range(0, K, block):
-            y = sim.ystar1[:, k0 : k0 + block]  # (T, B, E, n)
-            residuals[0, :, k0 : k0 + block] = edge_residual(y, sim.states[:, k0 : k0 + y.shape[1]][:, :, t.dst]).T
-        residuals[1] = residuals[0]
-        residuals[1, pe, pk] = edge_residual(sim.ystar2, sim.states[:, pk, t.dst[pe]])
-        if s.trials >= s.kl.min_samples:
-            for k in range(K):
-                for e in range(E):
-                    y = sim.ystar1[:, k, e]
-                    kl_stats[e, k] = estimate_kl(y, copy2.get((k, e), y))
+    blocks = []  # (residuals, kl_stats) of each step block
+    # Residual steps go in sub-blocks of about ETA_BLOCK_BYTES of
+    # recovered copies, as eta_curve takes its steps.
+    sub = max(1, ETA_BLOCK_BYTES // max(1, 8 * s.trials * E * s.model.n))
+
+    def reduce_block(k0, states, ys1, ys2, pairs):
+        """The residuals and KL statistics of the step block that simulate
+        hands over: copy 1 of steps k0+1 .. k0+Kb and copy 2 at pairs."""
+        Kb = ys1.shape[1]
+        residuals, kl_stats = np.empty((2, E, Kb)), np.zeros((E, Kb))
+        blocks.append((residuals, kl_stats))
+        pk, pe = pairs.T - [[k0], [0]]  # the pairs' rows in the block
+        # A tampered copy can overflow here while the states stay finite;
+        # the check after the run rejects it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Residuals against the receiver state at send time.
+            for j0 in range(0, Kb, sub):
+                y = ys1[:, j0 : j0 + sub]  # (T, sub, E, n)
+                x = states[:, k0 + j0 : k0 + j0 + y.shape[1]][:, :, t.dst]
+                residuals[0, :, j0 : j0 + y.shape[1]] = edge_residual(y, x).T
+            residuals[1] = residuals[0]
+            residuals[1, pe, pk] = edge_residual(ys2, states[:, k0 + pk, t.dst[pe]])
+            if s.trials >= s.kl.min_samples:
+                copy2 = dict(zip(zip(pk.tolist(), pe.tolist()), ys2.swapaxes(0, 1)))  # (j, e): (T, n)
+                for j in range(Kb):
+                    for e in range(E):
+                        y = ys1[:, j, e]
+                        kl_stats[e, j] = estimate_kl(y, copy2.get((j, e), y))
+
+    sim = simulate(s, sink=reduce_block)
+    residuals = np.concatenate([r for r, _ in blocks], axis=2)
+    kl_stats = np.concatenate([kl for _, kl in blocks], axis=1)
+    _require_finite_states(sim.states)
+    if bounds is None:
+        bounds = _build("detectors.bounds", compute_state_bounds, sim.states)
     _require_finite(kl_stats, residuals)
     kl_attacked = kl_verdict(kl_stats, s.kl)
 

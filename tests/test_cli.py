@@ -331,17 +331,18 @@ def test_sweep_has_no_variant_option(scenario_file, capsys):
 
 
 # Output bytes of small_doc's batch: 3 agents, 3 untampered edges, n = 2,
-# so float64 states (T, K+1, 3, 2) and copy 1 (T, K, 3, 2) per table, and
-# no copy 2.
-def _output_bytes(trials, steps, tables=1):
-    return 8 * tables * trials * ((steps + 1) * 6 + steps * 6)
+# so float64 states (T, K+1, 3, 2) per table, copy 1 (T, K, 3, 2) where
+# the batch keeps its copies, and no copy 2. A run hands its copies to the
+# detectors one step block at a time, so it keeps the states alone.
+def _output_bytes(trials, steps, tables=1, copies=True):
+    return 8 * tables * trials * ((steps + 1) * 6 + copies * steps * 6)
 
 
 @pytest.mark.parametrize("size", [10**12, 10**18], ids=["beyond_memory", "beyond_address_space"])
 @pytest.mark.parametrize(
     "args, field, batch, nbytes",
     [
-        (["run", "--out", "unused"], "horizon", "6 trials x {} steps", lambda x: _output_bytes(6, x)),
+        (["run", "--out", "unused"], "horizon", "6 trials x {} steps", lambda x: _output_bytes(6, x, copies=False)),
         (["sweep", "--grid", "1"], "trials", "{} trials x 4 steps", lambda x: _output_bytes(x, 4)),
         (["sweep", "--grid", "1,2"], "trials", "{} trials x 4 steps x 2 initial states", lambda x: _output_bytes(x, 4, 2)),
     ],

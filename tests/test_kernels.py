@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maswatch import _kernels, engine
+from maswatch import _kernels, engine, harness
 from maswatch.attacks import ByzantineBehavior, activity, byzantine_emit, tamper_channel
 from maswatch.dynamics import compute_control, noise_gain, step_system
 from maswatch.engine import ScenarioError, simulate
@@ -48,7 +48,7 @@ from maswatch.watermark import (
     watermark_blocks,
 )
 
-from _reference import recovered_copies
+from _reference import recovered_copies, reference_report
 from _scenarios import small_doc
 
 # Largest relative difference allowed between simulate and the oracle,
@@ -318,6 +318,9 @@ def test_simulate_allocates_only_the_slabs_it_uses(case):
     slab = T * K * E * n * 8
     P = int(activity(s.attacks, s.topology, K)[0].sum())  # tampered (step, edge) pairs
     outputs = 8 * T * (K + 1) * s.topology.n_agents * n + slab + 8 * T * P * n
+    # The first simulate of a process also allocates numpy's and the
+    # package's one-time state (about 0.7 MB); an untraced run pays it.
+    simulate(s)
     tracemalloc.start()
     try:
         simulate(s)
@@ -511,32 +514,6 @@ def test_simulate_holds_one_chunk_of_material_at_a_time(monkeypatch):
     assert peak <= outputs + engine.CHUNK_BYTES + slab / 2, (peak - outputs) / slab
 
 
-def test_a_run_holds_one_recovered_copy_slab(monkeypatch):
-    """run_monte_carlo keeps copy 1 of every message and copy 2 of the
-    tampered (step, edge) pairs alone: its peak lies below the states,
-    one copy slab, copy 2, one tile and half a slab. Edge (0, 2) is
-    tampered at 20 of 800 steps, and the 512 kiB tile is a fifteenth of
-    the 7.7 MB copy slab, so a second whole copy would break the bound."""
-    doc = small_doc(horizon=800, trials=200)
-    one, zero = {"kind": "const", "coeffs": [1.0, 1.0]}, {"kind": "const", "coeffs": [0.0, 0.0]}
-    tamper = {"kind": "const", "coeffs": [1.5, -2.0]}
-    doc["attacks"]["channel"] = [{"edge": [0, 2], "window": [10, 30], "xi1": one, "lam1": zero, "xi2": tamper, "lam2": tamper}]
-    s = scenario_from_dict(doc)
-    T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
-    slab = 8 * T * K * E * n
-    outputs = 8 * T * (K + 1) * s.topology.n_agents * n + slab + 8 * T * 20 * n
-    monkeypatch.setattr(engine, "CHUNK_BYTES", 2**19)
-    tracemalloc.start()
-    try:
-        run_monte_carlo(s)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # The chunk's open streams, the schedules and the detector stages'
-    # blocks of about dynamics.ETA_BLOCK_BYTES stay below half a slab.
-    assert peak < outputs + engine.CHUNK_BYTES + slab / 2, (peak - outputs) / slab
-
-
 def _block_case():
     """small_doc at 20 trials x 30 steps with a window of each kind that a
     step block can cut: agent 1 frozen over steps 4..19 and then
@@ -562,8 +539,9 @@ def _block_case():
 def test_step_blocks_change_no_number(floor, chunks, starts, monkeypatch):
     """A budget of a tenth of the material makes 10 tiles. A floor of 8
     trials gives 2 chunks of 10 trials, each in 5 step blocks, whose
-    first rows are 0, 6, 12, 18 and 24; a floor of all 20 trials gives
-    one chunk in 10 blocks of 3 steps. The frozen window reads row 3 from
+    first rows are 0, 6, 12, 18 and 24, run block by block, each block's
+    chunks in trial order; a floor of all 20 trials gives one chunk in
+    10 blocks of 3 steps. The frozen window reads row 3 from
     the later blocks; the channel window (rows 9..14) crosses row 12 and
     the per_neighbor_random window (rows 19..26) row 24. The slabs are
     those of the run in one tile, from the scenario's table and from an
@@ -589,11 +567,71 @@ def test_step_blocks_change_no_number(floor, chunks, starts, monkeypatch):
     monkeypatch.setattr(engine, "_pregenerate", counted_pregenerate)
     monkeypatch.setattr(_kernels, "_simulate_numpy", counted_kernel)
     _assert_same_arrays(simulate(s), want)
-    assert len(draws) == chunks and runs == starts * chunks
+    assert len(draws) == chunks and runs == [k0 for k0 in starts for _ in range(chunks)]
     draws.clear()
     runs.clear()
     _assert_same_arrays(simulate(s, inits=stack), want_stack)
     assert len(draws) == chunks and len(runs) == 10 * len(stack)
+
+
+@pytest.mark.parametrize("tiles, blocks", [(10, 5), (2, 1)], ids=["5_blocks", "1_block"])
+def test_a_chunk_drops_its_streams_after_its_last_tile(tiles, blocks, monkeypatch):
+    """_block_case in 2 chunks of 5 step blocks, or of one block. Each
+    chunk's material generator runs to its end right after its last
+    tile, which frees its streams and keys: when the kernel runs the
+    second chunk's last tile, the first chunk's generator has finished,
+    and until the last block no generator has."""
+    s = _block_case()
+    material = 6 * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8
+    gens, finished = [], []
+    pregenerate, kernel = engine._pregenerate, _kernels._simulate_numpy
+
+    def recorded(*args):
+        gens.append(pregenerate(*args))
+        return gens[-1]
+
+    def counted(*args):
+        finished.append([g.gi_frame is None for g in gens])
+        return kernel(*args)
+
+    monkeypatch.setattr(engine, "CHUNK_BYTES", material // tiles)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 8)
+    monkeypatch.setattr(engine, "_pregenerate", recorded)
+    monkeypatch.setattr(_kernels, "_simulate_numpy", counted)
+    simulate(s)
+    assert finished == [[False, False]] * (2 * blocks - 1) + [[True, False]]
+    assert all(g.gi_frame is None for g in gens)
+
+
+def test_block_sink_reports_equal_the_full_slab_reports(monkeypatch):
+    """run_monte_carlo reads the recovered copies block by block through
+    simulate's sink. Split as in test_step_blocks_change_no_number into 2
+    chunks of 5 step blocks, where the frozen window and the channel
+    window (rows 9..14) each cross a block boundary, its report equals
+    the one-tile run's and the reference pooled from simulate's whole
+    slabs, bit for bit."""
+    s = _block_case()
+    whole = run_monte_carlo(s)
+    material = 6 * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8
+    starts, simulate_ = [], harness.simulate
+
+    def recorded(s, sink):
+        def block(k0, *args):
+            starts.append(k0)
+            return sink(k0, *args)
+
+        return simulate_(s, sink=block)
+
+    monkeypatch.setattr(engine, "CHUNK_BYTES", material // 10)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 8)
+    monkeypatch.setattr(harness, "simulate", recorded)
+    got = run_monte_carlo(s)
+    assert starts == [0, 6, 12, 18, 24]
+    _assert_same_arrays(got, whole)
+    want = reference_report(s)
+    for f in fields(want):
+        if isinstance(getattr(want, f.name), np.ndarray):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
 def test_material_rows_are_the_streams_own_draws(monkeypatch):
@@ -603,7 +641,10 @@ def test_material_rows_are_the_streams_own_draws(monkeypatch):
     watermark_blocks, and the Byzantine draws times the (K, E) scale, 0
     on an edge whose scale is 0 throughout. As in
     test_step_blocks_change_no_number, the run splits into 2 chunks of 5
-    step blocks, so every stream is read across block boundaries."""
+    step blocks, so every stream is read across block boundaries; with
+    8 tiles it splits into 2 chunks of 4 blocks of 7 or 8 steps. Each
+    tile's slabs are C-contiguous at the block's own shape, a block
+    shorter than the chunk's longest included."""
     s = _block_case()
     t, K, n = s.topology, s.horizon, s.model.n
     scale = engine._schedule_arrays(t, s.attacks, K, n)[-1]
@@ -617,7 +658,10 @@ def test_material_rows_are_the_streams_own_draws(monkeypatch):
     def checked(s, trial_ids, scale):
         for k0, W, M, F, byz_rand in pregenerate(s, trial_ids, scale):
             k1 = k0 + W.shape[2]
-            tiles.append((int(trial_ids[0]), k0))
+            tiles.append((int(trial_ids[0]), k0, k1))
+            for a in (W, M.base, byz_rand):
+                assert a.flags.c_contiguous and a.shape == (len(trial_ids), t.n_edges, k1 - k0) + a.shape[3:]
+            assert M.base is F.base
             for ti, trial in enumerate(trial_ids.tolist()):
                 for e, edge in enumerate(t.edges):
                     noise = np.sqrt(s.controller.noise_var) * draws(trial, edge, STREAM_NOISE, (n,))
@@ -625,18 +669,20 @@ def test_material_rows_are_the_streams_own_draws(monkeypatch):
                     byz = np.zeros((K, n))
                     if scale[:, e].any():
                         byz = scale[:, e, None] * draws(trial, edge, STREAM_BYZANTINE, (n,))
-                    assert W[ti, e].flags.c_contiguous and byz_rand[ti, e].flags.c_contiguous
                     assert np.array_equal(W[ti, e], noise[k0:k1]), (trial, edge, k0)
                     assert np.array_equal(M[ti, e], m[k0:k1]), (trial, edge, k0)
                     assert np.array_equal(F[ti, e], f[k0:k1]), (trial, edge, k0)
                     assert np.array_equal(byz_rand[ti, e], byz[k0:k1]), (trial, edge, k0)
             yield k0, W, M, F, byz_rand
 
-    monkeypatch.setattr(engine, "CHUNK_BYTES", material // 10)
     monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 8)
     monkeypatch.setattr(engine, "_pregenerate", checked)
-    simulate(s)
-    assert tiles == [(lo, k0) for lo in (0, 10) for k0 in (0, 6, 12, 18, 24)]
+    for tile_count, cuts in ((10, [0, 6, 12, 18, 24, 30]), (8, [0, 7, 15, 22, 30])):
+        tiles.clear()
+        monkeypatch.setattr(engine, "CHUNK_BYTES", material // tile_count)
+        simulate(s)
+        # block by block, each block's chunks in trial order
+        assert tiles == [(lo, k0, k1) for k0, k1 in zip(cuts, cuts[1:]) for lo in (0, 10)]
     assert scale.any() and not scale.all(axis=0).any()  # some edges draw byz_rand, none at every step
 
 
@@ -668,6 +714,38 @@ def test_material_memory_does_not_grow_with_the_horizon(monkeypatch):
             tracemalloc.stop()
         bound = engine.CHUNK_BYTES + streams * STREAM_BYTES + schedules + 2**19
         assert peak - outputs <= bound, (horizon, peak - outputs, bound)
+
+
+def test_a_run_holds_one_block_of_recovered_copies(monkeypatch):
+    """run_monte_carlo hands the recovered copies to the detectors one
+    step block at a time. Under a 512 kiB budget its 200 trials x 800
+    steps run as 3 chunks of 25 step blocks of 32 steps, and edge (0, 2)
+    is tampered at steps 10..29, all in the first block. Above the
+    states, the peak stays within one block's copy window, one
+    tile, the 1200 open streams, the schedules and half a MiB; the whole
+    7.7 MB copy slab would break that bound."""
+    doc = small_doc(horizon=800, trials=200)
+    one, zero = {"kind": "const", "coeffs": [1.0, 1.0]}, {"kind": "const", "coeffs": [0.0, 0.0]}
+    tamper = {"kind": "const", "coeffs": [1.5, -2.0]}
+    doc["attacks"]["channel"] = [{"edge": [0, 2], "window": [10, 30], "xi1": one, "lam1": zero, "xi2": tamper, "lam2": tamper}]
+    s = scenario_from_dict(doc)
+    T, K, E, n = s.trials, s.horizon, s.topology.n_edges, s.model.n
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 2**19)
+    schedules = engine._schedule_arrays(s.topology, s.attacks, K, n)
+    assert engine._tiling(s, schedules[-1]) == (3, 25)
+    states = 8 * T * (K + 1) * s.topology.n_agents * n
+    window = 8 * T * 32 * E * n + 8 * T * 20 * n
+    tile = 8 * 67 * 32 * E * n * 5  # noise and the four watermark slabs of the largest chunk
+    streams = T * E * 2 * STREAM_BYTES  # noise and watermark
+    run_monte_carlo(s)  # the first run's one-time state, untraced
+    tracemalloc.start()
+    try:
+        run_monte_carlo(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = window + tile + streams + sum(a.nbytes for a in schedules) + 2**19
+    assert peak - states <= bound, (peak - states, bound)
 
 
 @pytest.mark.parametrize("failing", [0, 3], ids=["first_chunk", "later_chunk"])
