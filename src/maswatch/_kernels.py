@@ -48,6 +48,9 @@ k0, N agents, E edges, n state dims:
     ys2 (T, Pb, n)       out: copy 2 of the block's Pb chan_mask pairs,
                          in the order of np.argwhere(chan_mask)
 
+The arguments come in the order of their sources: one tile (k0, W, M,
+F, byz_rand) as engine._pregenerate yields it, the schedules chan_mask
+.. byz_coeff as engine._schedule_arrays returns them, then the windows.
 The schedules and states are indexed by absolute step, the material
 and the copies by their row in the block.
 
@@ -78,7 +81,7 @@ def _dot(rows, v):
     return acc
 
 
-def _simulate_numpy(s, k0, W, M, F, chan_mask, Xi, Lam, send_row, byz_coeff, byz_rand, states, ys1, ys2):
+def _simulate_numpy(s, k0, W, M, F, byz_rand, chan_mask, Xi, Lam, send_row, byz_coeff, states, ys1, ys2):
     t, A, Bv, ctrl = s.topology, s.model.A, s.model.B, s.controller
     edge_src, edge_dst = t.src, t.dst
     T, E, Kb, n = W.shape

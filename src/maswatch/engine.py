@@ -66,24 +66,28 @@ blocks, and the tiles run block-major on the calling thread: every
 chunk of block b, in trial order, runs before block b+1, and each
 tile's material is freed before the next tile is drawn.
 
-In a run of one block, each chunk opens each stream, draws it and drops
-it, so the run holds one stream at a time. A run of several blocks
-keeps the streams of every chunk open across the chunks, each until its
-chunk's last tile: trials x edges streams of each drawn tag. An open
-stream costs about 0.9 kB of resident memory with its key, against
-0.14 kB for one dropped once drawn (ru_maxrss growth over 1.1e5 streams
-drawn through _draw_streams, numpy 2.4.6): 9.9 MB for 500 trials over
-11 edges and 2 tags. Each block also pays about 0.8 us per stream for
-the standard_normal call.
+simulate takes each tile of a chunk from its _pregenerate generator
+with next, and closes the generator after its last tile, which drops
+the chunk's streams and keys. In a run of one block, each chunk opens
+each stream, draws it and drops it, so the run holds one stream at a
+time. A run of several blocks keeps the streams of every chunk open
+across the chunks, each until its chunk's last tile: trials x edges
+streams of each drawn tag. An open stream costs about 0.9 kB of
+resident memory with its key, against 0.14 kB for one dropped once
+drawn (ru_maxrss growth over 1.1e5 streams drawn through _draw_streams,
+numpy 2.4.6): 9.9 MB for 500 trials over 11 edges and 2 tags. Each
+block also pays about 0.8 us per stream for the standard_normal call.
 
-Without a sink, the kernel writes each block's recovered copies into
-its rows of whole-run slabs, which simulate returns. With a sink, it
-writes them into one copy window, (trials, Kb, edges, n) for copy 1 and
-(trials, Pb, n) for copy 2 at the block's Pb tampered pairs, allocated
-once at the largest block and reused; once every chunk has run the
-block, the window goes to the sink with the whole states slab. So a
-sink run's peak is its states plus one copy window, one tile and the
-open streams; whatever the sink keeps comes on top.
+The kernel writes each block's recovered copies into a copy window,
+(trials, Kb, edges, n) for copy 1 and (trials, Pb, n) for copy 2 at the
+block's Pb tampered pairs, sliced from one buffer per copy. Without a
+sink, the buffers are the whole-run slabs that simulate returns, and
+the window starts at the block's first step and pair. With a sink, they
+are as long as the longest block, every window starts at row 0, and
+once every chunk has run the block, the window goes to the sink with
+the whole states slab. So a sink run's peak is its states plus one
+copy window, one tile and the open streams; whatever the sink keeps
+comes on top.
 
 Bit-compatibility invariant: stream (trial, j, i, tag) draws exactly the
 numbers of default_rng(SeedSequence([master_seed, trial, j, i, tag])),
@@ -363,15 +367,17 @@ def simulate(s: Scenario, inits: np.ndarray | None = None, sink=None) -> SimData
     slabs gain a leading (B,) axis. One tile's material is drawn once
     and serves every table. Every table must pass the rule of s.init_states
     before anything is allocated or drawn, else a ScenarioError on
-    run.init. A batch whose output slabs or material cannot be allocated
-    is a ScenarioError on run naming the trials, steps and bytes of the
+    run.init. A batch whose output slabs, material or copy windows
+    cannot be allocated, or whose sink runs out of memory, is a
+    ScenarioError on run naming the trials, steps and bytes of the
     output slabs.
 
     Trials split into chunks, and each chunk's steps into blocks, by the
     module's tile rule: about CHUNK_BYTES of random material per tile,
     and at least MIN_CHUNK_TRIALS trials per chunk unless the batch has
     fewer. The tiles run on the calling thread block by block, each
-    block's chunks in trial order. The tiling never changes a number.
+    block's chunks in trial order, and each tile runs the kernel once
+    per table. The tiling never changes a number.
 
     sink, when given, is called once per step block in step order, as
     sink(k0, states, ys1, ys2, pairs), after every chunk has run the
@@ -379,7 +385,7 @@ def simulate(s: Scenario, inits: np.ndarray | None = None, sink=None) -> SimData
     k0+Kb, ys2 (trials, Pb, n) copy 2 at the block's Pb tampered pairs,
     which pairs (Pb, 2) lists as SimData.pairs does, and states is the
     whole states slab, filled up to row k0+Kb; the arrays carry the
-    (B,) axis of an inits stack. The next block reuses the copy windows.
+    (B,) axis of an inits stack. The next block reuses the windows' buffers.
     The returned SimData then holds the whole states and copies of no
     step: ystar1 (trials, 0, edges, n) and ystar2 (trials, 0, n), with
     the pairs of the whole run.
@@ -402,50 +408,38 @@ def simulate(s: Scenario, inits: np.ndarray | None = None, sink=None) -> SimData
     for b, table in enumerate(tables):
         states[b, :, 0] = table
     one = (lambda a: a[0]) if inits is None else (lambda a: a)
-
-    def run_tile(chunk, rows: slice, window1: np.ndarray, window2: np.ndarray) -> None:
-        """Draw the chunk's next tile and run the kernel on it once per
-        table; the tile's material is freed when this returns. After the
-        chunk's last tile its generator runs to its end, which drops the
-        chunk's streams and keys."""
-        for k0, W, M, F, byz_rand in chunk:
-            # A diverging run overflows silently here; harness rejects its
-            # non-finite states.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for b in range(B):
-                    _kernels._simulate_numpy(
-                        s, k0, W, M, F, *schedules, byz_rand, states[b, rows], window1[b, rows], window2[b, rows]
-                    )
-            if k0 + W.shape[2] < K:
-                break  # one tile per call
-
     try:
         *schedules, scale = _schedule_arrays(t, s.attacks, K, n)
         pairs = np.argwhere(schedules[0])
         ends = np.concatenate(([0], np.cumsum(schedules[0].sum(axis=1))))  # ends[k]: pairs of steps 1..k
         cuts = _cuts(s, scale)
         blocks = [(k0, k1, ends[k0], ends[k1]) for k0, k1 in zip(cuts, cuts[1:])]
+        win1, win2 = ys1, ys2  # the copy windows' buffers
         if sink is not None:
-            flat1 = np.empty(B * trials * max(k1 - k0 for k0, k1, _, _ in blocks) * E * n)
-            flat2 = np.empty(B * trials * max(p1 - p0 for _, _, p0, p1 in blocks) * n)
-        # A generator per chunk; each draws one tile per block when run_tile asks.
+            win1 = np.empty((B, trials, max(k1 - k0 for k0, k1, _, _ in blocks), E, n))
+            win2 = np.empty((B, trials, max(p1 - p0 for _, _, p0, p1 in blocks), n))
+        # A material generator per chunk, which yields one tile per block.
         chunks = [
             (_pregenerate(s, ids, scale), slice(ids[0], ids[-1] + 1))
             for ids in np.array_split(np.arange(trials), _tiling(s, scale)[0])
         ]
+        for k0, k1, p0, p1 in blocks:
+            q0, r0 = (k0, p0) if sink is None else (0, 0)
+            window1, window2 = win1[:, :, q0 : q0 + k1 - k0], win2[:, :, r0 : r0 + p1 - p0]
+            for chunk, rows in chunks:
+                tile = next(chunk)
+                # A diverging run overflows silently here; harness rejects
+                # its non-finite states.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for b in range(B):
+                        _kernels._simulate_numpy(
+                            s, *tile, *schedules, states[b, rows], window1[b, rows], window2[b, rows]
+                        )
+                del tile  # freed before the next chunk draws
+                if k1 == K:
+                    chunk.close()  # the chunk's last tile: drop its streams and keys
+            if sink is not None:
+                sink(k0, one(states), one(window1), one(window2), pairs[p0:p1])
     except MemoryError:
         raise refused from None
-    for k0, k1, p0, p1 in blocks:
-        if sink is None:
-            window1, window2 = ys1[:, :, k0:k1], ys2[:, :, p0:p1]
-        else:
-            window1 = flat1[: B * trials * (k1 - k0) * E * n].reshape(B, trials, k1 - k0, E, n)
-            window2 = flat2[: B * trials * (p1 - p0) * n].reshape(B, trials, p1 - p0, n)
-        try:
-            for chunk, rows in chunks:
-                run_tile(chunk, rows, window1, window2)
-        except MemoryError:
-            raise refused from None
-        if sink is not None:
-            sink(k0, one(states), one(window1), one(window2), pairs[p0:p1])
     return SimData(states=one(states), ystar1=one(ys1), ystar2=one(ys2), pairs=pairs)

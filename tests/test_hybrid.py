@@ -4,12 +4,15 @@ against the per-edge reference."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maswatch.graph import build_topology, two_hop_relays
+from maswatch.attacks import AttackScenario, ByzantineBehavior, ChannelAttack, Schedule, activity, validate_attacks
+from maswatch.graph import LocalAttackBudget, build_topology, check_hybrid_detectability, two_hop_relays
 from maswatch.hybrid import (
     Classification,
     FlagPair,
@@ -175,3 +178,65 @@ def test_protocol_step_matches_reference_on_random_topologies(case):
         assert (t.relay_si[e, width:] == -1).all() and (t.relay_js[e, width:] == -1).all()
     for chan, env in steps:
         _assert_matches_reference(np.array(chan, dtype=bool), np.array(env, dtype=bool), t)
+
+
+class RelaysCut(AssertionError):
+    """Perfect flags label a tampered edge undecidable: every two-hop
+    relay the path count promised is cut by an admissible placement."""
+
+
+C = Classification
+# Per budget (L, P): the admitted placements, and the known mislabels on
+# the edges check_hybrid_detectability accepts, as (edge, truth, label):
+# placements. In each, every relay h of the tampered edge (j, i) is cut:
+# h is Byzantine, or its channel (j, h) is tampered, which the budget
+# charges to h, not to i.
+RELAY_CUTS = {
+    (1, 1): (6912, {((5, 2), C.CHANNEL_ONLY, C.UNDECIDABLE): 144, ((5, 2), C.HYBRID, C.UNDECIDABLE): 16}),
+    (0, 1): (1152, {((0, 2), C.CHANNEL_ONLY, C.UNDECIDABLE): 32, ((5, 2), C.CHANNEL_ONLY, C.UNDECIDABLE): 16}),
+}
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [pytest.param(b, marks=pytest.mark.xfail(strict=True, raises=RelaysCut, reason="relays cut")) for b in RELAY_CUTS],
+    ids=lambda b: f"L{b[0]}_P{b[1]}",
+)
+def test_perfect_flags_label_every_accepted_edge_truly(budget):
+    """On the platoon graph, every one-step placement that
+    validate_attacks admits at horizon 1: channel sets with at most P
+    tampered in-channels per receiver, with every Byzantine agent subset.
+    Fed perfect flags, the channel alarm where a channel is tampered and
+    the envelope alarm where the sender is Byzantine on a clean channel,
+    run_protocol_step must label every edge that
+    check_hybrid_detectability accepts as attacks.activity's truth says.
+    Only the known mislabels of RELAY_CUTS count as the expected failure;
+    any other mismatch, or none, fails the test."""
+    t = _topology()
+    limits = LocalAttackBudget(*budget)
+    short = check_hybrid_detectability(t, limits)[1]
+    accepted = ~_mask(t, lambda e: e in short)
+    one = Schedule("const", (1.0, 1.0))
+    inward = [[e for e in t.edges if e[1] == i] for i in sorted(set(t.dst.tolist()))]
+    per_receiver = [[c for r in range(limits.P + 1) for c in itertools.combinations(es, r)] for es in inward]
+    subsets = [c for r in range(t.n_agents + 1) for c in itertools.combinations(range(t.n_agents), r)]
+    truths = np.array([C.NORMAL, C.BYZANTINE_ONLY, C.CHANNEL_ONLY, C.HYBRID], dtype=object)
+    admitted, mislabels = 0, Counter()
+    for channels in itertools.product(*per_receiver):
+        channel = tuple(ChannelAttack(e, (1, 2), one, one, one, one) for e in sum(channels, ()))
+        for byzantine in subsets:
+            behaviors = tuple(ByzantineBehavior(j, (1, 2), "frozen_state") for j in byzantine)
+            attacks = AttackScenario(channel, behaviors, limits)
+            if validate_attacks(attacks, t, 1) is not None:
+                continue
+            admitted += 1
+            chan, byz = (mask[0] for mask in activity(attacks, t, 1))
+            labels = run_protocol_step(chan, byz & ~chan, t)[1]
+            truth = truths[2 * chan + byz]
+            for e in np.flatnonzero(accepted & (labels != truth)):
+                mislabels[t.edges[e], truth[e], labels[e]] += 1
+    want_admitted, known = RELAY_CUTS[budget]
+    assert admitted == want_admitted
+    if mislabels == Counter(known):
+        raise RelaysCut(f"{sum(known.values())} of {admitted} placements mislabel an accepted edge: {dict(known)}")
+    assert not mislabels, dict(mislabels)

@@ -389,20 +389,29 @@ def test_trial_split_follows_the_tile_rule(trials, horizon, monkeypatch):
     CHUNK_BYTES of material plus one trial's worth unless one more chunk
     would break the floor. Each of its step blocks holds less than
     CHUNK_BYTES plus one trial's and one step's worth. Only the split
-    runs: the material is an empty stand-in, so the kernel never runs,
-    and the output slabs stay untouched zero pages."""
+    runs: simulate builds every chunk's material generator before it
+    draws, and the stand-in's first draw stops the run, so the kernel
+    never runs and the output slabs stay untouched zero pages."""
     s = replace(_random_material_case(), trials=trials, horizon=horizon)
     per_step = 8 * s.topology.n_edges * s.model.n * SLAB_CASES["watermarked"][1]
     per_trial = per_step * horizon
     chunks, blocks = [], []
 
+    class Drawn(Exception):
+        pass
+
+    def no_material():
+        raise Drawn
+        yield
+
     def recorded(s, trial_ids, scale):
         chunks.append(trial_ids.tolist())
         blocks.append(engine._tiling(s, scale)[1])
-        return iter(())
+        return no_material()
 
     monkeypatch.setattr(engine, "_pregenerate", recorded)
-    simulate(s)
+    with pytest.raises(Drawn):
+        simulate(s)
     assert len(chunks) == SPLIT_CASES[trials, horizon]
     assert sum(chunks, []) == list(range(trials))
     at_floor = trials < (len(chunks) + 1) * engine.MIN_CHUNK_TRIALS
@@ -770,6 +779,32 @@ def test_chunk_material_beyond_memory_is_a_scenario_error(failing, monkeypatch):
         simulate(s)
     assert err.value.path == "run"
     assert len(calls) == failing + 1
+
+
+def test_a_sink_beyond_memory_is_a_scenario_error(monkeypatch):
+    """A MemoryError in the sink, here on the second of _block_case's 5
+    step blocks, refuses the run as a batch that cannot be allocated, as
+    a ScenarioError on run rather than a traceback."""
+    s = _block_case()
+    material = 6 * s.trials * s.horizon * s.topology.n_edges * s.model.n * 8
+    starts, simulate_ = [], harness.simulate
+
+    def recorded(s, sink):
+        def block(k0, *args):
+            starts.append(k0)
+            if len(starts) == 2:
+                raise MemoryError
+            return sink(k0, *args)
+
+        return simulate_(s, sink=block)
+
+    monkeypatch.setattr(engine, "CHUNK_BYTES", material // 10)
+    monkeypatch.setattr(engine, "MIN_CHUNK_TRIALS", 8)
+    monkeypatch.setattr(harness, "simulate", recorded)
+    with pytest.raises(ScenarioError, match=r"^run: 20 trials x 30 steps need \d+ bytes of output slabs, more") as err:
+        run_monte_carlo(s)
+    assert err.value.path == "run"
+    assert starts == [0, 6]
 
 
 def _consensus_order_case():
